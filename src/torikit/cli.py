@@ -163,8 +163,8 @@ def cmd_polytope_make(args) -> int:
 def cmd_groupoid_orbit(args) -> int:
     P = pt.load_polytope(args.polytope)
     pt.require_delzant(P)
-    if not args.hbar:
-        raise FormatError("--hbar is required")
+    if len(args.hbar) != 1:
+        raise FormatError("groupoid orbit takes exactly one --hbar")
     hbar = _fraction(args.hbar[0])
     if hbar == 0:
         raise FormatError("--hbar must be nonzero")

@@ -6,6 +6,15 @@ admitting k and the translated point y + hbar*k keeps every facet paired
 with k strictly slack; equivalently (for smooth polytopes) when y and
 y + hbar*k share their isotropy.  At hbar = 0 arrows are loops, so the zero
 fiber is a bundle of abelian groups.
+
+At fixed hbar != 0 the orbits are finite pair groupoids, known in closed
+form: the orbit of y0 is the set of points y0 + hbar*k (k in Z^n) of the
+polytope that lie in the same open face as y0, and any two of them are
+exactly one valid arrow apart.  `orbit` selects these points with one exact
+integer slack test, lists them as y0 first and then ascending k in
+lexicographic order, and raises OrbitCapError once their number exceeds
+the cap.  An `Orbit` keeps each point's step k from y0, so arrow queries on
+it are lattice lookups with no facet test.
 """
 from __future__ import annotations
 
@@ -17,8 +26,9 @@ from functools import cached_property
 import numpy as np
 
 from . import intlat
-from .errors import ComposabilityError, DomainError, OrbitCapError
-from .polytope import DelzantPolytope, in_delta_k, in_u_k, isotropy_lattice, ratpoint, vertices
+from .errors import ComposabilityError, DimensionError, DomainError, OrbitCapError
+from .polytope import (DelzantPolytope, bounding_box, in_delta_k, in_u_k,
+                       isotropy_lattice, ratpoint)
 
 __all__ = [
     "GroupoidPoint", "Orbit", "arrow",
@@ -107,137 +117,77 @@ def invert(P: DelzantPolytope, g: GroupoidPoint) -> GroupoidPoint:
 # ---------------------------------------------------------------------------
 # orbits at fixed hbar != 0
 
+_CHUNK = 1 << 16   # candidates per block; bounds the working memory of `orbit`
+
+
 @dataclass(frozen=True)
 class Orbit:
-    """A finite orbit of the hbar-fiber: ordered points plus an index map."""
+    """A finite orbit of the hbar-fiber.
+
+    points[i] = points[0] + hbar*steps[i]; points[0] is the base point the
+    orbit was built from, and `index` maps each point back to its position.
+    """
 
     polytope: DelzantPolytope
     hbar: Fraction
     points: tuple[tuple[Fraction, ...], ...]
-    index: dict[tuple[Fraction, ...], int] = field(repr=False)
+    steps: tuple[tuple[int, ...], ...] = field(repr=False)
 
     def __len__(self):
         return len(self.points)
 
-    def target_index(self, i: int, k) -> int | None:
-        """Index of points[i] + hbar*k when that arrow is valid, else None."""
-        g = GroupoidPoint(self.hbar, self.points[i], tuple(int(c) for c in k))
-        if not is_member(self.polytope, g):
-            return None
-        return self.index.get(_translate(self.points[i], self.hbar, g.k))
+    @cached_property
+    def index(self) -> dict[tuple[Fraction, ...], int]:
+        """Position of each point in `points`."""
+        return {p: i for i, p in enumerate(self.points)}
 
-    def mode_between(self, i: int, j: int) -> tuple[int, ...] | None:
-        """The unique k with points[j] = points[i] + hbar*k, if integral."""
-        diff = [(b - a) / self.hbar for a, b in zip(self.points[i], self.points[j])]
-        if any(d.denominator != 1 for d in diff):
-            return None
-        return tuple(int(d) for d in diff)
+    @cached_property
+    def _step_index(self) -> dict[tuple[int, ...], int]:
+        return {s: i for i, s in enumerate(self.steps)}
+
+    def target_index(self, i: int, k) -> int | None:
+        """Index of points[i] + hbar*k when that arrow is valid, else None.
+
+        Exact without a facet test: from a point of the orbit, the arrow
+        (hbar, points[i], k) is valid iff its head lies in the orbit.
+        """
+        step = self.steps[i]
+        if len(k) != len(step):
+            raise DimensionError("point/mode dimension mismatch")
+        return self._step_index.get(tuple(a + int(c) for a, c in zip(step, k)))
+
+    def mode_between(self, i: int, j: int) -> tuple[int, ...]:
+        """The k with points[j] = points[i] + hbar*k."""
+        return tuple(b - a for a, b in zip(self.steps[i], self.steps[j]))
 
     @cached_property
     def adjacency(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """Admissible modes between point pairs (valid arrows only)."""
-        if len(self.points) ** 2 > 4_000_000:
+        """Mode of the valid arrow between each ordered pair of points.
+
+        An orbit is a pair groupoid, so the table is complete: every (i, j)
+        maps to mode_between(i, j).  Refused above 4,000,000 pairs.
+        """
+        D = len(self.points)
+        if D * D > 4_000_000:
             raise DomainError("adjacency table too large; query mode_between")
-        table = {}
-        for i in range(len(self.points)):
-            for j in range(len(self.points)):
-                k = self.mode_between(i, j)
-                if k is not None and is_member(
-                        self.polytope, GroupoidPoint(self.hbar, self.points[i], k)):
-                    table[(i, j)] = k
-        return table
-
-
-def _bounding_box(P: DelzantPolytope):
-    verts = vertices(P)
-    if not verts:
-        raise DomainError("polytope has no vertices")
-    lo = [min(v[i] for v in verts) for i in range(P.n)]
-    hi = [max(v[i] for v in verts) for i in range(P.n)]
-    return lo, hi
-
-
-class _OrbitLattice:
-    """Candidate lattice y0 + hbar*Z^n inside the polytope, as scaled ints.
-
-    One common denominator turns every facet test into integer comparisons;
-    arrow validity between two lattice points u, w reduces to the per-facet
-    test  slack(w) == slack(u)  or  (slack(u) > 0 and slack(w) > 0),
-    vectorized over the whole candidate set with int64 (bound-checked).
-    """
-
-    def __init__(self, P, hbar, y0):
-        self.P = P
-        lo, hi = _bounding_box(P)
-        denoms = [hbar.denominator]
-        denoms += [c.denominator for c in y0]
-        denoms += [lam.denominator for lam in P.offsets]
-        scale = math.lcm(*denoms)
-        self.scale = scale
-        axes = []
-        for i in range(P.n):
-            a = (lo[i] - y0[i]) / hbar
-            b = (hi[i] - y0[i]) / hbar
-            if a > b:
-                a, b = b, a
-            axes.append(np.arange(math.ceil(a), math.floor(b) + 1, dtype=np.int64))
-        if any(a.size == 0 for a in axes):
-            raise OverflowError("empty candidate box")  # y0 in polytope, cannot happen
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, P.n)
-        y0_int = np.array([int(c * scale) for c in y0], dtype=np.int64)
-        h_int = int(hbar * scale)
-        X = np.array([list(x) for x in P.normals], dtype=np.int64)
-        lam_int = np.array([int(lam * scale) for lam in P.offsets], dtype=np.int64)
-        largest = (np.abs(grid).max(initial=1) * abs(h_int) + np.abs(y0_int).max()) \
-            * int(np.abs(X).sum(axis=1).max())
-        if largest + np.abs(lam_int).max(initial=1) > 2 ** 60:
-            raise OverflowError("coordinates too large for the int64 path")
-        coords = y0_int[None, :] + h_int * grid
-        slack = coords @ X.T - lam_int[None, :]
-        inside = (slack >= 0).all(axis=1)
-        self.coords = coords[inside]
-        self.slack = slack[inside]
-        self.keys = {tuple(int(c) for c in row): i
-                     for i, row in enumerate(self.coords)}
-        self.start = self.keys[tuple(int(c) for c in y0_int)]
-
-    def neighbor_rows(self, row: int) -> np.ndarray:
-        s = self.slack[row]
-        ok = ((self.slack == s[None, :])
-              | ((s[None, :] > 0) & (self.slack > 0))).all(axis=1)
-        ok[row] = False
-        return np.nonzero(ok)[0]
-
-    def point(self, row: int):
-        return tuple(Fraction(int(c), self.scale) for c in self.coords[row])
-
-
-def _neighbors_fraction(P, hbar, y):
-    """Pure-Fraction neighbor enumeration (fallback and test oracle)."""
-    lo, hi = _bounding_box(P)
-    ranges = []
-    for i in range(P.n):
-        a = (lo[i] - y[i]) / hbar
-        b = (hi[i] - y[i]) / hbar
-        if a > b:
-            a, b = b, a
-        ranges.append(range(math.ceil(a), math.floor(b) + 1))
-    out = []
-    import itertools
-    for k in itertools.product(*ranges):
-        if all(c == 0 for c in k):
-            continue
-        g = GroupoidPoint(hbar, y, k)
-        if is_member(P, g):
-            out.append((k, _translate(y, hbar, k)))
-    return out
+        return {(i, j): self.mode_between(i, j) for i in range(D) for j in range(D)}
 
 
 def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
-    """Breadth-first closure of {y0} under all valid single arrows.
+    """The orbit of y0 in the hbar-fiber, in closed form.
 
-    Finite for compact polytopes; the cap guards degenerate input and turns
-    runaway growth into a diagnostic error.
+    It is the set of points y0 + hbar*k (k in Z^n) of the polytope whose
+    active facet set equals y0's: any two such points are one valid arrow
+    apart, and no arrow leaves the set.  The candidates k of the vertex
+    bounding box are tested in blocks along the first axis, with every
+    slack scaled by one common denominator to an exact integer.  The slacks
+    live in int64 arrays when a bound computed in Python ints shows they
+    fit, and in Python-int (object) arrays otherwise; the selection is the
+    same either way.
+
+    Points come in a fixed order: y0 first, then ascending k in
+    lexicographic order.  OrbitCapError is raised as soon as the size
+    exceeds `cap`, before the rest of the box is scanned.
     """
     hbar = Fraction(hbar)
     if hbar == 0:
@@ -248,45 +198,46 @@ def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
     if not P.contains(y0):
         raise DomainError(f"base point {y0} lies outside the polytope")
 
-    try:
-        lattice = _OrbitLattice(P, hbar, y0)
-    except OverflowError:
-        return _orbit_fraction(P, hbar, y0, cap)
+    lo, hi = bounding_box(P)
+    axes = []
+    for i in range(P.n):
+        a, b = sorted(((lo[i] - y0[i]) / hbar, (hi[i] - y0[i]) / hbar))
+        axes.append((math.ceil(a), math.floor(b) + 1))
+    # slack of y0 + hbar*k at facet j, times scale:  s0[j] + h * <k, X_j>
+    scale = math.lcm(hbar.denominator, *(c.denominator for c in y0),
+                     *(lam.denominator for lam in P.offsets))
+    h = int(hbar * scale)
+    s0 = [int(P.slack(y0, j) * scale) for j in range(P.n_facets)]
+    # the floor of 1 makes the bound cover h and the normals themselves
+    k_max = [max(abs(a), abs(b - 1), 1) for a, b in axes]
+    bound = max(s0) + abs(h) * max(
+        sum(abs(x) * m for x, m in zip(X, k_max)) for X in P.normals)
+    dtype = np.int64 if bound < 2 ** 63 else object
 
-    order = [lattice.start]
-    seen = np.zeros(len(lattice.coords), dtype=bool)
-    seen[lattice.start] = True
-    head = 0
-    while head < len(order):
-        current = order[head]
-        head += 1
-        for row in lattice.neighbor_rows(current):
-            if not seen[row]:
-                if len(order) >= cap:
-                    raise OrbitCapError(
-                        f"orbit exceeded cap of {cap} points "
-                        "(noncompact or degenerate input?)")
-                seen[row] = True
-                order.append(int(row))
-    points = tuple(lattice.point(r) for r in order)
-    index = {p: i for i, p in enumerate(points)}
-    return Orbit(P, hbar, points, index)
+    normals = np.array(P.normals, dtype=dtype).T
+    s0 = np.array(s0, dtype=dtype)
+    active = s0 == 0
+    rest = [np.arange(a, b, dtype=dtype) for a, b in axes[1:]]
+    first_lo, first_hi = axes[0]
+    rows = max(1, _CHUNK // math.prod(b - a for a, b in axes[1:]))
+    blocks = []
+    size = 0
+    for start in range(first_lo, first_hi, rows):
+        first = np.arange(start, min(start + rows, first_hi), dtype=dtype)
+        k = np.stack(np.meshgrid(first, *rest, indexing="ij"), axis=-1).reshape(-1, P.n)
+        slack = s0 + h * (k @ normals)
+        k = k[np.where(active, slack == 0, slack > 0).all(axis=1)]
+        size += len(k)
+        if size > cap:
+            raise OrbitCapError(
+                f"orbit exceeded cap of {cap} points "
+                "(noncompact or degenerate input?)")
+        blocks.append(k)
 
-
-def _orbit_fraction(P, hbar, y0, cap):
-    # all-Fraction fallback; also serves as the independent slow oracle
-    index = {y0: 0}
-    points = [y0]
-    queue = [y0]
-    while queue:
-        current = queue.pop(0)
-        for _, endpoint in _neighbors_fraction(P, hbar, current):
-            if endpoint not in index:
-                if len(points) >= cap:
-                    raise OrbitCapError(
-                        f"orbit exceeded cap of {cap} points "
-                        "(noncompact or degenerate input?)")
-                index[endpoint] = len(points)
-                points.append(endpoint)
-                queue.append(endpoint)
-    return Orbit(P, hbar, tuple(points), index)
+    origin = (0,) * P.n
+    steps = [origin] + [s for s in map(tuple, np.concatenate(blocks).tolist())
+                        if s != origin]
+    coords = [{c: y0[i] + hbar * c for c in {s[i] for s in steps}}
+              for i in range(P.n)]
+    points = tuple(tuple(coords[i][c] for i, c in enumerate(s)) for s in steps)
+    return Orbit(P, hbar, points, tuple(steps))

@@ -105,7 +105,7 @@ def spectrum(matrix: np.ndarray) -> np.ndarray:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DomainError("spectrum needs a square matrix")
     scale = max(np.abs(matrix).max(), 1.0)
-    if np.allclose(matrix, matrix.conj().T, atol=1e-12 * scale):
+    if np.allclose(matrix, matrix.conj().T, rtol=0, atol=1e-12 * scale):
         return np.sort(np.linalg.eigvalsh(matrix))
     vals = np.linalg.eigvals(matrix)
     return vals[np.lexsort((vals.imag, vals.real))]

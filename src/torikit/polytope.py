@@ -20,6 +20,7 @@ __all__ = [
     "DelzantPolytope", "Face", "DelzantReport",
     "ratpoint", "in_delta_k", "in_u_k", "isotropy_lattice",
     "check_delzant", "require_delzant", "enumerate_faces", "vertices",
+    "bounding_box",
     "interval", "projective_space", "orthant", "product", "square",
     "load_polytope", "polytope_from_dict", "polytope_to_dict",
 ]
@@ -172,6 +173,16 @@ def vertices(P: DelzantPolytope) -> list[tuple[Fraction, ...]]:
         if P.contains(sol):
             found.setdefault(sol, subset)
     return sorted(found)
+
+
+def bounding_box(P: DelzantPolytope):
+    """Coordinate-wise (lo, hi) lists over the vertices."""
+    verts = vertices(P)
+    if not verts:
+        raise DomainError("polytope has no vertices")
+    lo = [min(v[i] for v in verts) for i in range(P.n)]
+    hi = [max(v[i] for v in verts) for i in range(P.n)]
+    return lo, hi
 
 
 def _recession_ray(P: DelzantPolytope):

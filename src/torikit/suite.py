@@ -22,7 +22,7 @@ from . import expr as ex
 from . import groupoid as gr
 from . import intlat
 from . import matrixrep as mr
-from .polytope import DelzantPolytope, ratpoint, vertices
+from .polytope import DelzantPolytope, bounding_box, ratpoint
 
 __all__ = ["BatteryResult", "SuiteReport", "run_suite",
            "random_interior_point", "random_element", "random_arrow"]
@@ -95,9 +95,7 @@ class SuiteReport:
 def random_interior_point(P: DelzantPolytope, rng: random.Random,
                           margin=Fraction(1, 8), denom: int = 64):
     """Rejection-sample a dyadic rational point with all slacks > margin."""
-    verts = vertices(P)
-    lo = [min(v[i] for v in verts) for i in range(P.n)]
-    hi = [max(v[i] for v in verts) for i in range(P.n)]
+    lo, hi = bounding_box(P)
     for _ in range(10_000):
         y = tuple(
             Fraction(rng.randint(int(lo[i] * denom), int(hi[i] * denom)), denom)
@@ -109,11 +107,9 @@ def random_interior_point(P: DelzantPolytope, rng: random.Random,
 
 def random_point_near(P: DelzantPolytope, rng: random.Random, denom: int = 16):
     """Dyadic point in a slightly inflated bounding box (may be outside)."""
-    verts = vertices(P)
-    lo = [min(v[i] for v in verts) - 1 for i in range(P.n)]
-    hi = [max(v[i] for v in verts) + 1 for i in range(P.n)]
+    lo, hi = bounding_box(P)
     return tuple(
-        Fraction(rng.randint(int(lo[i] * denom), int(hi[i] * denom)), denom)
+        Fraction(rng.randint(int((lo[i] - 1) * denom), int((hi[i] + 1) * denom)), denom)
         for i in range(P.n))
 
 

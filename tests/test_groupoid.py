@@ -2,6 +2,8 @@
 import itertools
 import math
 import random
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -221,3 +223,107 @@ def test_adjacency_closure():
     assert orb.adjacency[(0, 3)] == (3,)
     assert orb.target_index(0, (3,)) == 3
     assert orb.target_index(3, (1,)) is None
+
+
+def bfs_orbit_oracle(P, hbar, y0):
+    """Slow reference: breadth-first closure of {y0} under valid single
+    arrows, all in Fraction arithmetic.  Neighbors of a point are visited in
+    ascending lexicographic order of k over its vertex bounding box, which
+    fixes the order `orbit` must reproduce."""
+    lo, hi = pt.bounding_box(P)
+
+    def neighbors(y):
+        ranges = []
+        for i in range(P.n):
+            a, b = sorted(((lo[i] - y[i]) / hbar, (hi[i] - y[i]) / hbar))
+            ranges.append(range(math.ceil(a), math.floor(b) + 1))
+        for k in itertools.product(*ranges):
+            if any(k) and gr.is_member(P, gr.GroupoidPoint(hbar, y, k)):
+                yield tuple(c + hbar * ki for c, ki in zip(y, k))
+
+    points = [y0]
+    seen = {y0}
+    head = 0
+    while head < len(points):
+        for endpoint in neighbors(points[head]):
+            if endpoint not in seen:
+                seen.add(endpoint)
+                points.append(endpoint)
+        head += 1
+    return tuple(points)
+
+
+ORACLE_POLYTOPES = {
+    "interval": pt.interval(),
+    "square": pt.square(),
+    "cp2": pt.projective_space(2),
+    "cp3": pt.projective_space(3),
+    "interval x cp2": pt.product(pt.interval(), pt.projective_space(2)),
+}
+
+
+def random_orbit_inputs(seed, per_polytope):
+    """(P, hbar, y0) with either sign of hbar, boundary and interior base
+    points, and some base points shifted by 2^-62 so that the common
+    denominator leaves int64."""
+    rng = random.Random(seed)
+    out = []
+    for P in ORACLE_POLYTOPES.values():
+        while sum(1 for c in out if c[0] is P) < per_polytope:
+            q = rng.randint(2, 5 if P.n < 3 else 3)
+            hbar = F(rng.choice((1, -1)), q)
+            denom = rng.choice((2 * q, 3 * q))
+            y0 = [F(rng.randint(0, denom), denom) for _ in range(P.n)]
+            if rng.random() < 0.25:
+                y0[0] += F(1, 2 ** 62)
+            y0 = tuple(y0)
+            if P.contains(y0):
+                out.append((P, hbar, y0))
+    return out
+
+
+def test_orbit_order_matches_bfs_oracle_randomized():
+    cases = random_orbit_inputs(3, per_polytope=12)
+    assert any(y0[0].denominator % 2 ** 62 == 0 for _, _, y0 in cases)
+    assert any(not P.is_interior(y0) for P, _, y0 in cases)
+    for P, hbar, y0 in cases:
+        assert gr.orbit(P, hbar, y0).points == bfs_orbit_oracle(P, hbar, y0)
+
+
+def test_target_index_matches_membership_randomized():
+    rng = random.Random(4)
+    for P, hbar, y0 in random_orbit_inputs(5, per_polytope=6):
+        orb = gr.orbit(P, hbar, y0)
+        for _ in range(60):
+            i = rng.randrange(len(orb))
+            k = tuple(rng.randint(-3, 3) for _ in range(P.n))
+            g = gr.GroupoidPoint(hbar, orb.points[i], k)
+            expected = (orb.index[gr.range_(P, g)[1]]
+                        if gr.is_member(P, g) else None)
+            assert orb.target_index(i, k) == expected
+
+
+def test_orbit_int64_guard_cannot_overflow():
+    # the common denominator 4M is just below 2^63, so the scaled slacks do
+    # not fit in int64 and the guard itself must be computed in Python ints
+    M = 2 ** 61 - 1
+    P = pt.DelzantPolytope(2, ((1, 0), (0, 1), (-1, -1)), (F(1, M), F(0), F(-1)))
+    hbar = F(1, 4)
+    y0 = (F(1, M) + F(1, 4), F(1, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        orb = gr.orbit(P, hbar, y0)
+    assert set(orb.points) == brute_force_orbit(P, hbar, y0)
+    assert orb.points == bfs_orbit_oracle(P, hbar, y0)
+
+
+def test_orbit_cap_fires_before_memory():
+    # the candidate box holds 1501^2 points; the cap must stop the scan early
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrbitCapError):
+            gr.orbit(pt.square(), F(1, 1500), (F(1, 3001), F(1, 3001)), cap=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2 ** 20
