@@ -16,30 +16,17 @@ import numpy as np
 
 from . import intlat
 from .errors import ConstructionError, DomainError, StratumError
-from .polytope import DelzantPolytope, ratpoint, require_delzant
+from .polytope import DelzantPolytope, ratpoint, require_delzant, scaled_slacks
 
 __all__ = [
-    "DelzantSystem", "AmbientPoint", "build_system",
+    "DelzantSystem", "build_system",
     "J0", "Jd", "J0_squared", "Jd_squared",
     "sigma", "sigma_squared", "k_sigma_ambient", "ambient_weights",
     "act_subtorus", "act_torus", "rho", "reduced_level_defect",
 ]
 
 
-@dataclass(frozen=True)
-class AmbientPoint:
-    """A representative z in C^{n0}; reduced_level marks J_d(z) = 0 points."""
-
-    z: np.ndarray
-    reduced_level: bool = False
-
-    def __iter__(self):
-        return iter(self.z)
-
-
 def _as_vector(z) -> np.ndarray:
-    if isinstance(z, AmbientPoint):
-        return z.z
     return np.asarray(z, dtype=complex)
 
 
@@ -120,36 +107,16 @@ def Jd_squared(sys: DelzantSystem, sq) -> tuple[Fraction, ...]:
 
 def sigma_squared(sys: DelzantSystem, y) -> tuple[Fraction, ...]:
     """Exact squared moduli 2(<y, X_j> - lambda_j) of the section point."""
-    y = ratpoint(y)
-    sq = []
-    for j in range(sys.n0):
-        s = sys.P.slack(y, j)
-        if s < 0:
-            raise DomainError(f"point {y} lies outside the polytope")
-        sq.append(2 * s)
-    return tuple(sq)
+    s, d, _ = scaled_slacks(sys.P, y)
+    if any(sj < 0 for sj in s):
+        raise DomainError(f"point {ratpoint(y)} lies outside the polytope")
+    return tuple(Fraction(2 * sj, d) for sj in s)
 
 
-def sigma(sys: DelzantSystem, y, exact_section: bool = True) -> AmbientPoint:
-    """Radial representative of y: z_j = sqrt(2(<y, X_j> - lambda_j)) >= 0.
-
-    With exact_section=False the alternate placement sqrt(2<y, X_j> -
-    lambda_j) is used instead; that variant does not satisfy the section
-    identity J0(sigma(y)) = A^T y and is kept only for comparison.
-    """
-    y = ratpoint(y)
-    if exact_section:
-        sq = sigma_squared(sys, y)
-    else:
-        sq = []
-        for j in range(sys.n0):
-            v = 2 * sys.P.pairing(y, j) - sys.lam[j]
-            if v < 0:
-                raise DomainError(
-                    f"alternate section undefined at {y} (facet {j})")
-            sq.append(v)
-    z = np.sqrt(np.array([float(v) for v in sq]))
-    return AmbientPoint(z.astype(complex), reduced_level=exact_section)
+def sigma(sys: DelzantSystem, y) -> np.ndarray:
+    """Radial representative of y: z_j = sqrt(2(<y, X_j> - lambda_j)) >= 0."""
+    z = np.sqrt(np.array([float(v) for v in sigma_squared(sys, y)]))
+    return z.astype(complex)
 
 
 def ambient_weights(sys: DelzantSystem, k) -> tuple[int, ...]:

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import intlat
 from .errors import ComposabilityError, DimensionError, DomainError, OrbitCapError
-from .polytope import (DelzantPolytope, bounding_box, in_delta_k, in_u_k,
-                       isotropy_lattice, ratpoint)
+from .polytope import (DelzantPolytope, bounding_box, in_delta_k,
+                       isotropy_lattice, mode_pairings, ratpoint, scaled_slacks)
 
 __all__ = [
     "GroupoidPoint", "Orbit", "arrow",
@@ -57,9 +57,17 @@ def _translate(y, hbar, k):
 
 def is_member(P: DelzantPolytope, g: GroupoidPoint) -> bool:
     """Facet-based membership: y admits k and y + hbar*k stays strictly
-    slack on every facet paired with k."""
-    return (in_delta_k(P, g.y, g.k)
-            and in_u_k(P, _translate(g.y, g.hbar, g.k), g.k))
+    slack on every facet paired with k.
+
+    In closed form: with d the common denominator of y, hbar and the
+    offsets, s_j = d * (slack of y at facet j), p_j = <k, X_j> and
+    h = d * hbar, the arrow is valid iff every s_j >= 0 and every facet with
+    p_j != 0 has s_j > 0 and s_j + h * p_j > 0.
+    """
+    p = mode_pairings(P, g.k)
+    s, _, h = scaled_slacks(P, g.y, g.hbar)
+    return all(sj > 0 and sj + h * pj > 0 if pj else sj >= 0
+               for sj, pj in zip(s, p))
 
 
 def is_member_isotropy(P: DelzantPolytope, g: GroupoidPoint) -> bool:
@@ -195,7 +203,9 @@ def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
     if not P.compact:
         raise DomainError("orbit enumeration requires a compact polytope")
     y0 = ratpoint(y0)
-    if not P.contains(y0):
+    # slack of y0 + hbar*k at facet j, scaled to an integer:  s0[j] + h * <k, X_j>
+    s0, _, h = scaled_slacks(P, y0, hbar)
+    if min(s0) < 0:
         raise DomainError(f"base point {y0} lies outside the polytope")
 
     lo, hi = bounding_box(P)
@@ -203,11 +213,6 @@ def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
     for i in range(P.n):
         a, b = sorted(((lo[i] - y0[i]) / hbar, (hi[i] - y0[i]) / hbar))
         axes.append((math.ceil(a), math.floor(b) + 1))
-    # slack of y0 + hbar*k at facet j, times scale:  s0[j] + h * <k, X_j>
-    scale = math.lcm(hbar.denominator, *(c.denominator for c in y0),
-                     *(lam.denominator for lam in P.offsets))
-    h = int(hbar * scale)
-    s0 = [int(P.slack(y0, j) * scale) for j in range(P.n_facets)]
     # the floor of 1 makes the bound cover h and the normals themselves
     k_max = [max(abs(a), abs(b - 1), 1) for a, b in axes]
     bound = max(s0) + abs(h) * max(

@@ -23,7 +23,7 @@ from .polytope import DelzantPolytope, interval, ratpoint
 __all__ = [
     "OrbitRep", "orbit_rep", "represent", "spectrum",
     "sphere_x3", "sphere_xplus", "sphere_xminus", "casimir_defect",
-    "bracket_via_matrices", "neville_to_zero",
+    "bracket_via_matrices",
 ]
 
 
@@ -172,9 +172,6 @@ def casimir_defect(P: DelzantPolytope, hbar, y0=None,
 # ---------------------------------------------------------------------------
 # matrix route to the bracket limit (independent oracle)
 
-neville_to_zero = al.neville_to_zero
-
-
 def bracket_via_matrices(P: DelzantPolytope, f: al.AlgebraElement,
                          g: al.AlgebraElement, y, k, hbar_list) -> complex:
     """Limit of the renormalized matrix commutator entry at (y, y + hbar*k).
@@ -202,4 +199,4 @@ def bracket_via_matrices(P: DelzantPolytope, f: al.AlgebraElement,
         Mg = represent(P, rep, g)
         comm = Mf[row, :] @ Mg - Mg[row, :] @ Mf
         values.append(comm[col] / (1j * float(h)))
-    return neville_to_zero(hs, values)
+    return al.neville_to_zero(hs, values)

@@ -2,8 +2,11 @@
 
 A polytope is given by primitive integer facet normals X_j and rational
 offsets lambda_j as {y | <y, X_j> >= lambda_j for all j}.  All predicates
-here are exact: facet activity <y, X_j> = lambda_j is decided in rational
-arithmetic, never in floats.
+here are exact and share one kernel, `scaled_slacks`: it scales the facet
+slacks <y, X_j> - lambda_j of a point (and hbar) by one positive common
+denominator, so that they become Python ints.  The scaling keeps every sign,
+so facet activity and strict slackness are integer comparisons with 0, never
+float or per-facet Fraction arithmetic.
 """
 from __future__ import annotations
 
@@ -12,13 +15,15 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import intlat
 from .errors import DimensionError, DomainError, FormatError
 
 __all__ = [
     "DelzantPolytope", "Face", "DelzantReport",
-    "ratpoint", "in_delta_k", "in_u_k", "isotropy_lattice",
+    "ratpoint", "scaled_slacks", "mode_pairings", "in_delta_k", "in_u_k",
+    "isotropy_lattice",
     "check_delzant", "require_delzant", "enumerate_faces", "vertices",
     "bounding_box",
     "interval", "projective_space", "orthant", "product", "square",
@@ -70,27 +75,40 @@ class DelzantPolytope:
         return sum(Fraction(a) * b for a, b in zip(y, self.normals[j]))
 
     def slack(self, y, j: int) -> Fraction:
-        return self.pairing(y, j) - self.offsets[j]
+        """<y, X_j> - lambda_j exactly.  Computes every facet's slack, so
+        loop over `scaled_slacks` rather than over j."""
+        s, d, _ = scaled_slacks(self, y)
+        return Fraction(s[j], d)
 
     def contains(self, y) -> bool:
-        y = ratpoint(y)
-        if len(y) != self.n:
-            raise DimensionError(f"point has {len(y)} coordinates, expected {self.n}")
-        return all(self.slack(y, j) >= 0 for j in range(self.n_facets))
+        return all(s >= 0 for s in scaled_slacks(self, y)[0])
 
     def active_set(self, y) -> tuple[int, ...]:
         """Indices of facets met with equality; requires y in the polytope."""
         y = ratpoint(y)
-        if not self.contains(y):
+        s = scaled_slacks(self, y)[0]
+        if any(sj < 0 for sj in s):
             raise DomainError(f"point {y} lies outside the polytope")
-        return tuple(j for j in range(self.n_facets) if self.slack(y, j) == 0)
+        return tuple(j for j, sj in enumerate(s) if sj == 0)
 
     def min_slack(self, y) -> Fraction:
-        y = ratpoint(y)
-        return min(self.slack(y, j) for j in range(self.n_facets))
+        s, d, _ = scaled_slacks(self, y)
+        return Fraction(min(s), d)
 
     def is_interior(self, y) -> bool:
-        return self.min_slack(ratpoint(y)) > 0
+        return all(s > 0 for s in scaled_slacks(self, y)[0])
+
+    @cached_property
+    def _vertices(self) -> tuple[tuple[Fraction, ...], ...]:
+        # the facet data is frozen, so one exact solve per n-subset suffices
+        found = set()
+        for subset in itertools.combinations(range(self.n_facets), self.n):
+            sol = intlat.solve_rational(
+                [self.normals[j] for j in subset],
+                [self.offsets[j] for j in subset])
+            if sol is not None and self.contains(sol):
+                found.add(sol)
+        return tuple(sorted(found))
 
 
 @dataclass(frozen=True)
@@ -121,31 +139,46 @@ class DelzantReport:
 # ---------------------------------------------------------------------------
 # membership predicates
 
+def scaled_slacks(P: DelzantPolytope, y, hbar=0):
+    """Facet slacks of y as exact integers over one common denominator.
+
+    Returns (s, d, h): d > 0 is the lcm of the denominators of y, hbar and
+    the offsets, s[j] = d * (<y, X_j> - lambda_j) and h = d * hbar, all
+    Python ints.  Scaling by d > 0 keeps every sign, so the slack of
+    y + hbar*k at facet j has the sign of s[j] + h * <k, X_j>.
+    """
+    y = ratpoint(y)
+    if len(y) != P.n:
+        raise DimensionError(f"point has {len(y)} coordinates, expected {P.n}")
+    hbar = Fraction(hbar)
+    d = math.lcm(hbar.denominator, *(c.denominator for c in y),
+                 *(lam.denominator for lam in P.offsets))
+    yd = [c.numerator * (d // c.denominator) for c in y]
+    s = tuple(_pair_int(yd, x) - lam.numerator * (d // lam.denominator)
+              for x, lam in zip(P.normals, P.offsets))
+    return s, d, hbar.numerator * (d // hbar.denominator)
+
+
+def mode_pairings(P: DelzantPolytope, k) -> list[int]:
+    """<k, X_j> for every facet j, for an integer mode k."""
+    k = tuple(int(c) for c in k)
+    if len(k) != P.n:
+        raise DimensionError("point/mode dimension mismatch")
+    return [_pair_int(k, x) for x in P.normals]
+
+
 def in_delta_k(P: DelzantPolytope, y, k) -> bool:
     """y lies in the polytope and every facet active at y annihilates k."""
-    y = ratpoint(y)
-    k = tuple(int(c) for c in k)
-    if len(y) != P.n or len(k) != P.n:
-        raise DimensionError("point/mode dimension mismatch")
-    for j in range(P.n_facets):
-        s = P.slack(y, j)
-        if s < 0:
-            return False
-        if s == 0 and _pair_int(k, P.normals[j]) != 0:
-            return False
-    return True
+    p = mode_pairings(P, k)
+    s = scaled_slacks(P, y)[0]
+    return all(sj > 0 if pj else sj >= 0 for sj, pj in zip(s, p))
 
 
 def in_u_k(P: DelzantPolytope, y, k) -> bool:
     """Every facet pairing nontrivially with k is strictly slack at y."""
-    y = ratpoint(y)
-    k = tuple(int(c) for c in k)
-    if len(y) != P.n or len(k) != P.n:
-        raise DimensionError("point/mode dimension mismatch")
-    for j in range(P.n_facets):
-        if _pair_int(k, P.normals[j]) != 0 and P.slack(y, j) <= 0:
-            return False
-    return True
+    p = mode_pairings(P, k)
+    s = scaled_slacks(P, y)[0]
+    return all(sj > 0 for sj, pj in zip(s, p) if pj)
 
 
 def _pair_int(k, x) -> int:
@@ -162,17 +195,11 @@ def isotropy_lattice(P: DelzantPolytope, y) -> list[tuple[int, ...]]:
 # vertices and screening
 
 def vertices(P: DelzantPolytope) -> list[tuple[Fraction, ...]]:
-    """All vertices, found by exact solves over n-subsets of facets."""
-    found = {}
-    for subset in itertools.combinations(range(P.n_facets), P.n):
-        sol = intlat.solve_rational(
-            [P.normals[j] for j in subset],
-            [P.offsets[j] for j in subset])
-        if sol is None:
-            continue
-        if P.contains(sol):
-            found.setdefault(sol, subset)
-    return sorted(found)
+    """All vertices, sorted, found by exact solves over n-subsets of facets.
+
+    Computed once per polytope; each call returns a fresh list.
+    """
+    return list(P._vertices)
 
 
 def bounding_box(P: DelzantPolytope):
@@ -199,15 +226,11 @@ def _recession_ray(P: DelzantPolytope):
             if v is not None:
                 candidates.append(v)
     for v in candidates:
+        v = _primitive(v)   # a positive multiple: the pairing signs stay
         for w in (v, tuple(-c for c in v)):
-            if all(_pair_frac(w, x) >= 0 for x in P.normals):
-                if any(c != 0 for c in w):
-                    return _primitive(w)
+            if any(w) and all(_pair_int(w, x) >= 0 for x in P.normals):
+                return w
     return None
-
-
-def _pair_frac(v, x) -> Fraction:
-    return sum(Fraction(a) * b for a, b in zip(v, x))
 
 
 def _primitive(v):
@@ -246,7 +269,7 @@ def check_delzant(P: DelzantPolytope) -> DelzantReport:
             violations.append("no vertices (empty or degenerate)")
 
     for v in verts:
-        active = tuple(j for j in range(P.n_facets) if P.slack(v, j) == 0)
+        active = P.active_set(v)
         if len(active) > P.n:
             violations.append(
                 f"vertex {v}: {len(active)} facets active (not simple)")
@@ -259,8 +282,8 @@ def check_delzant(P: DelzantPolytope) -> DelzantReport:
     if P.compact and verts and not violations:
         centroid = tuple(
             sum(v[i] for v in verts) / len(verts) for i in range(P.n))
-        for j in range(P.n_facets):
-            if P.slack(centroid, j) <= 0:
+        for j, s in enumerate(scaled_slacks(P, centroid)[0]):
+            if s <= 0:
                 violations.append(
                     f"facet {j} touches every vertex (empty interior "
                     "or redundant facet)")

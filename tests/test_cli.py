@@ -1,4 +1,5 @@
 """The command-line front-end, driven through cli.main."""
+import json
 from pathlib import Path
 
 import pytest
@@ -43,3 +44,59 @@ def test_groupoid_orbit_bad_input_exits_2(tmp_path, extra):
     rc, text = run(["groupoid", "orbit", str(DATA / "cp2.json")] + extra, tmp_path)
     assert rc == 2
     assert text is None
+
+
+@pytest.mark.parametrize("name", ["sphere", "square", "cp2"])
+def test_verify_suite_golden(tmp_path, name):
+    rc, text = run(["verify", "suite", str(DATA / f"{name}.json"),
+                    "--cases", "2", "--seed", "0"], tmp_path, "suite.json")
+    assert rc == 0
+    assert text == (GOLDEN / f"suite_{name}_seed0_cases2.json").read_text()
+
+
+@pytest.mark.parametrize("extra, code", [
+    (["--point", "1/2"], 0),
+    (["--point", "1/2", "--tol", "1e-30"], 1),
+    (["--point", "1/64"], 3),
+], ids=["pass", "tolerance", "margin"])
+def test_quantize_bracket_limit_exit_codes(tmp_path, extra, code):
+    rc, text = run(["quantize", "bracket-limit", str(DATA / "sphere.json"),
+                    "--obs", str(DATA / "obs" / "xplus.json"),
+                    "--obs2", str(DATA / "obs" / "mode_minus.json"),
+                    "--mode", "0"] + extra, tmp_path)
+    assert rc == code
+    assert (text is None) == (code == 3)
+
+
+def test_quantize_spectra_is_deterministic(tmp_path):
+    argv = ["quantize", "spectra", str(DATA / "sphere.json"),
+            "--obs", str(DATA / "obs" / "x3.json"), "--hbar", "1/10"]
+    rc1, first = run(argv, tmp_path, "a.csv")
+    rc2, second = run(argv, tmp_path, "b.csv")
+    assert rc1 == rc2 == 0
+    assert first == second
+    assert len(first.splitlines()) == 12   # preamble, header, 10 eigenvalues
+
+
+def test_polytope_check_nonprimitive_exits_1(tmp_path):
+    path = tmp_path / "nonprimitive.json"
+    path.write_text(json.dumps({"n": 1, "facets": [
+        {"normal": [2], "offset": "0"}, {"normal": [-1], "offset": "-1"}]}))
+    rc, text = run(["polytope", "check", str(path)], tmp_path, "check.txt")
+    assert rc == 1
+    assert "not primitive" in text
+    rc, _ = run(["polytope", "check", str(path), "--permissive"], tmp_path,
+                "check2.txt")
+    assert rc == 0
+
+
+def test_polytope_strata_golden(tmp_path):
+    rc, text = run(["polytope", "strata", str(DATA / "cp2.json")], tmp_path)
+    assert rc == 0
+    assert text == (GOLDEN / "strata_cp2.csv").read_text()
+
+
+def test_polytope_make_matches_shipped_data(tmp_path):
+    rc, text = run(["polytope", "make", "cpn", "--n", "2"], tmp_path, "cp2.json")
+    assert rc == 0
+    assert text == (DATA / "cp2.json").read_text()

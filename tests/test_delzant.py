@@ -59,14 +59,14 @@ def test_J0_Jd_interval_example():
 def test_sigma_interval_midpoint():
     sys = dz.build_system(pt.interval())
     z = dz.sigma(sys, (F(1, 2),))
-    assert np.allclose(z.z, [1.0, 1.0])
-    assert z.reduced_level
+    assert np.allclose(z, [1.0, 1.0])
+    assert dz.reduced_level_defect(sys, z) < 1e-15
 
 
 def test_sigma_vanishes_on_active_facet():
     sys = dz.build_system(pt.interval())
-    assert dz.sigma(sys, (F(0),)).z[0] == 0
-    assert dz.sigma(sys, (F(1),)).z[1] == 0
+    assert dz.sigma(sys, (F(0),))[0] == 0
+    assert dz.sigma(sys, (F(1),))[1] == 0
 
 
 def test_sigma_outside_raises():
@@ -88,15 +88,6 @@ def test_section_identity_exact_rationals():
             assert dz.J0_squared(sys, sq) == tuple(
                 P.pairing(y, j) for j in range(P.n_facets))
             assert all(v == 0 for v in dz.Jd_squared(sys, sq))
-
-
-def test_alternate_section_form_breaks_identity():
-    sys = dz.build_system(pt.interval())
-    y = (F(1, 2),)
-    exact = dz.sigma(sys, y, exact_section=True)
-    alt = dz.sigma(sys, y, exact_section=False)
-    assert np.allclose(dz.J0(sys, exact), [0.5, -0.5])
-    assert not np.allclose(dz.J0(sys, alt), [0.5, -0.5])
 
 
 def test_k_sigma_trivial_on_section_image():

@@ -40,7 +40,8 @@ def test_member_isotropy_matches_on_examples():
 
 
 def test_member_equivalence_dense_grid():
-    # facet-based and isotropy-based membership agree on an exact grid
+    # on an exact grid, closed-form membership agrees with isotropy-based
+    # membership and with its definition by the two facet predicates
     for P in (pt.interval(), pt.square(), pt.projective_space(2)):
         axes = [[F(t, 3) for t in range(-1, 5)]] * P.n
         hbars = [F(-1, 2), F(0), F(1, 3), F(1)]
@@ -48,7 +49,11 @@ def test_member_equivalence_dense_grid():
             for k in itertools.product(*[(-2, 0, 3)] * P.n):
                 for h in hbars:
                     g = gr.GroupoidPoint(h, y, k)
-                    assert gr.is_member(P, g) == gr.is_member_isotropy(P, g)
+                    member = gr.is_member(P, g)
+                    assert member == gr.is_member_isotropy(P, g)
+                    head = tuple(c + h * a for c, a in zip(y, k))
+                    assert member == (pt.in_delta_k(P, y, k)
+                                      and pt.in_u_k(P, head, k))
 
 
 def test_source_range():
@@ -102,10 +107,7 @@ def test_associativity_on_orbit_triples():
     arrows = []
     for i in range(len(orb)):
         for j in range(len(orb)):
-            k = orb.mode_between(i, j)
-            if k is None:
-                continue
-            g = gr.GroupoidPoint(orb.hbar, orb.points[i], k)
+            g = gr.GroupoidPoint(orb.hbar, orb.points[i], orb.mode_between(i, j))
             if gr.is_member(P, g):
                 arrows.append(g)
     rng = random.Random(5)
@@ -113,11 +115,13 @@ def test_associativity_on_orbit_triples():
     while checked < 200:
         g3 = rng.choice(arrows)
         # pick g2 with source = range(g3), then g1 with source = range(g2)
-        mids = [a for a in arrows if a.y == gr.range_(P, g3)[1]]
+        head3 = gr.range_(P, g3)[1]
+        mids = [a for a in arrows if a.y == head3]
         if not mids:
             continue
         g2 = rng.choice(mids)
-        tops = [a for a in arrows if a.y == gr.range_(P, g2)[1]]
+        head2 = gr.range_(P, g2)[1]
+        tops = [a for a in arrows if a.y == head2]
         if not tops:
             continue
         g1 = rng.choice(tops)

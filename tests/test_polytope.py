@@ -1,13 +1,16 @@
 """Polytope predicates, screening, faces, and the JSON schema."""
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from torikit import groupoid as gr
+from torikit import intlat
 from torikit import polytope as pt
-from torikit.errors import DomainError, FormatError
+from torikit.errors import DimensionError, DomainError, FormatError
 
 
 F = Fraction
@@ -172,3 +175,102 @@ def test_product_builder():
     assert S.n == 2 and S.n_facets == 4
     assert set(S.normals) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
     assert len(pt.vertices(S)) == 4
+
+
+# ---------------------------------------------------------------------------
+# the integer slack kernel against per-facet Fraction arithmetic
+
+def fraction_slack(P, y, j):
+    """Oracle: <y, X_j> - lambda_j in per-facet Fraction arithmetic."""
+    return sum(F(a) * b for a, b in zip(y, P.normals[j])) - P.offsets[j]
+
+
+def fraction_slacks(P, y):
+    return [fraction_slack(P, y, j) for j in range(P.n_facets)]
+
+
+def kernel_polytopes():
+    thirds = pt.DelzantPolytope(
+        2, ((1, 0), (0, 1), (-1, 0), (0, -1)),
+        (F(1, 3), F(-2, 7), F(-5, 3), F(-9, 7)))
+    return [pt.interval(), pt.square(), pt.projective_space(2),
+            pt.projective_space(3), pt.product(pt.interval(),
+                                               pt.projective_space(2)), thirds]
+
+
+def random_kernel_points(P, rng, count):
+    lo, hi = pt.bounding_box(P)
+    tiny = F(1, 2 ** 62)
+    for _ in range(count):
+        y = [F(rng.randint(int(lo[i] * 12) - 3, int(hi[i] * 12) + 3), 12)
+             for i in range(P.n)]
+        if rng.random() < 0.3:
+            y[0] += rng.choice((tiny, -tiny))
+        if rng.random() < 0.3:   # a vertex, so that several facets are active
+            y = list(rng.choice(pt.vertices(P)))
+        hbar = F(rng.randint(-9, 9), rng.choice((1, 5, 16, 2 ** 62)))
+        yield tuple(y), hbar
+
+
+def test_scaled_slacks_match_fraction_oracle():
+    rng = random.Random(11)
+    for P in kernel_polytopes():
+        for y, hbar in random_kernel_points(P, rng, 150):
+            s, d, h = pt.scaled_slacks(P, y, hbar)
+            assert all(type(v) is int for v in (*s, d, h))
+            assert d > 0 and h == d * hbar
+            assert all((d * c).denominator == 1 for c in y + P.offsets)
+            assert [F(sj, d) for sj in s] == fraction_slacks(P, y)
+
+
+def test_predicates_match_fraction_oracle():
+    rng = random.Random(12)
+    for P in kernel_polytopes():
+        modes = list(itertools.product(*[(-1, 0, 2)] * P.n))
+        for y, hbar in random_kernel_points(P, rng, 100):
+            slacks = fraction_slacks(P, y)
+            inside = all(v >= 0 for v in slacks)
+            assert P.contains(y) == inside
+            assert P.is_interior(y) == all(v > 0 for v in slacks)
+            assert P.min_slack(y) == min(slacks)
+            assert [P.slack(y, j) for j in range(P.n_facets)] == slacks
+            if inside:
+                assert P.active_set(y) == tuple(
+                    j for j, v in enumerate(slacks) if v == 0)
+            else:
+                with pytest.raises(DomainError):
+                    P.active_set(y)
+            k = rng.choice(modes)
+            pairs = [sum(a * b for a, b in zip(k, x)) for x in P.normals]
+            assert pt.in_delta_k(P, y, k) == all(
+                v > 0 or (v == 0 and p == 0) for v, p in zip(slacks, pairs))
+            moved = tuple(c + hbar * a for c, a in zip(y, k))
+            assert pt.in_u_k(P, moved, k) == all(
+                fraction_slack(P, moved, j) > 0
+                for j, p in enumerate(pairs) if p != 0)
+
+
+def test_scaled_slacks_dimension_error():
+    with pytest.raises(DimensionError):
+        pt.scaled_slacks(pt.square(), (F(1, 2),))
+    with pytest.raises(DimensionError):
+        pt.in_delta_k(pt.square(), (F(1, 2), F(1, 2)), (1,))
+
+
+def test_vertices_computed_once_per_polytope(monkeypatch):
+    calls = []
+    solve = intlat.solve_rational
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(intlat, "solve_rational", counting)
+    P = pt.projective_space(2)
+    pt.require_delzant(P)
+    gr.orbit(P, F(1, 4), (F(1, 8), F(1, 8)))
+    assert len(calls) == math.comb(P.n_facets, P.n)
+    first = pt.vertices(P)
+    first.append("scratch")
+    assert pt.vertices(P) == [(F(0), F(0)), (F(0), F(1)), (F(1), F(0))]
+    assert len(calls) == math.comb(P.n_facets, P.n)
