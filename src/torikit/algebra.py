@@ -45,9 +45,6 @@ class AlgebraElement:
     n: int
     modes: tuple[tuple[tuple[int, ...], ex.ComplexExpr], ...]
 
-    def mode_dict(self) -> dict[tuple[int, ...], ex.ComplexExpr]:
-        return dict(self.modes)
-
     def mode_keys(self):
         return [k for k, _ in self.modes]
 
@@ -242,24 +239,31 @@ def bracket_element(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     if f.n != g.n:
         raise DomainError("elements live over different dimensions")
     n = f.n
+    f0, g0 = f.subs_h_zero(), g.subs_h_zero()
+    df, dg = _gradients(f0, g0), _gradients(g0, f0)
     acc: dict[tuple[int, ...], ex.ComplexExpr] = {}
-    for l, cf in f.modes:
-        cf0 = cf.subs_h(0)
-        for m, cg in g.modes:
-            cg0 = cg.subs_h(0)
+    for l, cf0 in f0.modes:
+        for m, cg0 in g0.modes:
             k = tuple(a + b for a, b in zip(l, m))
             term = ex.ComplexExpr.zero()
             for i in range(1, n + 1):
                 li, mi = l[i - 1], m[i - 1]
                 if li:
-                    term = term + (cf0 * cg0.d_dy(i)).scaled(li)
+                    term = term + (cf0 * dg[m][i]).scaled(li)
                 if mi:
-                    term = term - (cg0 * cf0.d_dy(i)).scaled(mi)
+                    term = term - (cg0 * df[l][i]).scaled(mi)
             if term.is_zero_tree():
                 continue
             acc[k] = acc[k] + term if k in acc else term
     out = {k: c.scaled(0, -1) for k, c in acc.items()}   # divide by i
     return AlgebraElement(n, tuple(sorted(out.items())))
+
+
+def _gradients(f: AlgebraElement, g: AlgebraElement):
+    """{mode: {i: d_i coefficient}} of f, along the axes some mode of g moves
+    (the only derivatives of f the bracket reads)."""
+    axes = [i for i in range(1, f.n + 1) if any(m[i - 1] for m, _ in g.modes)]
+    return {l: {i: c.d_dy(i) for i in axes} for l, c in f.modes}
 
 
 def symbolic_bracket(f: AlgebraElement, g: AlgebraElement, y, k) -> complex:
@@ -271,12 +275,12 @@ def pointwise_product_at_zero(f: AlgebraElement, g: AlgebraElement) -> AlgebraEl
     """Mode convolution of the zero-fiber restrictions (no base shift)."""
     if f.n != g.n:
         raise DomainError("elements live over different dimensions")
+    f0, g0 = f.subs_h_zero(), g.subs_h_zero()
     acc: dict[tuple[int, ...], ex.ComplexExpr] = {}
-    for l, cf in f.modes:
-        cf0 = cf.subs_h(0)
-        for m, cg in g.modes:
+    for l, cf0 in f0.modes:
+        for m, cg0 in g0.modes:
             k = tuple(a + b for a, b in zip(l, m))
-            term = cf0 * cg.subs_h(0)
+            term = cf0 * cg0
             acc[k] = acc[k] + term if k in acc else term
     return AlgebraElement(f.n, tuple(sorted(acc.items())))
 

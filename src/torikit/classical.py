@@ -1,87 +1,48 @@
 """Classical synthesis and bracket oracles on the interior chart.
 
-The zero-fiber restriction of an algebra element synthesizes to a function
-F(y, theta) = sum_k c_k(y) e^{i<k, theta>} on (interior of polytope) x torus.
-Angle derivatives are exact (mode multiplication by i*k); radial derivatives
-use the symbolic expression engine.  A finite-difference pullback of the
-ambient 2-form through the explicit chart provides the geometric oracle.
+Each function here takes algebra elements and reads them on the zero fiber
+through `AlgebraElement.subs_h_zero`.  The restriction synthesizes to a
+function F(y, theta) = sum_k c_k(y) e^{i<k, theta>} on (interior of
+polytope) x torus.  Angle derivatives are exact (mode multiplication by
+i*k); radial derivatives use the symbolic expression engine.
+`angle_spectrum` is the one uniform-grid FFT over the torus.  A
+finite-difference pullback of the ambient 2-form through the explicit chart
+provides the geometric oracle.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import delzant as dz
-from . import expr as ex
 from .algebra import AlgebraElement
 from .errors import AliasingError, DomainError, MarginError, StratumError
 from .polytope import DelzantPolytope, in_delta_k, ratpoint
 
 __all__ = [
-    "ClassicalFunction", "classical_function", "synthesize",
-    "fourier_roundtrip", "poisson_bracket_aa", "pullback_omega_check",
+    "synthesize", "angle_spectrum", "fourier_roundtrip", "poisson_bracket_aa",
+    "pullback_omega_check",
 ]
 
 
-@dataclass(frozen=True)
-class ClassicalFunction:
-    """An algebra element frozen at h = 0, viewed as a mode sum on
-    (polytope) x (torus)."""
-
-    element: AlgebraElement
-
-    @property
-    def n(self) -> int:
-        return self.element.n
-
-    def coefficient(self, k) -> ex.ComplexExpr:
-        return self.element.coefficient(k)
-
-    def is_real(self, rng=None, samples=8) -> bool:
-        """Real-valued iff c_{-k} = conj(c_k); tested by randomized evaluation."""
-        import random
-        rng = rng or random.Random(0)
-        for k, c in self.element.modes:
-            neg = self.element.coefficient(tuple(-a for a in k))
-            for _ in range(samples):
-                y = [rng.uniform(0.1, 0.9) for _ in range(self.n)]
-                if abs(c.evaluate(0.0, y) - neg.evaluate(0.0, y).conjugate()) > 1e-9:
-                    return False
-        return True
-
-
-def classical_function(f: AlgebraElement) -> ClassicalFunction:
-    """Freeze an element at h = 0."""
-    return ClassicalFunction(f.subs_h_zero())
-
-
-def _as_classical(f) -> ClassicalFunction:
-    if isinstance(f, ClassicalFunction):
-        return f
-    if isinstance(f, AlgebraElement):
-        return classical_function(f)
-    raise TypeError(f"expected an algebra element, got {type(f).__name__}")
-
-
-def synthesize(P: DelzantPolytope, f0, y, theta) -> complex:
-    """Mode sum sum_k c_k(y) e^{i<k, theta>} at an exact rational y.
+def synthesize(P: DelzantPolytope, f: AlgebraElement, y, theta) -> complex:
+    """Mode sum sum_k c_k(y) e^{i<k, theta>} of f at h = 0, at an exact
+    rational y.
 
     On lower strata a mode whose coefficient is nonzero at y but which the
     stratum does not admit raises StratumError (that mode has no fiber over
     y); admissible modes all contribute.
     """
-    f0 = _as_classical(f0)
     y = ratpoint(y)
     if not P.contains(y):
         raise DomainError(f"point {y} lies outside the polytope")
     theta = [float(t) for t in theta]
-    if len(theta) != f0.n:
-        raise DomainError(f"theta needs length {f0.n}")
+    if len(theta) != f.n:
+        raise DomainError(f"theta needs length {f.n}")
     total = 0j
-    for k, c in f0.element.modes:
+    for k, c in f.subs_h_zero().modes:
         value = c.evaluate(0.0, y)
         if not in_delta_k(P, y, k):
             if value != 0:
@@ -95,45 +56,48 @@ def synthesize(P: DelzantPolytope, f0, y, theta) -> complex:
     return total
 
 
-def fourier_roundtrip(P: DelzantPolytope, f0, y, grid_size: int):
+def angle_spectrum(value, n: int, grid_size: int) -> np.ndarray:
+    """Normalized n-dimensional DFT of value(theta) sampled on the uniform
+    grid of grid_size^n angles; entry k % grid_size holds mode k."""
+    shape = (grid_size,) * n
+    values = np.zeros(shape, dtype=complex)
+    step = 2 * math.pi / grid_size
+    for idx in np.ndindex(shape):
+        values[idx] = value([step * j for j in idx])
+    return np.fft.fftn(values) / grid_size ** n
+
+
+def fourier_roundtrip(P: DelzantPolytope, f: AlgebraElement, y, grid_size: int):
     """Recover mode coefficients at interior y from a uniform angle grid.
 
     Returns {k: coefficient} over the symmetric frequency window; exact for
     trigonometric polynomials once grid_size exceeds twice the top mode.
     """
-    f0 = _as_classical(f0)
     y = ratpoint(y)
     if not P.is_interior(y):
         raise DomainError("fourier analysis wants an interior base point")
-    max_mode = f0.element.max_mode()
+    max_mode = f.max_mode()
     if grid_size <= 2 * max_mode:
         raise AliasingError(
             f"grid of {grid_size} aliases modes up to {max_mode}; need "
             f"more than {2 * max_mode} points")
-    n = f0.n
-    shape = (grid_size,) * n
-    values = np.zeros(shape, dtype=complex)
-    step = 2 * math.pi / grid_size
-    for idx in np.ndindex(shape):
-        theta = [step * j for j in idx]
-        values[idx] = synthesize(P, f0, y, theta)
-    spectrum = np.fft.fftn(values) / grid_size ** n
+    spectrum = angle_spectrum(lambda theta: synthesize(P, f, y, theta),
+                              f.n, grid_size)
     half = grid_size // 2
     out = {}
-    for idx in np.ndindex(shape):
+    for idx in np.ndindex(spectrum.shape):
         k = tuple(j if j <= half else j - grid_size for j in idx)
         out[k] = complex(spectrum[idx])
     return out
 
 
-def poisson_bracket_aa(F, G, y, theta) -> complex:
-    """Action-angle bracket sum_i [dF/dy_i dG/dtheta_i - dF/dtheta_i dG/dy_i].
+def poisson_bracket_aa(F: AlgebraElement, G: AlgebraElement, y, theta) -> complex:
+    """Action-angle bracket sum_i [dF/dy_i dG/dtheta_i - dF/dtheta_i dG/dy_i]
+    of F and G at h = 0.
 
     Radial derivatives are symbolic; angle derivatives are exact mode
     multiplications by i*k_i.  Interior base points assumed.
     """
-    F = _as_classical(F)
-    G = _as_classical(G)
     if F.n != G.n:
         raise DomainError("functions live over different dimensions")
     n = F.n
@@ -142,7 +106,7 @@ def poisson_bracket_aa(F, G, y, theta) -> complex:
 
     def parts(fun):
         vals = []
-        for k, c in fun.element.modes:
+        for k, c in fun.subs_h_zero().modes:
             phase = math.fsum(ki * ti for ki, ti in zip(k, theta))
             phase = complex(math.cos(phase), math.sin(phase))
             dy = [c.d_dy(i).evaluate(0.0, yf) * phase for i in range(1, n + 1)]

@@ -20,7 +20,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -179,19 +178,6 @@ def cmd_groupoid_orbit(args) -> int:
 # ---------------------------------------------------------------------------
 # quantize commands
 
-def _aa_mode_value(P, f, g, y, k, grid_size):
-    """Mode-k component of the action-angle bracket by angle quadrature."""
-    n = P.n
-    shape = (grid_size,) * n
-    vals = np.zeros(shape, dtype=complex)
-    step = 2 * math.pi / grid_size
-    for idx in np.ndindex(shape):
-        theta = [step * j for j in idx]
-        vals[idx] = cl.poisson_bracket_aa(f, g, [float(c) for c in y], theta)
-    spec = np.fft.fftn(vals) / grid_size ** n
-    return complex(spec[tuple(ki % grid_size for ki in k)])
-
-
 def cmd_quantize_bracket_limit(args) -> int:
     P = pt.load_polytope(args.polytope)
     pt.require_delzant(P)
@@ -208,7 +194,10 @@ def cmd_quantize_bracket_limit(args) -> int:
     limit = al.numeric_bracket_limit(P, f, g, y, k, hbars)
     sym = al.symbolic_bracket(f, g, y, k)
     grid = 2 * (f.max_mode() + g.max_mode()) + 3
-    aa = _aa_mode_value(P, f, g, y, k, grid)
+    yf = [float(c) for c in y]
+    spec = cl.angle_spectrum(lambda theta: cl.poisson_bracket_aa(f, g, yf, theta),
+                             P.n, grid)
+    aa = complex(spec[tuple(ki % grid for ki in k)])
     err_sym = abs(limit.estimate - sym)
     err_aa = abs(limit.estimate - aa)
 

@@ -31,15 +31,9 @@ __all__ = [
 ]
 
 
-def _fraction(value) -> Fraction:
-    if isinstance(value, str):
-        return Fraction(value)
-    return Fraction(value)
-
-
 def ratpoint(coords) -> tuple[Fraction, ...]:
     """Coerce a sequence (ints, Fractions, 'p/q' strings) to an exact point."""
-    return tuple(_fraction(c) for c in coords)
+    return tuple(Fraction(c) for c in coords)
 
 
 @dataclass(frozen=True)
@@ -416,7 +410,7 @@ def polytope_from_dict(doc) -> DelzantPolytope:
                 raise FormatError(
                     "offsets must be exact ('p/q' strings or ints), got float")
             normals.append(normal)
-            offsets.append(_fraction(offset))
+            offsets.append(Fraction(offset))
         return DelzantPolytope(n, tuple(normals), tuple(offsets), compact)
     except FormatError:
         raise

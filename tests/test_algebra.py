@@ -2,6 +2,7 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -216,3 +217,59 @@ def test_observable_json_roundtrip(tmp_path):
     path.write_text(json.dumps(doc))
     g = al.load_observable(path, 1)
     assert g == f
+
+
+# ---------------------------------------------------------------------------
+# the zero-fiber constructions against per-pair reference implementations
+
+def bracket_element_per_pair(f, g):
+    """Reference: restricts and differentiates inside the (l, m) pair loop."""
+    n = f.n
+    acc = {}
+    for l, cf in f.modes:
+        cf0 = cf.subs_h(0)
+        for m, cg in g.modes:
+            cg0 = cg.subs_h(0)
+            k = tuple(a + b for a, b in zip(l, m))
+            term = ex.ComplexExpr.zero()
+            for i in range(1, n + 1):
+                li, mi = l[i - 1], m[i - 1]
+                if li:
+                    term = term + (cf0 * cg0.d_dy(i)).scaled(li)
+                if mi:
+                    term = term - (cg0 * cf0.d_dy(i)).scaled(mi)
+            if term.is_zero_tree():
+                continue
+            acc[k] = acc[k] + term if k in acc else term
+    out = {k: c.scaled(0, -1) for k, c in acc.items()}
+    return al.AlgebraElement(n, tuple(sorted(out.items())))
+
+
+def pointwise_product_at_zero_per_pair(f, g):
+    """Reference: restricts the second factor once per (l, m) pair."""
+    acc = {}
+    for l, cf in f.modes:
+        cf0 = cf.subs_h(0)
+        for m, cg in g.modes:
+            k = tuple(a + b for a, b in zip(l, m))
+            term = cf0 * cg.subs_h(0)
+            acc[k] = acc[k] + term if k in acc else term
+    return al.AlgebraElement(f.n, tuple(sorted(acc.items())))
+
+
+@pytest.mark.parametrize("name", ["sphere", "square", "cp2"])
+def test_zero_fiber_constructions_match_per_pair_reference(name):
+    Q = pt.load_polytope(Path(pt.__file__).parent / "data" / f"{name}.json")
+    rng = random.Random(41)
+    for _ in range(30):
+        max_mode, n_modes = rng.randint(1, 2), rng.randint(1, 4)
+        f = su.random_element(Q, rng, max_mode, n_modes, allow_h=True)
+        g = su.random_element(Q, rng, max_mode, n_modes, allow_h=True)
+        assert al.bracket_element(f, g) == bracket_element_per_pair(f, g)
+        assert (al.pointwise_product_at_zero(f, g)
+                == pointwise_product_at_zero_per_pair(f, g))
+        # the unit is neutral on restrictions: f + f* restricted is its own
+        # product with 1 (the classical battery builds real functions so)
+        real = (f + al.involution(f)).subs_h_zero()
+        one = al.element(Q.n, {(0,) * Q.n: "1"})
+        assert al.pointwise_product_at_zero(one, real) == real

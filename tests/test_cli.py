@@ -68,6 +68,24 @@ def test_quantize_bracket_limit_exit_codes(tmp_path, extra, code):
     assert (text is None) == (code == 3)
 
 
+@pytest.mark.parametrize("polytope, obs, obs2, point, mode, golden", [
+    ("cp2", GOLDEN / "obs_cp2_f.json", GOLDEN / "obs_cp2_g.json", "1/4,1/4",
+     "1,0", "bracket_limit_cp2_mode1_0.csv"),
+    # outside the 7-point angle window: reads the aliased spectrum entry
+    ("cp2", GOLDEN / "obs_cp2_f.json", GOLDEN / "obs_cp2_g.json", "1/4,1/4",
+     "5,-3", "bracket_limit_cp2_mode5_-3.csv"),
+    ("sphere", DATA / "obs" / "sin_pair_a.json", DATA / "obs" / "sin_pair_b.json",
+     "1/2", "0", "bracket_limit_sphere_sin_pair.csv"),
+], ids=["cp2-1,0", "cp2-5,-3", "sphere-sin-pair"])
+def test_quantize_bracket_limit_golden(tmp_path, polytope, obs, obs2, point,
+                                       mode, golden):
+    rc, text = run(["quantize", "bracket-limit", str(DATA / f"{polytope}.json"),
+                    "--obs", str(obs), "--obs2", str(obs2), "--point", point,
+                    f"--mode={mode}"], tmp_path)
+    assert rc == 0
+    assert text == (GOLDEN / golden).read_text()
+
+
 def test_quantize_spectra_is_deterministic(tmp_path):
     argv = ["quantize", "spectra", str(DATA / "sphere.json"),
             "--obs", str(DATA / "obs" / "x3.json"), "--hbar", "1/10"]

@@ -1,0 +1,41 @@
+"""Source hygiene: every name a torikit module imports is read there or
+re-exported through its __all__."""
+import ast
+from pathlib import Path
+
+import pytest
+
+import torikit
+
+MODULES = sorted(Path(torikit.__file__).parent.glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_unused_imports_detector():
+    source = ("from __future__ import annotations\n"
+              "import os\nimport numpy.linalg\nfrom . import a as b, c\n"
+              "from .m import d, e\n"
+              "__all__ = ['e']\n"
+              "def f(x: c) -> None:\n    return numpy.linalg.norm(x)\n")
+    assert unused_imports(source) == ["b", "d", "os"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_reads_every_import(path):
+    assert unused_imports(path.read_text()) == []
