@@ -23,7 +23,7 @@ from .polytope import DelzantPolytope, in_delta_k, ratpoint
 
 __all__ = [
     "synthesize", "angle_spectrum", "fourier_roundtrip", "poisson_bracket_aa",
-    "pullback_omega_check",
+    "poisson_bracket_aa_at", "pullback_omega_check",
 ]
 
 
@@ -93,32 +93,54 @@ def fourier_roundtrip(P: DelzantPolytope, f: AlgebraElement, y, grid_size: int):
 
 def poisson_bracket_aa(F: AlgebraElement, G: AlgebraElement, y, theta) -> complex:
     """Action-angle bracket sum_i [dF/dy_i dG/dtheta_i - dF/dtheta_i dG/dy_i]
-    of F and G at h = 0.
+    of F and G at h = 0, at (y, theta).
 
     Radial derivatives are symbolic; angle derivatives are exact mode
     multiplications by i*k_i.  Interior base points assumed.
+    """
+    return poisson_bracket_aa_at(F, G, y)(theta)
+
+
+def poisson_bracket_aa_at(F: AlgebraElement, G: AlgebraElement, y):
+    """The action-angle bracket of F and G at fixed y, as a function of
+    theta (see `poisson_bracket_aa`).
+
+    The restriction to h = 0, the coefficient values and the radial
+    derivatives at y are taken once; only the phases depend on theta.
     """
     if F.n != G.n:
         raise DomainError("functions live over different dimensions")
     n = F.n
     yf = [float(c) for c in y]
-    theta = [float(t) for t in theta]
 
-    def parts(fun):
-        vals = []
+    def derivatives(fun):
+        out = []
         for k, c in fun.subs_h_zero().modes:
+            value = c.evaluate(0.0, yf)
+            dy = [c.d_dy(i).evaluate(0.0, yf) for i in range(1, n + 1)]
+            dth = [1j * k[i] * value for i in range(n)]
+            out.append((k, dy, dth))
+        return out
+
+    def parts(terms, theta):
+        vals = []
+        for k, dy, dth in terms:
             phase = math.fsum(ki * ti for ki, ti in zip(k, theta))
             phase = complex(math.cos(phase), math.sin(phase))
-            dy = [c.d_dy(i).evaluate(0.0, yf) * phase for i in range(1, n + 1)]
-            dth = [1j * k[i] * c.evaluate(0.0, yf) * phase for i in range(n)]
-            vals.append((dy, dth))
+            vals.append(([d * phase for d in dy], [d * phase for d in dth]))
         dy_tot = [sum(v[0][i] for v in vals) for i in range(n)]
         dth_tot = [sum(v[1][i] for v in vals) for i in range(n)]
         return dy_tot, dth_tot
 
-    dFy, dFth = parts(F)
-    dGy, dGth = parts(G)
-    return sum(dFy[i] * dGth[i] - dFth[i] * dGy[i] for i in range(n))
+    f_terms, g_terms = derivatives(F), derivatives(G)
+
+    def bracket(theta) -> complex:
+        theta = [float(t) for t in theta]
+        dFy, dFth = parts(f_terms, theta)
+        dGy, dGth = parts(g_terms, theta)
+        return sum(dFy[i] * dGth[i] - dFth[i] * dGy[i] for i in range(n))
+
+    return bracket
 
 
 # ---------------------------------------------------------------------------

@@ -195,8 +195,7 @@ def cmd_quantize_bracket_limit(args) -> int:
     sym = al.symbolic_bracket(f, g, y, k)
     grid = 2 * (f.max_mode() + g.max_mode()) + 3
     yf = [float(c) for c in y]
-    spec = cl.angle_spectrum(lambda theta: cl.poisson_bracket_aa(f, g, yf, theta),
-                             P.n, grid)
+    spec = cl.angle_spectrum(cl.poisson_bracket_aa_at(f, g, yf), P.n, grid)
     aa = complex(spec[tuple(ki % grid for ki in k)])
     err_sym = abs(limit.estimate - sym)
     err_aa = abs(limit.estimate - aa)

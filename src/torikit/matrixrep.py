@@ -1,11 +1,21 @@
 """Finite matrix models of the algebra on orbits at fixed hbar != 0.
 
 On a finite orbit the algebra acts by  (pi(f) xi)(u) = sum_k 1[(hbar,u,k)
-valid] f(hbar,u,k) xi(u + hbar*k);  in the orbit basis this reads
-M[row(u), col(u + hbar*k)] = f(hbar, u, k).  The map is a *-homomorphism
-for the package's convolution convention, which makes it an independent
-oracle for the algebra layer, and its spectra are the quantized values of
+valid] f(hbar,u,k) xi(u + hbar*k).  An orbit is a pair groupoid, so mode k
+acts as a weighted partial shift: row i holds the one value f(hbar, u_i, k)
+in the column of u_i + hbar*k.  `represent` returns an element in that form,
+an `OrbitOperator` with a values vector and a targets vector per mode, and
+products, diagonals and single entries are mode convolutions on these
+vectors at O(modes^2 * D) for dimension D.  The map is a *-homomorphism for
+the package's convolution convention, which makes it an independent oracle
+for the algebra layer, and its spectra are the quantized values of
 observables.
+
+`spectrum` reads the eigenvalues of a diagonal operator, and of one whose
+nonzero arrows form an acyclic graph (permutation-similar to a triangular
+matrix), straight from the diagonal.  Only the remaining eigensolver path
+builds the dense D x D matrix, `OrbitOperator.dense`, which refuses any
+matrix larger than DENSE_CAP_BYTES before allocating it.
 """
 from __future__ import annotations
 
@@ -21,10 +31,12 @@ from .groupoid import Orbit, orbit
 from .polytope import DelzantPolytope, ratpoint
 
 __all__ = [
-    "OrbitRep", "orbit_rep", "represent", "spectrum",
-    "sphere_x3", "sphere_xplus", "sphere_xminus", "casimir_defect",
+    "OrbitRep", "orbit_rep", "OrbitOperator", "DENSE_CAP_BYTES", "represent",
+    "spectrum", "sphere_x3", "sphere_xplus", "sphere_xminus", "casimir_defect",
     "bracket_via_matrices",
 ]
+
+DENSE_CAP_BYTES = 2 ** 31   # 2 GiB of complex entries: D = 11,585 is the largest
 
 
 @dataclass(frozen=True)
@@ -46,22 +58,84 @@ def orbit_rep(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> OrbitRep:
     return OrbitRep(orbit(P, hbar, y0, cap=cap))
 
 
-def represent(P: DelzantPolytope, rep: OrbitRep, f: al.AlgebraElement) -> np.ndarray:
-    """Matrix of an element on the orbit basis.
+@dataclass(frozen=True)
+class OrbitOperator:
+    """An operator on the orbit basis of dimension `dim`, stored by mode.
 
-    Entries exist exactly at valid arrows; coefficients are evaluated on the
-    whole orbit per mode (vectorized), with singular evaluations reported
-    against the offending orbit point.
+    modes[k] = (values, targets): row i has the entry values[i] in column
+    targets[i], the index of u_i + hbar*k.  Where row i has no mode-k entry,
+    targets[i] is -1 and values[i] is 0.
+    """
+
+    dim: int
+    modes: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]
+
+    def dense(self) -> np.ndarray:
+        """The D x D complex matrix; DomainError when it would exceed
+        DENSE_CAP_BYTES."""
+        nbytes = 16 * self.dim * self.dim
+        if nbytes > DENSE_CAP_BYTES:
+            raise DomainError(
+                f"dense matrix of dimension {self.dim} needs {nbytes} bytes, "
+                f"over the cap of {DENSE_CAP_BYTES}")
+        M = np.zeros((self.dim, self.dim), dtype=complex)
+        for values, targets in self.modes.values():
+            rows = np.flatnonzero(targets >= 0)
+            M[rows, targets[rows]] += values[rows]
+        return M
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal, accumulated as `dense` accumulates it."""
+        d = np.zeros(self.dim, dtype=complex)
+        for k, (values, _) in self.modes.items():
+            if not any(k):
+                d += values
+        return d
+
+    def entry(self, i: int, k) -> complex:
+        """The mode-k entry of row i (0 where there is none)."""
+        mode = self.modes.get(tuple(k))
+        return complex(mode[0][i]) if mode else 0j
+
+    def __matmul__(self, other: "OrbitOperator") -> "OrbitOperator":
+        """Operator product.  Mode l + m of row i sums a_l[i] * b_m[t_l(i)]
+        over this operator's modes l in order, as `algebra.convolve` sums."""
+        modes = {}
+        for l, (a, ta) in self.modes.items():
+            rows = np.flatnonzero(ta >= 0)
+            mid = ta[rows]
+            for m, (b, tb) in other.modes.items():
+                ends = tb[mid]
+                ok = ends >= 0
+                if not ok.any():
+                    continue
+                k = tuple(x + y for x, y in zip(l, m))
+                if k not in modes:
+                    modes[k] = (np.zeros(self.dim, dtype=complex),
+                                np.full(self.dim, -1, dtype=np.int64))
+                values, targets = modes[k]
+                values[rows[ok]] += a[rows[ok]] * b[mid[ok]]
+                targets[rows[ok]] = ends[ok]
+        return OrbitOperator(self.dim, modes)
+
+
+def represent(P: DelzantPolytope, rep: OrbitRep, f: al.AlgebraElement) -> OrbitOperator:
+    """An element as an operator on the orbit basis.
+
+    Entries exist exactly at valid arrows; each mode's targets are one
+    vectorized lookup of the orbit's steps, and its coefficient is evaluated
+    on all its rows at once, with singular evaluations reported against the
+    offending orbit point.
     """
     orb = rep.orbit
     D = rep.dim
     hbar = float(orb.hbar)
-    M = np.zeros((D, D), dtype=complex)
     ys = np.array([[float(c) for c in p] for p in orb.points])  # (D, n)
+    modes = {}
     for k, coeff in f.modes:
-        targets = [orb.target_index(i, k) for i in range(D)]
-        rows = [i for i, t in enumerate(targets) if t is not None]
-        if not rows:
+        targets = orb.targets(k)
+        rows = np.flatnonzero(targets >= 0)
+        if not len(rows):
             continue
         # evaluate only where the arrow exists; masked points may be singular
         cols = [ys[rows, i] for i in range(f.n)]
@@ -76,9 +150,10 @@ def represent(P: DelzantPolytope, rep: OrbitRep, f: al.AlgebraElement) -> np.nda
         if re is None or not (np.all(np.isfinite(re))
                               and np.all(np.isfinite(im))):
             _locate_bad_point(f, k, orb, rows)
-        for out, i in enumerate(rows):
-            M[i, targets[i]] += re[out] + 1j * im[out]
-    return M
+        values = np.zeros(D, dtype=complex)
+        values[rows] = re + 1j * im
+        modes[k] = (values, targets)
+    return OrbitOperator(D, modes)
 
 
 def _locate_bad_point(f, k, orb, rows):
@@ -98,17 +173,65 @@ def _locate_bad_point(f, k, orb, rows):
     raise EvalDomainError(f"coefficient of mode {k} singular on the orbit")
 
 
-def spectrum(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues, sorted; Hermitian inputs use the symmetric solver and
-    come back real."""
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise DomainError("spectrum needs a square matrix")
-    scale = max(np.abs(matrix).max(), 1.0)
-    if np.allclose(matrix, matrix.conj().T, rtol=0, atol=1e-12 * scale):
-        return np.sort(np.linalg.eigvalsh(matrix))
-    vals = np.linalg.eigvals(matrix)
+def spectrum(op: OrbitOperator) -> np.ndarray:
+    """Eigenvalues, sorted.  Hermitian operators come back real and
+    ascending, others complex in (real, imag) order.
+
+    "Hermitian" means every entry is within atol = 1e-12 * max(|entry|, 1)
+    of the conjugate of its transposed entry.  A Hermitian operator with no
+    nonzero off-diagonal entry, or a non-Hermitian one whose nonzero
+    off-diagonal arrows form an acyclic graph, has its diagonal as spectrum
+    (the isolation LAPACK's balancing performs); the others go to the
+    symmetric or general eigensolver on the dense matrix.
+    """
+    atol = 1e-12 * max(max((float(np.abs(v).max()) for v, _ in op.modes.values()),
+                           default=0.0), 1.0)
+    if _is_hermitian(op, atol):
+        if not any(np.any(v != 0) for k, (v, _) in op.modes.items() if any(k)):
+            return np.sort(op.diagonal().real)
+        return np.sort(np.linalg.eigvalsh(op.dense()))
+    vals = op.diagonal() if _is_acyclic(op) else np.linalg.eigvals(op.dense())
     return vals[np.lexsort((vals.imag, vals.real))]
+
+
+def _is_hermitian(op: OrbitOperator, atol: float) -> bool:
+    """|M[i, j] - conj(M[j, i])| <= atol at every entry, mode by mode: the
+    transposed entry of (i, t_k(i)) is row t_k(i) of mode -k."""
+    for k, (values, targets) in op.modes.items():
+        rows = np.flatnonzero(targets >= 0)
+        back = op.modes.get(tuple(-c for c in k))
+        back = back[0][targets[rows]] if back else 0
+        if not np.all(np.abs(values[rows] - np.conj(back)) <= atol):
+            return False
+    return True
+
+
+def _is_acyclic(op: OrbitOperator) -> bool:
+    """Kahn's algorithm on the arrows i -> t_k(i) of the nonzero
+    off-diagonal entries."""
+    tails, heads = [], []
+    for k, (values, targets) in op.modes.items():
+        if any(k):
+            rows = np.flatnonzero(values != 0)
+            tails.append(rows)
+            heads.append(targets[rows])
+    if not tails:
+        return True
+    tails, heads = np.concatenate(tails), np.concatenate(heads)
+    order = np.argsort(tails, kind="stable")
+    starts = np.searchsorted(tails[order], np.arange(op.dim + 1)).tolist()
+    heads_by_tail = heads[order].tolist()
+    indegree = np.bincount(heads, minlength=op.dim).tolist()
+    ready = [i for i, d in enumerate(indegree) if d == 0]
+    removed = 0
+    while ready:
+        i = ready.pop()
+        removed += 1
+        for j in heads_by_tail[starts[i]:starts[i + 1]]:
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                ready.append(j)
+    return removed == op.dim
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +279,13 @@ def casimir_defect(P: DelzantPolytope, hbar, y0=None,
         if P.min_slack(p) <= margin:
             raise MarginError(
                 f"orbit point {p} within margin {margin} of a facet")
-    x3, xp, xm = sphere_x3(), sphere_xplus(), sphere_xminus()
+    x3, xp, xm = (represent(P, rep, e)
+                  for e in (sphere_x3(), sphere_xplus(), sphere_xminus()))
     # every product has mode sum {0}, so the represented invariant is
     # diagonal and its distance from I/4 is the largest diagonal deviation
-    worst = 0.0
-    for u in rep.orbit.points:
-        val = al.convolve(P, x3, x3, hbar, u, (0,))
-        val += 0.5 * (al.convolve(P, xp, xm, hbar, u, (0,))
-                      + al.convolve(P, xm, xp, hbar, u, (0,)))
-        worst = max(worst, abs(val - 0.25))
-    return worst
+    val = (x3 @ x3).diagonal()
+    val += 0.5 * ((xp @ xm).diagonal() + (xm @ xp).diagonal())
+    return max(0.0, float(np.abs(val - 0.25).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +296,7 @@ def bracket_via_matrices(P: DelzantPolytope, f: al.AlgebraElement,
     """Limit of the renormalized matrix commutator entry at (y, y + hbar*k).
 
     For each hbar the elements are represented on the orbit through y, the
-    matrix commutator is formed by plain matrix algebra, and the entry
+    commutator is formed from the two operator products, and the entry
     corresponding to the arrow (hbar, y, k) is read off; the sweep is then
     extrapolated to zero.  Everything downstream of `represent` is
     independent of the convolution code path.
@@ -189,13 +309,11 @@ def bracket_via_matrices(P: DelzantPolytope, f: al.AlgebraElement,
     values = []
     for h in hs:
         rep = orbit_rep(P, h, y)
-        row = rep.orbit.index[y]
-        col = rep.orbit.target_index(row, k)
-        if col is None:
+        row = 0                     # an orbit lists its base point first
+        if rep.orbit.target_index(row, k) is None:
             raise DomainError(
                 f"arrow (hbar={h}, y={y}, k={k}) is not in the groupoid")
-        Mf = represent(P, rep, f)
-        Mg = represent(P, rep, g)
-        comm = Mf[row, :] @ Mg - Mg[row, :] @ Mf
-        values.append(comm[col] / (1j * float(h)))
+        F, G = represent(P, rep, f), represent(P, rep, g)
+        comm = (F @ G).entry(row, k) - (G @ F).entry(row, k)
+        values.append(comm / (1j * float(h)))
     return al.neville_to_zero(hs, values)

@@ -251,8 +251,8 @@ def battery_representation(P, rng, cases, tol) -> BatteryResult:
         hbar = Fraction(1, rng.choice((4, 5, 8)))
         y0 = random_interior_point(P, rng)
         rep = mr.orbit_rep(P, hbar, y0)
-        Mf = mr.represent(P, rep, f)
-        Mg = mr.represent(P, rep, g)
+        Mf = mr.represent(P, rep, f).dense()
+        Mg = mr.represent(P, rep, g).dense()
         prod = Mf @ Mg
         direct = np.zeros_like(prod)
         ks = {tuple(a + b for a, b in zip(l, m))
@@ -265,7 +265,7 @@ def battery_representation(P, rng, cases, tol) -> BatteryResult:
         scale = max(np.abs(prod).max(), 1.0)
         result.check(float(np.abs(prod - direct).max()) / scale, tol,
                      {"law": "pi(f.g) = pi(f)pi(g)", "hbar": hbar, "y0": y0})
-        Mfs = mr.represent(P, rep, al.involution(f))
+        Mfs = mr.represent(P, rep, al.involution(f)).dense()
         result.check(float(np.abs(Mfs - Mf.conj().T).max()) / scale, tol,
                      {"law": "pi(f*) = pi(f)^dagger", "hbar": hbar, "y0": y0})
     return result

@@ -1,11 +1,15 @@
 """The command-line front-end, driven through cli.main."""
 import json
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import torikit
+from torikit import algebra as al
 from torikit import cli
+from torikit import matrixrep as mr
 
 DATA = Path(torikit.__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -94,6 +98,75 @@ def test_quantize_spectra_is_deterministic(tmp_path):
     assert rc1 == rc2 == 0
     assert first == second
     assert len(first.splitlines()) == 12   # preamble, header, 10 eigenvalues
+
+
+@pytest.mark.parametrize("polytope, obs_dir, obs, hbars, golden", [
+    ("sphere", DATA / "obs", "x3.json", ["1/300"], "spectra_sphere_x3_hbar1-300.csv"),
+    # complex diagonal plus an h-scaled shift: triangular, not Hermitian
+    ("cp2", GOLDEN, "obs_cp2_nonherm.json", ["1/12", "1/20"], "spectra_cp2_nonherm.csv"),
+    # d e_0 + c e_l + c(y - h l) e_-l: Hermitian with off-diagonal modes
+    ("cp2", GOLDEN, "obs_cp2_herm.json", ["1/15", "1/20"], "spectra_cp2_herm.csv"),
+], ids=["sphere-x3", "cp2-non-hermitian", "cp2-hermitian"])
+def test_quantize_spectra_golden(tmp_path, monkeypatch, polytope, obs_dir, obs,
+                                 hbars, golden):
+    monkeypatch.chdir(obs_dir)      # the preamble names the --obs path as given
+    argv = ["quantize", "spectra", str(DATA / f"{polytope}.json"), "--obs", obs]
+    for h in hbars:
+        argv += ["--hbar", h]
+    rc, text = run(argv, tmp_path)
+    assert rc == 0
+    assert text == (GOLDEN / golden).read_text()
+
+
+def check_exact_x3_spectrum(text, q):
+    """Rows are (i + 1/2)/q - 1/2 for i = 0..q-1, real, to the last bit."""
+    rows = [line.split(",") for line in text.splitlines()[2:]]
+    assert len(rows) == q
+    for i, (hbar, size, index, re, im) in enumerate(rows):
+        assert (hbar, size, index, im) == (f"1/{q}", str(q), str(i), "0.0")
+        exact = Fraction(2 * i + 1, 2 * q) - Fraction(1, 2)
+        assert abs(Fraction(float(re)) - exact) <= Fraction(1, 2 ** 54)
+
+
+def test_quantize_spectra_x3_beyond_the_dense_cap(tmp_path):
+    # D = 12,000: a dense complex matrix would need 2.3 GB
+    rc, text = run(["quantize", "spectra", str(DATA / "sphere.json"),
+                    "--obs", str(DATA / "obs" / "x3.json"), "--hbar", "1/12000"],
+                   tmp_path)
+    assert rc == 0
+    check_exact_x3_spectrum(text, 12000)
+
+
+def test_quantize_spectra_refuses_a_dense_matrix_over_the_cap(tmp_path, capsys):
+    obs = tmp_path / "xplus_xminus.json"
+    obs.write_text(json.dumps(al.observable_to_dict(
+        mr.sphere_xplus() + mr.sphere_xminus())))
+    tracemalloc.start()
+    try:
+        rc, text = run(["quantize", "spectra", str(DATA / "sphere.json"),
+                        "--obs", str(obs), "--hbar", "1/12000"], tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert text is None
+    assert "dimension 12000 needs 2304000000 bytes" in capsys.readouterr().err
+    assert peak < 50 * 2 ** 20      # refused before the matrix was allocated
+
+
+def test_quantize_spectra_x3_memory_is_linear_in_the_orbit(tmp_path):
+    # the dense path would hold a 400 MB matrix at D = 5,000
+    tracemalloc.start()
+    try:
+        rc, text = run(["quantize", "spectra", str(DATA / "sphere.json"),
+                        "--obs", str(DATA / "obs" / "x3.json"), "--hbar", "1/5000"],
+                       tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 20 * 2 ** 20
+    check_exact_x3_spectrum(text, 5000)
 
 
 def test_polytope_check_nonprimitive_exits_1(tmp_path):

@@ -219,16 +219,6 @@ def test_orbit_negative_hbar():
     assert len(orb) == 4
 
 
-def test_adjacency_closure():
-    P = pt.interval()
-    orb = gr.orbit(P, F(1, 4), (F(1, 8),))
-    # complete within the orbit: every ordered pair is one valid arrow apart
-    assert len(orb.adjacency) == 16
-    assert orb.adjacency[(0, 3)] == (3,)
-    assert orb.target_index(0, (3,)) == 3
-    assert orb.target_index(3, (1,)) is None
-
-
 def bfs_orbit_oracle(P, hbar, y0):
     """Slow reference: breadth-first closure of {y0} under valid single
     arrows, all in Fraction arithmetic.  Neighbors of a point are visited in
@@ -305,6 +295,28 @@ def test_target_index_matches_membership_randomized():
             expected = (orb.index[gr.range_(P, g)[1]]
                         if gr.is_member(P, g) else None)
             assert orb.target_index(i, k) == expected
+
+
+def test_targets_match_target_index_randomized():
+    rng = random.Random(6)
+    for P, hbar, y0 in random_orbit_inputs(7, per_polytope=6):
+        orb = gr.orbit(P, hbar, y0)
+        ks = {(0,) * P.n, (len(orb),) * P.n}
+        ks |= {tuple(rng.randint(-3, 3) for _ in range(P.n)) for _ in range(8)}
+        for k in ks:
+            want = [orb.target_index(i, k) for i in range(len(orb))]
+            assert orb.targets(k).tolist() == [-1 if t is None else t for t in want]
+
+
+def test_targets_keys_fall_back_to_python_ints():
+    # a step box of volume about 2^80: keys and shifts must not wrap in int64
+    P = pt.square()
+    steps = ((0, 0), (2 ** 40, 1), (1, 2 ** 40), (2 ** 40, 2 ** 40))
+    orb = gr.Orbit(P, F(1), tuple((F(a), F(b)) for a, b in steps), steps)
+    assert orb._step_keys[0].dtype == object
+    for k in [(2 ** 40, 1), (2 ** 40 - 1, 2 ** 40), (-(2 ** 40), -1), (0, 0), (1, 1)]:
+        want = [orb.target_index(i, k) for i in range(len(orb))]
+        assert orb.targets(k).tolist() == [-1 if t is None else t for t in want]
 
 
 def test_orbit_int64_guard_cannot_overflow():

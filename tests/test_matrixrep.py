@@ -6,27 +6,187 @@ import numpy as np
 import pytest
 
 from torikit import algebra as al
+from torikit import expr as ex
 from torikit import matrixrep as mr
 from torikit import polytope as pt
 from torikit import suite as su
-from torikit.errors import DomainError, MarginError
+from torikit.errors import DomainError, EvalDomainError, MarginError
 
 F = Fraction
 SPHERE = pt.interval()
+SQUARE = pt.square()
 CP2 = pt.projective_space(2)
+
+
+# ---------------------------------------------------------------------------
+# dense oracles: the matrix built entry by entry, and its eigenvalues from
+# the dense Hermitian test and LAPACK
+
+def dense_represent(P, rep, f):
+    orb = rep.orbit
+    D = rep.dim
+    hbar = float(orb.hbar)
+    M = np.zeros((D, D), dtype=complex)
+    ys = np.array([[float(c) for c in p] for p in orb.points])
+    for k, coeff in f.modes:
+        targets = [orb.target_index(i, k) for i in range(D)]
+        rows = [i for i, t in enumerate(targets) if t is not None]
+        if not rows:
+            continue
+        cols = [ys[rows, i] for i in range(f.n)]
+        with np.errstate(all="ignore"):
+            re = ex.evaluate(coeff.re, hbar, cols)
+            im = ex.evaluate(coeff.im, hbar, cols)
+        re = np.broadcast_to(np.atleast_1d(re), (len(rows),))
+        im = np.broadcast_to(np.atleast_1d(im), (len(rows),))
+        for out, i in enumerate(rows):
+            M[i, targets[i]] += re[out] + 1j * im[out]
+    return M
+
+
+def dense_spectrum(matrix):
+    scale = max(np.abs(matrix).max(), 1.0)
+    if np.allclose(matrix, matrix.conj().T, rtol=0, atol=1e-12 * scale):
+        return np.sort(np.linalg.eigvalsh(matrix))
+    vals = np.linalg.eigvals(matrix)
+    return vals[np.lexsort((vals.imag, vals.real))]
+
+
+def casimir_by_convolve(P, hbar):
+    """Largest |c_i - 1/4| of the invariant, point by point with `convolve`."""
+    rep = mr.orbit_rep(P, hbar, (hbar / 2,))
+    x3, xp, xm = mr.sphere_x3(), mr.sphere_xplus(), mr.sphere_xminus()
+    worst = 0.0
+    for u in rep.orbit.points:
+        val = al.convolve(P, x3, x3, hbar, u, (0,))
+        val += 0.5 * (al.convolve(P, xp, xm, hbar, u, (0,))
+                      + al.convolve(P, xm, xp, hbar, u, (0,)))
+        worst = max(worst, abs(val - 0.25))
+    return worst
+
+
+def operator(P, hbar, y0, modes):
+    rep = mr.orbit_rep(P, hbar, y0)
+    return mr.represent(P, rep, al.element(P.n, modes)), rep
+
+
+def two_point(modes):
+    """An operator on the sphere orbit {1/4, 3/4}: entry (0, 1) is mode 1 at
+    1/4, entry (1, 0) is mode -1 at 3/4."""
+    return operator(SPHERE, F(1, 2), (F(1, 4),), modes)[0]
 
 
 def test_spectrum_near_hermitian_uses_general_solver():
     # off by 1e-6 relative: not Hermitian, eigenvalues +-sqrt(1 + 1e-6)
-    eigs = mr.spectrum(np.array([[0, 1], [1 + 1e-6, 0]]))
+    eigs = mr.spectrum(two_point({1: "1", -1: "1 + 1/1000000"}))
     expected = np.sqrt(1 + 1e-6)
     np.testing.assert_allclose(eigs.real, [-expected, expected], rtol=1e-14)
 
 
 def test_spectrum_hermitian_is_real_and_sorted():
-    eigs = mr.spectrum(np.array([[2, 1j], [-1j, 2]]))
+    op = two_point({0: "2", 1: ("0", "1"), -1: ("0", "-1")})
+    np.testing.assert_array_equal(op.dense(), [[2, 1j], [-1j, 2]])
+    eigs = mr.spectrum(op)
     assert np.isrealobj(eigs)
     np.testing.assert_allclose(eigs, [1, 3], rtol=1e-14)
+
+
+@pytest.mark.parametrize("P", [SPHERE, SQUARE, CP2], ids=["sphere", "square", "cp2"])
+def test_dense_equals_dense_oracle_bit_for_bit(P):
+    rng = random.Random(29)
+    for _ in range(15):
+        f = su.random_element(P, rng, max_mode=2, n_modes=3, allow_h=True)
+        hbar = F(1, rng.choice((5, 8, 13)))
+        rep = mr.orbit_rep(P, hbar, su.random_interior_point(P, rng))
+        op = mr.represent(P, rep, f)
+        assert op.dense().tobytes() == dense_represent(P, rep, f).tobytes()
+        for k, (values, targets) in op.modes.items():
+            assert values.shape == targets.shape == (rep.dim,)
+            assert np.all(values[targets < 0] == 0)
+
+
+def test_represent_names_the_singular_point():
+    rep = mr.orbit_rep(SPHERE, F(1, 4), (F(1, 8),))
+    with pytest.raises(EvalDomainError, match="orbit point"):
+        mr.represent(SPHERE, rep, al.element(1, {0: "1/(y1 - 3/8)"}))
+
+
+ATOL_ENTRY = F(1e-12)                            # atol at scale 1
+ABOVE_ATOL = F(float(np.nextafter(1e-12, 1.0)))
+
+SPECTRUM_CASES = {
+    # the repeated values come in pairs (y - 1/2)^2 = (1/2 - y)^2
+    "diagonal-repeated": (SPHERE, F(1, 20), (F(1, 40),), {0: "(y1 - 1/2)^2"}),
+    # shifts (1,0), (0,1), (1,-1) all pair positively with (2, 1)
+    "acyclic-non-hermitian": (CP2, F(1, 12), (F(1, 24), F(1, 24)), {
+        (0, 0): ("y1 - y2^2", "y1*y2 - 1/5"), (1, 0): "h*(y1 + 1)",
+        (0, 1): ("y2 - 1/3", "y1"), (1, -1): "2*y1*y2"}),
+    "cyclic-non-hermitian": (SPHERE, F(1, 16), (F(1, 32),),
+                             {0: "y1", 1: "2*y1", -1: "y1"}),
+    "hermitian-banded": (SPHERE, F(1, 30), (F(1, 60),), {
+        0: "y1 - 1/2", 1: "sqrt(y1*(1 - y1))",
+        -1: "sqrt((y1 - h)*(1 - (y1 - h)))"}),
+    "hermitian-banded-cp2": (CP2, F(1, 15), (F(1, 30), F(1, 30)), {
+        (0, 0): "y1 + y2^2", (0, 1): "y1*y2 + 1/3", (0, -1): "y1*(y2 - h) + 1/3"}),
+    "near-hermitian": (SPHERE, F(1, 10), (F(1, 20),),
+                       {1: "1", -1: "1 + 1/1000000"}),
+    "entry-at-atol": (SPHERE, F(1, 2), (F(1, 4),), {0: "y1", -1: ATOL_ENTRY}),
+    "entry-above-atol": (SPHERE, F(1, 2), (F(1, 4),), {0: "y1", -1: ABOVE_ATOL}),
+}
+
+
+@pytest.mark.parametrize("case", list(SPECTRUM_CASES))
+def test_spectrum_equals_dense_oracle_bit_for_bit(case):
+    P, hbar, y0, modes = SPECTRUM_CASES[case]
+    op, rep = operator(P, hbar, y0, modes)
+    M = dense_represent(P, rep, al.element(P.n, modes))
+    got, want = mr.spectrum(op), dense_spectrum(M)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_spectrum_atol_boundary_decides_hermitian():
+    # |M[1,0] - conj(M[0,1])| equal to atol is Hermitian (real spectrum);
+    # one ulp more is not
+    assert np.isrealobj(mr.spectrum(two_point({0: "y1", -1: ATOL_ENTRY})))
+    assert np.iscomplexobj(mr.spectrum(two_point({0: "y1", -1: ABOVE_ATOL})))
+
+
+@pytest.mark.parametrize("case", ["diagonal-repeated", "acyclic-non-hermitian",
+                                  "entry-above-atol"])
+def test_diagonal_and_triangular_spectra_skip_the_eigensolvers(case, monkeypatch):
+    P, hbar, y0, modes = SPECTRUM_CASES[case]
+    op, _ = operator(P, hbar, y0, modes)
+    want = dense_spectrum(op.dense())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(mr.OrbitOperator, "dense", refuse)
+    assert mr.spectrum(op).tobytes() == want.tobytes()
+
+
+def test_dense_refuses_matrices_over_the_cap():
+    mr.OrbitOperator(2, {}).dense()
+    D = 11_586                       # 16 * D^2 = 2,147,766,336 > 2^31
+    with pytest.raises(DomainError, match=f"dimension {D} needs 2147766336 bytes"):
+        mr.OrbitOperator(D, {}).dense()
+    assert 16 * (D - 1) ** 2 <= mr.DENSE_CAP_BYTES
+
+
+def test_operator_product_matches_dense_product():
+    rng = random.Random(3)
+    rep = mr.orbit_rep(CP2, F(1, 9), (F(1, 18), F(5, 18)))
+    for _ in range(5):
+        f = su.random_element(CP2, rng, max_mode=2, n_modes=3, allow_h=True)
+        g = su.random_element(CP2, rng, max_mode=2, n_modes=3, allow_h=True)
+        A, B = mr.represent(CP2, rep, f), mr.represent(CP2, rep, g)
+        want = A.dense() @ B.dense()
+        scale = max(np.abs(want).max(), 1.0)
+        np.testing.assert_allclose((A @ B).dense(), want, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_array_equal((A @ B).diagonal(), np.diag((A @ B).dense()))
 
 
 @pytest.mark.parametrize("q", [4, 10, 50, 200])
@@ -36,6 +196,12 @@ def test_casimir_defect_is_half_hbar_minus_hbar_squared(q):
     h = F(1, q)
     exact = float(h / 2 - h * h)
     assert mr.casimir_defect(SPHERE, h) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [4, 11, 50, 120])
+def test_casimir_defect_equals_pointwise_convolution(q):
+    h = F(1, q)
+    assert mr.casimir_defect(SPHERE, h) == casimir_by_convolve(SPHERE, h)
 
 
 def test_casimir_defect_margin_guard():
@@ -60,7 +226,8 @@ def test_represent_is_star_homomorphism_on_cp2_orbit():
     for _ in range(5):
         f = su.random_element(CP2, rng, allow_h=True)
         g = su.random_element(CP2, rng, allow_h=True)
-        Mf, Mg = mr.represent(CP2, rep, f), mr.represent(CP2, rep, g)
+        Mf = mr.represent(CP2, rep, f).dense()
+        Mg = mr.represent(CP2, rep, g).dense()
         direct = np.zeros((rep.dim, rep.dim), dtype=complex)
         ks = {tuple(a + b for a, b in zip(l, m))
               for l, _ in f.modes for m, _ in g.modes}
@@ -71,7 +238,7 @@ def test_represent_is_star_homomorphism_on_cp2_orbit():
                     direct[i, j] += al.convolve(CP2, f, g, hbar, u, k)
         scale = max(np.abs(direct).max(), 1.0)
         np.testing.assert_allclose(Mf @ Mg, direct, rtol=0, atol=1e-12 * scale)
-        adj = mr.represent(CP2, rep, al.involution(f))
+        adj = mr.represent(CP2, rep, al.involution(f)).dense()
         np.testing.assert_allclose(adj, Mf.conj().T, rtol=0, atol=1e-12 * scale)
 
 
