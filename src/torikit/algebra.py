@@ -45,9 +45,6 @@ class AlgebraElement:
     n: int
     modes: tuple[tuple[tuple[int, ...], ex.ComplexExpr], ...]
 
-    def mode_keys(self):
-        return [k for k, _ in self.modes]
-
     def coefficient(self, k) -> ex.ComplexExpr:
         k = tuple(int(c) for c in k)
         for key, c in self.modes:
@@ -329,9 +326,6 @@ class BracketLimit:
     order: float | str
     table: list[dict]
 
-    def orders(self):
-        return [row["order"] for row in self.table if row["order"] is not None]
-
 
 def _two_level(h0, r0, h1, r1):
     # eliminate the leading O(hbar) term between consecutive nodes
@@ -348,6 +342,17 @@ def neville_to_zero(hbar_list, values) -> complex:
     return table[0]
 
 
+def hbar_sweep(hbar_list) -> list[Fraction]:
+    """The hbar values of a sweep as Fractions; DomainError unless they are
+    nonempty, positive and strictly decreasing."""
+    hs = [Fraction(h) for h in hbar_list]
+    if not hs or any(h <= 0 for h in hs):
+        raise DomainError("hbar list must be positive (nonzero) values")
+    if any(b >= a for a, b in zip(hs, hs[1:])):
+        raise DomainError("hbar list must be strictly decreasing")
+    return hs
+
+
 def numeric_bracket_limit(P: DelzantPolytope, f: AlgebraElement,
                           g: AlgebraElement, y, k, hbar_list,
                           exact_threshold: float = 1e-12) -> BracketLimit:
@@ -360,11 +365,7 @@ def numeric_bracket_limit(P: DelzantPolytope, f: AlgebraElement,
     successive differences; "exact" is reported when every difference is
     below the threshold (the value does not depend on hbar).
     """
-    hs = [Fraction(h) for h in hbar_list]
-    if not hs or any(h <= 0 for h in hs):
-        raise DomainError("hbar list must be positive (nonzero) values")
-    if any(b >= a for a, b in zip(hs, hs[1:])):
-        raise DomainError("hbar list must be strictly decreasing")
+    hs = hbar_sweep(hbar_list)
     check_margin(P, f, g, y, hs[0])
 
     values = [renormalized_commutator(P, f, g, h, y, k) for h in hs]

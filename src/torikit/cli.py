@@ -51,15 +51,24 @@ def _fraction(text: str) -> Fraction:
         raise FormatError(f"bad rational {text!r}: {exc}") from exc
 
 
-def _point(text: str) -> tuple[Fraction, ...]:
-    return tuple(_fraction(part) for part in text.split(","))
+def _require_length(name: str, text: str, values: tuple, n: int) -> tuple:
+    if len(values) != n:
+        raise FormatError(f"{name} {text!r} has {len(values)} coordinates, "
+                          f"the polytope has dimension {n}")
+    return values
 
 
-def _mode(text: str) -> tuple[int, ...]:
+def _point(text: str, n: int) -> tuple[Fraction, ...]:
+    return _require_length(
+        "point", text, tuple(_fraction(part) for part in text.split(",")), n)
+
+
+def _mode(text: str, n: int) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        k = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise FormatError(f"bad mode {text!r}: {exc}") from exc
+    return _require_length("mode", text, k, n)
 
 
 def _emit(args, text: str) -> None:
@@ -167,7 +176,7 @@ def cmd_groupoid_orbit(args) -> int:
     hbar = _fraction(args.hbar[0])
     if hbar == 0:
         raise FormatError("--hbar must be nonzero")
-    orb = gr.orbit(P, hbar, _point(args.point), cap=args.cap)
+    orb = gr.orbit(P, hbar, _point(args.point, P.n), cap=args.cap)
     rows = [(i,) + tuple(str(c) for c in p) for i, p in enumerate(orb.points)]
     header = ("index",) + tuple(f"y{i + 1}" for i in range(P.n))
     _emit(args, _csv_document("orbit", header, rows,
@@ -183,8 +192,8 @@ def cmd_quantize_bracket_limit(args) -> int:
     pt.require_delzant(P)
     f = al.load_observable(args.obs, P.n)
     g = al.load_observable(args.obs2, P.n)
-    y = _point(args.point)
-    k = _mode(args.mode) if args.mode else tuple([0] * P.n)
+    y = _point(args.point, P.n)
+    k = _mode(args.mode, P.n) if args.mode else tuple([0] * P.n)
     hbars = [_fraction(h) for h in (args.hbar or [])]
     if not hbars:
         hbars = [Fraction(1, 2) ** i for i in range(4, 11)]
@@ -234,7 +243,7 @@ def cmd_quantize_spectra(args) -> int:
         hbar = _fraction(htext)
         if hbar == 0:
             raise FormatError("--hbar must be nonzero")
-        y0 = _point(args.point) if args.point else tuple([hbar / 2] * P.n)
+        y0 = _point(args.point, P.n) if args.point else tuple([hbar / 2] * P.n)
         rep = mr.orbit_rep(P, hbar, y0)
         eigs = mr.spectrum(mr.represent(P, rep, f))
         for i, val in enumerate(np.atleast_1d(eigs)):

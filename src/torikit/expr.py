@@ -580,7 +580,8 @@ def evaluate(e: Expr, h, y):
 
     Accepts scalars or numpy arrays (broadcast elementwise); rational inputs
     are converted to float.  Deterministic; raises EvalDomainError carrying
-    the offending subexpression at singular points.
+    the offending subexpression at singular points, and carrying `e` when a
+    scalar result overflows (arrays read inf there instead).
     """
     if isinstance(h, Fraction):
         h = float(h)
@@ -589,7 +590,10 @@ def evaluate(e: Expr, h, y):
         if isinstance(v, Fraction):
             v = float(v)
         yy.append(v)
-    out = _eval(e, h, yy)
+    try:
+        out = _eval(e, h, yy)
+    except OverflowError as exc:
+        raise EvalDomainError("evaluation overflows", e) from exc
     if isinstance(out, np.ndarray):
         return out
     return float(out)

@@ -133,7 +133,8 @@ class Orbit:
     """A finite orbit of the hbar-fiber.
 
     points[i] = points[0] + hbar*steps[i]; points[0] is the base point the
-    orbit was built from, and `index` maps each point back to its position.
+    orbit was built from.  The steps' sorted keys (`_step_keys`) are the
+    orbit's only index: every arrow query is a lookup in them.
     """
 
     polytope: DelzantPolytope
@@ -144,29 +145,14 @@ class Orbit:
     def __len__(self):
         return len(self.points)
 
-    @cached_property
-    def index(self) -> dict[tuple[Fraction, ...], int]:
-        """Position of each point in `points`."""
-        return {p: i for i, p in enumerate(self.points)}
-
-    @cached_property
-    def _step_index(self) -> dict[tuple[int, ...], int]:
-        return {s: i for i, s in enumerate(self.steps)}
-
     def target_index(self, i: int, k) -> int | None:
         """Index of points[i] + hbar*k when that arrow is valid, else None.
 
         Exact without a facet test: from a point of the orbit, the arrow
         (hbar, points[i], k) is valid iff its head lies in the orbit.
         """
-        step = self.steps[i]
-        if len(k) != len(step):
-            raise DimensionError("point/mode dimension mismatch")
-        return self._step_index.get(tuple(a + int(c) for a, c in zip(step, k)))
-
-    def mode_between(self, i: int, j: int) -> tuple[int, ...]:
-        """The k with points[j] = points[i] + hbar*k."""
-        return tuple(b - a for a, b in zip(self.steps[i], self.steps[j]))
+        j = int(self.targets(k)[i])
+        return None if j < 0 else j
 
     @cached_property
     def _step_keys(self):
@@ -188,8 +174,8 @@ class Orbit:
         return steps, lo, hi, strides, keys[order], order
 
     def targets(self, k) -> np.ndarray:
-        """`target_index(i, k)` for every i at once: an int64 array holding
-        -1 where the arrow (hbar, points[i], k) is invalid.
+        """For every i, the index of points[i] + hbar*k: an int64 array
+        holding -1 where the arrow (hbar, points[i], k) is invalid.
 
         One vectorized lookup of the shifted steps' keys, no facet test.
         """

@@ -224,27 +224,19 @@ def solve_rational(rows, rhs):
     """Exact solution of a square rational system, or None if singular.
 
     `rows` are the equation left-hand sides, `rhs` the right-hand sides.
+    Solved by `_rref` on the augmented rows [A | b]: the system has a unique
+    solution iff the pivots are exactly the n columns of A, and the solution
+    is then the reduced last column.
     """
     a = _as_fraction_rows(rows)
     b = [Fraction(v) for v in rhs]
     n = len(a)
     if n == 0 or len(a[0]) != n or len(b) != n:
         raise DimensionError("solve_rational needs a square system")
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        b[col] *= inv
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-                b[r] -= f * b[col]
-    return tuple(b)
+    reduced, pivots = _rref([r + [v] for r, v in zip(a, b)])
+    if pivots != list(range(n)):
+        return None
+    return tuple(r[n] for r in reduced)
 
 
 def rational_kernel_vector(rows):

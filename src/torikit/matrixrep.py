@@ -303,9 +303,7 @@ def bracket_via_matrices(P: DelzantPolytope, f: al.AlgebraElement,
     """
     y = ratpoint(y)
     k = tuple(int(c) for c in k)
-    hs = [Fraction(h) for h in hbar_list]
-    if any(h <= 0 for h in hs) or any(b >= a for a, b in zip(hs, hs[1:])):
-        raise DomainError("hbar list must be positive and strictly decreasing")
+    hs = al.hbar_sweep(hbar_list)
     values = []
     for h in hs:
         rep = orbit_rep(P, h, y)

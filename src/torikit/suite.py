@@ -257,11 +257,11 @@ def battery_representation(P, rng, cases, tol) -> BatteryResult:
         direct = np.zeros_like(prod)
         ks = {tuple(a + b for a, b in zip(l, m))
               for l, _ in f.modes for m, _ in g.modes}
-        for i, u in enumerate(rep.orbit.points):
-            for k in ks:
-                j = rep.orbit.target_index(i, k)
-                if j is not None:
-                    direct[i, j] += al.convolve(P, f, g, hbar, u, k)
+        for k in ks:
+            targets = rep.orbit.targets(k)
+            for i in np.flatnonzero(targets >= 0).tolist():
+                direct[i, targets[i]] += al.convolve(
+                    P, f, g, hbar, rep.orbit.points[i], k)
         scale = max(np.abs(prod).max(), 1.0)
         result.check(float(np.abs(prod - direct).max()) / scale, tol,
                      {"law": "pi(f.g) = pi(f)pi(g)", "hbar": hbar, "y0": y0})

@@ -8,6 +8,7 @@ import pytest
 
 from torikit import algebra as al
 from torikit import expr as ex
+from torikit import matrixrep as mr
 from torikit import polytope as pt
 from torikit import suite as su
 from torikit.errors import DomainError, MarginError
@@ -69,7 +70,7 @@ def test_involution_shifts_base_point():
     # inverse arrow (h, y, -1) is read at its own source y via y -> y - h
     f = al.element(1, {1: "y1"})
     s = al.involution(f)
-    assert s.mode_keys() == [(-1,)]
+    assert [k for k, _ in s.modes] == [(-1,)]
     got = s.coefficient((-1,)).evaluate(0.25, [0.5])
     assert abs(got - (0.5 - 0.25)) < 1e-15
 
@@ -183,10 +184,11 @@ def test_numeric_limit_commuting_pair_zero():
 
 def test_numeric_limit_validates_hbar_list():
     f, g = canonical_pair()
-    with pytest.raises(DomainError):
-        al.numeric_bracket_limit(P, f, g, (F(1, 2),), (0,), [F(1, 4), F(1, 2)])
-    with pytest.raises(DomainError):
-        al.numeric_bracket_limit(P, f, g, (F(1, 2),), (0,), [])
+    for limit in (al.numeric_bracket_limit, mr.bracket_via_matrices):
+        with pytest.raises(DomainError):
+            limit(P, f, g, (F(1, 2),), (0,), [F(1, 4), F(1, 2)])
+        with pytest.raises(DomainError):
+            limit(P, f, g, (F(1, 2),), (0,), [])
 
 
 def test_numeric_limit_margin_guard_names_offender():

@@ -50,6 +50,29 @@ def test_groupoid_orbit_bad_input_exits_2(tmp_path, extra):
     assert text is None
 
 
+@pytest.mark.parametrize("argv", [
+    ["groupoid", "orbit", str(DATA / "cp2.json"), "--hbar", "1/4",
+     "--point", "1/4"],
+    ["quantize", "spectra", str(DATA / "cp2.json"),
+     "--obs", str(GOLDEN / "obs_cp2_herm.json"), "--hbar", "1/4",
+     "--point", "1/4"],
+    ["quantize", "bracket-limit", str(DATA / "cp2.json"),
+     "--obs", str(GOLDEN / "obs_cp2_f.json"),
+     "--obs2", str(GOLDEN / "obs_cp2_g.json"), "--point", "1/4,1/4",
+     "--mode", "1"],
+    ["quantize", "bracket-limit", str(DATA / "sphere.json"),
+     "--obs", str(DATA / "obs" / "sin_pair_a.json"),
+     "--obs2", str(DATA / "obs" / "sin_pair_b.json"), "--point", "1/2",
+     "--mode", "1,0"],
+], ids=["orbit-point", "spectra-point", "bracket-limit-mode-short",
+        "bracket-limit-mode-long"])
+def test_wrong_dimension_point_or_mode_exits_2(tmp_path, capsys, argv):
+    rc, text = run(argv, tmp_path)
+    assert rc == 2
+    assert text is None
+    assert "input error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["sphere", "square", "cp2"])
 def test_verify_suite_golden(tmp_path, name):
     rc, text = run(["verify", "suite", str(DATA / f"{name}.json"),

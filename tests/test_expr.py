@@ -163,6 +163,8 @@ def test_eval_examples():
         ex.evaluate(ex.parse("1/y1", 1), 0.0, [0.0])
     with pytest.raises(EvalDomainError):
         ex.evaluate(ex.parse("y1^-2", 1), 0.0, [0.0])
+    with pytest.raises(EvalDomainError, match=r"y1\^200"):
+        ex.evaluate(ex.parse("y1^200", 1), 0.0, [1000.0])
 
 
 def test_eval_accepts_fractions_and_arrays():

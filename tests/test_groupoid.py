@@ -107,7 +107,8 @@ def test_associativity_on_orbit_triples():
     arrows = []
     for i in range(len(orb)):
         for j in range(len(orb)):
-            g = gr.GroupoidPoint(orb.hbar, orb.points[i], orb.mode_between(i, j))
+            k = tuple(b - a for a, b in zip(orb.steps[i], orb.steps[j]))
+            g = gr.GroupoidPoint(orb.hbar, orb.points[i], k)
             if gr.is_member(P, g):
                 arrows.append(g)
     rng = random.Random(5)
@@ -288,13 +289,28 @@ def test_target_index_matches_membership_randomized():
     rng = random.Random(4)
     for P, hbar, y0 in random_orbit_inputs(5, per_polytope=6):
         orb = gr.orbit(P, hbar, y0)
+        position = {p: i for i, p in enumerate(orb.points)}
         for _ in range(60):
             i = rng.randrange(len(orb))
             k = tuple(rng.randint(-3, 3) for _ in range(P.n))
             g = gr.GroupoidPoint(hbar, orb.points[i], k)
-            expected = (orb.index[gr.range_(P, g)[1]]
+            expected = (position[gr.range_(P, g)[1]]
                         if gr.is_member(P, g) else None)
             assert orb.target_index(i, k) == expected
+            assert orb.targets(k)[i] == (-1 if expected is None else expected)
+
+
+def step_lookup_oracle(orb, k):
+    """targets(k) by hashing every step: the index of steps[i] + k, or -1."""
+    index = {s: i for i, s in enumerate(orb.steps)}
+    return [index.get(tuple(a + b for a, b in zip(s, k)), -1) for s in orb.steps]
+
+
+def check_targets(orb, k):
+    want = step_lookup_oracle(orb, k)
+    assert orb.targets(k).tolist() == want
+    assert [orb.target_index(i, k) for i in range(len(orb))] == [
+        None if t < 0 else t for t in want]
 
 
 def test_targets_match_target_index_randomized():
@@ -304,8 +320,7 @@ def test_targets_match_target_index_randomized():
         ks = {(0,) * P.n, (len(orb),) * P.n}
         ks |= {tuple(rng.randint(-3, 3) for _ in range(P.n)) for _ in range(8)}
         for k in ks:
-            want = [orb.target_index(i, k) for i in range(len(orb))]
-            assert orb.targets(k).tolist() == [-1 if t is None else t for t in want]
+            check_targets(orb, k)
 
 
 def test_targets_keys_fall_back_to_python_ints():
@@ -315,8 +330,7 @@ def test_targets_keys_fall_back_to_python_ints():
     orb = gr.Orbit(P, F(1), tuple((F(a), F(b)) for a, b in steps), steps)
     assert orb._step_keys[0].dtype == object
     for k in [(2 ** 40, 1), (2 ** 40 - 1, 2 ** 40), (-(2 ** 40), -1), (0, 0), (1, 1)]:
-        want = [orb.target_index(i, k) for i in range(len(orb))]
-        assert orb.targets(k).tolist() == [-1 if t is None else t for t in want]
+        check_targets(orb, k)
 
 
 def test_orbit_int64_guard_cannot_overflow():

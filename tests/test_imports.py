@@ -1,6 +1,10 @@
 """Source hygiene: every name a torikit module imports is read there or
-re-exported through its __all__."""
+re-exported through its __all__, and every function the benchmark tracer
+patches exists."""
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +12,7 @@ import pytest
 import torikit
 
 MODULES = sorted(Path(torikit.__file__).parent.glob("*.py"))
+TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +44,17 @@ def test_unused_imports_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_module_reads_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_tracer_layers_resolve(monkeypatch):
+    # load the tracer by path without writing bytecode next to it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("torikit_bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.LAYERS
+    for module, qualname in tracer.LAYERS:
+        obj = importlib.import_module(f"torikit.{module}")
+        for part in qualname.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), (module, qualname)

@@ -1,4 +1,5 @@
 """Exact integer linear algebra: normal form, kernels, determinants."""
+import math
 import random
 from fractions import Fraction
 
@@ -131,6 +132,37 @@ def test_solve_rational():
     sol = intlat.solve_rational([[1, 0], [1, 2]], [Fraction(1), Fraction(3)])
     assert sol == (Fraction(1), Fraction(1))
     assert intlat.solve_rational([[1, 1], [2, 2]], [1, 2]) is None
+
+
+def test_solve_rational_solves_exactly_iff_nonsingular_randomized():
+    rng = random.Random(21)
+    outcomes = set()
+    for trial in range(400):
+        n = rng.randint(1, 4)
+        dens = (1,) if trial % 2 else (1, 2, 3, 7)
+
+        def entry():
+            return Fraction(rng.randint(-4, 4), rng.choice(dens))
+
+        A = [[entry() for _ in range(n)] for _ in range(n)]
+        b = [entry() for _ in range(n)]
+        singular = trial % 3   # 1: consistent, 2: inconsistent
+        if singular:
+            # the last equation is a combination of the others (0 = b at n = 1)
+            c = [entry() for _ in range(n - 1)]
+            A[-1] = [sum(ci * A[i][j] for i, ci in enumerate(c)) for j in range(n)]
+            b[-1] = sum(ci * b[i] for i, ci in enumerate(c)) + (singular == 2)
+        scale = [math.lcm(*(Fraction(v).denominator for v in row)) for row in A]
+        det = intlat.determinant([[int(v * s) for v in row]
+                                  for row, s in zip(A, scale)])
+        sol = intlat.solve_rational(A, b)
+        if det:
+            assert all(isinstance(x, Fraction) for x in sol)
+            assert [sum(a * x for a, x in zip(row, sol)) for row in A] == b
+        else:
+            assert sol is None
+        outcomes.add((singular, det != 0))
+    assert {(0, True), (1, False), (2, False)} <= outcomes
 
 
 def test_row_space_equal():

@@ -22,6 +22,13 @@ CP2 = pt.projective_space(2)
 # dense oracles: the matrix built entry by entry, and its eigenvalues from
 # the dense Hermitian test and LAPACK
 
+def step_targets(orb, k):
+    """The index of points[i] + hbar*k for each i (None when the arrow is
+    invalid), by hashing every step: independent of `Orbit.targets`."""
+    index = {s: i for i, s in enumerate(orb.steps)}
+    return [index.get(tuple(a + b for a, b in zip(s, k))) for s in orb.steps]
+
+
 def dense_represent(P, rep, f):
     orb = rep.orbit
     D = rep.dim
@@ -29,7 +36,7 @@ def dense_represent(P, rep, f):
     M = np.zeros((D, D), dtype=complex)
     ys = np.array([[float(c) for c in p] for p in orb.points])
     for k, coeff in f.modes:
-        targets = [orb.target_index(i, k) for i in range(D)]
+        targets = step_targets(orb, k)
         rows = [i for i, t in enumerate(targets) if t is not None]
         if not rows:
             continue
@@ -106,9 +113,15 @@ def test_dense_equals_dense_oracle_bit_for_bit(P):
 
 
 def test_represent_names_the_singular_point():
-    rep = mr.orbit_rep(SPHERE, F(1, 4), (F(1, 8),))
-    with pytest.raises(EvalDomainError, match="orbit point"):
-        mr.represent(SPHERE, rep, al.element(1, {0: "1/(y1 - 3/8)"}))
+    # y1^200 overflows past y1 ~ 34.6: arrays read inf there, and the
+    # point-by-point re-scan must report it, not raise OverflowError
+    interval_1000 = pt.polytope_from_dict({"n": 1, "facets": [
+        {"normal": [1], "offset": "0"}, {"normal": [-1], "offset": "-1000"}]})
+    for P, hbar, y0, coeff in [(SPHERE, F(1, 4), (F(1, 8),), "1/(y1 - 3/8)"),
+                               (interval_1000, F(100), (F(50),), "y1^200")]:
+        rep = mr.orbit_rep(P, hbar, y0)
+        with pytest.raises(EvalDomainError, match="orbit point"):
+            mr.represent(P, rep, al.element(1, {0: coeff}))
 
 
 ATOL_ENTRY = F(1e-12)                            # atol at scale 1
@@ -231,11 +244,11 @@ def test_represent_is_star_homomorphism_on_cp2_orbit():
         direct = np.zeros((rep.dim, rep.dim), dtype=complex)
         ks = {tuple(a + b for a, b in zip(l, m))
               for l, _ in f.modes for m, _ in g.modes}
-        for i, u in enumerate(rep.orbit.points):
-            for k in ks:
-                j = rep.orbit.target_index(i, k)
+        for k in ks:
+            for i, j in enumerate(step_targets(rep.orbit, k)):
                 if j is not None:
-                    direct[i, j] += al.convolve(CP2, f, g, hbar, u, k)
+                    direct[i, j] += al.convolve(CP2, f, g, hbar,
+                                                rep.orbit.points[i], k)
         scale = max(np.abs(direct).max(), 1.0)
         np.testing.assert_allclose(Mf @ Mg, direct, rtol=0, atol=1e-12 * scale)
         adj = mr.represent(CP2, rep, al.involution(f)).dense()
