@@ -26,15 +26,16 @@ from fractions import Fraction
 
 from . import expr as ex
 from .errors import DomainError, FormatError, MarginError
-from .groupoid import GroupoidPoint, is_member
-from .polytope import DelzantPolytope, ratpoint
+from .groupoid import GroupoidPoint, is_member, translate
+from .polytope import DelzantPolytope, format_point, json_int, ratpoint
 
 __all__ = [
     "AlgebraElement", "element", "observable_from_dict", "observable_to_dict",
     "load_observable", "extension_value", "groupoid_value", "convolve",
     "commutator", "renormalized_commutator", "involution",
     "bracket_element", "symbolic_bracket", "pointwise_product_at_zero",
-    "BracketLimit", "numeric_bracket_limit", "displacements", "check_margin",
+    "BracketLimit", "EXACT_THRESHOLD", "numeric_bracket_limit", "displacements",
+    "check_margin",
 ]
 
 
@@ -84,17 +85,17 @@ def _coerce_coefficient(value, n) -> ex.ComplexExpr:
     if isinstance(value, ex.ComplexExpr):
         return value
     if isinstance(value, ex.Expr):
-        return ex.ComplexExpr.from_real(value)
+        return ex.ComplexExpr(value)
     if isinstance(value, str):
-        return ex.ComplexExpr.from_real(ex.parse(value, n))
+        return ex.ComplexExpr(ex.parse(value, n))
     if isinstance(value, (int, Fraction)):
-        return ex.ComplexExpr.from_real(ex.const(value))
+        return ex.ComplexExpr(ex.Const(value))
     if isinstance(value, (tuple, list)) and len(value) == 2:
         re_part, im_part = value
         re_part = re_part if isinstance(re_part, ex.Expr) else (
-            ex.parse(re_part, n) if isinstance(re_part, str) else ex.const(re_part))
+            ex.parse(re_part, n) if isinstance(re_part, str) else ex.Const(re_part))
         im_part = im_part if isinstance(im_part, ex.Expr) else (
-            ex.parse(im_part, n) if isinstance(im_part, str) else ex.const(im_part))
+            ex.parse(im_part, n) if isinstance(im_part, str) else ex.Const(im_part))
         return ex.ComplexExpr(re_part, im_part)
     raise FormatError(f"cannot interpret coefficient {value!r}")
 
@@ -124,7 +125,7 @@ def observable_from_dict(doc, n: int) -> AlgebraElement:
     try:
         modes = {}
         for item in doc["modes"]:
-            k = tuple(int(c) for c in item["k"])
+            k = tuple(json_int(c) for c in item["k"])
             modes[k] = (item.get("re", "0"), item.get("im", "0"))
         return element(n, modes)
     except FormatError:
@@ -165,10 +166,6 @@ def groupoid_value(P: DelzantPolytope, f: AlgebraElement, hbar, y, k) -> complex
     return extension_value(f, g.hbar, g.y, g.k)
 
 
-def _shift(y, hbar, l):
-    return tuple(c + hbar * li for c, li in zip(y, l))
-
-
 def convolve(P: DelzantPolytope, f: AlgebraElement, g: AlgebraElement,
              hbar, y, k) -> complex:
     """(f.g)(hbar, y, k): mode sum over l+m=k with the second factor shifted.
@@ -190,7 +187,7 @@ def convolve(P: DelzantPolytope, f: AlgebraElement, g: AlgebraElement,
             continue
         if not is_member(P, GroupoidPoint(hbar, y, l)):
             continue
-        mid = _shift(y, hbar, l)
+        mid = translate(y, hbar, l)
         if not is_member(P, GroupoidPoint(hbar, mid, m)):
             continue
         total += cf.evaluate(hbar, y) * cg.evaluate(hbar, mid)
@@ -305,17 +302,13 @@ def check_margin(P: DelzantPolytope, f, g, y, hbar_max) -> None:
     y = ratpoint(y)
     hbar_max = Fraction(hbar_max)
     if not P.is_interior(y):
-        raise MarginError(f"sample point {_fmt_point(y)} is not interior")
+        raise MarginError(f"sample point {format_point(y)} is not interior")
     for d in displacements(f, g):
-        p = _shift(y, hbar_max, d)
+        p = translate(y, hbar_max, d)
         if not P.is_interior(p):
             raise MarginError(
-                f"intermediate point {_fmt_point(p)} (displacement {d} at "
+                f"intermediate point {format_point(p)} (displacement {d} at "
                 f"hbar = {hbar_max}) leaves the interior")
-
-
-def _fmt_point(y):
-    return "(" + ", ".join(str(c) for c in y) + ")"
 
 
 @dataclass
@@ -353,9 +346,12 @@ def hbar_sweep(hbar_list) -> list[Fraction]:
     return hs
 
 
+# successive differences below this make the limit "exact"
+EXACT_THRESHOLD = 1e-12
+
+
 def numeric_bracket_limit(P: DelzantPolytope, f: AlgebraElement,
-                          g: AlgebraElement, y, k, hbar_list,
-                          exact_threshold: float = 1e-12) -> BracketLimit:
+                          g: AlgebraElement, y, k, hbar_list) -> BracketLimit:
     """Sweep the renormalized commutator over decreasing hbar and
     extrapolate to zero.
 
@@ -378,7 +374,7 @@ def numeric_bracket_limit(P: DelzantPolytope, f: AlgebraElement,
         if 1 <= i <= len(diffs) - 1:
             num, den = diffs[i - 1], diffs[i]
             ratio_h = float(hs[i - 1] / hs[i])
-            if den > exact_threshold and num > exact_threshold:
+            if den > EXACT_THRESHOLD and num > EXACT_THRESHOLD:
                 order = math.log(num / den) / math.log(ratio_h)
         if i >= 1:
             extrapolated = _two_level(float(hs[i - 1]), values[i - 1],
@@ -391,7 +387,7 @@ def numeric_bracket_limit(P: DelzantPolytope, f: AlgebraElement,
             "order": order,
         })
 
-    if all(d <= exact_threshold for d in diffs):
+    if all(d <= EXACT_THRESHOLD for d in diffs):
         return BracketLimit(values[-1], "exact", table)
     orders = [row["order"] for row in table if row["order"] is not None]
     order = sorted(orders)[len(orders) // 2] if orders else float("nan")

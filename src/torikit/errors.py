@@ -39,9 +39,13 @@ class ParseError(ToriKitError):
 
 
 class EvalDomainError(ToriKitError):
-    """Numeric evaluation hit a singular point (sqrt of a negative, 1/0)."""
+    """Numeric evaluation hit a singular point (sqrt of a negative, 1/0).
+
+    `reason` is the message without the subexpression the text appends.
+    """
 
     def __init__(self, message, subexpression=None):
+        self.reason = message
         self.subexpression = subexpression
         if subexpression is not None:
             message = f"{message} in subexpression '{subexpression}'"

@@ -17,12 +17,15 @@ Grammar (EBNF):
 
 A quotient of two integer literals is folded to a rational constant, and a
 negated constant to its negative, so printing round-trips to the same tree.
-Complex values never appear here; the algebra layer pairs two real
-expressions per mode coefficient.
+Nodes are frozen dataclasses with structural equality: immutable, equal when
+of the same class with equal fields, and hashed by their fields.  Complex
+values never appear here; the algebra layer pairs two real expressions per
+mode coefficient.
 """
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -32,22 +35,19 @@ from .errors import EvalDomainError, ParseError
 __all__ = [
     "Expr", "Const", "H", "Y", "Add", "Sub", "Mul", "Div", "Neg", "Pow", "Fun",
     "parse", "to_text", "d_dh", "d_dy", "evaluate",
-    "shift_y", "subs_h", "const", "ComplexExpr",
+    "shift_y", "subs_h", "ComplexExpr",
 ]
 
 _FUNCTIONS = ("sin", "cos", "exp", "sqrt")
 
 
+_node = dataclass(frozen=True, slots=True, repr=False)
+
+
 class Expr:
-    """Immutable expression node; compare and hash structurally."""
+    """Expression node; `_node` (repr=False) keeps the to_text forms below."""
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash((type(self).__name__, self._key()))
 
     def __str__(self):
         return to_text(self)
@@ -56,117 +56,75 @@ class Expr:
         return f"{type(self).__name__}({to_text(self)!r})"
 
 
+@_node
 class Const(Expr):
-    __slots__ = ("value",)
+    value: Fraction
 
-    def __init__(self, value):
-        object.__setattr__(self, "value", Fraction(value))
-
-    def __setattr__(self, *a):
-        raise AttributeError("expression nodes are immutable")
-
-    def _key(self):
-        return (self.value,)
+    def __post_init__(self):
+        object.__setattr__(self, "value", Fraction(self.value))
 
 
+@_node
 class H(Expr):
-    __slots__ = ()
-
-    def _key(self):
-        return ()
+    pass
 
 
+@_node
 class Y(Expr):
-    __slots__ = ("index",)
+    index: int
 
-    def __init__(self, index):
-        if index < 1:
-            raise ParseError(f"coordinate index must be >= 1, got {index}")
-        object.__setattr__(self, "index", int(index))
-
-    def __setattr__(self, *a):
-        raise AttributeError("expression nodes are immutable")
-
-    def _key(self):
-        return (self.index,)
+    def __post_init__(self):
+        if self.index < 1:
+            raise ParseError(f"coordinate index must be >= 1, got {self.index}")
+        object.__setattr__(self, "index", int(self.index))
 
 
-class _Binary(Expr):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __setattr__(self, *a):
-        raise AttributeError("expression nodes are immutable")
-
-    def _key(self):
-        return (self.a, self.b)
+@_node
+class Add(Expr):
+    a: Expr
+    b: Expr
 
 
-class Add(_Binary):
-    __slots__ = ()
+@_node
+class Sub(Expr):
+    a: Expr
+    b: Expr
 
 
-class Sub(_Binary):
-    __slots__ = ()
+@_node
+class Mul(Expr):
+    a: Expr
+    b: Expr
 
 
-class Mul(_Binary):
-    __slots__ = ()
+@_node
+class Div(Expr):
+    a: Expr
+    b: Expr
 
 
-class Div(_Binary):
-    __slots__ = ()
-
-
+@_node
 class Neg(Expr):
-    __slots__ = ("a",)
-
-    def __init__(self, a):
-        object.__setattr__(self, "a", a)
-
-    def __setattr__(self, *a):
-        raise AttributeError("expression nodes are immutable")
-
-    def _key(self):
-        return (self.a,)
+    a: Expr
 
 
+@_node
 class Pow(Expr):
-    __slots__ = ("a", "exponent")
+    a: Expr
+    exponent: int
 
-    def __init__(self, a, exponent):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "exponent", int(exponent))
-
-    def __setattr__(self, *a):
-        raise AttributeError("expression nodes are immutable")
-
-    def _key(self):
-        return (self.a, self.exponent)
+    def __post_init__(self):
+        object.__setattr__(self, "exponent", int(self.exponent))
 
 
+@_node
 class Fun(Expr):
-    __slots__ = ("name", "a")
+    name: str
+    a: Expr
 
-    def __init__(self, name, a):
-        if name not in _FUNCTIONS:
-            raise ParseError(f"unknown function '{name}'")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "a", a)
-
-    def __setattr__(self, *a):
-        raise AttributeError("expression nodes are immutable")
-
-    def _key(self):
-        return (self.name, self.a)
-
-
-def const(value) -> Const:
-    """Exact rational constant node."""
-    return Const(Fraction(value))
+    def __post_init__(self):
+        if self.name not in _FUNCTIONS:
+            raise ParseError(f"unknown function '{self.name}'")
 
 
 _ZERO = Const(0)
@@ -526,7 +484,7 @@ def shift_y(e: Expr, k) -> Expr:
 
 def subs_h(e: Expr, value) -> Expr:
     """Substitute an exact rational value for h."""
-    return _substitute(e, Const(Fraction(value)), {})
+    return _substitute(e, Const(value), {})
 
 
 # ---------------------------------------------------------------------------
@@ -602,29 +560,16 @@ def evaluate(e: Expr, h, y):
 # ---------------------------------------------------------------------------
 # complex coefficients: a pair of real expressions
 
+@dataclass(frozen=True, slots=True)
 class ComplexExpr:
     """Complex-valued coefficient as a (re, im) pair of real expressions."""
 
-    __slots__ = ("re", "im")
-
-    def __init__(self, re_part, im_part=None):
-        self.re = re_part
-        self.im = im_part if im_part is not None else _ZERO
-
-    @classmethod
-    def from_real(cls, e):
-        return cls(e, _ZERO)
+    re: Expr
+    im: Expr = _ZERO
 
     @classmethod
     def zero(cls):
         return cls(_ZERO, _ZERO)
-
-    def __eq__(self, other):
-        return (isinstance(other, ComplexExpr)
-                and self.re == other.re and self.im == other.im)
-
-    def __hash__(self):
-        return hash((self.re, self.im))
 
     def __repr__(self):
         return f"ComplexExpr({to_text(self.re)!r}, {to_text(self.im)!r})"
@@ -642,8 +587,8 @@ class ComplexExpr:
 
     def scaled(self, a, b=0):
         """Multiply by the exact complex scalar a + b*i (rationals)."""
-        a = Const(Fraction(a))
-        b = Const(Fraction(b))
+        a = Const(a)
+        b = Const(b)
         re = _sub(_mul(a, self.re), _mul(b, self.im))
         im = _add(_mul(a, self.im), _mul(b, self.re))
         return ComplexExpr(re, im)
@@ -656,9 +601,6 @@ class ComplexExpr:
 
     def subs_h(self, value):
         return ComplexExpr(subs_h(self.re, value), subs_h(self.im, value))
-
-    def d_dh(self):
-        return ComplexExpr(d_dh(self.re), d_dh(self.im))
 
     def d_dy(self, i):
         return ComplexExpr(d_dy(self.re, i), d_dy(self.im, i))

@@ -31,7 +31,7 @@ from .polytope import (DelzantPolytope, bounding_box, in_delta_k,
                        isotropy_lattice, mode_pairings, ratpoint, scaled_slacks)
 
 __all__ = [
-    "GroupoidPoint", "Orbit", "arrow",
+    "GroupoidPoint", "Orbit", "arrow", "translate",
     "is_member", "is_member_isotropy",
     "source", "range_", "compose", "invert", "orbit",
 ]
@@ -51,7 +51,8 @@ def arrow(hbar, y, k) -> GroupoidPoint:
     return GroupoidPoint(Fraction(hbar), ratpoint(y), tuple(int(c) for c in k))
 
 
-def _translate(y, hbar, k):
+def translate(y, hbar, k):
+    """The head y + hbar*k of the arrow (hbar, y, k), exactly."""
     return tuple(c + hbar * ki for c, ki in zip(y, k))
 
 
@@ -74,7 +75,7 @@ def is_member_isotropy(P: DelzantPolytope, g: GroupoidPoint) -> bool:
     """Isotropy-based membership: both endpoints admit k and carry the same
     isotropy algebra.  Points outside the polytope give False, not an error.
     """
-    end = _translate(g.y, g.hbar, g.k)
+    end = translate(g.y, g.hbar, g.k)
     if not (P.contains(g.y) and P.contains(end)):
         return False
     if not (in_delta_k(P, g.y, g.k) and in_delta_k(P, end, g.k)):
@@ -97,7 +98,7 @@ def source(P: DelzantPolytope, g: GroupoidPoint):
 def range_(P: DelzantPolytope, g: GroupoidPoint):
     """Unit point (hbar, y + hbar*k) at the arrow's head."""
     _require_member(P, g)
-    return (g.hbar, _translate(g.y, g.hbar, g.k))
+    return (g.hbar, translate(g.y, g.hbar, g.k))
 
 
 def compose(P: DelzantPolytope, g1: GroupoidPoint, g2: GroupoidPoint) -> GroupoidPoint:
@@ -106,7 +107,7 @@ def compose(P: DelzantPolytope, g1: GroupoidPoint, g2: GroupoidPoint) -> Groupoi
     _require_member(P, g2)
     if g1.hbar != g2.hbar:
         raise ComposabilityError("arrows live over different hbar")
-    if _translate(g2.y, g2.hbar, g2.k) != g1.y:
+    if translate(g2.y, g2.hbar, g2.k) != g1.y:
         raise ComposabilityError(
             f"range of {g2} does not match source of {g1}")
     out = GroupoidPoint(g1.hbar, g2.y,
@@ -118,7 +119,7 @@ def compose(P: DelzantPolytope, g1: GroupoidPoint, g2: GroupoidPoint) -> Groupoi
 def invert(P: DelzantPolytope, g: GroupoidPoint) -> GroupoidPoint:
     """Inverse arrow (hbar, y + hbar*k, -k)."""
     _require_member(P, g)
-    return GroupoidPoint(g.hbar, _translate(g.y, g.hbar, g.k),
+    return GroupoidPoint(g.hbar, translate(g.y, g.hbar, g.k),
                          tuple(-c for c in g.k))
 
 

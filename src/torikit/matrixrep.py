@@ -26,9 +26,9 @@ import numpy as np
 
 from . import algebra as al
 from . import expr as ex
-from .errors import DomainError, EvalDomainError, MarginError
+from .errors import DomainError, EvalDomainError
 from .groupoid import Orbit, orbit
-from .polytope import DelzantPolytope, ratpoint
+from .polytope import DelzantPolytope, format_point, ratpoint
 
 __all__ = [
     "OrbitRep", "orbit_rep", "OrbitOperator", "DENSE_CAP_BYTES", "represent",
@@ -54,8 +54,8 @@ class OrbitRep:
         return len(self.orbit)
 
 
-def orbit_rep(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> OrbitRep:
-    return OrbitRep(orbit(P, hbar, y0, cap=cap))
+def orbit_rep(P: DelzantPolytope, hbar, y0) -> OrbitRep:
+    return OrbitRep(orbit(P, hbar, y0))
 
 
 @dataclass(frozen=True)
@@ -159,17 +159,17 @@ def represent(P: DelzantPolytope, rep: OrbitRep, f: al.AlgebraElement) -> OrbitO
 def _locate_bad_point(f, k, orb, rows):
     coeff = f.coefficient(k)
     for i in rows:
-        y = [float(c) for c in orb.points[i]]
+        p = orb.points[i]
         try:
-            v = coeff.evaluate(float(orb.hbar), y)
+            v = coeff.evaluate(float(orb.hbar), [float(c) for c in p])
         except EvalDomainError as exc:
             raise EvalDomainError(
-                f"coefficient of mode {k} singular at orbit point "
-                f"{orb.points[i]}", exc.subexpression) from exc
+                f"coefficient of mode {k} at orbit point {format_point(p)}: "
+                f"{exc.reason}", exc.subexpression) from exc
         if not np.isfinite(v.real) or not np.isfinite(v.imag):
             raise EvalDomainError(
                 f"coefficient of mode {k} not finite at orbit point "
-                f"{orb.points[i]}")
+                f"{format_point(p)}")
     raise EvalDomainError(f"coefficient of mode {k} singular on the orbit")
 
 
@@ -257,28 +257,19 @@ def _is_unit_interval(P: DelzantPolytope) -> bool:
             == {((1,), Fraction(0)), ((-1,), Fraction(-1))})
 
 
-def casimir_defect(P: DelzantPolytope, hbar, y0=None,
-                   margin: Fraction = Fraction(0)) -> float:
+def casimir_defect(P: DelzantPolytope, hbar) -> float:
     """Operator-norm distance of the represented quadratic invariant
-    x3.x3 + (x+.x- + x-.x+)/2 from (1/4) I on the orbit through y0.
+    x3.x3 + (x+.x- + x-.x+)/2 from (1/4) I on the orbit through hbar/2.
 
     Classically (y-1/2)^2 + y(1-y) = 1/4 identically; the represented value
-    drifts at order hbar.  Defaults to the orbit of hbar/2.  The orbit must
-    keep a positive margin from the facets (the raising coefficient loses
-    smoothness there).
+    drifts at order hbar.  Every point of that orbit is interior, away from
+    the facets where the raising coefficient loses smoothness.
     """
     hbar = Fraction(hbar)
     if not _is_unit_interval(P):
         raise DomainError("the quadratic-invariant check is defined on the "
                           "unit interval")
-    if y0 is None:
-        y0 = (hbar / 2,)
-    y0 = ratpoint(y0)
-    rep = orbit_rep(P, hbar, y0)
-    for p in rep.orbit.points:
-        if P.min_slack(p) <= margin:
-            raise MarginError(
-                f"orbit point {p} within margin {margin} of a facet")
+    rep = orbit_rep(P, hbar, (hbar / 2,))
     x3, xp, xm = (represent(P, rep, e)
                   for e in (sphere_x3(), sphere_xplus(), sphere_xminus()))
     # every product has mode sum {0}, so the represented invariant is

@@ -22,8 +22,8 @@ from .errors import DimensionError, DomainError, FormatError
 
 __all__ = [
     "DelzantPolytope", "Face", "DelzantReport",
-    "ratpoint", "scaled_slacks", "mode_pairings", "in_delta_k", "in_u_k",
-    "isotropy_lattice",
+    "ratpoint", "format_point", "json_int", "scaled_slacks", "mode_pairings",
+    "in_delta_k", "in_u_k", "isotropy_lattice",
     "check_delzant", "require_delzant", "enumerate_faces", "vertices",
     "bounding_box",
     "interval", "projective_space", "orthant", "product", "square",
@@ -34,6 +34,19 @@ __all__ = [
 def ratpoint(coords) -> tuple[Fraction, ...]:
     """Coerce a sequence (ints, Fractions, 'p/q' strings) to an exact point."""
     return tuple(Fraction(c) for c in coords)
+
+
+def format_point(y) -> str:
+    """An exact point as the text (p/q, ...) that error messages print."""
+    return "(" + ", ".join(str(c) for c in y) + ")"
+
+
+def json_int(value) -> int:
+    """An integer field of a JSON document.  FormatError for a float or a
+    bool, which int() would truncate or accept as 0/1."""
+    if isinstance(value, (float, bool)):
+        raise FormatError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -398,17 +411,19 @@ def square() -> DelzantPolytope:
 
 def polytope_from_dict(doc) -> DelzantPolytope:
     try:
-        n = int(doc["n"])
+        n = json_int(doc["n"])
         facets = doc["facets"]
-        compact = bool(doc.get("compact", True))
+        compact = doc.get("compact", True)
+        if not isinstance(compact, bool):
+            raise FormatError(f"compact must be true or false, got {compact!r}")
         normals = []
         offsets = []
         for f in facets:
-            normal = tuple(int(c) for c in f["normal"])
+            normal = tuple(json_int(c) for c in f["normal"])
             offset = f["offset"]
-            if isinstance(offset, float):
-                raise FormatError(
-                    "offsets must be exact ('p/q' strings or ints), got float")
+            if isinstance(offset, (float, bool)):
+                raise FormatError("offsets must be exact ('p/q' strings or "
+                                  f"ints), got {type(offset).__name__}")
             normals.append(normal)
             offsets.append(Fraction(offset))
         return DelzantPolytope(n, tuple(normals), tuple(offsets), compact)

@@ -116,7 +116,7 @@ def random_point_near(P: DelzantPolytope, rng: random.Random, denom: int = 16):
 def _random_polynomial(n, rng, degree=2, *, allow_h=False):
     terms = []
     for _ in range(rng.randint(1, 3)):
-        coeff = ex.const(Fraction(rng.randint(-8, 8), rng.randint(1, 4)))
+        coeff = ex.Const(Fraction(rng.randint(-8, 8), rng.randint(1, 4)))
         term = coeff
         for _ in range(rng.randint(0, degree)):
             var = ex.Y(rng.randint(1, n)) if (not allow_h or rng.random() < 0.8) \
@@ -133,10 +133,10 @@ def _random_smooth(n, rng, *, allow_h=False):
     base = _random_polynomial(n, rng, allow_h=allow_h)
     roll = rng.random()
     if roll < 0.25:
-        arg = ex.Add(ex.Y(rng.randint(1, n)), ex.const(Fraction(rng.randint(-2, 2))))
+        arg = ex.Add(ex.Y(rng.randint(1, n)), ex.Const(Fraction(rng.randint(-2, 2))))
         return ex.Mul(base, ex.Fun(rng.choice(("sin", "cos")), arg))
     if roll < 0.35:
-        arg = ex.Mul(ex.const(Fraction(1, 2)), ex.Y(rng.randint(1, n)))
+        arg = ex.Mul(ex.Const(Fraction(1, 2)), ex.Y(rng.randint(1, n)))
         return ex.Add(base, ex.Fun("exp", arg))
     return base
 
@@ -152,7 +152,7 @@ def random_element(P: DelzantPolytope, rng: random.Random, max_mode: int = 1,
         re = (_random_polynomial(n, rng, allow_h=allow_h) if polynomial_only
               else _random_smooth(n, rng, allow_h=allow_h))
         im = (_random_polynomial(n, rng, degree=1, allow_h=allow_h)
-              if rng.random() < 0.5 else ex.const(0))
+              if rng.random() < 0.5 else ex.Const(0))
         modes[k] = ex.ComplexExpr(re, im)
     return al.element(n, modes)
 
@@ -187,7 +187,7 @@ def battery_associativity(P, rng, cases, tol) -> BatteryResult:
             total = 0j
             for l, _ in a.modes:
                 m = tuple(x - y for x, y in zip(arrow.k, l))
-                mid = tuple(c0 + arrow.hbar * li for c0, li in zip(arrow.y, l))
+                mid = gr.translate(arrow.y, arrow.hbar, l)
                 if not gr.is_member(P, gr.GroupoidPoint(arrow.hbar, arrow.y, l)):
                     continue
                 total += (al.extension_value(a, arrow.hbar, arrow.y, l)
@@ -200,7 +200,7 @@ def battery_associativity(P, rng, cases, tol) -> BatteryResult:
                     for l, _ in f.modes for m, _ in g.modes}
         for lm in fg_modes:
             m = tuple(x - y for x, y in zip(arrow.k, lm))
-            mid = tuple(c0 + arrow.hbar * li for c0, li in zip(arrow.y, lm))
+            mid = gr.translate(arrow.y, arrow.hbar, lm)
             if not gr.is_member(P, gr.GroupoidPoint(arrow.hbar, arrow.y, lm)):
                 continue
             if not gr.is_member(P, gr.GroupoidPoint(arrow.hbar, mid, m)):
@@ -229,8 +229,7 @@ def battery_involution(P, rng, cases, tol) -> BatteryResult:
                      {"law": "f** = f", "arrow": (arrow.hbar, arrow.y, arrow.k)})
 
         lhs_el_value = al.convolve(P, f, g, arrow.hbar,
-                                   tuple(c + arrow.hbar * ki
-                                         for c, ki in zip(arrow.y, arrow.k)),
+                                   gr.translate(arrow.y, arrow.hbar, arrow.k),
                                    tuple(-ki for ki in arrow.k))
         lhs = lhs_el_value.conjugate()
         rhs = al.convolve(P, al.involution(g), al.involution(f),

@@ -204,6 +204,31 @@ def test_polytope_check_nonprimitive_exits_1(tmp_path):
     assert rc == 0
 
 
+UNIT_FACETS = [{"normal": [1], "offset": "0"}, {"normal": [-1], "offset": "-1"}]
+
+
+@pytest.mark.parametrize("polytope, obs", [
+    ({"n": 1, "facets": [{"normal": [1.5], "offset": "0"}, UNIT_FACETS[1]]}, None),
+    ({"n": True, "facets": UNIT_FACETS}, None),
+    ({"n": 1, "facets": UNIT_FACETS, "compact": "false"}, None),
+    (None, {"modes": [{"k": [0.9], "re": "y1"}]}),
+], ids=["float-normal", "bool-n", "string-compact", "float-mode"])
+def test_inexact_integer_or_bool_field_exits_2(tmp_path, capsys, polytope, obs):
+    if obs is None:
+        path = tmp_path / "polytope.json"
+        path.write_text(json.dumps(polytope))
+        argv = ["polytope", "check", str(path)]
+    else:
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps(obs))
+        argv = ["quantize", "spectra", str(DATA / "sphere.json"),
+                "--obs", str(path), "--hbar", "1/4"]
+    rc, text = run(argv, tmp_path)
+    assert rc == 2
+    assert text is None
+    assert "input error" in capsys.readouterr().err
+
+
 def test_polytope_strata_golden(tmp_path):
     rc, text = run(["polytope", "strata", str(DATA / "cp2.json")], tmp_path)
     assert rc == 0

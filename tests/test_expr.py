@@ -94,6 +94,45 @@ def test_structural_equality_and_hash():
     b = ex.parse("y1 + sin(h)", 1)
     assert a == b and hash(a) == hash(b)
     assert a != ex.parse("y1 + cos(h)", 1)
+    firsts, seconds = ([build() for build, _ in NODES] for _ in range(2))
+    for i, (x, y) in enumerate(zip(firsts, seconds)):
+        assert x is not y and x == y and hash(x) == hash(y)
+        assert all(x != z for z in firsts[:i])
+    u, v = ex.Y(1), ex.H()
+    assert ex.Add(u, v) != ex.Sub(u, v)
+    assert ex.Const(1) == ex.Const(Fraction(2, 2))
+    assert ex.Pow(u, 2.0) == ex.Pow(u, 2)
+    assert ex.ComplexExpr(u) == ex.ComplexExpr(u, ex.Const(0))
+
+
+# a factory per node type and for ComplexExpr, with the fields it sets
+NODES = [
+    (lambda: ex.Const(Fraction(3, 2)), ("value",)), (ex.H, ()),
+    (lambda: ex.Y(2), ("index",)),
+    (lambda: ex.Add(ex.Y(1), ex.H()), ("a", "b")),
+    (lambda: ex.Sub(ex.Y(1), ex.H()), ("a", "b")),
+    (lambda: ex.Mul(ex.Y(1), ex.H()), ("a", "b")),
+    (lambda: ex.Div(ex.Y(1), ex.H()), ("a", "b")),
+    (lambda: ex.Neg(ex.Y(1)), ("a",)),
+    (lambda: ex.Pow(ex.Y(1), 3), ("a", "exponent")),
+    (lambda: ex.Fun("sin", ex.Y(1)), ("name", "a")),
+    (lambda: ex.ComplexExpr(ex.Y(1), ex.Const(2)), ("re", "im")),
+]
+
+
+def test_nodes_and_complex_coefficients_are_immutable():
+    for build, fields in NODES:
+        node = build()
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(node, name, ex.Const(0))
+
+
+def test_node_checks_raise_parse_errors():
+    with pytest.raises(ParseError, match="coordinate index must be >= 1, got 0"):
+        ex.Y(0)
+    with pytest.raises(ParseError, match="unknown function 'tan'"):
+        ex.Fun("tan", ex.Y(1))
 
 
 def finite_difference_h(e, h, y, step=1e-5):

@@ -1,6 +1,6 @@
 """Source hygiene: every name a torikit module imports is read there or
-re-exported through its __all__, and every function the benchmark tracer
-patches exists."""
+re-exported through its __all__, every name in an __all__ exists, and every
+function the benchmark tracer patches exists."""
 import ast
 import importlib
 import importlib.util
@@ -44,6 +44,14 @@ def test_unused_imports_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_module_reads_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_all_resolves(path):
+    name = "torikit" if path.stem == "__init__" else f"torikit.{path.stem}"
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
 
 
 def test_tracer_layers_resolve(monkeypatch):

@@ -155,11 +155,25 @@ def test_json_fractional_offsets():
     assert P.offsets == (F(1, 3), F(-2, 3))
 
 
+UNIT_FACETS = [{"normal": [1], "offset": "0"}, {"normal": [-1], "offset": "-1"}]
+
+
 def test_json_rejects_float_offsets_and_garbage():
-    with pytest.raises(FormatError):
-        pt.polytope_from_dict({"n": 1, "facets": [{"normal": [1], "offset": 0.5}]})
-    with pytest.raises(FormatError):
-        pt.polytope_from_dict({"nope": 1})
+    for doc in [
+        {"n": 1, "facets": [{"normal": [1], "offset": 0.5}]},
+        {"nope": 1},
+        # int() would truncate these floats and accept these bools
+        {"n": 1, "facets": [{"normal": [1.5], "offset": "0"}, UNIT_FACETS[1]]},
+        {"n": 1.0, "facets": UNIT_FACETS},
+        {"n": True, "facets": UNIT_FACETS},
+        {"n": 1, "facets": [{"normal": [True], "offset": "0"}, UNIT_FACETS[1]]},
+        {"n": 1, "facets": [{"normal": [1], "offset": False}, UNIT_FACETS[1]]},
+        # bool("false") is True
+        {"n": 1, "facets": UNIT_FACETS, "compact": "false"},
+        {"n": 1, "facets": UNIT_FACETS, "compact": 1},
+    ]:
+        with pytest.raises(FormatError):
+            pt.polytope_from_dict(doc)
     with pytest.raises(FormatError):
         pt.load_polytope("/nonexistent/file.json")
 
