@@ -81,22 +81,24 @@ def _combine(f, g, op):
     return AlgebraElement(f.n, tuple(sorted(out.items())))
 
 
+def _coerce_part(value, n) -> ex.Expr:
+    if isinstance(value, ex.Expr):
+        return value
+    if isinstance(value, str):
+        return ex.parse(value, n)
+    if isinstance(value, (float, bool)):
+        raise FormatError("coefficients must be exact (expression strings or "
+                          f"ints), got {type(value).__name__}")
+    return ex.Const(value)
+
+
 def _coerce_coefficient(value, n) -> ex.ComplexExpr:
     if isinstance(value, ex.ComplexExpr):
         return value
-    if isinstance(value, ex.Expr):
-        return ex.ComplexExpr(value)
-    if isinstance(value, str):
-        return ex.ComplexExpr(ex.parse(value, n))
-    if isinstance(value, (int, Fraction)):
-        return ex.ComplexExpr(ex.Const(value))
     if isinstance(value, (tuple, list)) and len(value) == 2:
-        re_part, im_part = value
-        re_part = re_part if isinstance(re_part, ex.Expr) else (
-            ex.parse(re_part, n) if isinstance(re_part, str) else ex.Const(re_part))
-        im_part = im_part if isinstance(im_part, ex.Expr) else (
-            ex.parse(im_part, n) if isinstance(im_part, str) else ex.Const(im_part))
-        return ex.ComplexExpr(re_part, im_part)
+        return ex.ComplexExpr(*(_coerce_part(part, n) for part in value))
+    if isinstance(value, (ex.Expr, str, int, Fraction)):
+        return ex.ComplexExpr(_coerce_part(value, n))
     raise FormatError(f"cannot interpret coefficient {value!r}")
 
 
@@ -104,8 +106,8 @@ def element(n: int, modes) -> AlgebraElement:
     """Build an element from {k: coefficient}.
 
     Coefficients may be expression strings, Expr trees, (re, im) pairs,
-    numbers, or ComplexExpr.  Mode keys are integer tuples (ints allowed when
-    n = 1).
+    ints or Fractions, or ComplexExpr; a float or bool is FormatError.  Mode
+    keys are integer tuples (ints allowed when n = 1).
     """
     packed = []
     for k, value in modes.items():
@@ -382,7 +384,6 @@ def numeric_bracket_limit(P: DelzantPolytope, f: AlgebraElement,
         table.append({
             "hbar": h,
             "value": r,
-            "diff": diffs[i - 1] if i >= 1 else None,
             "extrapolated": extrapolated,
             "order": order,
         })

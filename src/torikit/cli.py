@@ -31,8 +31,8 @@ from . import groupoid as gr
 from . import matrixrep as mr
 from . import polytope as pt
 from . import suite as su
-from .errors import (DomainError, FormatError, MarginError, OrbitCapError,
-                     ParseError, ToriKitError)
+from .errors import (DimensionError, DomainError, FormatError, MarginError,
+                     OrbitCapError, ParseError, ToriKitError)
 
 CSV_VERSION = "v1"
 
@@ -90,14 +90,6 @@ def _csv_document(name: str, header, rows, preamble=()) -> str:
     for row in rows:
         writer.writerow(row)
     return buf.getvalue()
-
-
-def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +210,17 @@ def cmd_quantize_bracket_limit(args) -> int:
     for row in limit.table:
         rows.append((
             str(row["hbar"]), mode_txt,
-            _fmt(row["value"].real), _fmt(row["value"].imag),
-            _fmt(row["extrapolated"].real), _fmt(row["extrapolated"].imag),
-            _fmt(sym.real), _fmt(sym.imag),
-            _fmt(aa.real), _fmt(aa.imag),
-            _fmt(abs(row["extrapolated"] - sym)),
-            _fmt(abs(row["extrapolated"] - aa)),
-            _fmt(limit.order) if row is limit.table[-1] else "",
+            str(row["value"].real), str(row["value"].imag),
+            str(row["extrapolated"].real), str(row["extrapolated"].imag),
+            str(sym.real), str(sym.imag),
+            str(aa.real), str(aa.imag),
+            str(abs(row["extrapolated"] - sym)),
+            str(abs(row["extrapolated"] - aa)),
+            str(limit.order) if row is limit.table[-1] else "",
         ))
     _emit(args, _csv_document(
         "bracket-limit", header, rows,
-        preamble=[f"point={args.point}", f"tol={_fmt(args.tol)}"]))
+        preamble=[f"point={args.point}", f"tol={args.tol}"]))
     return 0 if max(err_sym, err_aa) <= args.tol else 1
 
 
@@ -248,7 +240,7 @@ def cmd_quantize_spectra(args) -> int:
         eigs = mr.spectrum(mr.represent(P, rep, f))
         for i, val in enumerate(np.atleast_1d(eigs)):
             val = complex(val)
-            rows.append((str(hbar), rep.dim, i, _fmt(val.real), _fmt(val.imag)))
+            rows.append((str(hbar), rep.dim, i, str(val.real), str(val.imag)))
     _emit(args, _csv_document(
         "spectra", ("hbar", "orbit_size", "index", "re", "im"),
         rows, preamble=[f"obs={args.obs}"]))
@@ -259,6 +251,8 @@ def cmd_quantize_spectra(args) -> int:
 # verify
 
 def cmd_verify_suite(args) -> int:
+    if args.cases < 1:
+        raise FormatError(f"--cases must be at least 1, got {args.cases}")
     P = pt.load_polytope(args.polytope)
     pt.require_delzant(P)
     report = su.run_suite(P, seed=args.seed, tol=args.tol, cases=args.cases)
@@ -351,7 +345,7 @@ def main(argv=None) -> int:
     except MarginError as exc:
         print(f"margin error: {exc}", file=sys.stderr)
         return 3
-    except (FormatError, ParseError) as exc:
+    except (FormatError, ParseError, DimensionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, OrbitCapError) as exc:

@@ -66,7 +66,3 @@ class ConstructionError(ToriKitError):
 
 class FormatError(ToriKitError):
     """Malformed JSON document (polytope or observable schema)."""
-
-
-class AliasingError(ToriKitError):
-    """Fourier grid too small for the modes present."""

@@ -157,22 +157,26 @@ class Orbit:
 
     @cached_property
     def _step_keys(self):
-        """The steps' bounding box, each step's mixed-radix key over it, the
-        keys sorted and the permutation that sorts them.  Arrays are int64
-        when a bound computed in Python ints shows that no key and no step
-        shifted within the box's extent overflows, and Python ints (object
-        arrays) otherwise."""
+        """The steps as int64 rows, their bounding box and its extents, each
+        step's row-major key over the box, the keys sorted and the
+        permutation that sorts them.
+
+        int64 always suffices for an orbit built by `orbit`: its steps' box
+        lies inside the candidate box that `orbit` scans in full, so the
+        box's volume is at most the number of candidates scanned and every
+        |step| is at most an axis extent.  A hand-built orbit whose box fails
+        the bound (computed in Python ints) raises DomainError.
+        """
         lo = [min(c) for c in zip(*self.steps)]
         hi = [max(c) for c in zip(*self.steps)]
-        extents = [b - a + 1 for a, b in zip(lo, hi)]
-        strides = [math.prod(extents[i + 1:]) for i in range(len(extents))]
-        fits = math.prod(extents) < 2 ** 62 and max(map(abs, lo + hi)) < 2 ** 61
-        dtype = np.int64 if fits else object
-        steps, lo, hi, strides = (np.array(a, dtype=dtype)
-                                  for a in (self.steps, lo, hi, strides))
-        keys = (steps - lo) @ strides
+        extents = tuple(b - a + 1 for a, b in zip(lo, hi))
+        if math.prod(extents) >= 2 ** 62 or max(map(abs, lo + hi)) >= 2 ** 61:
+            raise DomainError("orbit steps span a box too large for int64 keys")
+        steps = np.array(self.steps, dtype=np.int64)
+        lo, hi = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+        keys = np.ravel_multi_index((steps - lo).T, extents)
         order = np.argsort(keys, kind="stable")
-        return steps, lo, hi, strides, keys[order], order
+        return steps, lo, hi, extents, keys[order], order
 
     def targets(self, k) -> np.ndarray:
         """For every i, the index of points[i] + hbar*k: an int64 array
@@ -180,16 +184,16 @@ class Orbit:
 
         One vectorized lookup of the shifted steps' keys, no facet test.
         """
-        steps, lo, hi, strides, keys, order = self._step_keys
+        steps, lo, hi, extents, keys, order = self._step_keys
         k = [int(c) for c in k]
         if len(k) != len(lo):
             raise DimensionError("point/mode dimension mismatch")
         out = np.full(len(self.steps), -1, dtype=np.int64)
-        if any(abs(c) > e for c, e in zip(k, (hi - lo).tolist())):
+        if any(abs(c) >= e for c, e in zip(k, extents)):
             return out          # every head leaves the steps' box
-        shifted = steps + np.array(k, dtype=steps.dtype)
+        shifted = steps + np.array(k, dtype=np.int64)
         inside = np.flatnonzero(((shifted >= lo) & (shifted <= hi)).all(axis=1))
-        query = (shifted[inside] - lo) @ strides
+        query = np.ravel_multi_index((shifted[inside] - lo).T, extents)
         pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
         hit = keys[pos] == query
         out[inside[hit]] = order[pos[hit]]

@@ -46,10 +46,6 @@ class OrbitRep:
     orbit: Orbit
 
     @property
-    def hbar(self) -> Fraction:
-        return self.orbit.hbar
-
-    @property
     def dim(self) -> int:
         return len(self.orbit)
 

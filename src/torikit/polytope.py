@@ -313,8 +313,11 @@ def enumerate_faces(P: DelzantPolytope) -> list[Face]:
     """All open faces with exact relative-interior sample points.
 
     Requires a polytope that passed check_delzant.  For compact polytopes the
-    candidates are subsets of single-vertex active sets; samples are vertex
-    averages, verified to reproduce the declared active set exactly.
+    faces are the subsets S of single-vertex active sets, in closed form:
+    screening proved every vertex simple with a unimodular basis of active
+    normals, so each such S is a face, the average of the vertices whose
+    active set contains S has active set exactly S, and the face has
+    dimension n - |S|.
     """
     if not P.compact:
         return _faces_noncompact(P)
@@ -330,14 +333,9 @@ def enumerate_faces(P: DelzantPolytope) -> list[Face]:
     faces = []
     for cand in sorted(candidates, key=lambda s: (len(s), sorted(s))):
         members = [v for v in verts if cand <= active_of[v]]
-        if not members:
-            continue
         sample = tuple(
             sum(v[i] for v in members) / len(members) for i in range(P.n))
-        if set(P.active_set(sample)) != cand:
-            continue
-        rank = len(intlat._rref([P.normals[j] for j in sorted(cand)])[1]) if cand else 0
-        faces.append(Face(tuple(sorted(cand)), sample, P.n - rank))
+        faces.append(Face(tuple(sorted(cand)), sample, P.n - len(cand)))
     return faces
 
 

@@ -71,7 +71,6 @@ def _jsonable(obj):
 
 @dataclass
 class SuiteReport:
-    polytope: dict
     seed: int
     tol: float
     batteries: list
@@ -426,5 +425,4 @@ def run_suite(P: DelzantPolytope, seed: int, tol: float = 1e-10,
         battery_delzant(P, rng, cases, tol),
         battery_classical(P, rng, cases, tol),
     ]
-    from .polytope import polytope_to_dict
-    return SuiteReport(polytope_to_dict(P), seed, tol, batteries)
+    return SuiteReport(seed, tol, batteries)

@@ -11,7 +11,7 @@ from torikit import expr as ex
 from torikit import matrixrep as mr
 from torikit import polytope as pt
 from torikit import suite as su
-from torikit.errors import DomainError, MarginError
+from torikit.errors import DomainError, FormatError, MarginError
 
 F = Fraction
 P = pt.interval()
@@ -219,6 +219,21 @@ def test_observable_json_roundtrip(tmp_path):
     path.write_text(json.dumps(doc))
     g = al.load_observable(path, 1)
     assert g == f
+
+
+@pytest.mark.parametrize("item", [
+    {"k": [0], "re": 0.1}, {"k": [0], "im": 0.5}, {"k": [0], "re": True},
+    {"k": [0], "re": "y1", "im": False},
+], ids=["float-re", "float-im", "bool-re", "bool-im"])
+def test_observable_json_refuses_inexact_coefficients(item):
+    with pytest.raises(FormatError, match="exact"):
+        al.observable_from_dict({"modes": [item]}, 1)
+
+
+def test_exact_numeric_coefficients_stay_accepted():
+    doc = {"modes": [{"k": [0], "re": 3, "im": "1/4"}]}
+    assert al.observable_from_dict(doc, 1) == al.element(1, {0: (F(3), F(1, 4))})
+    assert al.element(1, {0: F(1, 3)}) == al.element(1, {0: "1/3"})
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from torikit import matrixrep as mr
 
 DATA = Path(torikit.__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
+SHIPPED = ["sphere", "square", "cp2", "orthant2"]
 
 
 def run(argv, tmp_path, name="out.csv"):
@@ -212,7 +213,8 @@ UNIT_FACETS = [{"normal": [1], "offset": "0"}, {"normal": [-1], "offset": "-1"}]
     ({"n": True, "facets": UNIT_FACETS}, None),
     ({"n": 1, "facets": UNIT_FACETS, "compact": "false"}, None),
     (None, {"modes": [{"k": [0.9], "re": "y1"}]}),
-], ids=["float-normal", "bool-n", "string-compact", "float-mode"])
+    (None, {"modes": [{"k": [0], "re": 0.1}]}),
+], ids=["float-normal", "bool-n", "string-compact", "float-mode", "float-coefficient"])
 def test_inexact_integer_or_bool_field_exits_2(tmp_path, capsys, polytope, obs):
     if obs is None:
         path = tmp_path / "polytope.json"
@@ -230,9 +232,55 @@ def test_inexact_integer_or_bool_field_exits_2(tmp_path, capsys, polytope, obs):
 
 
 def test_polytope_strata_golden(tmp_path):
-    rc, text = run(["polytope", "strata", str(DATA / "cp2.json")], tmp_path)
+    for name in SHIPPED:
+        rc, text = run(["polytope", "strata", str(DATA / f"{name}.json")], tmp_path)
+        assert rc == 0
+        assert text == (GOLDEN / f"strata_{name}.csv").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["polytope", "make", "cpn", "--n", "0"],
+    ["polytope", "make", "orthant", "--n", "-1"],
+    ["verify", "suite", str(DATA / "sphere.json"), "--cases", "-3"],
+    ["verify", "suite", str(DATA / "sphere.json"), "--cases", "0"],
+], ids=["cpn-0", "orthant-minus-1", "cases-minus-3", "cases-0"])
+def test_bad_count_exits_2(tmp_path, capsys, argv):
+    rc, text = run(argv, tmp_path)
+    assert rc == 2
+    assert text is None
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+def test_polytope_check_golden(tmp_path, name, fmt, suffix):
+    rc, text = run(["polytope", "check", str(DATA / f"{name}.json"), "--format", fmt],
+                   tmp_path)
     assert rc == 0
-    assert text == (GOLDEN / "strata_cp2.csv").read_text()
+    assert text == (GOLDEN / f"check_{name}.{suffix}").read_text()
+
+
+def test_polytope_make_product_golden(tmp_path):
+    rc, text = run(["polytope", "make", "product", "--of", str(DATA / "sphere.json"),
+                    str(DATA / "cp2.json")], tmp_path, "product.json")
+    assert rc == 0
+    assert text == (GOLDEN / "make_product_sphere_cp2.json").read_text()
+
+
+def test_evaluation_overflow_exits_1(tmp_path, capsys):
+    # a library error that is neither bad input nor a margin violation
+    interval = tmp_path / "interval_1000.json"
+    interval.write_text(json.dumps({"n": 1, "facets": [
+        {"normal": [1], "offset": "0"}, {"normal": [-1], "offset": "-1000"}]}))
+    obs = tmp_path / "power.json"
+    obs.write_text(json.dumps({"modes": [{"k": [0], "re": "y1^200"}]}))
+    rc, text = run(["quantize", "spectra", str(interval), "--obs", str(obs),
+                    "--hbar", "100", "--point", "50"], tmp_path)
+    assert rc == 1
+    assert text is None
+    assert capsys.readouterr().err == (
+        "error: coefficient of mode (0,) at orbit point (50): evaluation "
+        "overflows in subexpression 'y1^200'\n")
 
 
 def test_polytope_make_matches_shipped_data(tmp_path):

@@ -323,13 +323,19 @@ def test_targets_match_target_index_randomized():
             check_targets(orb, k)
 
 
-def test_targets_keys_fall_back_to_python_ints():
-    # a step box of volume about 2^80: keys and shifts must not wrap in int64
+def test_targets_keys_refuse_a_box_past_int64():
+    # a step box of volume about 2^80 (no orbit from `orbit` gets near it):
+    # keys would wrap in int64, so the lookup refuses the orbit
     P = pt.square()
     steps = ((0, 0), (2 ** 40, 1), (1, 2 ** 40), (2 ** 40, 2 ** 40))
     orb = gr.Orbit(P, F(1), tuple((F(a), F(b)) for a, b in steps), steps)
-    assert orb._step_keys[0].dtype == object
-    for k in [(2 ** 40, 1), (2 ** 40 - 1, 2 ** 40), (-(2 ** 40), -1), (0, 0), (1, 1)]:
+    for k in [(0, 0), (1, 1)]:
+        with pytest.raises(DomainError, match="int64"):
+            orb.targets(k)
+    # a box of volume about 2^60 still keys in int64 without wrapping
+    steps = ((0, 0), (2 ** 30, 1), (1, 2 ** 30), (2 ** 30, 2 ** 30))
+    orb = gr.Orbit(P, F(1), tuple((F(a), F(b)) for a, b in steps), steps)
+    for k in [(2 ** 30, 1), (2 ** 30 - 1, 2 ** 30), (-(2 ** 30), -1), (0, 0), (1, 1)]:
         check_targets(orb, k)
 
 

@@ -1,6 +1,7 @@
 """Source hygiene: every name a torikit module imports is read there or
-re-exported through its __all__, every name in an __all__ exists, and every
-function the benchmark tracer patches exists."""
+re-exported through its __all__, no module reads another module's private
+(underscore) name, every name in an __all__ exists, and every function the
+benchmark tracer patches exists."""
 import ast
 import importlib
 import importlib.util
@@ -44,6 +45,38 @@ def test_unused_imports_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_module_reads_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_reads(source: str) -> list[str]:
+    """Underscore names a module takes from a sibling module: `m._x` through
+    `from . import m [as alias]`, and `from .m import _x`."""
+    tree = ast.parse(source)
+    siblings, found = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for a in node.names:
+                if node.module is None:
+                    siblings[a.asname or a.name] = a.name
+                elif a.name.startswith("_"):
+                    found.append(f"{node.module}.{a.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and node.attr.startswith("_")
+                and not node.attr.endswith("__")):
+            found.append(f"{siblings[node.value.id]}.{node.attr}")
+    return sorted(found)
+
+
+def test_private_reads_detector():
+    source = ("from . import intlat, algebra as al\nfrom .expr import _ZERO, Y\n"
+              "import numpy as np\n"
+              "x = intlat._rref(al.convolve, al.__all__, np._core, Y, _ZERO)\n")
+    assert private_reads(source) == ["expr._ZERO", "intlat._rref"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_reads_no_private_sibling_name(path):
+    assert private_reads(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
