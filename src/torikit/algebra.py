@@ -16,6 +16,22 @@ Mode conventions (pinned once, shared by every module):
 
 With these, the canonical pair y*e_1, y*e_(-1) on the unit interval has
 renormalized commutator identically -2iy at mode 0, for every hbar.
+
+On an orbit at fixed hbar every arrow is a lattice step, so `convolve_orbit`
+computes (f.g)(hbar, u, k) at all orbit points u in one array pass: the
+membership of both factor arrows comes from the orbit's exact integer
+slacks s0 + h*(steps @ normals) (the closed form of `groupoid.is_member`,
+not the orbit's own index), each coefficient is evaluated once per mode on
+the rows where both arrows exist, and the terms are summed over the modes
+of f in order.  It returns the same floats, bit for bit, as one `convolve`
+per point wherever `expr.evaluate` gives the same floats on arrays as on
+scalars.  The four operations always do, and numpy runs sin, cos and exp
+through one loop for a scalar and a contiguous column; an integer power
+may not (numpy's array power and Python's float power round differently).
+To keep that contract the complex product and the sum are separate
+float64 operations, re += ar*br - ai*bi and im += ar*bi + ai*br, in the
+order Python's complex arithmetic performs them; numpy's complex multiply
+may fuse them and round differently.
 """
 from __future__ import annotations
 
@@ -23,16 +39,20 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from . import expr as ex
-from .errors import DomainError, FormatError, MarginError
-from .groupoid import GroupoidPoint, is_member, translate
-from .polytope import DelzantPolytope, format_point, json_int, ratpoint
+from .errors import DomainError, EvalDomainError, FormatError, MarginError
+from .groupoid import GroupoidPoint, Orbit, is_member, slack_dtype, translate
+from .polytope import (DelzantPolytope, format_point, json_int, mode_pairings,
+                       ratpoint, scaled_slacks)
 
 __all__ = [
     "AlgebraElement", "element", "observable_from_dict", "observable_to_dict",
-    "load_observable", "extension_value", "groupoid_value", "convolve",
-    "commutator", "renormalized_commutator", "involution",
+    "load_observable", "extension_value", "groupoid_value", "evaluate_rows",
+    "convolve", "convolve_orbit", "commutator", "renormalized_commutator", "involution",
     "bracket_element", "symbolic_bracket", "pointwise_product_at_zero",
     "BracketLimit", "EXACT_THRESHOLD", "numeric_bracket_limit", "displacements",
     "check_margin",
@@ -65,8 +85,19 @@ class AlgebraElement:
             self.n, tuple((k, c.scaled(a, b)) for k, c in self.modes))
 
     def subs_h_zero(self) -> "AlgebraElement":
+        """The zero-fiber restriction, computed once per element."""
+        return self._zero_fiber
+
+    @cached_property
+    def _zero_fiber(self) -> "AlgebraElement":
         return AlgebraElement(
             self.n, tuple((k, c.subs_h(0)) for k, c in self.modes))
+
+    @cached_property
+    def _gradient(self) -> dict:
+        """{mode: {i: d_i coefficient}}, computed once per element."""
+        return {l: {i: c.d_dy(i) for i in range(1, self.n + 1)}
+                for l, c in self.modes}
 
     def max_mode(self) -> int:
         return max((max(abs(c) for c in k) for k, _ in self.modes), default=0)
@@ -196,6 +227,72 @@ def convolve(P: DelzantPolytope, f: AlgebraElement, g: AlgebraElement,
     return total
 
 
+def convolve_orbit(P: DelzantPolytope, f: AlgebraElement, g: AlgebraElement,
+                   orb: Orbit, k) -> np.ndarray:
+    """(f.g)(hbar, u, k) at every point u of the orbit, as a complex array
+    in the orbit's order; equal to `convolve` at each point (module
+    docstring).  A coefficient that is singular or not finite where its
+    arrow exists raises EvalDomainError.
+    """
+    if f.n != g.n:
+        raise DomainError("elements live over different dimensions")
+    k = tuple(int(c) for c in k)
+    terms = []
+    for l, cf in f.modes:
+        m = tuple(a - b for a, b in zip(k, l))
+        cg = g.coefficient(m)
+        if not cg.is_zero_tree():
+            terms.append((l, cf, m, cg))
+    re, im = np.zeros(len(orb)), np.zeros(len(orb))
+    if not terms:
+        return re + 1j * im
+    steps = orb.step_array
+    s0, _, h = scaled_slacks(P, orb.points[0], orb.hbar)
+    reach = [s + max(abs(l[i]) + abs(m[i]) for l, _, m, _ in terms)
+             for i, s in enumerate(np.abs(steps).max(axis=0).tolist())]
+    dtype = slack_dtype(P, s0, h, reach)
+    slack = np.array(s0, dtype=dtype) + h * (
+        steps.astype(dtype) @ np.array(P.normals, dtype=dtype).T)
+    hbar = float(orb.hbar)
+    for l, cf, m, cg in terms:
+        ok_l, mid = _valid_rows(P, slack, h, l, dtype)
+        ok_m, _ = _valid_rows(P, mid, h, m, dtype)
+        rows = np.flatnonzero(ok_l & ok_m)
+        if not len(rows):
+            continue
+        tails = steps[rows]
+        ar, ai = evaluate_rows(cf, hbar, orb.coordinates(tails), l)
+        br, bi = evaluate_rows(cg, hbar, orb.coordinates(tails + l), m)
+        re[rows] += ar * br - ai * bi
+        im[rows] += ar * bi + ai * br
+    return re + 1j * im
+
+
+def _valid_rows(P, slack, h, k, dtype):
+    """Rows whose arrow of mode k is valid, from their integer slacks (the
+    closed form of `groupoid.is_member`), and the slacks of the heads."""
+    p = np.array(mode_pairings(P, k), dtype=dtype)
+    head = slack + h * p
+    ok = np.where(p != 0, (slack > 0) & (head > 0), slack >= 0)
+    return ok.all(axis=1), head
+
+
+def evaluate_rows(coeff: ex.ComplexExpr, hbar: float, ys, k):
+    """The (re, im) float arrays of the mode-k coefficient at the rows of the
+    (rows, n) array ys, each of length rows; EvalDomainError where it is
+    singular or not finite."""
+    # contiguous columns: numpy may take another (SIMD) loop on strided ones
+    cols = [np.ascontiguousarray(ys[:, i]) for i in range(ys.shape[1])]
+    with np.errstate(all="ignore"):
+        re = ex.evaluate(coeff.re, hbar, cols)
+        im = ex.evaluate(coeff.im, hbar, cols)
+    re = np.broadcast_to(re, (len(ys),))
+    im = np.broadcast_to(im, (len(ys),))
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise EvalDomainError(f"coefficient of mode {k} not finite on the orbit")
+    return re, im
+
+
 def commutator(P, f, g, hbar, y, k) -> complex:
     return convolve(P, f, g, hbar, y, k) - convolve(P, g, f, hbar, y, k)
 
@@ -236,7 +333,7 @@ def bracket_element(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
         raise DomainError("elements live over different dimensions")
     n = f.n
     f0, g0 = f.subs_h_zero(), g.subs_h_zero()
-    df, dg = _gradients(f0, g0), _gradients(g0, f0)
+    df, dg = f0._gradient, g0._gradient
     acc: dict[tuple[int, ...], ex.ComplexExpr] = {}
     for l, cf0 in f0.modes:
         for m, cg0 in g0.modes:
@@ -253,13 +350,6 @@ def bracket_element(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
             acc[k] = acc[k] + term if k in acc else term
     out = {k: c.scaled(0, -1) for k, c in acc.items()}   # divide by i
     return AlgebraElement(n, tuple(sorted(out.items())))
-
-
-def _gradients(f: AlgebraElement, g: AlgebraElement):
-    """{mode: {i: d_i coefficient}} of f, along the axes some mode of g moves
-    (the only derivatives of f the bracket reads)."""
-    axes = [i for i in range(1, f.n + 1) if any(m[i - 1] for m, _ in g.modes)]
-    return {l: {i: c.d_dy(i) for i in axes} for l, c in f.modes}
 
 
 def symbolic_bracket(f: AlgebraElement, g: AlgebraElement, y, k) -> complex:

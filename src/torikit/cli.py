@@ -9,10 +9,11 @@ Commands:
     torikit quantize spectra ...       eigenvalues of a quantized observable
     torikit verify suite FILE          seeded law batteries, exit 0/1
 
-Exit codes: 0 success, 1 verification failure, 2 bad input, 3 margin
-violation.  Rationals are serialized as "p/q" end to end; floats appear only
-in measured/error columns.  Identical config and seed give byte-identical
-output.
+Exit codes: 0 success, 1 verification failure, 2 bad input or a computation
+that cannot be carried out (a domain error, the orbit cap, a singular or
+overflowing evaluation), 3 margin violation.  Rationals are serialized as
+"p/q" end to end; floats appear only in measured/error columns.  Identical
+config and seed give byte-identical output.
 """
 from __future__ import annotations
 
@@ -31,8 +32,8 @@ from . import groupoid as gr
 from . import matrixrep as mr
 from . import polytope as pt
 from . import suite as su
-from .errors import (DimensionError, DomainError, FormatError, MarginError,
-                     OrbitCapError, ParseError, ToriKitError)
+from .errors import (DimensionError, DomainError, EvalDomainError, FormatError,
+                     MarginError, OrbitCapError, ParseError, ToriKitError)
 
 CSV_VERSION = "v1"
 
@@ -348,7 +349,7 @@ def main(argv=None) -> int:
     except (FormatError, ParseError, DimensionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, OrbitCapError) as exc:
+    except (DomainError, OrbitCapError, EvalDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ToriKitError as exc:

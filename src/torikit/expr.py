@@ -61,7 +61,8 @@ class Const(Expr):
     value: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
+        if type(self.value) is not Fraction:
+            object.__setattr__(self, "value", Fraction(self.value))
 
 
 @_node
@@ -324,10 +325,15 @@ def to_text(e: Expr) -> str:
 # light smart constructors (keep derivative trees from exploding; no deeper
 # simplification is attempted, equality is tested by evaluation elsewhere)
 
+def _is(e, v) -> bool:
+    """e is the constant v: the one test the constructors make."""
+    return type(e) is Const and e.value == v
+
+
 def _add(a, b):
-    if a == _ZERO:
+    if _is(a, 0):
         return b
-    if b == _ZERO:
+    if _is(b, 0):
         return a
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value + b.value)
@@ -337,30 +343,27 @@ def _add(a, b):
 
 
 def _sub(a, b):
-    if b == _ZERO:
+    if _is(b, 0):
         return a
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value - b.value)
-    if a == _ZERO:
+    if _is(a, 0):
         return _neg(b)
     return Sub(a, b)
 
 
-_MINUS_ONE = Const(-1)
-
-
 def _mul(a, b):
-    if a == _ZERO or b == _ZERO:
+    if _is(a, 0) or _is(b, 0):
         return _ZERO
-    if a == _ONE:
+    if _is(a, 1):
         return b
-    if b == _ONE:
+    if _is(b, 1):
         return a
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value * b.value)
-    if a == _MINUS_ONE:
+    if _is(a, -1):
         return _neg(b)
-    if b == _MINUS_ONE:
+    if _is(b, -1):
         return _neg(a)
     if isinstance(b, Const) and not isinstance(a, Const):
         a, b = b, a
@@ -368,9 +371,9 @@ def _mul(a, b):
 
 
 def _div(a, b):
-    if a == _ZERO and b != _ZERO:
+    if _is(a, 0) and not _is(b, 0):
         return _ZERO
-    if b == _ONE:
+    if _is(b, 1):
         return a
     if isinstance(a, Const) and isinstance(b, Const) and b.value != 0:
         return Const(a.value / b.value)
@@ -588,6 +591,8 @@ class ComplexExpr:
     def scaled(self, a, b=0):
         """Multiply by the exact complex scalar a + b*i (rationals)."""
         a = Const(a)
+        if b == 0:      # the two b products are zero and drop out of the sums
+            return ComplexExpr(_mul(a, self.re), _mul(a, self.im))
         b = Const(b)
         re = _sub(_mul(a, self.re), _mul(b, self.im))
         im = _add(_mul(a, self.im), _mul(b, self.re))
@@ -606,7 +611,7 @@ class ComplexExpr:
         return ComplexExpr(d_dy(self.re, i), d_dy(self.im, i))
 
     def is_zero_tree(self):
-        return self.re == _ZERO and self.im == _ZERO
+        return _is(self.re, 0) and _is(self.im, 0)
 
     def evaluate(self, h, y):
         re = evaluate(self.re, h, y)

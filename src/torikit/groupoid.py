@@ -15,6 +15,13 @@ integer slack test, lists them as y0 first and then ascending k in
 lexicographic order, and raises OrbitCapError once their number exceeds
 the cap.  An `Orbit` keeps each point's step k from y0, so arrow queries on
 it are lattice lookups with no facet test.
+
+`Orbit.coordinates` gives the float coordinates of y0 + hbar*k for an
+array of steps k, each the correctly rounded value `float(Fraction)` gives.
+With d the common denominator of y0 and hbar every coordinate is an integer
+numerator over d; when d and the numerators lie below 2^53 they are exact
+in float64 and one division rounds correctly, and otherwise each coordinate
+comes from `float(Fraction)`.
 """
 from __future__ import annotations
 
@@ -33,7 +40,7 @@ from .polytope import (DelzantPolytope, bounding_box, in_delta_k,
 __all__ = [
     "GroupoidPoint", "Orbit", "arrow", "translate",
     "is_member", "is_member_isotropy",
-    "source", "range_", "compose", "invert", "orbit",
+    "source", "range_", "compose", "invert", "orbit", "slack_dtype",
 ]
 
 
@@ -156,6 +163,24 @@ class Orbit:
         return None if j < 0 else j
 
     @cached_property
+    def step_array(self) -> np.ndarray:
+        """The steps as a (D, n) int64 array."""
+        return np.array(self.steps, dtype=np.int64)
+
+    def coordinates(self, steps) -> np.ndarray:
+        """Float coordinates of points[0] + hbar*steps for a (rows, n) int64
+        step array, each the correctly rounded `float(Fraction)`."""
+        y0 = self.points[0]
+        d = math.lcm(self.hbar.denominator, *(c.denominator for c in y0))
+        num0 = [int(c * d) for c in y0]
+        step = int(self.hbar * d)
+        reach = max(abs(int(steps.min())), abs(int(steps.max()))) if steps.size else 0
+        if d < 2 ** 53 and max(map(abs, num0)) + abs(step) * reach < 2 ** 53:
+            return (np.array(num0, dtype=np.int64) + step * steps) / d
+        return np.array([[float(c + self.hbar * s) for c, s in zip(y0, row)]
+                         for row in steps.tolist()], dtype=float).reshape(steps.shape)
+
+    @cached_property
     def _step_keys(self):
         """The steps as int64 rows, their bounding box and its extents, each
         step's row-major key over the box, the keys sorted and the
@@ -172,7 +197,7 @@ class Orbit:
         extents = tuple(b - a + 1 for a, b in zip(lo, hi))
         if math.prod(extents) >= 2 ** 62 or max(map(abs, lo + hi)) >= 2 ** 61:
             raise DomainError("orbit steps span a box too large for int64 keys")
-        steps = np.array(self.steps, dtype=np.int64)
+        steps = self.step_array
         lo, hi = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
         keys = np.ravel_multi_index((steps - lo).T, extents)
         order = np.argsort(keys, kind="stable")
@@ -198,6 +223,19 @@ class Orbit:
         hit = keys[pos] == query
         out[inside[hit]] = order[pos[hit]]
         return out
+
+
+def slack_dtype(P: DelzantPolytope, s0, h, reach):
+    """np.int64 when every scaled slack s0[j] + h*<k, X_j> with |k_i| <=
+    reach[i] fits in int64, object (Python ints) otherwise.
+
+    The bound is computed in Python ints, so the test cannot overflow; the
+    floor of 1 on each reach makes it cover h and the normals themselves.
+    """
+    reach = [max(r, 1) for r in reach]
+    bound = max(map(abs, s0)) + abs(h) * max(
+        sum(abs(x) * r for x, r in zip(X, reach)) for X in P.normals)
+    return np.int64 if bound < 2 ** 63 else object
 
 
 def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
@@ -232,11 +270,7 @@ def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
     for i in range(P.n):
         a, b = sorted(((lo[i] - y0[i]) / hbar, (hi[i] - y0[i]) / hbar))
         axes.append((math.ceil(a), math.floor(b) + 1))
-    # the floor of 1 makes the bound cover h and the normals themselves
-    k_max = [max(abs(a), abs(b - 1), 1) for a, b in axes]
-    bound = max(s0) + abs(h) * max(
-        sum(abs(x) * m for x, m in zip(X, k_max)) for X in P.normals)
-    dtype = np.int64 if bound < 2 ** 63 else object
+    dtype = slack_dtype(P, s0, h, [max(abs(a), abs(b - 1)) for a, b in axes])
 
     normals = np.array(P.normals, dtype=dtype).T
     s0 = np.array(s0, dtype=dtype)

@@ -25,7 +25,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import algebra as al
-from . import expr as ex
 from .errors import DomainError, EvalDomainError
 from .groupoid import Orbit, orbit
 from .polytope import DelzantPolytope, format_point, ratpoint
@@ -126,7 +125,7 @@ def represent(P: DelzantPolytope, rep: OrbitRep, f: al.AlgebraElement) -> OrbitO
     orb = rep.orbit
     D = rep.dim
     hbar = float(orb.hbar)
-    ys = np.array([[float(c) for c in p] for p in orb.points])  # (D, n)
+    ys = orb.coordinates(orb.step_array)  # (D, n)
     modes = {}
     for k, coeff in f.modes:
         targets = orb.targets(k)
@@ -134,17 +133,9 @@ def represent(P: DelzantPolytope, rep: OrbitRep, f: al.AlgebraElement) -> OrbitO
         if not len(rows):
             continue
         # evaluate only where the arrow exists; masked points may be singular
-        cols = [ys[rows, i] for i in range(f.n)]
         try:
-            with np.errstate(all="ignore"):
-                re = ex.evaluate(coeff.re, hbar, cols)
-                im = ex.evaluate(coeff.im, hbar, cols)
-            re = np.broadcast_to(np.atleast_1d(re), (len(rows),))
-            im = np.broadcast_to(np.atleast_1d(im), (len(rows),))
+            re, im = al.evaluate_rows(coeff, hbar, ys[rows], k)
         except EvalDomainError:
-            re = im = None
-        if re is None or not (np.all(np.isfinite(re))
-                              and np.all(np.isfinite(im))):
             _locate_bad_point(f, k, orb, rows)
         values = np.zeros(D, dtype=complex)
         values[rows] = re + 1j * im

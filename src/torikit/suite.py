@@ -257,9 +257,9 @@ def battery_representation(P, rng, cases, tol) -> BatteryResult:
               for l, _ in f.modes for m, _ in g.modes}
         for k in ks:
             targets = rep.orbit.targets(k)
-            for i in np.flatnonzero(targets >= 0).tolist():
-                direct[i, targets[i]] += al.convolve(
-                    P, f, g, hbar, rep.orbit.points[i], k)
+            rows = np.flatnonzero(targets >= 0)
+            direct[rows, targets[rows]] += al.convolve_orbit(
+                P, f, g, rep.orbit, k)[rows]
         scale = max(np.abs(prod).max(), 1.0)
         result.check(float(np.abs(prod - direct).max()) / scale, tol,
                      {"law": "pi(f.g) = pi(f)pi(g)", "hbar": hbar, "y0": y0})

@@ -267,8 +267,8 @@ def test_polytope_make_product_golden(tmp_path):
     assert text == (GOLDEN / "make_product_sphere_cp2.json").read_text()
 
 
-def test_evaluation_overflow_exits_1(tmp_path, capsys):
-    # a library error that is neither bad input nor a margin violation
+def test_evaluation_overflow_exits_2(tmp_path, capsys):
+    # a failed computation is not a failed verification (exit 1)
     interval = tmp_path / "interval_1000.json"
     interval.write_text(json.dumps({"n": 1, "facets": [
         {"normal": [1], "offset": "0"}, {"normal": [-1], "offset": "-1000"}]}))
@@ -276,7 +276,7 @@ def test_evaluation_overflow_exits_1(tmp_path, capsys):
     obs.write_text(json.dumps({"modes": [{"k": [0], "re": "y1^200"}]}))
     rc, text = run(["quantize", "spectra", str(interval), "--obs", str(obs),
                     "--hbar", "100", "--point", "50"], tmp_path)
-    assert rc == 1
+    assert rc == 2
     assert text is None
     assert capsys.readouterr().err == (
         "error: coefficient of mode (0,) at orbit point (50): evaluation "

@@ -238,3 +238,120 @@ def test_complex_expr_algebra():
     assert abs(got - (3 + 1j) * (2 + 3j)) < 1e-14
     assert abs(a.conjugate().evaluate(0.0, [3.0]) - (3 - 1j)) < 1e-14
     assert abs(a.scaled(0, -1).evaluate(0.0, [3.0]) - (3 + 1j) / 1j) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# oracle: the smart constructors as they were before the one-call constant
+# test, comparing nodes with constant nodes through the dataclass __eq__
+
+_O_ZERO, _O_ONE, _O_MINUS_ONE = ex.Const(0), ex.Const(1), ex.Const(-1)
+
+
+def oracle_add(a, b):
+    if a == _O_ZERO:
+        return b
+    if b == _O_ZERO:
+        return a
+    if isinstance(a, ex.Const) and isinstance(b, ex.Const):
+        return ex.Const(a.value + b.value)
+    if isinstance(b, ex.Neg):
+        return ex.Sub(a, b.a)
+    return ex.Add(a, b)
+
+
+def oracle_sub(a, b):
+    if b == _O_ZERO:
+        return a
+    if isinstance(a, ex.Const) and isinstance(b, ex.Const):
+        return ex.Const(a.value - b.value)
+    if a == _O_ZERO:
+        return ex._neg(b)
+    return ex.Sub(a, b)
+
+
+def oracle_mul(a, b):
+    if a == _O_ZERO or b == _O_ZERO:
+        return _O_ZERO
+    if a == _O_ONE:
+        return b
+    if b == _O_ONE:
+        return a
+    if isinstance(a, ex.Const) and isinstance(b, ex.Const):
+        return ex.Const(a.value * b.value)
+    if a == _O_MINUS_ONE:
+        return ex._neg(b)
+    if b == _O_MINUS_ONE:
+        return ex._neg(a)
+    if isinstance(b, ex.Const) and not isinstance(a, ex.Const):
+        a, b = b, a
+    return ex.Mul(a, b)
+
+
+def oracle_div(a, b):
+    if a == _O_ZERO and b != _O_ZERO:
+        return _O_ZERO
+    if b == _O_ONE:
+        return a
+    if isinstance(a, ex.Const) and isinstance(b, ex.Const) and b.value != 0:
+        return ex.Const(a.value / b.value)
+    return ex.Div(a, b)
+
+
+def oracle_scaled(c, a, b=0):
+    a, b = ex.Const(a), ex.Const(b)
+    re = oracle_sub(oracle_mul(a, c.re), oracle_mul(b, c.im))
+    im = oracle_add(oracle_mul(a, c.im), oracle_mul(b, c.re))
+    return ex.ComplexExpr(re, im)
+
+
+CONSTANT_SOURCES = ["0", "1", "-1", "2", "1/2", "y1", "y2", "h"]
+
+
+def constant_rich_tree(rng, depth=0):
+    """Random tree whose leaves are often 0, 1 or -1, so every constant
+    test of the constructors fires."""
+    if depth > 3 or rng.random() < 0.3:
+        return ex.parse(rng.choice(CONSTANT_SOURCES + RANDOM_SOURCES), 2)
+    op = rng.choice(["+", "-", "*", "/", "neg", "fun", "pow"])
+    a = constant_rich_tree(rng, depth + 1)
+    b = constant_rich_tree(rng, depth + 1)
+    node = {"+": ex.Add, "-": ex.Sub, "*": ex.Mul, "/": ex.Div}.get(op)
+    if node is not None:
+        return node(a, b)
+    if op == "neg":
+        return ex.Neg(a)
+    if op == "pow":
+        return ex.Pow(a, rng.randint(0, 3))
+    return ex.Fun(rng.choice(("sin", "cos", "exp")), a)
+
+
+def test_constructors_build_the_equality_oracles_trees(monkeypatch):
+    rng = random.Random(19)
+    trees = [constant_rich_tree(rng) for _ in range(300)]
+    pairs = [(ex.ComplexExpr(rng.choice(trees), rng.choice(trees)),
+              ex.ComplexExpr(rng.choice(trees), rng.choice(trees)))
+             for _ in range(150)]
+    scalars = [0, 1, -1, 2, Fraction(-1, 2), Fraction(0)]
+
+    def derived():
+        out = []
+        for e in trees:
+            out += [ex.d_dy(e, 1), ex.d_dy(e, 2), ex.subs_h(e, 0),
+                    ex.subs_h(e, Fraction(-1, 3)), ex.shift_y(e, (1, -1)),
+                    ex.shift_y(e, (0, 2))]
+        for a, b in pairs:
+            out.append(a * b)
+            out += [a.scaled(s, t) for s in scalars for t in scalars]
+        return out
+
+    got = derived()
+    with monkeypatch.context() as m:
+        for name, oracle in (("_add", oracle_add), ("_sub", oracle_sub),
+                             ("_mul", oracle_mul), ("_div", oracle_div)):
+            m.setattr(ex, name, oracle)
+        m.setattr(ex.ComplexExpr, "scaled", oracle_scaled)
+        want = derived()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w
+        assert str(g) == str(w)

@@ -1,0 +1,134 @@
+"""The verification batteries and the orbit convolution they run on."""
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import torikit
+from torikit import algebra as al
+from torikit import cli
+from torikit import groupoid as gr
+from torikit import polytope as pt
+from torikit import suite as su
+from torikit.errors import EvalDomainError
+
+F = Fraction
+DATA = Path(torikit.__file__).parent / "data"
+GOLDEN = Path(__file__).parent / "golden"
+POLYTOPES = {"sphere": pt.interval(), "square": pt.square(),
+             "cp2": pt.projective_space(2)}
+# base points on a facet (or at a vertex) of each polytope
+BOUNDARY = {
+    "sphere": [(F(0),), (F(1),)],
+    "square": [(F(0), F(3, 8)), (F(5, 8), F(1)), (F(0), F(0))],
+    "cp2": [(F(0), F(3, 8)), (F(5, 16), F(0)), (F(3, 8), F(5, 8)), (F(0), F(0))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLYTOPES))
+def test_verify_suite_golden_seed3(tmp_path, name):
+    # captured from the per-point convolution before `convolve_orbit`
+    out = tmp_path / "suite.json"
+    rc = cli.main(["verify", "suite", str(DATA / f"{name}.json"), "--seed", "3",
+                   "--cases", "12", "--out", str(out)])
+    assert rc == 0
+    assert out.read_text() == (GOLDEN / f"suite_{name}_seed3_cases12.json").read_text()
+
+
+def per_point(P, f, g, orb, k):
+    """The oracle: one scalar `convolve` per orbit point."""
+    return np.array([al.convolve(P, f, g, orb.hbar, p, k) for p in orb.points],
+                    dtype=complex)
+
+
+def modes_to_check(f, g, n, rng):
+    ks = {tuple(a + b for a, b in zip(l, m)) for l, _ in f.modes for m, _ in g.modes}
+    ks |= {tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(3)}
+    return sorted(ks)
+
+
+def assert_matches_per_point(P, f, g, orb, rng):
+    for k in modes_to_check(f, g, P.n, rng):
+        got = al.convolve_orbit(P, f, g, orb, k)
+        want = per_point(P, f, g, orb, k)
+        assert got.dtype == complex and got.shape == (len(orb),)
+        assert np.array_equal(got.real, want.real), (k, got, want)
+        assert np.array_equal(got.imag, want.imag), (k, got, want)
+
+
+@pytest.mark.parametrize("name", sorted(POLYTOPES))
+def test_convolve_orbit_equals_per_point_convolve(name):
+    P = POLYTOPES[name]
+    rng = random.Random(f"convolve-orbit-{name}")
+    bases = [su.random_interior_point(P, rng) for _ in range(12)] + BOUNDARY[name]
+    for y0 in bases:
+        hbar = F(rng.choice((1, -1, 1, 1)), rng.choice((4, 5, 8)))
+        orb = gr.orbit(P, hbar, y0)
+        f = su.random_element(P, rng, allow_h=True)
+        g = su.random_element(P, rng, allow_h=True)
+        assert_matches_per_point(P, f, g, orb, rng)
+
+
+def test_convolve_orbit_with_coordinates_past_2_53():
+    # y0 has denominator 3 * 2^55, so the numerators over it exceed 2^53 and
+    # the coordinates come from float(Fraction)
+    P = POLYTOPES["square"]
+    y0 = (F(1, 3) + F(1, 2 ** 55), F(1, 2))
+    orb = gr.orbit(P, F(1, 4), y0)
+    assert len(orb) > 1
+    assert orb.coordinates(orb.step_array).tolist() == [
+        [float(c) for c in p] for p in orb.points]
+    rng = random.Random(53)
+    for _ in range(4):
+        f = su.random_element(P, rng, allow_h=True)
+        g = su.random_element(P, rng, allow_h=True)
+        assert_matches_per_point(P, f, g, orb, rng)
+
+
+def test_convolve_orbit_with_python_int_slacks(monkeypatch):
+    # y0 has denominator 3 * 2^70: its scaled slacks pass 2^63
+    P = POLYTOPES["cp2"]
+    y0 = (F(1, 3) + F(1, 2 ** 70), F(1, 4))
+    orb = gr.orbit(P, F(1, 8), y0)
+    assert len(orb) > 1
+    dtypes = []
+
+    def recording(*args):
+        dtypes.append(gr.slack_dtype(*args))
+        return dtypes[-1]
+
+    monkeypatch.setattr(al, "slack_dtype", recording)
+    rng = random.Random(63)
+    for _ in range(4):
+        f = su.random_element(P, rng, allow_h=True)
+        g = su.random_element(P, rng, allow_h=True)
+        assert_matches_per_point(P, f, g, orb, rng)
+    assert dtypes and set(dtypes) == {object}
+
+
+def test_coordinates_are_correctly_rounded_randomized():
+    rng = random.Random(2 ** 53)
+    P = POLYTOPES["square"]
+    for _ in range(200):
+        den = rng.choice((1, 3, 7, 2 ** 20, 3 ** 30, 2 ** 52 - 1, 2 ** 53 + 1, 2 ** 60))
+        y0 = tuple(F(rng.randint(1, den - 1) if den > 1 else 0, den) for _ in range(2))
+        hbar = F(rng.choice((1, -1)) * rng.randint(1, 9), rng.choice((4, 5, 2 ** 40)))
+        orb = gr.Orbit(P, hbar, (y0,), ((0, 0),))
+        big = rng.choice((3, 2 ** 20, 2 ** 40))
+        steps = np.array([[rng.randint(-big, big) for _ in range(2)]
+                          for _ in range(rng.randint(0, 6))], dtype=np.int64).reshape(-1, 2)
+        got = orb.coordinates(steps)
+        assert got.shape == steps.shape
+        assert got.tolist() == [[float(c + hbar * s) for c, s in zip(y0, row)]
+                                for row in steps.tolist()]
+
+
+def test_convolve_orbit_rejects_a_non_finite_coefficient():
+    P = POLYTOPES["sphere"]
+    f = al.element(1, {1: "exp(2000*y1)"})    # overflows from y1 = 0.355
+    g = al.element(1, {0: "1"})
+    orb = gr.orbit(P, F(1, 4), (F(1, 2),))
+    with pytest.raises(EvalDomainError, match=r"mode \(1,\)"):
+        al.convolve_orbit(P, f, g, orb, (1,))
