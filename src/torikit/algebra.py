@@ -17,6 +17,19 @@ Mode conventions (pinned once, shared by every module):
 With these, the canonical pair y*e_1, y*e_(-1) on the unit interval has
 renormalized commutator identically -2iy at mode 0, for every hbar.
 
+The zero-fiber constructions `bracket_element` and `pointwise_product_at_zero`
+are demand-driven.  Given `modes=`, they skip every pair (l, m) with l + m
+outside that set but visit the kept pairs in the same order, so the
+coefficient at each kept mode is the same tree as in the full construction,
+and evaluates to the same floats.  A check that reads one mode asks for that
+mode (and, for a bracket that is a factor of another, the modes k - l the
+outer step reads).  Their results are already at h = 0: the coefficients are
+h-free trees built by the smart constructors, which a restriction to h = 0
+would rebuild unchanged, so such an element is its own zero fiber.  The
+derivatives d_i of each coefficient are taken once per (mode, axis), on
+first use, and kept on the element (`AlgebraElement.derivative`); the
+bracket and the classical oracles read the same memo.
+
 On an orbit at fixed hbar every arrow is a lattice step, so `convolve_orbit`
 computes (f.g)(hbar, u, k) at all orbit points u in one array pass: the
 membership of both factor arrows comes from the orbit's exact integer
@@ -37,7 +50,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -65,6 +78,9 @@ class AlgebraElement:
 
     n: int
     modes: tuple[tuple[tuple[int, ...], ex.ComplexExpr], ...]
+    # every coefficient is an h-free tree built by the smart constructors,
+    # so the element is its own zero fiber; not part of equality
+    at_zero: bool = field(default=False, compare=False, repr=False)
 
     def coefficient(self, k) -> ex.ComplexExpr:
         k = tuple(int(c) for c in k)
@@ -85,19 +101,26 @@ class AlgebraElement:
             self.n, tuple((k, c.scaled(a, b)) for k, c in self.modes))
 
     def subs_h_zero(self) -> "AlgebraElement":
-        """The zero-fiber restriction, computed once per element."""
-        return self._zero_fiber
+        """The zero-fiber restriction, computed once per element (the
+        element itself when it is already at h = 0)."""
+        return self if self.at_zero else self._zero_fiber
 
     @cached_property
     def _zero_fiber(self) -> "AlgebraElement":
         return AlgebraElement(
-            self.n, tuple((k, c.subs_h(0)) for k, c in self.modes))
+            self.n, tuple((k, c.subs_h(0)) for k, c in self.modes), at_zero=True)
+
+    def derivative(self, k: tuple[int, ...], i: int) -> ex.ComplexExpr:
+        """d/dy_i of the mode-k coefficient (k an int tuple), derived on
+        first use and kept on the element for every later caller."""
+        d = self._derivatives.get((k, i))
+        if d is None:
+            d = self._derivatives[k, i] = self.coefficient(k).d_dy(i)
+        return d
 
     @cached_property
-    def _gradient(self) -> dict:
-        """{mode: {i: d_i coefficient}}, computed once per element."""
-        return {l: {i: c.d_dy(i) for i in range(1, self.n + 1)}
-                for l, c in self.modes}
+    def _derivatives(self) -> dict:
+        return {}
 
     def max_mode(self) -> int:
         return max((max(abs(c) for c in k) for k, _ in self.modes), default=0)
@@ -323,42 +346,50 @@ def involution(f: AlgebraElement) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 # the classical bracket from the zero fiber, symbolically
 
-def bracket_element(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
+def bracket_element(f: AlgebraElement, g: AlgebraElement, *,
+                    modes=None) -> AlgebraElement:
     """The limit bracket as an element over the zero fiber.
 
     Mode k coefficient: (1/i) sum_{l+m=k} sum_i [ l_i f_l d_i g_m
-    - m_i g_m d_i f_l ], all coefficients taken at h = 0.
+    - m_i g_m d_i f_l ], all coefficients taken at h = 0.  With `modes` (a
+    set of int tuples) only the modes in it are built; each is the same tree
+    as in the full bracket, so it evaluates to the same floats.
     """
     if f.n != g.n:
         raise DomainError("elements live over different dimensions")
     n = f.n
     f0, g0 = f.subs_h_zero(), g.subs_h_zero()
-    df, dg = f0._gradient, g0._gradient
     acc: dict[tuple[int, ...], ex.ComplexExpr] = {}
     for l, cf0 in f0.modes:
         for m, cg0 in g0.modes:
             k = tuple(a + b for a, b in zip(l, m))
+            if modes is not None and k not in modes:
+                continue
             term = ex.ComplexExpr.zero()
             for i in range(1, n + 1):
                 li, mi = l[i - 1], m[i - 1]
                 if li:
-                    term = term + (cf0 * dg[m][i]).scaled(li)
+                    term = term + (cf0 * g0.derivative(m, i)).scaled(li)
                 if mi:
-                    term = term - (cg0 * df[l][i]).scaled(mi)
+                    term = term - (cg0 * f0.derivative(l, i)).scaled(mi)
             if term.is_zero_tree():
                 continue
             acc[k] = acc[k] + term if k in acc else term
     out = {k: c.scaled(0, -1) for k, c in acc.items()}   # divide by i
-    return AlgebraElement(n, tuple(sorted(out.items())))
+    return AlgebraElement(n, tuple(sorted(out.items())), at_zero=True)
 
 
 def symbolic_bracket(f: AlgebraElement, g: AlgebraElement, y, k) -> complex:
     """Bracket value at (y, k) from symbolic derivatives at h = 0."""
-    return extension_value(bracket_element(f, g), 0, y, k)
+    k = tuple(int(c) for c in k)
+    return extension_value(bracket_element(f, g, modes={k}), 0, y, k)
 
 
-def pointwise_product_at_zero(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
-    """Mode convolution of the zero-fiber restrictions (no base shift)."""
+def pointwise_product_at_zero(f: AlgebraElement, g: AlgebraElement, *,
+                              modes=None) -> AlgebraElement:
+    """Mode convolution of the zero-fiber restrictions (no base shift).
+    With `modes`, only those modes are built, each the same tree as in the
+    full product."""
     if f.n != g.n:
         raise DomainError("elements live over different dimensions")
     f0, g0 = f.subs_h_zero(), g.subs_h_zero()
@@ -366,9 +397,11 @@ def pointwise_product_at_zero(f: AlgebraElement, g: AlgebraElement) -> AlgebraEl
     for l, cf0 in f0.modes:
         for m, cg0 in g0.modes:
             k = tuple(a + b for a, b in zip(l, m))
+            if modes is not None and k not in modes:
+                continue
             term = cf0 * cg0
             acc[k] = acc[k] + term if k in acc else term
-    return AlgebraElement(f.n, tuple(sorted(acc.items())))
+    return AlgebraElement(f.n, tuple(sorted(acc.items())), at_zero=True)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ Each function here takes algebra elements and reads them on the zero fiber
 through `AlgebraElement.subs_h_zero`.  The restriction synthesizes to a
 function F(y, theta) = sum_k c_k(y) e^{i<k, theta>} on (interior of
 polytope) x torus.  Angle derivatives are exact (mode multiplication by
-i*k); radial derivatives use the symbolic expression engine.
+i*k); radial derivatives use the symbolic expression engine, read from
+the restriction's shared derivative memo (`AlgebraElement.derivative`), so
+a coefficient that `algebra.bracket_element` already differentiated is not
+differentiated again.
 `angle_spectrum` is the one uniform-grid FFT over the torus.
 """
 from __future__ import annotations
@@ -86,9 +89,10 @@ def poisson_bracket_aa_at(F: AlgebraElement, G: AlgebraElement, y):
 
     def derivatives(fun):
         out = []
-        for k, c in fun.subs_h_zero().modes:
+        fun0 = fun.subs_h_zero()
+        for k, c in fun0.modes:
             value = c.evaluate(0.0, yf)
-            dy = [c.d_dy(i).evaluate(0.0, yf) for i in range(1, n + 1)]
+            dy = [fun0.derivative(k, i).evaluate(0.0, yf) for i in range(1, n + 1)]
             dth = [1j * k[i] * value for i in range(n)]
             out.append((k, dy, dth))
         return out

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -264,7 +265,10 @@ def cmd_verify_suite(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call of a process and
+    reused: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="torikit",
         description="quantization toolkit for toric phase spaces")
@@ -339,8 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except MarginError as exc:

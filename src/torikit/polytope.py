@@ -117,6 +117,11 @@ class DelzantPolytope:
                 found.add(sol)
         return tuple(sorted(found))
 
+    @cached_property
+    def _screening(self) -> "DelzantReport":
+        # one screening per polytope, shared by every caller of check_delzant
+        return _screen(self)
+
 
 @dataclass(frozen=True)
 class Face:
@@ -127,13 +132,14 @@ class Face:
     dim: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class DelzantReport:
-    """Outcome of the smoothness/boundedness screening of a polytope."""
+    """Outcome of the smoothness/boundedness screening of a polytope;
+    immutable, since every caller shares the polytope's one report."""
 
     ok: bool
-    violations: list[str]
-    vertices: list[tuple[Fraction, ...]]
+    violations: tuple[str, ...]
+    vertices: tuple[tuple[Fraction, ...], ...]
     bounded: bool | None
 
     def summary(self) -> str:
@@ -254,10 +260,16 @@ def check_delzant(P: DelzantPolytope) -> DelzantReport:
     """Screen a polytope: primitive normals, simple unimodular vertices,
     boundedness and a nonempty interior (the latter two skipped when the
     polytope is flagged noncompact).  Violations are reported, not raised.
+
+    Screened once per polytope; every call returns that one report.
     """
+    return P._screening
+
+
+def _screen(P: DelzantPolytope) -> DelzantReport:
     violations = []
     if P.n_facets == 0:
-        return DelzantReport(False, ["no facets"], [], None)
+        return DelzantReport(False, ("no facets",), (), None)
 
     for j, x in enumerate(P.normals):
         if all(c == 0 for c in x):
@@ -265,7 +277,7 @@ def check_delzant(P: DelzantPolytope) -> DelzantReport:
         elif math.gcd(*(abs(c) for c in x)) != 1:
             violations.append(f"facet {j}: normal {x} is not primitive")
 
-    verts = vertices(P)
+    verts = P._vertices
     bounded = None
     if P.compact:
         ray = _recession_ray(P)
@@ -295,7 +307,7 @@ def check_delzant(P: DelzantPolytope) -> DelzantReport:
                     f"facet {j} touches every vertex (empty interior "
                     "or redundant facet)")
 
-    return DelzantReport(not violations, violations, verts, bounded)
+    return DelzantReport(not violations, tuple(violations), verts, bounded)
 
 
 def require_delzant(P: DelzantPolytope) -> DelzantReport:

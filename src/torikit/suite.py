@@ -93,14 +93,25 @@ class SuiteReport:
 
 def random_interior_point(P: DelzantPolytope, rng: random.Random,
                           margin=Fraction(1, 8), denom: int = 64):
-    """Rejection-sample a dyadic rational point with all slacks > margin."""
+    """Rejection-sample a dyadic rational point with all slacks > margin.
+
+    A candidate a/denom (a integer) is tested with integer slacks over
+    d = lcm(denom, margin and offset denominators):
+    (d/denom) <a, X_j> > d*(lambda_j + margin) for every facet j.
+    """
     lo, hi = bounding_box(P)
+    margin = Fraction(margin)
+    d = math.lcm(denom, margin.denominator,
+                 *(lam.denominator for lam in P.offsets))
+    scale = d // denom
+    tail = margin.numerator * (d // margin.denominator)
+    bounds = [lam.numerator * (d // lam.denominator) + tail for lam in P.offsets]
+    ranges = [(int(lo[i] * denom), int(hi[i] * denom)) for i in range(P.n)]
     for _ in range(10_000):
-        y = tuple(
-            Fraction(rng.randint(int(lo[i] * denom), int(hi[i] * denom)), denom)
-            for i in range(P.n))
-        if P.min_slack(y) > margin:
-            return y
+        a = [rng.randint(a0, a1) for a0, a1 in ranges]
+        if all(scale * sum(ai * xi for ai, xi in zip(a, x)) > b
+               for x, b in zip(P.normals, bounds)):
+            return tuple(Fraction(ai, denom) for ai in a)
     raise RuntimeError("could not sample an interior point (margin too big?)")
 
 
@@ -281,30 +292,40 @@ def battery_bracket(P, rng, cases, tol) -> BatteryResult:
         y = [float(c) for c in random_interior_point(P, rng)]
         k = tuple(rng.randint(-2, 2) for _ in range(n))
 
-        b_fg = al.bracket_element(f, g)
-        b_gf = al.bracket_element(g, f)
+        # each distinct bracket once, only at the modes the checks read: k,
+        # and for a factor of an outer step at k, the modes k - l that pair
+        # with the other factor's modes l (same trees as the full brackets)
+        def paired(e):
+            return {tuple(a - b for a, b in zip(k, l)) for l, _ in e.modes}
+
+        at_k = {k}
+        b_fg = al.bracket_element(f, g, modes=at_k | paired(h))
+        b_fh = al.bracket_element(f, h, modes=at_k | paired(g))
+        b_gh = al.bracket_element(g, h, modes=at_k | paired(f))
+
         v1 = al.extension_value(b_fg, 0, y, k)
-        v2 = al.extension_value(b_gf, 0, y, k)
+        v2 = al.extension_value(al.bracket_element(g, f, modes=at_k), 0, y, k)
         scale = max(abs(v1), 1.0)
         result.check(abs(v1 + v2) / scale, tol, {"law": "antisymmetry", "k": k})
 
-        lin = al.bracket_element(f + g, h)
-        split = al.bracket_element(f, h) + al.bracket_element(g, h)
+        lin = al.bracket_element(f + g, h, modes=at_k)
         v1 = al.extension_value(lin, 0, y, k)
-        v2 = al.extension_value(split, 0, y, k)
+        v2 = al.extension_value(b_fh + b_gh, 0, y, k)
         scale = max(abs(v1), 1.0)
         result.check(abs(v1 - v2) / scale, tol, {"law": "bilinearity", "k": k})
 
-        leib_l = al.bracket_element(f, al.pointwise_product_at_zero(g, h))
-        leib_r = (al.pointwise_product_at_zero(al.bracket_element(f, g), h)
-                  + al.pointwise_product_at_zero(g, al.bracket_element(f, h)))
+        leib_l = al.bracket_element(
+            f, al.pointwise_product_at_zero(g, h, modes=paired(f)), modes=at_k)
+        leib_r = (al.pointwise_product_at_zero(b_fg, h, modes=at_k)
+                  + al.pointwise_product_at_zero(g, b_fh, modes=at_k))
         v1 = al.extension_value(leib_l, 0, y, k)
         v2 = al.extension_value(leib_r, 0, y, k)
         scale = max(abs(v1), abs(v2), 1.0)
         result.check(abs(v1 - v2) / scale, tol, {"law": "Leibniz", "k": k})
 
-        cyclic = [al.bracket_element(a, al.bracket_element(b, c))
-                  for a, b, c in ((f, g, h), (g, h, f), (h, f, g))]
+        b_hf = al.bracket_element(h, f, modes=paired(g))
+        cyclic = [al.bracket_element(a, inner, modes=at_k)
+                  for a, inner in ((f, b_gh), (g, b_hf), (h, b_fg))]
         v = al.extension_value(cyclic[0] + cyclic[1] + cyclic[2], 0, y, k)
         parts = [abs(al.extension_value(c, 0, y, k)) for c in cyclic]
         scale = max(*parts, 1.0)

@@ -282,11 +282,66 @@ def test_zero_fiber_constructions_match_per_pair_reference(name):
         max_mode, n_modes = rng.randint(1, 2), rng.randint(1, 4)
         f = su.random_element(Q, rng, max_mode, n_modes, allow_h=True)
         g = su.random_element(Q, rng, max_mode, n_modes, allow_h=True)
-        assert al.bracket_element(f, g) == bracket_element_per_pair(f, g)
-        assert (al.pointwise_product_at_zero(f, g)
-                == pointwise_product_at_zero_per_pair(f, g))
+        full_b = al.bracket_element(f, g)
+        full_p = al.pointwise_product_at_zero(f, g)
+        assert full_b == bracket_element_per_pair(f, g)
+        assert full_p == pointwise_product_at_zero_per_pair(f, g)
+        # modes=: the full construction restricted to the set, tree for tree
+        # (fresh elements, so no memo is shared with the full run)
+        candidates = sorted({k for k, _ in full_b.modes} | {k for k, _ in full_p.modes}
+                            | {tuple(rng.randint(-3, 3) for _ in range(Q.n))
+                               for _ in range(3)})
+        for _ in range(3):
+            keep = set(rng.sample(candidates, rng.randint(0, len(candidates))))
+            f2, g2 = al.AlgebraElement(f.n, f.modes), al.AlgebraElement(g.n, g.modes)
+            assert (al.bracket_element(f2, g2, modes=keep).modes
+                    == tuple((k, c) for k, c in full_b.modes if k in keep))
+            assert (al.pointwise_product_at_zero(f2, g2, modes=keep).modes
+                    == tuple((k, c) for k, c in full_p.modes if k in keep))
         # the unit is neutral on restrictions: f + f* restricted is its own
         # product with 1 (the classical battery builds real functions so)
         real = (f + al.involution(f)).subs_h_zero()
         one = al.element(Q.n, {(0,) * Q.n: "1"})
         assert al.pointwise_product_at_zero(one, real) == real
+
+
+@pytest.mark.parametrize("name", ["sphere", "square", "cp2"])
+def test_zero_fiber_results_are_their_own_restriction(name):
+    # rebuilding an h-free tree made by the smart constructors gives back the
+    # same tree, so these elements skip the second walk in subs_h_zero
+    Q = pt.load_polytope(Path(pt.__file__).parent / "data" / f"{name}.json")
+    rng = random.Random(f"own-restriction-{name}")
+    for _ in range(12):
+        max_mode, n_modes = rng.randint(1, 2), rng.randint(1, 4)
+        f, g, h = (su.random_element(Q, rng, max_mode, n_modes, allow_h=True)
+                   for _ in range(3))
+        made = [f.subs_h_zero(), al.bracket_element(f, g),
+                al.pointwise_product_at_zero(f, g)]
+        made += [al.bracket_element(made[1], h), al.pointwise_product_at_zero(h, made[1]),
+                 al.bracket_element(f, made[2])]
+        for e in made:
+            assert e.subs_h_zero() is e
+            for _, c in e.modes:
+                assert ex.subs_h(c.re, 0) == c.re and ex.subs_h(c.im, 0) == c.im
+                assert c.subs_h(0) == c
+        # and the restriction of a fresh copy still rebuilds the same element
+        for e in made:
+            assert al.AlgebraElement(e.n, e.modes).subs_h_zero() == e
+
+
+def test_derivative_memo_is_filled_once_per_mode_and_axis(monkeypatch):
+    f = al.element(2, {(1, 0): "y1*y2", (0, -1): "sin(y2) + h*y1"})
+    g = al.element(2, {(0, 1): "y1^2", (-1, 1): ("y2", "y1")})
+    seen = []
+    real = ex.d_dy
+    monkeypatch.setattr(ex, "d_dy", lambda e, i: seen.append(i) or real(e, i))
+    f0 = f.subs_h_zero()
+    first = f0.derivative((1, 0), 2)
+    assert first == f0.coefficient((1, 0)).d_dy(2)
+    assert f0.derivative((1, 0), 2) is first
+    count = len(seen)
+    al.bracket_element(f, g)
+    after = len(seen)
+    assert after > count and f0.derivative((1, 0), 2) is first
+    al.bracket_element(f, g)        # the second bracket reads the memo only
+    assert len(seen) == after

@@ -157,6 +157,42 @@ def test_quantum_classical_agreement_randomized():
             assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
 
+def poisson_bracket_aa_reference(F, G, y, theta):
+    """Oracle: differentiates each coefficient of a fresh restriction, no memo."""
+    n, yf = F.n, [float(c) for c in y]
+
+    def parts(fun):
+        dy, dth = [0j] * n, [0j] * n
+        for k, c in fun.modes:
+            c0 = c.subs_h(0)
+            phase = math.fsum(ki * float(ti) for ki, ti in zip(k, theta))
+            phase = complex(math.cos(phase), math.sin(phase))
+            value = c0.evaluate(0.0, yf)
+            for i in range(n):
+                dy[i] += c0.d_dy(i + 1).evaluate(0.0, yf) * phase
+                dth[i] += 1j * k[i] * value * phase
+        return dy, dth
+
+    (dFy, dFth), (dGy, dGth) = parts(F), parts(G)
+    return sum(dFy[i] * dGth[i] - dFth[i] * dGy[i] for i in range(n))
+
+
+def test_aa_bracket_bit_equal_with_the_shared_derivative_memo():
+    rng = random.Random(44)
+    for P2 in (pt.interval(), pt.square(), pt.projective_space(2)):
+        for warm in (False, True):
+            for _ in range(10):
+                f = su.random_element(P2, rng, allow_h=True)
+                g = su.random_element(P2, rng, allow_h=True)
+                y = su.random_interior_point(P2, rng)
+                theta = [rng.uniform(0, 2 * math.pi) for _ in range(P2.n)]
+                if warm:        # bracket_element fills part of the memo first
+                    al.bracket_element(f, g)
+                want = poisson_bracket_aa_reference(f, g, y, theta)
+                assert cl.poisson_bracket_aa(f, g, y, theta) == want
+                assert cl.poisson_bracket_aa(f, g, y, theta) == want   # memo full
+
+
 def test_real_functions_close_under_bracket():
     rng = random.Random(43)
     for _ in range(25):

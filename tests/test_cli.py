@@ -1,5 +1,10 @@
 """The command-line front-end, driven through cli.main."""
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -287,3 +292,42 @@ def test_polytope_make_matches_shipped_data(tmp_path):
     rc, text = run(["polytope", "make", "cpn", "--n", "2"], tmp_path, "cp2.json")
     assert rc == 0
     assert text == (DATA / "cp2.json").read_text()
+
+
+# a fresh interpreter per command; the parser must not exist before main
+FRESH = ("import sys\n"
+         "from torikit import cli\n"
+         "assert cli._build_parser.cache_info().currsize == 0\n"
+         "sys.exit(cli.main(sys.argv[1:]))\n")
+
+
+def test_one_parser_per_process_matches_fresh_processes(tmp_path):
+    commands = [
+        ["verify", "suite", str(DATA / "cp2.json"), "--cases", "2", "--seed", "5"],
+        ["groupoid", "orbit", str(DATA / "cp2.json"), "--hbar", "1/4",
+         "--point", "1/8,1/8"],
+        ["groupoid", "orbit", str(DATA / "cp2.json"), "--hbar", "1/4",
+         "--point", "1/8"],                            # wrong length: exit 2
+        ["verify", "suite", str(DATA / "cp2.json"), "--cases", "two"],  # argparse
+        ["verify", "suite", str(DATA / "cp2.json"), "--cases", "2", "--seed", "5"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(torikit.__file__).parents[1])}
+    codes = []
+    for i, argv in enumerate(commands):
+        out = tmp_path / f"in_process_{i}"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                rc = cli.main(argv + ["--out", str(out)])
+            except SystemExit as exc:
+                rc = exc.code
+        fresh_out = tmp_path / f"fresh_{i}"
+        fresh = subprocess.run([sys.executable, "-c", FRESH, *argv, "--out", str(fresh_out)],
+                               capture_output=True, text=True, env=env)
+        assert (rc, err.getvalue()) == (fresh.returncode, fresh.stderr), argv
+        codes.append(rc)
+        assert out.exists() == fresh_out.exists(), argv
+        if out.exists():
+            assert out.read_bytes() == fresh_out.read_bytes(), argv
+    assert codes == [0, 0, 2, 2, 0]
+    assert cli._build_parser() is cli._build_parser()

@@ -9,6 +9,7 @@ import pytest
 import torikit
 from torikit import algebra as al
 from torikit import cli
+from torikit import expr as ex
 from torikit import groupoid as gr
 from torikit import polytope as pt
 from torikit import suite as su
@@ -35,6 +36,62 @@ def test_verify_suite_golden_seed3(tmp_path, name):
                    "--cases", "12", "--out", str(out)])
     assert rc == 0
     assert out.read_text() == (GOLDEN / f"suite_{name}_seed3_cases12.json").read_text()
+
+
+def test_verify_suite_golden_cp2_cases40(tmp_path):
+    # the default case count, where the limit-vs-symbolic check runs four
+    # times (case % 10 == 0); captured before the demand-driven brackets
+    out = tmp_path / "suite.json"
+    rc = cli.main(["verify", "suite", str(DATA / "cp2.json"), "--seed", "0",
+                   "--cases", "40", "--out", str(out)])
+    assert rc == 0
+    assert out.read_text() == (GOLDEN / "suite_cp2_seed0_cases40.json").read_text()
+
+
+# d_dy calls of one run_suite(cp2, seed=0, cases=2) with demand-driven
+# brackets and the shared derivative memo (244 when every bracket mode was
+# built and each caller differentiated on its own)
+D_DY_CALLS_CP2_SEED0_CASES2 = 84
+
+
+def test_suite_derivation_stays_demand_driven(monkeypatch):
+    calls = []
+    real = ex.d_dy
+    monkeypatch.setattr(ex, "d_dy", lambda e, i: calls.append(i) or real(e, i))
+    report = su.run_suite(POLYTOPES["cp2"], seed=0, cases=2)
+    assert report.passed
+    assert 0 < len(calls) <= D_DY_CALLS_CP2_SEED0_CASES2
+
+
+def random_interior_point_fraction(P, rng, margin=F(1, 8), denom=64):
+    """Oracle: the per-candidate Fraction test through P.min_slack."""
+    lo, hi = pt.bounding_box(P)
+    for _ in range(10_000):
+        y = tuple(
+            F(rng.randint(int(lo[i] * denom), int(hi[i] * denom)), denom)
+            for i in range(P.n))
+        if P.min_slack(y) > margin:
+            return y
+    raise RuntimeError("could not sample an interior point (margin too big?)")
+
+
+@pytest.mark.parametrize("name", ["sphere", "square", "cp2", "orthant2"])
+def test_random_interior_point_matches_the_fraction_oracle(name):
+    P = pt.load_polytope(DATA / f"{name}.json")
+    for margin, denom in ((F(1, 8), 64), (F(1, 4), 32)):
+        got_rng, want_rng = random.Random(name), random.Random(name)
+        if not P.compact:       # one vertex: no candidate is interior
+            with pytest.raises(RuntimeError):
+                su.random_interior_point(P, got_rng, margin, denom)
+            with pytest.raises(RuntimeError):
+                random_interior_point_fraction(P, want_rng, margin, denom)
+            assert got_rng.random() == want_rng.random()
+            continue
+        for _ in range(1000):
+            got = su.random_interior_point(P, got_rng, margin, denom)
+            want = random_interior_point_fraction(P, want_rng, margin, denom)
+            assert got == want and all(type(c) is F for c in got)
+        assert got_rng.random() == want_rng.random()
 
 
 def per_point(P, f, g, orb, k):
