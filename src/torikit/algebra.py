@@ -269,8 +269,8 @@ def convolve_orbit(P: DelzantPolytope, f: AlgebraElement, g: AlgebraElement,
     re, im = np.zeros(len(orb)), np.zeros(len(orb))
     if not terms:
         return re + 1j * im
-    steps = orb.step_array
-    s0, _, h = scaled_slacks(P, orb.points[0], orb.hbar)
+    steps = orb.steps
+    s0, _, h = scaled_slacks(P, orb.y0, orb.hbar)
     reach = [s + max(abs(l[i]) + abs(m[i]) for l, _, m, _ in terms)
              for i, s in enumerate(np.abs(steps).max(axis=0).tolist())]
     dtype = slack_dtype(P, s0, h, reach)

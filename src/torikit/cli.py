@@ -171,7 +171,12 @@ def cmd_groupoid_orbit(args) -> int:
     if hbar == 0:
         raise FormatError("--hbar must be nonzero")
     orb = gr.orbit(P, hbar, _point(args.point, P.n), cap=args.cap)
-    rows = [(i,) + tuple(str(c) for c in p) for i, p in enumerate(orb.points)]
+    columns = []
+    for i in range(P.n):    # each distinct coordinate formatted once
+        values, inverse = np.unique(orb.steps[:, i], return_inverse=True)
+        text = [str(orb.y0[i] + hbar * c) for c in values.tolist()]
+        columns.append([text[j] for j in inverse.tolist()])
+    rows = [(i,) + p for i, p in enumerate(zip(*columns))]
     header = ("index",) + tuple(f"y{i + 1}" for i in range(P.n))
     _emit(args, _csv_document("orbit", header, rows,
                               preamble=[f"hbar={hbar}", f"size={len(orb)}"]))
@@ -238,11 +243,11 @@ def cmd_quantize_spectra(args) -> int:
         if hbar == 0:
             raise FormatError("--hbar must be nonzero")
         y0 = _point(args.point, P.n) if args.point else tuple([hbar / 2] * P.n)
-        rep = mr.orbit_rep(P, hbar, y0)
-        eigs = mr.spectrum(mr.represent(P, rep, f))
+        orb = gr.orbit(P, hbar, y0)
+        eigs = mr.spectrum(mr.represent(P, orb, f))
         for i, val in enumerate(np.atleast_1d(eigs)):
             val = complex(val)
-            rows.append((str(hbar), rep.dim, i, str(val.real), str(val.imag)))
+            rows.append((str(hbar), len(orb), i, str(val.real), str(val.imag)))
     _emit(args, _csv_document(
         "spectra", ("hbar", "orbit_size", "index", "re", "im"),
         rows, preamble=[f"obs={args.obs}"]))

@@ -10,11 +10,12 @@ fiber is a bundle of abelian groups.
 At fixed hbar != 0 the orbits are finite pair groupoids, known in closed
 form: the orbit of y0 is the set of points y0 + hbar*k (k in Z^n) of the
 polytope that lie in the same open face as y0, and any two of them are
-exactly one valid arrow apart.  `orbit` selects these points with one exact
-integer slack test, lists them as y0 first and then ascending k in
-lexicographic order, and raises OrbitCapError once their number exceeds
-the cap.  An `Orbit` keeps each point's step k from y0, so arrow queries on
-it are lattice lookups with no facet test.
+exactly one valid arrow apart.  So an `Orbit` is y0, hbar and one int64
+array of its steps k, the origin first and then ascending k in
+lexicographic order; `orbit` selects them with one exact integer slack test
+and raises OrbitCapError once their number exceeds the cap.  Arrow queries
+are lookups in the steps with no facet test, and exact points are built
+only on demand.
 
 `Orbit.coordinates` gives the float coordinates of y0 + hbar*k for an
 array of steps k, each the correctly rounded value `float(Fraction)` gives.
@@ -136,41 +137,47 @@ def invert(P: DelzantPolytope, g: GroupoidPoint) -> GroupoidPoint:
 _CHUNK = 1 << 16   # candidates per block; bounds the working memory of `orbit`
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Orbit:
-    """A finite orbit of the hbar-fiber.
+    """A finite orbit of the hbar-fiber: the points y0 + hbar*steps[i].
 
-    points[i] = points[0] + hbar*steps[i]; points[0] is the base point the
-    orbit was built from.  The steps' sorted keys (`_step_keys`) are the
-    orbit's only index: every arrow query is a lookup in them.
+    `steps` is a read-only (D, n) int64 array whose row 0 is the origin, so
+    point 0 is y0.  The steps' sorted keys (`_step_keys`) are the orbit's
+    only index: every arrow query is a lookup in them.  Equality is
+    identity, since the orbit holds an array.
     """
 
-    polytope: DelzantPolytope
     hbar: Fraction
-    points: tuple[tuple[Fraction, ...], ...]
-    steps: tuple[tuple[int, ...], ...] = field(repr=False)
+    y0: tuple[Fraction, ...]
+    steps: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        steps = np.asarray(self.steps, dtype=np.int64)
+        steps.flags.writeable = False
+        object.__setattr__(self, "steps", steps)
 
     def __len__(self):
-        return len(self.points)
+        return len(self.steps)
+
+    dim = property(__len__)     # the dimension of its matrix models
+
+    def point(self, i: int) -> tuple[Fraction, ...]:
+        """Point i, y0 + hbar*steps[i], exactly."""
+        return translate(self.y0, self.hbar, self.steps[i].tolist())
 
     def target_index(self, i: int, k) -> int | None:
-        """Index of points[i] + hbar*k when that arrow is valid, else None.
+        """Index of point(i) + hbar*k when that arrow is valid, else None.
 
         Exact without a facet test: from a point of the orbit, the arrow
-        (hbar, points[i], k) is valid iff its head lies in the orbit.
+        (hbar, point(i), k) is valid iff its head lies in the orbit.
         """
         j = int(self.targets(k)[i])
         return None if j < 0 else j
 
-    @cached_property
-    def step_array(self) -> np.ndarray:
-        """The steps as a (D, n) int64 array."""
-        return np.array(self.steps, dtype=np.int64)
-
     def coordinates(self, steps) -> np.ndarray:
-        """Float coordinates of points[0] + hbar*steps for a (rows, n) int64
-        step array, each the correctly rounded `float(Fraction)`."""
-        y0 = self.points[0]
+        """Float coordinates of y0 + hbar*steps for a (rows, n) int64 step
+        array, each the correctly rounded `float(Fraction)`."""
+        y0 = self.y0
         d = math.lcm(self.hbar.denominator, *(c.denominator for c in y0))
         num0 = [int(c * d) for c in y0]
         step = int(self.hbar * d)
@@ -182,9 +189,9 @@ class Orbit:
 
     @cached_property
     def _step_keys(self):
-        """The steps as int64 rows, their bounding box and its extents, each
-        step's row-major key over the box, the keys sorted and the
-        permutation that sorts them.
+        """The steps' bounding box and its extents, each step's row-major
+        key over the box, the keys sorted and the permutation that sorts
+        them.
 
         int64 always suffices for an orbit built by `orbit`: its steps' box
         lies inside the candidate box that `orbit` scans in full, so the
@@ -192,31 +199,29 @@ class Orbit:
         |step| is at most an axis extent.  A hand-built orbit whose box fails
         the bound (computed in Python ints) raises DomainError.
         """
-        lo = [min(c) for c in zip(*self.steps)]
-        hi = [max(c) for c in zip(*self.steps)]
-        extents = tuple(b - a + 1 for a, b in zip(lo, hi))
-        if math.prod(extents) >= 2 ** 62 or max(map(abs, lo + hi)) >= 2 ** 61:
+        lo, hi = self.steps.min(axis=0), self.steps.max(axis=0)
+        bounds = lo.tolist(), hi.tolist()
+        extents = tuple(b - a + 1 for a, b in zip(*bounds))
+        if math.prod(extents) >= 2 ** 62 or max(map(abs, bounds[0] + bounds[1])) >= 2 ** 61:
             raise DomainError("orbit steps span a box too large for int64 keys")
-        steps = self.step_array
-        lo, hi = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
-        keys = np.ravel_multi_index((steps - lo).T, extents)
+        keys = np.ravel_multi_index((self.steps - lo).T, extents)
         order = np.argsort(keys, kind="stable")
-        return steps, lo, hi, extents, keys[order], order
+        return lo, hi, extents, keys[order], order
 
     def targets(self, k) -> np.ndarray:
-        """For every i, the index of points[i] + hbar*k: an int64 array
-        holding -1 where the arrow (hbar, points[i], k) is invalid.
+        """For every i, the index of point(i) + hbar*k: an int64 array
+        holding -1 where the arrow (hbar, point(i), k) is invalid.
 
         One vectorized lookup of the shifted steps' keys, no facet test.
         """
-        steps, lo, hi, extents, keys, order = self._step_keys
+        lo, hi, extents, keys, order = self._step_keys
         k = [int(c) for c in k]
         if len(k) != len(lo):
             raise DimensionError("point/mode dimension mismatch")
         out = np.full(len(self.steps), -1, dtype=np.int64)
         if any(abs(c) >= e for c, e in zip(k, extents)):
             return out          # every head leaves the steps' box
-        shifted = steps + np.array(k, dtype=np.int64)
+        shifted = self.steps + np.array(k, dtype=np.int64)
         inside = np.flatnonzero(((shifted >= lo) & (shifted <= hi)).all(axis=1))
         query = np.ravel_multi_index((shifted[inside] - lo).T, extents)
         pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
@@ -292,10 +297,6 @@ def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
                 "(noncompact or degenerate input?)")
         blocks.append(k)
 
-    origin = (0,) * P.n
-    steps = [origin] + [s for s in map(tuple, np.concatenate(blocks).tolist())
-                        if s != origin]
-    coords = [{c: y0[i] + hbar * c for c in {s[i] for s in steps}}
-              for i in range(P.n)]
-    points = tuple(tuple(coords[i][c] for i, c in enumerate(s)) for s in steps)
-    return Orbit(P, hbar, points, tuple(steps))
+    steps = np.concatenate(blocks).astype(np.int64, copy=False)
+    origin = ~steps.any(axis=1)     # exactly one row: y0 itself
+    return Orbit(hbar, y0, np.concatenate((steps[origin], steps[~origin])))

@@ -1,12 +1,14 @@
 """Finite matrix models of the algebra on orbits at fixed hbar != 0.
 
 On a finite orbit the algebra acts by  (pi(f) xi)(u) = sum_k 1[(hbar,u,k)
-valid] f(hbar,u,k) xi(u + hbar*k).  An orbit is a pair groupoid, so mode k
-acts as a weighted partial shift: row i holds the one value f(hbar, u_i, k)
-in the column of u_i + hbar*k.  `represent` returns an element in that form,
-an `OrbitOperator` with a values vector and a targets vector per mode, and
+valid] f(hbar,u,k) xi(u + hbar*k).  `represent` takes a `groupoid.Orbit`
+of dimension D, whose basis vector i sits at u_i = y0 + hbar*steps[i].  An
+orbit is a pair groupoid, so mode k acts as a weighted partial shift: row i
+holds the one value f(hbar, u_i, k) in the column of u_i + hbar*k, a lookup
+in the steps.  `represent` returns an element in that form, an
+`OrbitOperator` with a values vector and a targets vector per mode, and
 products, diagonals and single entries are mode convolutions on these
-vectors at O(modes^2 * D) for dimension D.  The map is a *-homomorphism for
+vectors at O(modes^2 * D).  The map is a *-homomorphism for
 the package's convolution convention, which makes it an independent oracle
 for the algebra layer, and its spectra are the quantized values of
 observables.
@@ -30,27 +32,12 @@ from .groupoid import Orbit, orbit
 from .polytope import DelzantPolytope, format_point, ratpoint
 
 __all__ = [
-    "OrbitRep", "orbit_rep", "OrbitOperator", "DENSE_CAP_BYTES", "represent",
+    "OrbitOperator", "DENSE_CAP_BYTES", "represent",
     "spectrum", "sphere_x3", "sphere_xplus", "sphere_xminus", "casimir_defect",
     "bracket_via_matrices",
 ]
 
 DENSE_CAP_BYTES = 2 ** 31   # 2 GiB of complex entries: D = 11,585 is the largest
-
-
-@dataclass(frozen=True)
-class OrbitRep:
-    """An orbit together with its basis indexing."""
-
-    orbit: Orbit
-
-    @property
-    def dim(self) -> int:
-        return len(self.orbit)
-
-
-def orbit_rep(P: DelzantPolytope, hbar, y0) -> OrbitRep:
-    return OrbitRep(orbit(P, hbar, y0))
 
 
 @dataclass(frozen=True)
@@ -114,7 +101,7 @@ class OrbitOperator:
         return OrbitOperator(self.dim, modes)
 
 
-def represent(P: DelzantPolytope, rep: OrbitRep, f: al.AlgebraElement) -> OrbitOperator:
+def represent(P: DelzantPolytope, orb: Orbit, f: al.AlgebraElement) -> OrbitOperator:
     """An element as an operator on the orbit basis.
 
     Entries exist exactly at valid arrows; each mode's targets are one
@@ -122,10 +109,9 @@ def represent(P: DelzantPolytope, rep: OrbitRep, f: al.AlgebraElement) -> OrbitO
     on all its rows at once, with singular evaluations reported against the
     offending orbit point.
     """
-    orb = rep.orbit
-    D = rep.dim
+    D = orb.dim
     hbar = float(orb.hbar)
-    ys = orb.coordinates(orb.step_array)  # (D, n)
+    ys = orb.coordinates(orb.steps)  # (D, n)
     modes = {}
     for k, coeff in f.modes:
         targets = orb.targets(k)
@@ -146,7 +132,7 @@ def represent(P: DelzantPolytope, rep: OrbitRep, f: al.AlgebraElement) -> OrbitO
 def _locate_bad_point(f, k, orb, rows):
     coeff = f.coefficient(k)
     for i in rows:
-        p = orb.points[i]
+        p = orb.point(i)
         try:
             v = coeff.evaluate(float(orb.hbar), [float(c) for c in p])
         except EvalDomainError as exc:
@@ -256,8 +242,8 @@ def casimir_defect(P: DelzantPolytope, hbar) -> float:
     if not _is_unit_interval(P):
         raise DomainError("the quadratic-invariant check is defined on the "
                           "unit interval")
-    rep = orbit_rep(P, hbar, (hbar / 2,))
-    x3, xp, xm = (represent(P, rep, e)
+    orb = orbit(P, hbar, (hbar / 2,))
+    x3, xp, xm = (represent(P, orb, e)
                   for e in (sphere_x3(), sphere_xplus(), sphere_xminus()))
     # every product has mode sum {0}, so the represented invariant is
     # diagonal and its distance from I/4 is the largest diagonal deviation
@@ -284,12 +270,12 @@ def bracket_via_matrices(P: DelzantPolytope, f: al.AlgebraElement,
     hs = al.hbar_sweep(hbar_list)
     values = []
     for h in hs:
-        rep = orbit_rep(P, h, y)
+        orb = orbit(P, h, y)
         row = 0                     # an orbit lists its base point first
-        if rep.orbit.target_index(row, k) is None:
+        if orb.target_index(row, k) is None:
             raise DomainError(
                 f"arrow (hbar={h}, y={y}, k={k}) is not in the groupoid")
-        F, G = represent(P, rep, f), represent(P, rep, g)
+        F, G = represent(P, orb, f), represent(P, orb, g)
         comm = (F @ G).entry(row, k) - (G @ F).entry(row, k)
         values.append(comm / (1j * float(h)))
     return al.neville_to_zero(hs, values)

@@ -118,6 +118,13 @@ class DelzantPolytope:
         return tuple(sorted(found))
 
     @cached_property
+    def _bounding_box(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+        if not self._vertices:
+            raise DomainError("polytope has no vertices")
+        return (tuple(map(min, zip(*self._vertices))),
+                tuple(map(max, zip(*self._vertices))))
+
+    @cached_property
     def _screening(self) -> "DelzantReport":
         # one screening per polytope, shared by every caller of check_delzant
         return _screen(self)
@@ -216,13 +223,8 @@ def vertices(P: DelzantPolytope) -> list[tuple[Fraction, ...]]:
 
 
 def bounding_box(P: DelzantPolytope):
-    """Coordinate-wise (lo, hi) lists over the vertices."""
-    verts = vertices(P)
-    if not verts:
-        raise DomainError("polytope has no vertices")
-    lo = [min(v[i] for v in verts) for i in range(P.n)]
-    hi = [max(v[i] for v in verts) for i in range(P.n)]
-    return lo, hi
+    """Coordinate-wise (lo, hi) tuples over the vertices, cached per polytope."""
+    return P._bounding_box
 
 
 def _recession_ray(P: DelzantPolytope):

@@ -22,6 +22,7 @@ from . import expr as ex
 from . import groupoid as gr
 from . import intlat
 from . import matrixrep as mr
+from .errors import DomainError
 from .polytope import DelzantPolytope, bounding_box
 
 __all__ = ["BatteryResult", "SuiteReport", "run_suite",
@@ -112,7 +113,7 @@ def random_interior_point(P: DelzantPolytope, rng: random.Random,
         if all(scale * sum(ai * xi for ai, xi in zip(a, x)) > b
                for x, b in zip(P.normals, bounds)):
             return tuple(Fraction(ai, denom) for ai in a)
-    raise RuntimeError("could not sample an interior point (margin too big?)")
+    raise DomainError("could not sample an interior point (margin too big?)")
 
 
 def random_point_near(P: DelzantPolytope, rng: random.Random, denom: int = 16):
@@ -177,7 +178,7 @@ def random_arrow(P: DelzantPolytope, rng: random.Random,
         g = gr.arrow(hbar, y, k)
         if gr.is_member(P, g):
             return g
-    raise RuntimeError("could not sample a valid arrow")
+    raise DomainError("could not sample a valid arrow")
 
 
 # ---------------------------------------------------------------------------
@@ -259,22 +260,21 @@ def battery_representation(P, rng, cases, tol) -> BatteryResult:
         g = random_element(P, rng, allow_h=True)
         hbar = Fraction(1, rng.choice((4, 5, 8)))
         y0 = random_interior_point(P, rng)
-        rep = mr.orbit_rep(P, hbar, y0)
-        Mf = mr.represent(P, rep, f).dense()
-        Mg = mr.represent(P, rep, g).dense()
+        orb = gr.orbit(P, hbar, y0)
+        Mf = mr.represent(P, orb, f).dense()
+        Mg = mr.represent(P, orb, g).dense()
         prod = Mf @ Mg
         direct = np.zeros_like(prod)
         ks = {tuple(a + b for a, b in zip(l, m))
               for l, _ in f.modes for m, _ in g.modes}
         for k in ks:
-            targets = rep.orbit.targets(k)
+            targets = orb.targets(k)
             rows = np.flatnonzero(targets >= 0)
-            direct[rows, targets[rows]] += al.convolve_orbit(
-                P, f, g, rep.orbit, k)[rows]
+            direct[rows, targets[rows]] += al.convolve_orbit(P, f, g, orb, k)[rows]
         scale = max(np.abs(prod).max(), 1.0)
         result.check(float(np.abs(prod - direct).max()) / scale, tol,
                      {"law": "pi(f.g) = pi(f)pi(g)", "hbar": hbar, "y0": y0})
-        Mfs = mr.represent(P, rep, al.involution(f)).dense()
+        Mfs = mr.represent(P, orb, al.involution(f)).dense()
         result.check(float(np.abs(Mfs - Mf.conj().T).max()) / scale, tol,
                      {"law": "pi(f*) = pi(f)^dagger", "hbar": hbar, "y0": y0})
     return result
@@ -435,7 +435,10 @@ def _realify(f: al.AlgebraElement) -> al.AlgebraElement:
 
 def run_suite(P: DelzantPolytope, seed: int, tol: float = 1e-10,
               cases: int = 40) -> SuiteReport:
-    """Run all batteries with one seeded generator; deterministic."""
+    """Run all batteries with one seeded generator; deterministic.  The
+    samplers need a bounded interior: a noncompact polytope raises DomainError."""
+    if not P.compact:
+        raise DomainError("the verification suite requires a compact polytope")
     rng = random.Random(seed)
     batteries = [
         battery_membership(P, rng, cases * 5),

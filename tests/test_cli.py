@@ -34,6 +34,22 @@ def test_groupoid_orbit_golden(tmp_path):
     assert text == (GOLDEN / "orbit_cp2_hbar1-4.csv").read_text()
 
 
+@pytest.mark.parametrize("golden, argv", [
+    ("orbit_cp2_hbar-1-6.csv", ["cp2.json", "--hbar=-1/6", "--point", "3/5,1/5"]),
+    # base point on the facet y1 = 0
+    ("orbit_square_facet_hbar1-10.csv",
+     ["square.json", "--hbar", "1/10", "--point", "0,3/20"]),
+    # y0 = 3/5 + 2^-62: denominator past 2^53, slacks past int64
+    ("orbit_sphere_exact_hbar1-40.csv",
+     ["sphere.json", "--hbar", "1/40", "--point",
+      "13835058055282163717/23058430092136939520"]),
+], ids=["cp2-negative-hbar", "square-facet", "sphere-past-2^53"])
+def test_groupoid_orbit_goldens(tmp_path, golden, argv):
+    rc, text = run(["groupoid", "orbit", str(DATA / argv[0])] + argv[1:], tmp_path)
+    assert rc == 0
+    assert text == (GOLDEN / golden).read_text()
+
+
 def test_groupoid_orbit_is_deterministic(tmp_path):
     argv = ["groupoid", "orbit", str(DATA / "square.json"),
             "--hbar=-1/12", "--point", "0,5/24"]

@@ -6,6 +6,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from torikit import groupoid as gr
@@ -13,6 +14,16 @@ from torikit import polytope as pt
 from torikit.errors import ComposabilityError, DomainError, OrbitCapError
 
 F = Fraction
+
+
+def points(orb):
+    """The orbit's exact points, in its order."""
+    return tuple(orb.point(i) for i in range(len(orb)))
+
+
+def step_tuples(orb):
+    """The orbit's steps as int tuples, in its order."""
+    return [tuple(s) for s in orb.steps.tolist()]
 
 
 def test_member_interval_interior_step():
@@ -104,11 +115,12 @@ def test_inverse_axioms():
 def test_associativity_on_orbit_triples():
     P = pt.projective_space(2)
     orb = gr.orbit(P, F(1, 4), (F(1, 8), F(1, 8)))
+    steps, ps = step_tuples(orb), points(orb)
     arrows = []
     for i in range(len(orb)):
         for j in range(len(orb)):
-            k = tuple(b - a for a, b in zip(orb.steps[i], orb.steps[j]))
-            g = gr.GroupoidPoint(orb.hbar, orb.points[i], k)
+            k = tuple(b - a for a, b in zip(steps[i], steps[j]))
+            g = gr.GroupoidPoint(orb.hbar, ps[i], k)
             if gr.is_member(P, g):
                 arrows.append(g)
     rng = random.Random(5)
@@ -157,7 +169,7 @@ def brute_force_orbit(P, hbar, y0):
 def test_orbit_interval_quarter():
     P = pt.interval()
     orb = gr.orbit(P, F(1, 4), (F(1, 8),))
-    assert [p[0] for p in orb.points] == [F(1, 8), F(3, 8), F(5, 8), F(7, 8)]
+    assert [p[0] for p in points(orb)] == [F(1, 8), F(3, 8), F(5, 8), F(7, 8)]
 
 
 def test_orbit_fixed_point_is_singleton():
@@ -171,7 +183,7 @@ def test_orbit_projective_sizes_match_brute_force():
     for hbar, y0 in [(F(1, 3), (F(1, 6), F(1, 6))),
                      (F(1, 4), (F(1, 8), F(1, 8)))]:
         orb = gr.orbit(C, hbar, y0)
-        assert set(orb.points) == brute_force_orbit(C, hbar, y0)
+        assert set(points(orb)) == brute_force_orbit(C, hbar, y0)
     assert len(gr.orbit(C, F(1, 3), (F(1, 6), F(1, 6)))) == 3
     assert len(gr.orbit(C, F(1, 4), (F(1, 8), F(1, 8)))) == 6
 
@@ -185,21 +197,34 @@ def test_orbit_matches_brute_force_randomized():
             if not P.contains(y0):
                 continue
             orb = gr.orbit(P, hbar, y0)
-            assert set(orb.points) == brute_force_orbit(P, hbar, y0)
+            assert set(points(orb)) == brute_force_orbit(P, hbar, y0)
 
 
 def test_orbit_edge_point_stays_on_edge():
     S = pt.square()
     orb = gr.orbit(S, F(1, 4), (F(0), F(1, 8)))
     assert len(orb) == 4
-    assert all(p[0] == 0 for p in orb.points)
+    assert all(p[0] == 0 for p in points(orb))
 
 
 def test_orbits_partition():
     P = pt.projective_space(2)
     orb = gr.orbit(P, F(1, 4), (F(1, 8), F(1, 8)))
-    for p in orb.points:
-        assert set(gr.orbit(P, F(1, 4), p).points) == set(orb.points)
+    for p in points(orb):
+        assert set(points(gr.orbit(P, F(1, 4), p))) == set(points(orb))
+
+
+def test_orbit_is_its_base_point_hbar_and_steps():
+    for P, hbar, y0 in random_orbit_inputs(9, per_polytope=2):
+        orb = gr.orbit(P, hbar, y0)
+        assert (orb.hbar, orb.y0) == (hbar, y0)
+        assert orb.steps.dtype == np.int64 and orb.steps.shape == (len(orb), P.n)
+        assert not orb.steps.flags.writeable
+        assert not orb.steps[0].any() and orb.point(0) == y0
+        assert orb.dim == len(orb)
+        for i, s in enumerate(step_tuples(orb)):
+            assert orb.point(i) == gr.translate(y0, hbar, s)
+            assert all(type(c) is F for c in orb.point(i))
 
 
 def test_orbit_requires_compact_and_nonzero_hbar():
@@ -282,18 +307,19 @@ def test_orbit_order_matches_bfs_oracle_randomized():
     assert any(y0[0].denominator % 2 ** 62 == 0 for _, _, y0 in cases)
     assert any(not P.is_interior(y0) for P, _, y0 in cases)
     for P, hbar, y0 in cases:
-        assert gr.orbit(P, hbar, y0).points == bfs_orbit_oracle(P, hbar, y0)
+        assert points(gr.orbit(P, hbar, y0)) == bfs_orbit_oracle(P, hbar, y0)
 
 
 def test_target_index_matches_membership_randomized():
     rng = random.Random(4)
     for P, hbar, y0 in random_orbit_inputs(5, per_polytope=6):
         orb = gr.orbit(P, hbar, y0)
-        position = {p: i for i, p in enumerate(orb.points)}
+        ps = points(orb)
+        position = {p: i for i, p in enumerate(ps)}
         for _ in range(60):
             i = rng.randrange(len(orb))
             k = tuple(rng.randint(-3, 3) for _ in range(P.n))
-            g = gr.GroupoidPoint(hbar, orb.points[i], k)
+            g = gr.GroupoidPoint(hbar, ps[i], k)
             expected = (position[gr.range_(P, g)[1]]
                         if gr.is_member(P, g) else None)
             assert orb.target_index(i, k) == expected
@@ -302,8 +328,9 @@ def test_target_index_matches_membership_randomized():
 
 def step_lookup_oracle(orb, k):
     """targets(k) by hashing every step: the index of steps[i] + k, or -1."""
-    index = {s: i for i, s in enumerate(orb.steps)}
-    return [index.get(tuple(a + b for a, b in zip(s, k)), -1) for s in orb.steps]
+    steps = step_tuples(orb)
+    index = {s: i for i, s in enumerate(steps)}
+    return [index.get(tuple(a + b for a, b in zip(s, k)), -1) for s in steps]
 
 
 def check_targets(orb, k):
@@ -326,15 +353,14 @@ def test_targets_match_target_index_randomized():
 def test_targets_keys_refuse_a_box_past_int64():
     # a step box of volume about 2^80 (no orbit from `orbit` gets near it):
     # keys would wrap in int64, so the lookup refuses the orbit
-    P = pt.square()
-    steps = ((0, 0), (2 ** 40, 1), (1, 2 ** 40), (2 ** 40, 2 ** 40))
-    orb = gr.Orbit(P, F(1), tuple((F(a), F(b)) for a, b in steps), steps)
+    steps = [(0, 0), (2 ** 40, 1), (1, 2 ** 40), (2 ** 40, 2 ** 40)]
+    orb = gr.Orbit(F(1), (F(0), F(0)), np.array(steps))
     for k in [(0, 0), (1, 1)]:
         with pytest.raises(DomainError, match="int64"):
             orb.targets(k)
     # a box of volume about 2^60 still keys in int64 without wrapping
-    steps = ((0, 0), (2 ** 30, 1), (1, 2 ** 30), (2 ** 30, 2 ** 30))
-    orb = gr.Orbit(P, F(1), tuple((F(a), F(b)) for a, b in steps), steps)
+    steps = [(0, 0), (2 ** 30, 1), (1, 2 ** 30), (2 ** 30, 2 ** 30)]
+    orb = gr.Orbit(F(1), (F(0), F(0)), np.array(steps))
     for k in [(2 ** 30, 1), (2 ** 30 - 1, 2 ** 30), (-(2 ** 30), -1), (0, 0), (1, 1)]:
         check_targets(orb, k)
 
@@ -349,8 +375,8 @@ def test_orbit_int64_guard_cannot_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         orb = gr.orbit(P, hbar, y0)
-    assert set(orb.points) == brute_force_orbit(P, hbar, y0)
-    assert orb.points == bfs_orbit_oracle(P, hbar, y0)
+    assert set(points(orb)) == brute_force_orbit(P, hbar, y0)
+    assert points(orb) == bfs_orbit_oracle(P, hbar, y0)
 
 
 def test_orbit_cap_fires_before_memory():

@@ -6,6 +6,7 @@ import ast
 import importlib
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -87,15 +88,48 @@ def test_module_all_resolves(path):
     assert missing == []
 
 
-def test_tracer_layers_resolve(monkeypatch):
+def load_tracer(monkeypatch):
     # load the tracer by path without writing bytecode next to it
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("torikit_bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_layers_resolve(monkeypatch):
+    tracer = load_tracer(monkeypatch)
     assert tracer.LAYERS
     for module, qualname in tracer.LAYERS:
         obj = importlib.import_module(f"torikit.{module}")
         for part in qualname.split("."):
             obj = getattr(obj, part)
         assert callable(obj), (module, qualname)
+
+
+def test_tracer_reads_orbit_sizes(monkeypatch):
+    # the tracer's annotations read len() of an orbit and .dim of the
+    # orbit passed to represent
+    tracer = load_tracer(monkeypatch)
+    # install() patches every module the tracer names, so import them all
+    for path in MODULES:
+        if path.stem != "__init__":
+            importlib.import_module(f"torikit.{path.stem}")
+    from torikit import algebra as al
+    from torikit import groupoid as gr
+    from torikit import matrixrep as mr
+    from torikit import polytope as pt
+    P, hbar = pt.projective_space(2), Fraction(1, 7)
+    t = tracer.Tracer(lambda P, hbar, y0: 0)
+    t.install()
+    try:
+        orb = gr.orbit(P, hbar, (Fraction(1, 14), Fraction(3, 14)))
+        mr.spectrum(mr.represent(P, orb, al.element(2, {(0, 0): "y1 + y2"})))
+    finally:
+        t.uninstall()
+    metrics = t.layer_metrics()
+    assert len(orb) == 21
+    assert metrics["groupoid.orbit.calls"] == 1
+    assert metrics["matrixrep.represent.calls"] == metrics["matrixrep.spectrum.calls"] == 1
+    assert metrics["groupoid.orbit.points"] == len(orb)
+    assert metrics["matrixrep.represent.dim_sum"] == len(orb)

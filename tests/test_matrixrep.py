@@ -7,6 +7,7 @@ import pytest
 
 from torikit import algebra as al
 from torikit import expr as ex
+from torikit import groupoid as gr
 from torikit import matrixrep as mr
 from torikit import polytope as pt
 from torikit import suite as su
@@ -22,19 +23,29 @@ CP2 = pt.projective_space(2)
 # dense oracles: the matrix built entry by entry, and its eigenvalues from
 # the dense Hermitian test and LAPACK
 
+def points(orb):
+    """The orbit's exact points, in its order."""
+    return [orb.point(i) for i in range(len(orb))]
+
+
+def step_tuples(orb):
+    """The orbit's steps as int tuples, in its order."""
+    return [tuple(s) for s in orb.steps.tolist()]
+
+
 def step_targets(orb, k):
-    """The index of points[i] + hbar*k for each i (None when the arrow is
+    """The index of point(i) + hbar*k for each i (None when the arrow is
     invalid), by hashing every step: independent of `Orbit.targets`."""
-    index = {s: i for i, s in enumerate(orb.steps)}
-    return [index.get(tuple(a + b for a, b in zip(s, k))) for s in orb.steps]
+    steps = step_tuples(orb)
+    index = {s: i for i, s in enumerate(steps)}
+    return [index.get(tuple(a + b for a, b in zip(s, k))) for s in steps]
 
 
-def dense_represent(P, rep, f):
-    orb = rep.orbit
-    D = rep.dim
+def dense_represent(P, orb, f):
+    D = len(orb)
     hbar = float(orb.hbar)
     M = np.zeros((D, D), dtype=complex)
-    ys = np.array([[float(c) for c in p] for p in orb.points])
+    ys = np.array([[float(c) for c in p] for p in points(orb)])
     for k, coeff in f.modes:
         targets = step_targets(orb, k)
         rows = [i for i, t in enumerate(targets) if t is not None]
@@ -61,10 +72,10 @@ def dense_spectrum(matrix):
 
 def casimir_by_convolve(P, hbar):
     """Largest |c_i - 1/4| of the invariant, point by point with `convolve`."""
-    rep = mr.orbit_rep(P, hbar, (hbar / 2,))
+    orb = gr.orbit(P, hbar, (hbar / 2,))
     x3, xp, xm = mr.sphere_x3(), mr.sphere_xplus(), mr.sphere_xminus()
     worst = 0.0
-    for u in rep.orbit.points:
+    for u in points(orb):
         val = al.convolve(P, x3, x3, hbar, u, (0,))
         val += 0.5 * (al.convolve(P, xp, xm, hbar, u, (0,))
                       + al.convolve(P, xm, xp, hbar, u, (0,)))
@@ -73,8 +84,8 @@ def casimir_by_convolve(P, hbar):
 
 
 def operator(P, hbar, y0, modes):
-    rep = mr.orbit_rep(P, hbar, y0)
-    return mr.represent(P, rep, al.element(P.n, modes)), rep
+    orb = gr.orbit(P, hbar, y0)
+    return mr.represent(P, orb, al.element(P.n, modes)), orb
 
 
 def two_point(modes):
@@ -104,11 +115,11 @@ def test_dense_equals_dense_oracle_bit_for_bit(P):
     for _ in range(15):
         f = su.random_element(P, rng, max_mode=2, n_modes=3, allow_h=True)
         hbar = F(1, rng.choice((5, 8, 13)))
-        rep = mr.orbit_rep(P, hbar, su.random_interior_point(P, rng))
-        op = mr.represent(P, rep, f)
-        assert op.dense().tobytes() == dense_represent(P, rep, f).tobytes()
+        orb = gr.orbit(P, hbar, su.random_interior_point(P, rng))
+        op = mr.represent(P, orb, f)
+        assert op.dense().tobytes() == dense_represent(P, orb, f).tobytes()
         for k, (values, targets) in op.modes.items():
-            assert values.shape == targets.shape == (rep.dim,)
+            assert values.shape == targets.shape == (len(orb),)
             assert np.all(values[targets < 0] == 0)
 
 
@@ -122,9 +133,9 @@ def test_represent_names_the_singular_point():
              r"orbit point \(3/8\): division by zero"),
             (interval_1000, F(100), (F(50),), "y1^200",
              r"orbit point \(50\): evaluation overflows")]:
-        rep = mr.orbit_rep(P, hbar, y0)
+        orb = gr.orbit(P, hbar, y0)
         with pytest.raises(EvalDomainError, match=message):
-            mr.represent(P, rep, al.element(1, {0: coeff}))
+            mr.represent(P, orb, al.element(1, {0: coeff}))
 
 
 ATOL_ENTRY = F(1e-12)                            # atol at scale 1
@@ -154,8 +165,8 @@ SPECTRUM_CASES = {
 @pytest.mark.parametrize("case", list(SPECTRUM_CASES))
 def test_spectrum_equals_dense_oracle_bit_for_bit(case):
     P, hbar, y0, modes = SPECTRUM_CASES[case]
-    op, rep = operator(P, hbar, y0, modes)
-    M = dense_represent(P, rep, al.element(P.n, modes))
+    op, orb = operator(P, hbar, y0, modes)
+    M = dense_represent(P, orb, al.element(P.n, modes))
     got, want = mr.spectrum(op), dense_spectrum(M)
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
@@ -194,11 +205,11 @@ def test_dense_refuses_matrices_over_the_cap():
 
 def test_operator_product_matches_dense_product():
     rng = random.Random(3)
-    rep = mr.orbit_rep(CP2, F(1, 9), (F(1, 18), F(5, 18)))
+    orb = gr.orbit(CP2, F(1, 9), (F(1, 18), F(5, 18)))
     for _ in range(5):
         f = su.random_element(CP2, rng, max_mode=2, n_modes=3, allow_h=True)
         g = su.random_element(CP2, rng, max_mode=2, n_modes=3, allow_h=True)
-        A, B = mr.represent(CP2, rep, f), mr.represent(CP2, rep, g)
+        A, B = mr.represent(CP2, orb, f), mr.represent(CP2, orb, g)
         want = A.dense() @ B.dense()
         scale = max(np.abs(want).max(), 1.0)
         np.testing.assert_allclose((A @ B).dense(), want, rtol=0, atol=1e-13 * scale)
@@ -228,24 +239,24 @@ def test_casimir_defect_needs_unit_interval():
 def test_represent_is_star_homomorphism_on_cp2_orbit():
     rng = random.Random(13)
     hbar = F(1, 7)
-    rep = mr.orbit_rep(CP2, hbar, (F(1, 14), F(3, 14)))
-    assert rep.dim == 21
+    orb = gr.orbit(CP2, hbar, (F(1, 14), F(3, 14)))
+    assert len(orb) == 21
     for _ in range(5):
         f = su.random_element(CP2, rng, allow_h=True)
         g = su.random_element(CP2, rng, allow_h=True)
-        Mf = mr.represent(CP2, rep, f).dense()
-        Mg = mr.represent(CP2, rep, g).dense()
-        direct = np.zeros((rep.dim, rep.dim), dtype=complex)
+        Mf = mr.represent(CP2, orb, f).dense()
+        Mg = mr.represent(CP2, orb, g).dense()
+        direct = np.zeros((len(orb), len(orb)), dtype=complex)
         ks = {tuple(a + b for a, b in zip(l, m))
               for l, _ in f.modes for m, _ in g.modes}
         for k in ks:
-            for i, j in enumerate(step_targets(rep.orbit, k)):
+            for i, j in enumerate(step_targets(orb, k)):
                 if j is not None:
                     direct[i, j] += al.convolve(CP2, f, g, hbar,
-                                                rep.orbit.points[i], k)
+                                                orb.point(i), k)
         scale = max(np.abs(direct).max(), 1.0)
         np.testing.assert_allclose(Mf @ Mg, direct, rtol=0, atol=1e-12 * scale)
-        adj = mr.represent(CP2, rep, al.involution(f)).dense()
+        adj = mr.represent(CP2, orb, al.involution(f)).dense()
         np.testing.assert_allclose(adj, Mf.conj().T, rtol=0, atol=1e-12 * scale)
 
 

@@ -304,3 +304,16 @@ def test_screening_runs_once_per_polytope(monkeypatch):
     P = pt.square()
     assert pt.check_delzant(P) is pt.check_delzant(P) is pt.require_delzant(P)
     assert len(screened) == 2
+
+
+def test_bounding_box_is_computed_once_per_polytope():
+    for P in [pt.interval(), pt.square(), pt.projective_space(2),
+              pt.product(pt.interval(), pt.projective_space(2))]:
+        box = pt.bounding_box(P)
+        assert pt.bounding_box(P) is box
+        verts = pt.vertices(P)
+        assert box == (tuple(min(v[i] for v in verts) for i in range(P.n)),
+                       tuple(max(v[i] for v in verts) for i in range(P.n)))
+    empty = pt.DelzantPolytope(1, ((1,), (-1,)), (F(1), F(0)))
+    with pytest.raises(DomainError, match="no vertices"):
+        pt.bounding_box(empty)

@@ -1,4 +1,5 @@
 """The verification batteries and the orbit convolution they run on."""
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +14,7 @@ from torikit import expr as ex
 from torikit import groupoid as gr
 from torikit import polytope as pt
 from torikit import suite as su
-from torikit.errors import EvalDomainError
+from torikit.errors import DomainError, EvalDomainError
 
 F = Fraction
 DATA = Path(torikit.__file__).parent / "data"
@@ -63,6 +64,34 @@ def test_suite_derivation_stays_demand_driven(monkeypatch):
     assert 0 < len(calls) <= D_DY_CALLS_CP2_SEED0_CASES2
 
 
+# a noncompact polytope, and a compact one that passes screening but has no
+# point with every slack above the samplers' margin of 1/8
+NO_INTERIOR_SAMPLE = {
+    "orthant2": (DATA / "orthant2.json", "requires a compact polytope"),
+    "square-1/8": ({"n": 2, "facets": [
+        {"normal": [1, 0], "offset": "0"}, {"normal": [0, 1], "offset": "0"},
+        {"normal": [-1, 0], "offset": "-1/8"}, {"normal": [0, -1], "offset": "-1/8"}]},
+        "could not sample an interior point"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_INTERIOR_SAMPLE))
+def test_verify_suite_without_interior_samples_exits_2(tmp_path, capsys, name):
+    source, message = NO_INTERIOR_SAMPLE[name]
+    if isinstance(source, dict):
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(source))
+        source = path
+    assert cli.main(["polytope", "check", str(source), "--format", "json"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "suite.json"
+    rc = cli.main(["verify", "suite", str(source), "--cases", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert not out.exists()
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 def random_interior_point_fraction(P, rng, margin=F(1, 8), denom=64):
     """Oracle: the per-candidate Fraction test through P.min_slack."""
     lo, hi = pt.bounding_box(P)
@@ -72,7 +101,7 @@ def random_interior_point_fraction(P, rng, margin=F(1, 8), denom=64):
             for i in range(P.n))
         if P.min_slack(y) > margin:
             return y
-    raise RuntimeError("could not sample an interior point (margin too big?)")
+    raise DomainError("could not sample an interior point (margin too big?)")
 
 
 @pytest.mark.parametrize("name", ["sphere", "square", "cp2", "orthant2"])
@@ -81,9 +110,9 @@ def test_random_interior_point_matches_the_fraction_oracle(name):
     for margin, denom in ((F(1, 8), 64), (F(1, 4), 32)):
         got_rng, want_rng = random.Random(name), random.Random(name)
         if not P.compact:       # one vertex: no candidate is interior
-            with pytest.raises(RuntimeError):
+            with pytest.raises(DomainError):
                 su.random_interior_point(P, got_rng, margin, denom)
-            with pytest.raises(RuntimeError):
+            with pytest.raises(DomainError):
                 random_interior_point_fraction(P, want_rng, margin, denom)
             assert got_rng.random() == want_rng.random()
             continue
@@ -94,9 +123,14 @@ def test_random_interior_point_matches_the_fraction_oracle(name):
         assert got_rng.random() == want_rng.random()
 
 
+def points(orb):
+    """The orbit's exact points, in its order."""
+    return [orb.point(i) for i in range(len(orb))]
+
+
 def per_point(P, f, g, orb, k):
     """The oracle: one scalar `convolve` per orbit point."""
-    return np.array([al.convolve(P, f, g, orb.hbar, p, k) for p in orb.points],
+    return np.array([al.convolve(P, f, g, orb.hbar, p, k) for p in points(orb)],
                     dtype=complex)
 
 
@@ -135,8 +169,8 @@ def test_convolve_orbit_with_coordinates_past_2_53():
     y0 = (F(1, 3) + F(1, 2 ** 55), F(1, 2))
     orb = gr.orbit(P, F(1, 4), y0)
     assert len(orb) > 1
-    assert orb.coordinates(orb.step_array).tolist() == [
-        [float(c) for c in p] for p in orb.points]
+    assert orb.coordinates(orb.steps).tolist() == [
+        [float(c) for c in p] for p in points(orb)]
     rng = random.Random(53)
     for _ in range(4):
         f = su.random_element(P, rng, allow_h=True)
@@ -172,7 +206,7 @@ def test_coordinates_are_correctly_rounded_randomized():
         den = rng.choice((1, 3, 7, 2 ** 20, 3 ** 30, 2 ** 52 - 1, 2 ** 53 + 1, 2 ** 60))
         y0 = tuple(F(rng.randint(1, den - 1) if den > 1 else 0, den) for _ in range(2))
         hbar = F(rng.choice((1, -1)) * rng.randint(1, 9), rng.choice((4, 5, 2 ** 40)))
-        orb = gr.Orbit(P, hbar, (y0,), ((0, 0),))
+        orb = gr.Orbit(hbar, y0, np.zeros((1, 2), dtype=np.int64))
         big = rng.choice((3, 2 ** 20, 2 ** 40))
         steps = np.array([[rng.randint(-big, big) for _ in range(2)]
                           for _ in range(rng.randint(0, 6))], dtype=np.int64).reshape(-1, 2)
