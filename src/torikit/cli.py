@@ -22,6 +22,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -89,8 +90,7 @@ def _csv_document(name: str, header, rows, preamble=()) -> str:
     buf.write("\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -162,7 +162,15 @@ def cmd_polytope_make(args) -> int:
 # ---------------------------------------------------------------------------
 # groupoid commands
 
+def _ratio_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, without building the Fraction."""
+    g = math.gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
 def cmd_groupoid_orbit(args) -> int:
+    if args.cap < 1:
+        raise FormatError(f"--cap must be at least 1, got {args.cap}")
     P = pt.load_polytope(args.polytope)
     pt.require_delzant(P)
     if len(args.hbar) != 1:
@@ -171,14 +179,15 @@ def cmd_groupoid_orbit(args) -> int:
     if hbar == 0:
         raise FormatError("--hbar must be nonzero")
     orb = gr.orbit(P, hbar, _point(args.point, P.n), cap=args.cap)
+    # coordinate i of point j is the integer num0[i] + step*steps[j, i] over d
+    d, num0, step = orb.numerators
     columns = []
     for i in range(P.n):    # each distinct coordinate formatted once
         values, inverse = np.unique(orb.steps[:, i], return_inverse=True)
-        text = [str(orb.y0[i] + hbar * c) for c in values.tolist()]
+        text = [_ratio_text(num0[i] + step * c, d) for c in values.tolist()]
         columns.append([text[j] for j in inverse.tolist()])
-    rows = [(i,) + p for i, p in enumerate(zip(*columns))]
     header = ("index",) + tuple(f"y{i + 1}" for i in range(P.n))
-    _emit(args, _csv_document("orbit", header, rows,
+    _emit(args, _csv_document("orbit", header, zip(range(len(orb)), *columns),
                               preamble=[f"hbar={hbar}", f"size={len(orb)}"]))
     return 0
 

@@ -13,16 +13,19 @@ polytope that lie in the same open face as y0, and any two of them are
 exactly one valid arrow apart.  So an `Orbit` is y0, hbar and one int64
 array of its steps k, the origin first and then ascending k in
 lexicographic order; `orbit` selects them with one exact integer slack test
-and raises OrbitCapError once their number exceeds the cap.  Arrow queries
-are lookups in the steps with no facet test, and exact points are built
-only on demand.
+and raises OrbitCapError once their number exceeds the cap.  It scans the
+candidate box in blocks along the first axis: the first block holds about
+cap + 1 candidates (at least one row) and each later one doubles, up to
+`_CHUNK`, so a refusal costs about the cap, not the box.  Arrow queries are
+lookups in the steps with no facet test, and exact points are built only on
+demand.
 
-`Orbit.coordinates` gives the float coordinates of y0 + hbar*k for an
-array of steps k, each the correctly rounded value `float(Fraction)` gives.
 With d the common denominator of y0 and hbar every coordinate is an integer
-numerator over d; when d and the numerators lie below 2^53 they are exact
-in float64 and one division rounds correctly, and otherwise each coordinate
-comes from `float(Fraction)`.
+numerator over d (`Orbit.numerators`).  `Orbit.coordinates` gives the float
+coordinates of y0 + hbar*k for an array of steps k, each the correctly
+rounded value `float(Fraction)` gives: when d and the numerators lie below
+2^53 they are exact in float64 and one division rounds correctly, and
+otherwise each coordinate is a Python-int quotient, also correctly rounded.
 """
 from __future__ import annotations
 
@@ -134,7 +137,7 @@ def invert(P: DelzantPolytope, g: GroupoidPoint) -> GroupoidPoint:
 # ---------------------------------------------------------------------------
 # orbits at fixed hbar != 0
 
-_CHUNK = 1 << 16   # candidates per block; bounds the working memory of `orbit`
+_CHUNK = 1 << 16   # candidates per full block; bounds the working memory of `orbit`
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,17 +177,24 @@ class Orbit:
         j = int(self.targets(k)[i])
         return None if j < 0 else j
 
+    @property
+    def numerators(self) -> tuple[int, tuple[int, ...], int]:
+        """(d, y0*d, hbar*d) in Python ints, d the common denominator of y0
+        and hbar: coordinate i of point j is the integer
+        y0[i]*d + hbar*d*steps[j, i] over d."""
+        d = math.lcm(self.hbar.denominator, *(c.denominator for c in self.y0))
+        return (d, tuple(c.numerator * (d // c.denominator) for c in self.y0),
+                self.hbar.numerator * (d // self.hbar.denominator))
+
     def coordinates(self, steps) -> np.ndarray:
         """Float coordinates of y0 + hbar*steps for a (rows, n) int64 step
         array, each the correctly rounded `float(Fraction)`."""
-        y0 = self.y0
-        d = math.lcm(self.hbar.denominator, *(c.denominator for c in y0))
-        num0 = [int(c * d) for c in y0]
-        step = int(self.hbar * d)
+        d, num0, step = self.numerators
         reach = max(abs(int(steps.min())), abs(int(steps.max()))) if steps.size else 0
         if d < 2 ** 53 and max(map(abs, num0)) + abs(step) * reach < 2 ** 53:
             return (np.array(num0, dtype=np.int64) + step * steps) / d
-        return np.array([[float(c + self.hbar * s) for c, s in zip(y0, row)]
+        # int / int is correctly rounded, as float(Fraction) is
+        return np.array([[(c + step * s) / d for c, s in zip(num0, row)]
                          for row in steps.tolist()], dtype=float).reshape(steps.shape)
 
     @cached_property
@@ -257,7 +267,9 @@ def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
 
     Points come in a fixed order: y0 first, then ascending k in
     lexicographic order.  OrbitCapError is raised as soon as the size
-    exceeds `cap`, before the rest of the box is scanned.
+    exceeds `cap`, before the rest of the box is scanned.  The first block
+    holds about cap + 1 candidates (at least one row of the first axis) and
+    each later block doubles, up to `_CHUNK` candidates.
     """
     hbar = Fraction(hbar)
     if hbar == 0:
@@ -281,12 +293,16 @@ def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
     s0 = np.array(s0, dtype=dtype)
     active = s0 == 0
     rest = [np.arange(a, b, dtype=dtype) for a, b in axes[1:]]
-    first_lo, first_hi = axes[0]
-    rows = max(1, _CHUNK // math.prod(b - a for a, b in axes[1:]))
+    start, first_hi = axes[0]
+    row_len = math.prod(b - a for a, b in axes[1:])
+    full = max(1, _CHUNK // row_len)
+    rows = max(1, min(_CHUNK, cap + 1) // row_len)
     blocks = []
     size = 0
-    for start in range(first_lo, first_hi, rows):
+    while start < first_hi:
         first = np.arange(start, min(start + rows, first_hi), dtype=dtype)
+        start += rows
+        rows = min(2 * rows, full)
         k = np.stack(np.meshgrid(first, *rest, indexing="ij"), axis=-1).reshape(-1, P.n)
         slack = s0 + h * (k @ normals)
         k = k[np.where(active, slack == 0, slack > 0).all(axis=1)]

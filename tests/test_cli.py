@@ -2,7 +2,9 @@
 import contextlib
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -35,17 +37,21 @@ def test_groupoid_orbit_golden(tmp_path):
 
 
 @pytest.mark.parametrize("golden, argv", [
-    ("orbit_cp2_hbar-1-6.csv", ["cp2.json", "--hbar=-1/6", "--point", "3/5,1/5"]),
+    ("orbit_cp2_hbar-1-6.csv", [DATA / "cp2.json", "--hbar=-1/6", "--point", "3/5,1/5"]),
     # base point on the facet y1 = 0
     ("orbit_square_facet_hbar1-10.csv",
-     ["square.json", "--hbar", "1/10", "--point", "0,3/20"]),
+     [DATA / "square.json", "--hbar", "1/10", "--point", "0,3/20"]),
     # y0 = 3/5 + 2^-62: denominator past 2^53, slacks past int64
     ("orbit_sphere_exact_hbar1-40.csv",
-     ["sphere.json", "--hbar", "1/40", "--point",
+     [DATA / "sphere.json", "--hbar", "1/40", "--point",
       "13835058055282163717/23058430092136939520"]),
-], ids=["cp2-negative-hbar", "square-facet", "sphere-past-2^53"])
+    # the square [-1, 1]^2 from the facet y1 = -1: negative coordinates
+    ("orbit_square_pm1_facet_hbar-1-6.csv",
+     [GOLDEN / "square_pm1.json", "--hbar=-1/6", "--point=-1,1/3"]),
+], ids=["cp2-negative-hbar", "square-facet", "sphere-past-2^53",
+        "square-pm1-negative-coordinates"])
 def test_groupoid_orbit_goldens(tmp_path, golden, argv):
-    rc, text = run(["groupoid", "orbit", str(DATA / argv[0])] + argv[1:], tmp_path)
+    rc, text = run(["groupoid", "orbit", str(argv[0])] + argv[1:], tmp_path)
     assert rc == 0
     assert text == (GOLDEN / golden).read_text()
 
@@ -70,6 +76,28 @@ def test_groupoid_orbit_bad_input_exits_2(tmp_path, extra):
     rc, text = run(["groupoid", "orbit", str(DATA / "cp2.json")] + extra, tmp_path)
     assert rc == 2
     assert text is None
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_groupoid_orbit_cap_below_1_exits_2(tmp_path, capsys, cap):
+    rc, text = run(["groupoid", "orbit", str(DATA / "cp2.json"), "--hbar", "1/4",
+                    "--point", "1/8,1/8", f"--cap={cap}"], tmp_path)
+    assert rc == 2
+    assert text is None
+    assert capsys.readouterr().err == f"input error: --cap must be at least 1, got {cap}\n"
+
+
+def test_ratio_text_matches_fraction_randomized():
+    rng = random.Random(70)
+    for _ in range(3000):
+        den = rng.randint(1, 2 ** rng.randint(0, 70))
+        num = rng.choice((
+            0,
+            rng.randint(-2 ** 70, 2 ** 70),
+            rng.randint(-2 ** 20, 2 ** 20) * den,               # an integer
+            rng.randint(-2 ** 20, 2 ** 20) * math.gcd(den, rng.randint(1, 2 ** 70)),
+        ))
+        assert cli._ratio_text(num, den) == str(Fraction(num, den))
 
 
 @pytest.mark.parametrize("argv", [

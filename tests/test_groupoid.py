@@ -389,3 +389,57 @@ def test_orbit_cap_fires_before_memory():
     finally:
         tracemalloc.stop()
     assert peak < 50 * 2 ** 20
+
+
+def test_orbit_cap_boundary():
+    P = pt.projective_space(2)
+    y0 = (F(1, 20), F(1, 20))
+    assert len(gr.orbit(P, F(1, 10), y0, cap=45)) == 45
+    with pytest.raises(OrbitCapError, match="cap of 44 points"):
+        gr.orbit(P, F(1, 10), y0, cap=44)
+
+
+def record_blocks(monkeypatch):
+    """Rows of the first axis in each candidate block `orbit` builds, and
+    the candidates in each."""
+    blocks = []
+    meshgrid = np.meshgrid
+
+    def recording(*axes, **kwargs):
+        blocks.append((len(axes[0]), math.prod(len(a) for a in axes)))
+        return meshgrid(*axes, **kwargs)
+
+    monkeypatch.setattr(gr.np, "meshgrid", recording)
+    return blocks
+
+
+def test_capped_scan_stops_after_its_first_block(monkeypatch):
+    # square at hbar 1/600: 600 candidates per row of the first axis, each
+    # an interior point, so one row already exceeds the cap
+    blocks = record_blocks(monkeypatch)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrbitCapError):
+            gr.orbit(pt.square(), F(1, 600), (F(7, 1201), F(3, 1201)), cap=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(n for _, n in blocks) <= 2 * max(10 + 1, 600)
+    assert peak < 512 * 2 ** 10
+
+
+def test_capped_scan_doubles_its_blocks(monkeypatch):
+    # a one-point orbit (a vertex) in a 401 x 401 box under a small cap:
+    # 1 row, then doubling up to 65,536 // 401 = 163 rows, and the 146 left
+    blocks = record_blocks(monkeypatch)
+    orb = gr.orbit(pt.projective_space(2), F(1, 400), (F(0), F(0)), cap=10)
+    assert len(orb) == 1
+    assert [r for r, _ in blocks] == [1, 2, 4, 8, 16, 32, 64, 128, 146]
+
+
+def test_default_cap_scans_full_blocks(monkeypatch):
+    # 400 x 400 candidates: blocks of 65,536 // 400 = 163 rows from the start
+    blocks = record_blocks(monkeypatch)
+    orb = gr.orbit(pt.projective_space(2), F(1, 400), (F(1, 800), F(1, 800)))
+    assert len(orb) == 400 * 399 // 2
+    assert [r for r, _ in blocks] == [163, 163, 74]

@@ -164,7 +164,7 @@ def test_convolve_orbit_equals_per_point_convolve(name):
 
 def test_convolve_orbit_with_coordinates_past_2_53():
     # y0 has denominator 3 * 2^55, so the numerators over it exceed 2^53 and
-    # the coordinates come from float(Fraction)
+    # the coordinates come from Python-int division
     P = POLYTOPES["square"]
     y0 = (F(1, 3) + F(1, 2 ** 55), F(1, 2))
     orb = gr.orbit(P, F(1, 4), y0)
