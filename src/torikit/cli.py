@@ -9,9 +9,10 @@ Commands:
     torikit quantize spectra ...       eigenvalues of a quantized observable
     torikit verify suite FILE          seeded law batteries, exit 0/1
 
-Exit codes: 0 success, 1 verification failure, 2 bad input or a computation
-that cannot be carried out (a domain error, the orbit cap, a singular or
-overflowing evaluation), 3 margin violation.  Rationals are serialized as
+Exit codes: 0 success, 1 verification failure, 2 bad input (an --out file
+that cannot be written included) or a computation that cannot be carried out
+(a domain error, the orbit cap, a singular or overflowing evaluation),
+3 margin violation.  Rationals are serialized as
 "p/q" end to end; floats appear only in measured/error columns.  Identical
 config and seed give byte-identical output.
 """
@@ -25,6 +26,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -76,8 +78,12 @@ def _mode(text: str, n: int) -> tuple[int, ...]:
 
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise FormatError(
+                f"cannot write output file {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -254,9 +260,8 @@ def cmd_quantize_spectra(args) -> int:
         y0 = _point(args.point, P.n) if args.point else tuple([hbar / 2] * P.n)
         orb = gr.orbit(P, hbar, y0)
         eigs = mr.spectrum(mr.represent(P, orb, f))
-        for i, val in enumerate(np.atleast_1d(eigs)):
-            val = complex(val)
-            rows.append((str(hbar), len(orb), i, str(val.real), str(val.imag)))
+        rows.extend(zip(repeat(str(hbar)), repeat(len(orb)), range(len(eigs)),
+                        map(str, eigs.real.tolist()), map(str, eigs.imag.tolist())))
     _emit(args, _csv_document(
         "spectra", ("hbar", "orbit_size", "index", "re", "im"),
         rows, preamble=[f"obs={args.obs}"]))

@@ -13,11 +13,23 @@ the package's convolution convention, which makes it an independent oracle
 for the algebra layer, and its spectra are the quantized values of
 observables.
 
-`spectrum` reads the eigenvalues of a diagonal operator, and of one whose
-nonzero arrows form an acyclic graph (permutation-similar to a triangular
-matrix), straight from the diagonal.  Only the remaining eigensolver path
-builds the dense D x D matrix, `OrbitOperator.dense`, which refuses any
-matrix larger than DENSE_CAP_BYTES before allocating it.
+`spectrum` takes the first path that applies.  A Hermitian operator whose
+nonzero off-diagonal entries are real and join neighbouring indices only is
+real symmetric tridiagonal: the modes {0, +-e_n} act along chains in the
+last axis, which orbit order lists as contiguous index ranges, and each
+chain is solved alone by real `eigvalsh`; any other Hermitian operator goes
+to dense `eigvalsh`.  A non-Hermitian operator whose nonzero arrows form an
+acyclic graph (permutation-similar to a triangular matrix) has its diagonal
+as spectrum; any other goes to dense `eigvals`.  The chains give the dense
+bits: on a real tridiagonal matrix zhetrd and dsytrd find every Householder
+tau = 0, so both solvers hand the same (d, e) to dsterf, which works block
+by block.  Hermitian operators stay dense when a coupling is complex, when
+it joins indices further apart (cp2 modes (1,0) and (1,-1), or a base point
+inside a chain, as orbit order lists it first), or when a chain's largest
+|entry| is nonzero and outside LAPACK's no-rescale window [2^-485, 2^485].
+The dense D x D matrix, `OrbitOperator.dense`, and the chain path for its
+longest chain refuse any matrix larger than DENSE_CAP_BYTES before
+allocating it.
 """
 from __future__ import annotations
 
@@ -40,6 +52,14 @@ __all__ = [
 DENSE_CAP_BYTES = 2 ** 31   # 2 GiB of complex entries: D = 11,585 is the largest
 
 
+def _require_dense_cap(dim: int) -> None:
+    nbytes = 16 * dim * dim
+    if nbytes > DENSE_CAP_BYTES:
+        raise DomainError(
+            f"dense matrix of dimension {dim} needs {nbytes} bytes, "
+            f"over the cap of {DENSE_CAP_BYTES}")
+
+
 @dataclass(frozen=True)
 class OrbitOperator:
     """An operator on the orbit basis of dimension `dim`, stored by mode.
@@ -55,11 +75,7 @@ class OrbitOperator:
     def dense(self) -> np.ndarray:
         """The D x D complex matrix; DomainError when it would exceed
         DENSE_CAP_BYTES."""
-        nbytes = 16 * self.dim * self.dim
-        if nbytes > DENSE_CAP_BYTES:
-            raise DomainError(
-                f"dense matrix of dimension {self.dim} needs {nbytes} bytes, "
-                f"over the cap of {DENSE_CAP_BYTES}")
+        _require_dense_cap(self.dim)
         M = np.zeros((self.dim, self.dim), dtype=complex)
         for values, targets in self.modes.values():
             rows = np.flatnonzero(targets >= 0)
@@ -151,20 +167,73 @@ def spectrum(op: OrbitOperator) -> np.ndarray:
     ascending, others complex in (real, imag) order.
 
     "Hermitian" means every entry is within atol = 1e-12 * max(|entry|, 1)
-    of the conjugate of its transposed entry.  A Hermitian operator with no
-    nonzero off-diagonal entry, or a non-Hermitian one whose nonzero
-    off-diagonal arrows form an acyclic graph, has its diagonal as spectrum
-    (the isolation LAPACK's balancing performs); the others go to the
-    symmetric or general eigensolver on the dense matrix.
+    of the conjugate of its transposed entry.  A Hermitian operator is
+    solved chain by chain when it is real tridiagonal (`_chain_spectrum`),
+    else by the symmetric eigensolver on the dense matrix.  A non-Hermitian
+    operator whose nonzero off-diagonal arrows form an acyclic graph has its
+    diagonal as spectrum (the isolation LAPACK's balancing performs); the
+    others go to the general eigensolver on the dense matrix.
     """
     atol = 1e-12 * max(max((float(np.abs(v).max()) for v, _ in op.modes.values()),
                            default=0.0), 1.0)
     if _is_hermitian(op, atol):
-        if not any(np.any(v != 0) for k, (v, _) in op.modes.items() if any(k)):
-            return np.sort(op.diagonal().real)
-        return np.sort(np.linalg.eigvalsh(op.dense()))
+        vals = _chain_spectrum(op)
+        return np.sort(np.linalg.eigvalsh(op.dense()) if vals is None else vals)
     vals = op.diagonal() if _is_acyclic(op) else np.linalg.eigvals(op.dense())
     return vals[np.lexsort((vals.imag, vals.real))]
+
+
+# LAPACK's ?heevd/?syevd scale a matrix whose largest |entry| is nonzero and
+# outside [sqrt(safmin/eps), sqrt(eps/safmin)] = [2^-485, 2^485]
+_NO_RESCALE = (2.0 ** -485, 2.0 ** 485)
+
+
+def _chain_spectrum(op: OrbitOperator) -> np.ndarray | None:
+    """The eigenvalues of a Hermitian operator whose nonzero off-diagonal
+    entries are real and sit at |targets[i] - i| = 1, one chain at a time,
+    unsorted; None for any other operator.
+
+    dense `eigvalsh` reads the diagonal d and the lower couplings
+    e[i] = M[i+1, i] (UPLO='L').  On a real tridiagonal matrix zhetrd and
+    dsytrd find every Householder tau = 0, so zheevd on the whole matrix and
+    dsyevd on a chain hand the same (d, e) to dsterf, which splits at each
+    zero of e and solves and scales block by block.  Cut at the exact zeros
+    of e, the chains therefore give the dense eigenvalues bit for bit,
+    provided neither solver rescales: every chain's largest |entry| must be
+    zero or inside _NO_RESCALE.  An operator with no nonzero off-diagonal
+    entry is diagonal, and its spectrum is its diagonal at any scale.  The
+    longest chain is held to the dense cap, and each chain is solved alone,
+    so no allocation exceeds the longest chain's.
+    """
+    e = np.zeros(op.dim - 1)
+    coupled = False
+    for k, (values, targets) in op.modes.items():
+        if not any(k):
+            continue
+        rows = np.flatnonzero(values != 0)
+        if not len(rows):
+            continue
+        if np.any(values[rows].imag != 0) or np.any(np.abs(targets[rows] - rows) != 1):
+            return None
+        coupled = True
+        lower = rows[targets[rows] < rows]
+        e[lower - 1] += values[lower].real    # dense() accumulates in this order
+    d = op.diagonal().real
+    bounds = np.concatenate(([0], np.flatnonzero(e == 0) + 1, [op.dim]))
+    starts, lengths = bounds[:-1], np.diff(bounds)
+    if coupled:
+        extent = np.abs(d)
+        extent[:-1] = np.maximum(extent[:-1], np.abs(e))
+        top = np.maximum.reduceat(extent, starts)
+        lo, hi = _NO_RESCALE
+        if np.any((top != 0) & ((top < lo) | (top > hi))):
+            return None
+    _require_dense_cap(int(lengths.max()))
+    vals = [d[starts[lengths == 1]]]
+    long = lengths > 1
+    for s, n in zip(starts[long].tolist(), lengths[long].tolist()):
+        vals.append(np.linalg.eigvalsh(np.diag(d[s:s + n]) + np.diag(e[s:s + n - 1], -1)))
+    return np.concatenate(vals)
 
 
 def _is_hermitian(op: OrbitOperator, atol: float) -> bool:

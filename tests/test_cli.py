@@ -11,6 +11,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import torikit
@@ -179,7 +180,13 @@ def test_quantize_spectra_is_deterministic(tmp_path):
     ("cp2", GOLDEN, "obs_cp2_nonherm.json", ["1/12", "1/20"], "spectra_cp2_nonherm.csv"),
     # d e_0 + c e_l + c(y - h l) e_-l: Hermitian with off-diagonal modes
     ("cp2", GOLDEN, "obs_cp2_herm.json", ["1/15", "1/20"], "spectra_cp2_herm.csv"),
-], ids=["sphere-x3", "cp2-non-hermitian", "cp2-hermitian"])
+    # D = 780 in contiguous chains along y2
+    ("cp2", GOLDEN, "obs_cp2_herm.json", ["1/40"], "spectra_cp2_herm_hbar1-40.csv"),
+    # real x+- plus a diagonal: one chain of 200 points
+    ("sphere", GOLDEN, "obs_sphere_herm.json", ["1/200"],
+     "spectra_sphere_herm_hbar1-200.csv"),
+], ids=["sphere-x3", "cp2-non-hermitian", "cp2-hermitian", "cp2-hermitian-chains",
+        "sphere-hermitian-chain"])
 def test_quantize_spectra_golden(tmp_path, monkeypatch, polytope, obs_dir, obs,
                                  hbars, golden):
     monkeypatch.chdir(obs_dir)      # the preamble names the --obs path as given
@@ -208,6 +215,50 @@ def test_quantize_spectra_x3_beyond_the_dense_cap(tmp_path):
                    tmp_path)
     assert rc == 0
     check_exact_x3_spectrum(text, 12000)
+
+
+def test_quantize_spectra_chains_beyond_the_dense_cap(tmp_path):
+    # D = 19,900 in chains of at most 199 points: a dense complex matrix
+    # would need 6.3 GB
+    tracemalloc.start()
+    try:
+        rc, text = run(["quantize", "spectra", str(DATA / "cp2.json"),
+                        "--obs", str(GOLDEN / "obs_cp2_herm.json"), "--hbar", "1/200"],
+                       tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 32 * 2 ** 20
+    rows = [line.split(",") for line in text.splitlines()[2:]]
+    assert len(rows) == 19900
+    assert {(h, size, im) for h, size, _, _, im in rows} == {("1/200", "19900", "0.0")}
+    re = [float(row[3]) for row in rows]
+    assert re == sorted(re)
+
+
+def test_quantize_spectra_equal_chains_stay_within_the_cap(tmp_path, monkeypatch):
+    # square at 1/200: 200 chains of 200 points along y2.  Each chain needs
+    # 640 KB as a dense complex matrix, under the 1 MB cap; the 200 chains
+    # held at once would need 64 MB of real entries.
+    monkeypatch.setattr(mr, "DENSE_CAP_BYTES", 2 ** 20)
+    obs = tmp_path / "hop.json"
+    obs.write_text(json.dumps({"modes": [
+        {"k": [0, 1], "re": "1", "im": "0"}, {"k": [0, -1], "re": "1", "im": "0"}]}))
+    tracemalloc.start()
+    try:
+        rc, text = run(["quantize", "spectra", str(DATA / "square.json"),
+                        "--obs", str(obs), "--hbar", "1/200"], tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 32 * 2 ** 20
+    rows = [line.split(",") for line in text.splitlines()[2:]]
+    assert {(h, size, im) for h, size, _, _, im in rows} == {("1/200", "40000", "0.0")}
+    # a free chain of n points has eigenvalues 2 cos(pi k / (n + 1))
+    exact = np.sort(np.repeat(2 * np.cos(np.pi * np.arange(1, 201) / 201), 200))
+    assert np.allclose([float(row[3]) for row in rows], exact, rtol=0, atol=1e-12)
 
 
 def test_quantize_spectra_refuses_a_dense_matrix_over_the_cap(tmp_path, capsys):
@@ -240,6 +291,16 @@ def test_quantize_spectra_x3_memory_is_linear_in_the_orbit(tmp_path):
     assert rc == 0
     assert peak < 20 * 2 ** 20
     check_exact_x3_spectrum(text, 5000)
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_out_exits_2(tmp_path, capsys, where):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "out.csv"
+    rc = cli.main(["polytope", "strata", str(DATA / "cp2.json"), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot write output file {out}: ")
+    assert not (tmp_path / "missing").exists()
 
 
 def test_polytope_check_nonprimitive_exits_1(tmp_path):

@@ -195,6 +195,118 @@ def test_diagonal_and_triangular_spectra_skip_the_eigensolvers(case, monkeypatch
     assert mr.spectrum(op).tobytes() == want.tobytes()
 
 
+def chain_modes(P, rng, hbar, y0, l, scale=1):
+    """Random real d e_0 + c e_l + c(y - h l) e_-l, Hermitian up to rounding.
+    c vanishes exactly on two neighbouring rows of the last coordinate, so
+    chains along e_n split and one of them is a single point."""
+    n = P.n
+    ys = [f"y{i + 1}" for i in range(n)]
+    back = [f"(y{i + 1} + {-c}*h)" if c < 0 else f"(y{i + 1} - {c}*h)"
+            for i, c in enumerate(l)]
+    z = y0[-1] + hbar * rng.randint(1, 4)
+    a = [rng.randint(-3, 3) or 1 for _ in range(4)]
+    d = f"{scale}*({a[0]} + {a[1]}*{ys[0]} + {a[2]}*{ys[-1]}^2)"
+
+    def coupling(y, zeros):
+        return (f"{scale}*({a[3]} + {y[0]}*{y[-1]})"
+                + "".join(f"*({ys[-1]} - {zero})" for zero in zeros))
+    zeros = (z, z + hbar)
+    shift = hbar * l[-1]
+    return {(0,) * n: d,
+            l: coupling(ys, zeros),
+            tuple(-c for c in l): coupling(back, [zero + shift for zero in zeros])}
+
+
+CHAIN_POLYTOPES = {"sphere": (SPHERE, (1,)), "square": (SQUARE, (0, 1)),
+                   "cp2": (CP2, (0, 1))}
+
+
+@pytest.mark.parametrize("name", list(CHAIN_POLYTOPES))
+def test_real_chain_spectra_equal_dense_oracle_without_the_dense_matrix(
+        name, monkeypatch):
+    P, l = CHAIN_POLYTOPES[name]
+    rng = random.Random(41)
+
+    def refuse(self):
+        raise AssertionError("dense matrix built")
+
+    monkeypatch.setattr(mr.OrbitOperator, "dense", refuse)
+    for _ in range(8):
+        hbar = F(1, rng.choice((9, 14, 23, 40)))
+        # the lowest point as base point: orbit order lists each chain in a row
+        y0 = tuple(hbar * F(rng.randint(1, 7), 8) for _ in range(P.n))
+        modes = chain_modes(P, rng, hbar, y0, l)
+        op, orb = operator(P, hbar, y0, modes)
+        M = dense_represent(P, orb, al.element(P.n, modes))
+        # the couplings split the orbit into chains, one a single point
+        cut = np.diag(M, -1) == 0
+        assert np.any(cut[1:] & cut[:-1]) and not np.all(cut)
+        assert mr.spectrum(op).tobytes() == dense_spectrum(M).tobytes()
+
+
+def spy_on_dense(monkeypatch):
+    calls = []
+    dense = mr.OrbitOperator.dense
+
+    def spy(self):
+        calls.append(self.dim)
+        return dense(self)
+
+    monkeypatch.setattr(mr.OrbitOperator, "dense", spy)
+    return calls
+
+
+def test_chain_path_keeps_bits_when_one_chain_is_far_smaller(monkeypatch):
+    # LAPACK would rescale the tiny first chain on its own, not inside the
+    # matrix: solved alone, its eigenvalues differ in the last bits
+    P, l = CHAIN_POLYTOPES["sphere"]
+    hbar, y0 = F(1, 20), (F(1, 40),)
+    op, _ = operator(P, hbar, y0, chain_modes(P, random.Random(5), hbar, y0, l))
+    first = np.flatnonzero(np.diag(op.dense(), -1) == 0)[0] + 1
+    scale = np.where(np.arange(op.dim) < first, 2.0 ** -500, 1.0)
+    tiny = mr.OrbitOperator(op.dim, {k: (scale * v, t) for k, (v, t) in op.modes.items()})
+    want = dense_spectrum(tiny.dense())
+    calls = spy_on_dense(monkeypatch)
+    assert mr.spectrum(tiny).tobytes() == want.tobytes()
+    assert calls == [op.dim]
+
+
+@pytest.mark.parametrize("case", ["complex", "cp2-1,0", "cp2-1,-1",
+                                  "scaled-2^500", "scaled-2^-500"])
+def test_hermitian_operators_off_the_chain_path_stay_dense(case, monkeypatch):
+    rng = random.Random(17)
+    if case == "complex":
+        P, hbar, y0 = SPHERE, F(1, 2), (F(1, 4),)
+        modes = {0: "2", 1: ("0", "1"), -1: ("0", "-1")}
+    elif case.startswith("cp2"):
+        P, hbar, y0 = CP2, F(1, 15), (F(1, 30), F(1, 30))
+        l = (1, 0) if case == "cp2-1,0" else (1, -1)
+        modes = chain_modes(P, rng, hbar, y0, l)
+    else:
+        P, hbar, y0 = SQUARE, F(1, 12), (F(1, 24), F(1, 24))
+        modes = chain_modes(P, rng, hbar, y0, (0, 1), scale=case[len("scaled-"):])
+    op, orb = operator(P, hbar, y0, modes)
+    M = dense_represent(P, orb, al.element(P.n, modes))
+    calls = spy_on_dense(monkeypatch)
+    got = mr.spectrum(op)
+    assert np.isrealobj(got)
+    assert got.tobytes() == dense_spectrum(M).tobytes()
+    assert calls == [len(orb)]
+
+
+def test_chain_path_refuses_its_longest_chain_over_the_cap(monkeypatch):
+    monkeypatch.setattr(mr, "DENSE_CAP_BYTES", 16 * 5 ** 2)
+    P, l = CHAIN_POLYTOPES["cp2"]
+    hbar, y0 = F(1, 6), (F(1, 12), F(1, 12))
+    op, orb = operator(P, hbar, y0, {(0, 0): "y1", (0, 1): "1", (0, -1): "1"})
+    assert len(orb) == 15       # chains of 5, 4, 3, 2 and 1 points
+    assert mr.spectrum(op).shape == (15,)
+    hbar, y0 = F(1, 7), (F(1, 14), F(1, 14))
+    op, _ = operator(P, hbar, y0, {(0, 0): "y1", (0, 1): "1", (0, -1): "1"})
+    with pytest.raises(DomainError, match="dimension 6 needs 576 bytes"):
+        mr.spectrum(op)
+
+
 def test_dense_refuses_matrices_over_the_cap():
     mr.OrbitOperator(2, {}).dense()
     D = 11_586                       # 16 * D^2 = 2,147,766,336 > 2^31
