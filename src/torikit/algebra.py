@@ -31,14 +31,13 @@ first use, and kept on the element (`AlgebraElement.derivative`); the
 bracket and the classical oracles read the same memo.
 
 On an orbit at fixed hbar every arrow is a lattice step, so `convolve_orbit`
-computes (f.g)(hbar, u, k) at all orbit points u in one array pass: the
-membership of both factor arrows comes from the orbit's exact integer
-slacks s0 + h*(steps @ normals) (the closed form of `groupoid.is_member`,
-not the orbit's own index), each coefficient is evaluated once per mode on
-the rows where both arrows exist, and the terms are summed over the modes
-of f in order.  It returns the same floats, bit for bit, as one `convolve`
-per point wherever `expr.evaluate` gives the same floats on arrays as on
-scalars.  The four operations always do, and numpy runs sin, cos and exp
+computes (f.g)(hbar, u, k) at all orbit points u in one array pass: both
+factor arrows are tested on the orbit's face bounds (`groupoid.face_bounds`,
+the closed form of `groupoid.is_member`, not the orbit's own index), each
+coefficient is evaluated once per mode on the rows where both arrows exist,
+and the terms are summed over the modes of f in order.  It returns the same
+floats, bit for bit, as one `convolve` per point wherever `expr.evaluate`
+gives the same floats on arrays as on scalars.  The four operations always do, and numpy runs sin, cos and exp
 through one loop for a scalar and a contiguous column; an integer power
 may not (numpy's array power and Python's float power round differently).
 To keep that contract the complex product and the sum are separate
@@ -58,9 +57,8 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DomainError, EvalDomainError, FormatError, MarginError
-from .groupoid import GroupoidPoint, Orbit, is_member, slack_dtype, translate
-from .polytope import (DelzantPolytope, format_point, json_int, mode_pairings,
-                       ratpoint, scaled_slacks)
+from .groupoid import GroupoidPoint, Orbit, face_bounds, is_member, translate
+from .polytope import DelzantPolytope, format_point, json_int, ratpoint
 
 __all__ = [
     "AlgebraElement", "element", "observable_from_dict", "observable_to_dict",
@@ -254,8 +252,10 @@ def convolve_orbit(P: DelzantPolytope, f: AlgebraElement, g: AlgebraElement,
                    orb: Orbit, k) -> np.ndarray:
     """(f.g)(hbar, u, k) at every point u of the orbit, as a complex array
     in the orbit's order; equal to `convolve` at each point (module
-    docstring).  A coefficient that is singular or not finite where its
-    arrow exists raises EvalDomainError.
+    docstring).  An arrow is valid when its mode moves no facet active on
+    the face and its head's pairing is at least `lower`; a mode longer than
+    the steps' box joins no two orbit points.  A coefficient that is
+    singular or not finite where its arrow exists raises EvalDomainError.
     """
     if f.n != g.n:
         raise DomainError("elements live over different dimensions")
@@ -270,17 +270,20 @@ def convolve_orbit(P: DelzantPolytope, f: AlgebraElement, g: AlgebraElement,
     if not terms:
         return re + 1j * im
     steps = orb.steps
-    s0, _, h = scaled_slacks(P, orb.y0, orb.hbar)
-    reach = [s + max(abs(l[i]) + abs(m[i]) for l, _, m, _ in terms)
-             for i, s in enumerate(np.abs(steps).max(axis=0).tolist())]
-    dtype = slack_dtype(P, s0, h, reach)
-    slack = np.array(s0, dtype=dtype) + h * (
-        steps.astype(dtype) @ np.array(P.normals, dtype=dtype).T)
+    N, active, lower = face_bounds(P, orb.y0, orb.hbar)
+    free = ~active
+    q, lower = steps @ N[:, free], lower[free]
+    extent = (steps.max(axis=0) - steps.min(axis=0)).tolist()
     hbar = float(orb.hbar)
     for l, cf, m, cg in terms:
-        ok_l, mid = _valid_rows(P, slack, h, l, dtype)
-        ok_m, _ = _valid_rows(P, mid, h, m, dtype)
-        rows = np.flatnonzero(ok_l & ok_m)
+        if any(abs(c) > e for c, e in zip(l + m, extent + extent)):
+            continue        # an arrow this long leaves the orbit
+        p = np.array((l, m), dtype=np.int64) @ N
+        if p[:, active].any():
+            continue        # it moves a facet of the orbit's face
+        mid = q + p[0, free]
+        rows = np.flatnonzero((mid >= lower).all(axis=1)
+                              & (mid + p[1, free] >= lower).all(axis=1))
         if not len(rows):
             continue
         tails = steps[rows]
@@ -289,15 +292,6 @@ def convolve_orbit(P: DelzantPolytope, f: AlgebraElement, g: AlgebraElement,
         re[rows] += ar * br - ai * bi
         im[rows] += ar * bi + ai * br
     return re + 1j * im
-
-
-def _valid_rows(P, slack, h, k, dtype):
-    """Rows whose arrow of mode k is valid, from their integer slacks (the
-    closed form of `groupoid.is_member`), and the slacks of the heads."""
-    p = np.array(mode_pairings(P, k), dtype=dtype)
-    head = slack + h * p
-    ok = np.where(p != 0, (slack > 0) & (head > 0), slack >= 0)
-    return ok.all(axis=1), head
 
 
 def evaluate_rows(coeff: ex.ComplexExpr, hbar: float, ys, k):

@@ -12,13 +12,14 @@ form: the orbit of y0 is the set of points y0 + hbar*k (k in Z^n) of the
 polytope that lie in the same open face as y0, and any two of them are
 exactly one valid arrow apart.  So an `Orbit` is y0, hbar and one int64
 array of its steps k, the origin first and then ascending k in
-lexicographic order; `orbit` selects them with one exact integer slack test
-and raises OrbitCapError once their number exceeds the cap.  It scans the
-candidate box in blocks along the first axis: the first block holds about
-cap + 1 candidates (at least one row) and each later one doubles, up to
-`_CHUNK`, so a refusal costs about the cap, not the box.  Arrow queries are
-lookups in the steps with no facet test, and exact points are built only on
-demand.
+lexicographic order; `orbit` selects them with one int64 face test
+(`face_bounds`) and raises OrbitCapError once their number exceeds the cap.
+It scans the candidate box in flat row-major blocks: the first holds
+min(`_CHUNK`, cap + 1) candidates and each later one doubles, up to
+`_CHUNK`, so a refusal costs about the cap, not the box.  A box whose volume
+or pairings could reach 2^62 is refused first, so no array needs Python
+ints.  Arrow queries are lookups in the steps with no facet test, and exact
+points are built only on demand.
 
 With d the common denominator of y0 and hbar every coordinate is an integer
 numerator over d (`Orbit.numerators`).  `Orbit.coordinates` gives the float
@@ -44,7 +45,7 @@ from .polytope import (DelzantPolytope, bounding_box, in_delta_k,
 __all__ = [
     "GroupoidPoint", "Orbit", "arrow", "translate",
     "is_member", "is_member_isotropy",
-    "source", "range_", "compose", "invert", "orbit", "slack_dtype",
+    "source", "range_", "compose", "invert", "face_bounds", "orbit",
 ]
 
 
@@ -204,10 +205,10 @@ class Orbit:
         them.
 
         int64 always suffices for an orbit built by `orbit`: its steps' box
-        lies inside the candidate box that `orbit` scans in full, so the
-        box's volume is at most the number of candidates scanned and every
-        |step| is at most an axis extent.  A hand-built orbit whose box fails
-        the bound (computed in Python ints) raises DomainError.
+        lies inside the candidate box, whose volume and pairings `orbit`
+        holds below 2^62 before it scans, so no key and no |step| reaches
+        that bound.  A hand-built orbit whose box fails the bound (computed
+        in Python ints) raises DomainError.
         """
         lo, hi = self.steps.min(axis=0), self.steps.max(axis=0)
         bounds = lo.tolist(), hi.tolist()
@@ -240,17 +241,23 @@ class Orbit:
         return out
 
 
-def slack_dtype(P: DelzantPolytope, s0, h, reach):
-    """np.int64 when every scaled slack s0[j] + h*<k, X_j> with |k_i| <=
-    reach[i] fits in int64, object (Python ints) otherwise.
+def face_bounds(P: DelzantPolytope, y0, hbar):
+    """The open face of y0 as int64 bounds (N, active, lower) on q = k @ N.
 
-    The bound is computed in Python ints, so the test cannot overflow; the
-    floor of 1 on each reach makes it cover h and the normals themselves.
+    N = sign(hbar) * normals.T, active[j] = (s0[j] == 0) and lower[j] =
+    (-s0[j]) // |h| + 1, from the scaled slacks s0, h of `scaled_slacks` in
+    Python ints.  The slack of y0 + hbar*k at facet j has the sign of
+    s0[j] + |h| * q[j], so y0 + hbar*k lies in y0's open face exactly when q
+    is 0 on the active facets and q >= lower on the others.  lower is
+    clamped at -2^62, which changes no test on the pairings below 2^62 that
+    `orbit` allows.  hbar must be nonzero.
     """
-    reach = [max(r, 1) for r in reach]
-    bound = max(map(abs, s0)) + abs(h) * max(
-        sum(abs(x) * r for x, r in zip(X, reach)) for X in P.normals)
-    return np.int64 if bound < 2 ** 63 else object
+    s0, _, h = scaled_slacks(P, y0, hbar)
+    if min(s0) < 0:
+        raise DomainError(f"base point {ratpoint(y0)} lies outside the polytope")
+    N = np.array(P.normals, dtype=np.int64).T * (1 if h > 0 else -1)
+    lower = np.array([max(-s // abs(h) + 1, -2 ** 62) for s in s0], dtype=np.int64)
+    return N, np.array([s == 0 for s in s0]), lower
 
 
 def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
@@ -259,17 +266,16 @@ def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
     It is the set of points y0 + hbar*k (k in Z^n) of the polytope whose
     active facet set equals y0's: any two such points are one valid arrow
     apart, and no arrow leaves the set.  The candidates k of the vertex
-    bounding box are tested in blocks along the first axis, with every
-    slack scaled by one common denominator to an exact integer.  The slacks
-    live in int64 arrays when a bound computed in Python ints shows they
-    fit, and in Python-int (object) arrays otherwise; the selection is the
-    same either way.
+    bounding box are tested on `face_bounds` in flat row-major blocks.
+    DomainError is raised before any allocation when the box's volume, or
+    the pairing of a step plus a mode inside the box, could reach 2^62 (in
+    Python ints), so no int64 value here or in `convolve_orbit` overflows.
 
     Points come in a fixed order: y0 first, then ascending k in
     lexicographic order.  OrbitCapError is raised as soon as the size
     exceeds `cap`, before the rest of the box is scanned.  The first block
-    holds about cap + 1 candidates (at least one row of the first axis) and
-    each later block doubles, up to `_CHUNK` candidates.
+    holds min(`_CHUNK`, cap + 1) candidates and each later block doubles, up
+    to `_CHUNK` candidates.
     """
     hbar = Fraction(hbar)
     if hbar == 0:
@@ -277,35 +283,32 @@ def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
     if not P.compact:
         raise DomainError("orbit enumeration requires a compact polytope")
     y0 = ratpoint(y0)
-    # slack of y0 + hbar*k at facet j, scaled to an integer:  s0[j] + h * <k, X_j>
-    s0, _, h = scaled_slacks(P, y0, hbar)
-    if min(s0) < 0:
-        raise DomainError(f"base point {y0} lies outside the polytope")
+    N, active, lower = face_bounds(P, y0, hbar)
 
     lo, hi = bounding_box(P)
     axes = []
     for i in range(P.n):
         a, b = sorted(((lo[i] - y0[i]) / hbar, (hi[i] - y0[i]) / hbar))
         axes.append((math.ceil(a), math.floor(b) + 1))
-    dtype = slack_dtype(P, s0, h, [max(abs(a), abs(b - 1)) for a, b in axes])
+    shape = tuple(b - a for a, b in axes)
+    total = math.prod(shape)
+    reach = [max(-a, b - 1) + e for (a, b), e in zip(axes, shape)]
+    if (total >= 2 ** 62 or max(
+            sum(abs(x) * r for x, r in zip(X, reach)) for X in P.normals) >= 2 ** 62):
+        raise DomainError(
+            f"candidate box of the orbit at hbar = {hbar} is too large for "
+            "int64 (hbar too small?)")
 
-    normals = np.array(P.normals, dtype=dtype).T
-    s0 = np.array(s0, dtype=dtype)
-    active = s0 == 0
-    rest = [np.arange(a, b, dtype=dtype) for a, b in axes[1:]]
-    start, first_hi = axes[0]
-    row_len = math.prod(b - a for a, b in axes[1:])
-    full = max(1, _CHUNK // row_len)
-    rows = max(1, min(_CHUNK, cap + 1) // row_len)
-    blocks = []
-    size = 0
-    while start < first_hi:
-        first = np.arange(start, min(start + rows, first_hi), dtype=dtype)
-        start += rows
-        rows = min(2 * rows, full)
-        k = np.stack(np.meshgrid(first, *rest, indexing="ij"), axis=-1).reshape(-1, P.n)
-        slack = s0 + h * (k @ normals)
-        k = k[np.where(active, slack == 0, slack > 0).all(axis=1)]
+    corner = np.array([a for a, _ in axes], dtype=np.int64)
+    start, block = 0, min(_CHUNK, cap + 1)
+    blocks, size = [], 0
+    while start < total:
+        index = np.arange(start, min(start + block, total))
+        start += block
+        block = min(2 * block, _CHUNK)
+        k = np.stack(np.unravel_index(index, shape), axis=-1) + corner
+        q = k @ N
+        k = k[np.where(active, q == 0, q >= lower).all(axis=1)]
         size += len(k)
         if size > cap:
             raise OrbitCapError(
@@ -313,6 +316,6 @@ def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
                 "(noncompact or degenerate input?)")
         blocks.append(k)
 
-    steps = np.concatenate(blocks).astype(np.int64, copy=False)
+    steps = np.concatenate(blocks)
     origin = ~steps.any(axis=1)     # exactly one row: y0 itself
     return Orbit(hbar, y0, np.concatenate((steps[origin], steps[~origin])))

@@ -98,10 +98,6 @@ class DelzantPolytope:
             raise DomainError(f"point {y} lies outside the polytope")
         return tuple(j for j, sj in enumerate(s) if sj == 0)
 
-    def min_slack(self, y) -> Fraction:
-        s, d, _ = scaled_slacks(self, y)
-        return Fraction(min(s), d)
-
     def is_interior(self, y) -> bool:
         return all(s > 0 for s in scaled_slacks(self, y)[0])
 

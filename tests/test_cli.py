@@ -88,6 +88,18 @@ def test_groupoid_orbit_cap_below_1_exits_2(tmp_path, capsys, cap):
     assert capsys.readouterr().err == f"input error: --cap must be at least 1, got {cap}\n"
 
 
+def test_groupoid_orbit_box_past_int64_exits_2(tmp_path, capsys):
+    # a vertex of the square at hbar 2^-40: a candidate box of 2^80 points
+    rc, text = run(["groupoid", "orbit", str(DATA / "square.json"),
+                    "--hbar", "1/1099511627776", "--point", "0,0", "--cap", "10"],
+                   tmp_path)
+    assert rc == 2
+    assert text is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "too large for int64" in err
+
+
 def test_ratio_text_matches_fraction_randomized():
     rng = random.Random(70)
     for _ in range(3000):

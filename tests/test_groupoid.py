@@ -391,6 +391,75 @@ def test_orbit_cap_fires_before_memory():
     assert peak < 50 * 2 ** 20
 
 
+def test_orbit_scan_memory_is_bounded_by_the_cap():
+    # an interior point of the square at hbar 1/10^6: 10^12 candidates, of
+    # which the capped scan may touch only its first block
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrbitCapError):
+            gr.orbit(pt.square(), F(1, 10 ** 6), (F(1, 3), F(1, 7)), cap=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("hbar", [F(1, 2 ** 40), F(-1, 2 ** 40), F(1, 2 ** 70)])
+def test_orbit_refuses_a_box_past_int64(hbar, monkeypatch):
+    # the vertex's box holds 2^80 (or 2^140) candidates: refused before
+    # any block is built
+    blocks = record_blocks(monkeypatch)
+    with pytest.raises(DomainError, match="too large for int64"):
+        gr.orbit(pt.square(), hbar, (F(0), F(0)), cap=10)
+    assert blocks == []
+
+
+def test_orbit_int64_guard_on_pairings():
+    # from the vertex 0 the box holds 2^61 + 1 candidates, below the volume
+    # bound, but a step plus a mode inside the box pairs to 2^62 + 1
+    with pytest.raises(DomainError, match="too large for int64"):
+        gr.orbit(pt.interval(), F(1, 2 ** 61), (F(0),), cap=10)
+    # from the midpoint at 2^-60 every pairing stays below 2^62
+    with pytest.raises(OrbitCapError):
+        gr.orbit(pt.interval(), F(1, 2 ** 60), (F(1, 2),), cap=10)
+
+
+def fraction_slack(P, y, j):
+    return sum(c * x for c, x in zip(y, P.normals[j])) - P.offsets[j]
+
+
+def test_face_bounds_match_fraction_slacks_randomized():
+    rng = random.Random(62)
+    cases = random_orbit_inputs(8, per_polytope=10)
+    for P, hbar, y0 in list(cases):
+        # the same point at an hbar with denominator q * 2^62
+        q = hbar.denominator
+        big = F(hbar.numerator * (2 ** 62 + rng.randint(-2 ** 40, 2 ** 40)), q * 2 ** 62)
+        cases.append((P, big, y0))
+    assert any(not P.is_interior(y0) for P, _, y0 in cases)
+    assert {hbar > 0 for _, hbar, _ in cases} == {True, False}
+    for P, hbar, y0 in cases:
+        N, active, lower = gr.face_bounds(P, y0, hbar)
+        sign = 1 if hbar > 0 else -1
+        assert N.dtype == lower.dtype == np.int64
+        assert N.tolist() == [[sign * X[i] for X in P.normals] for i in range(P.n)]
+        for j in range(P.n_facets):
+            s = fraction_slack(P, y0, j)
+            assert active[j] == (s == 0)
+            if not active[j]:
+                # the slack at facet j of a point whose pairing there is q
+                assert s + abs(hbar) * (int(lower[j]) - 1) <= 0
+                assert s + abs(hbar) * int(lower[j]) > 0
+        k = [rng.randint(-5, 5) for _ in range(P.n)]
+        q = (np.array(k, dtype=np.int64) @ N).tolist()
+        head = gr.translate(y0, hbar, k)
+        assert [fraction_slack(P, y0, j) + abs(hbar) * q[j]
+                for j in range(P.n_facets)] == [
+                    fraction_slack(P, head, j) for j in range(P.n_facets)]
+    with pytest.raises(DomainError, match="outside"):
+        gr.face_bounds(pt.square(), (F(-1, 2 ** 62), F(1, 2)), F(1, 4))
+
+
 def test_orbit_cap_boundary():
     P = pt.projective_space(2)
     y0 = (F(1, 20), F(1, 20))
@@ -400,22 +469,22 @@ def test_orbit_cap_boundary():
 
 
 def record_blocks(monkeypatch):
-    """Rows of the first axis in each candidate block `orbit` builds, and
-    the candidates in each."""
+    """The number of candidates in each flat block of the box that `orbit`
+    scans."""
     blocks = []
-    meshgrid = np.meshgrid
+    unravel_index = np.unravel_index
 
-    def recording(*axes, **kwargs):
-        blocks.append((len(axes[0]), math.prod(len(a) for a in axes)))
-        return meshgrid(*axes, **kwargs)
+    def recording(indices, shape, **kwargs):
+        blocks.append(len(indices))
+        return unravel_index(indices, shape, **kwargs)
 
-    monkeypatch.setattr(gr.np, "meshgrid", recording)
+    monkeypatch.setattr(gr.np, "unravel_index", recording)
     return blocks
 
 
 def test_capped_scan_stops_after_its_first_block(monkeypatch):
-    # square at hbar 1/600: 600 candidates per row of the first axis, each
-    # an interior point, so one row already exceeds the cap
+    # square at hbar 1/600: every candidate near y0 is an interior point,
+    # so the first block of cap + 1 candidates already exceeds the cap
     blocks = record_blocks(monkeypatch)
     tracemalloc.start()
     try:
@@ -424,22 +493,23 @@ def test_capped_scan_stops_after_its_first_block(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(n for _, n in blocks) <= 2 * max(10 + 1, 600)
+    assert blocks == [10 + 1]
     assert peak < 512 * 2 ** 10
 
 
 def test_capped_scan_doubles_its_blocks(monkeypatch):
     # a one-point orbit (a vertex) in a 401 x 401 box under a small cap:
-    # 1 row, then doubling up to 65,536 // 401 = 163 rows, and the 146 left
+    # 11 candidates, then doubling up to 65,536, and the 5,164 left
     blocks = record_blocks(monkeypatch)
     orb = gr.orbit(pt.projective_space(2), F(1, 400), (F(0), F(0)), cap=10)
     assert len(orb) == 1
-    assert [r for r, _ in blocks] == [1, 2, 4, 8, 16, 32, 64, 128, 146]
+    assert blocks == [11 * 2 ** i for i in range(13)] + [65536, 5164]
+    assert sum(blocks) == 401 * 401
 
 
 def test_default_cap_scans_full_blocks(monkeypatch):
-    # 400 x 400 candidates: blocks of 65,536 // 400 = 163 rows from the start
+    # 400 x 400 candidates: blocks of 65,536 from the start
     blocks = record_blocks(monkeypatch)
     orb = gr.orbit(pt.projective_space(2), F(1, 400), (F(1, 800), F(1, 800)))
     assert len(orb) == 400 * 399 // 2
-    assert [r for r, _ in blocks] == [163, 163, 74]
+    assert blocks == [65536, 65536, 28928]

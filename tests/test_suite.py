@@ -93,13 +93,15 @@ def test_verify_suite_without_interior_samples_exits_2(tmp_path, capsys, name):
 
 
 def random_interior_point_fraction(P, rng, margin=F(1, 8), denom=64):
-    """Oracle: the per-candidate Fraction test through P.min_slack."""
+    """Oracle: the per-candidate Fraction test on the least facet slack."""
     lo, hi = pt.bounding_box(P)
     for _ in range(10_000):
         y = tuple(
             F(rng.randint(int(lo[i] * denom), int(hi[i] * denom)), denom)
             for i in range(P.n))
-        if P.min_slack(y) > margin:
+        slacks = [sum(c * x for c, x in zip(y, X)) - lam
+                  for X, lam in zip(P.normals, P.offsets)]
+        if min(slacks) > margin:
             return y
     raise DomainError("could not sample an interior point (margin too big?)")
 
@@ -154,8 +156,11 @@ def test_convolve_orbit_equals_per_point_convolve(name):
     P = POLYTOPES[name]
     rng = random.Random(f"convolve-orbit-{name}")
     bases = [su.random_interior_point(P, rng) for _ in range(12)] + BOUNDARY[name]
-    for y0 in bases:
-        hbar = F(rng.choice((1, -1, 1, 1)), rng.choice((4, 5, 8)))
+    # and a base point with denominator 3 * 2^70 at negative hbar
+    cases = [(y0, None) for y0 in bases] + [
+        ((F(1, 3) + F(1, 2 ** 70),) + (F(1, 4),) * (P.n - 1), F(-1, 8))]
+    for y0, hbar in cases:
+        hbar = hbar or F(rng.choice((1, -1, 1, 1)), rng.choice((4, 5, 8)))
         orb = gr.orbit(P, hbar, y0)
         f = su.random_element(P, rng, allow_h=True)
         g = su.random_element(P, rng, allow_h=True)
@@ -178,25 +183,30 @@ def test_convolve_orbit_with_coordinates_past_2_53():
         assert_matches_per_point(P, f, g, orb, rng)
 
 
-def test_convolve_orbit_with_python_int_slacks(monkeypatch):
-    # y0 has denominator 3 * 2^70: its scaled slacks pass 2^63
+def test_convolve_orbit_with_python_int_slacks():
+    # y0 has denominator 3 * 2^70: its scaled slacks pass 2^63, so only the
+    # face bounds derived from them in Python ints reach int64
     P = POLYTOPES["cp2"]
     y0 = (F(1, 3) + F(1, 2 ** 70), F(1, 4))
     orb = gr.orbit(P, F(1, 8), y0)
     assert len(orb) > 1
-    dtypes = []
-
-    def recording(*args):
-        dtypes.append(gr.slack_dtype(*args))
-        return dtypes[-1]
-
-    monkeypatch.setattr(al, "slack_dtype", recording)
     rng = random.Random(63)
     for _ in range(4):
         f = su.random_element(P, rng, allow_h=True)
         g = su.random_element(P, rng, allow_h=True)
         assert_matches_per_point(P, f, g, orb, rng)
-    assert dtypes and set(dtypes) == {object}
+
+
+@pytest.mark.parametrize("name", ["square", "cp2"])
+def test_convolve_orbit_with_modes_past_int64(name):
+    # modes whose entries or pairings pass int64 join no two orbit points;
+    # converting them to int64 would fail or wrap
+    P = POLYTOPES[name]
+    orb = gr.orbit(P, F(1, 8), (F(1, 16), F(1, 16)))
+    big, wide = 2 ** 70, 2 ** 62 + 1
+    f = al.element(2, {(big, 0): "1", (1, 0): "y1", (wide, wide): "y2"})
+    g = al.element(2, {(-big, 1): "1", (0, 1): "y2", (-wide, 1 - wide): "y1"})
+    assert_matches_per_point(P, f, g, orb, random.Random(name))
 
 
 def test_coordinates_are_correctly_rounded_randomized():
