@@ -7,6 +7,12 @@ slacks <y, X_j> - lambda_j of a point (and hbar) by one positive common
 denominator, so that they become Python ints.  The scaling keeps every sign,
 so facet activity and strict slackness are integer comparisons with 0, never
 float or per-facet Fraction arithmetic.
+
+Screening runs in Python ints too.  The offsets are integer numerators a_j
+over one denominator L, and each n-subset of facets is solved by one
+fraction-free elimination, which gives its determinant, its vertex as
+integer numerators and the vertex's integer slacks.  Fractions are built
+only for the vertices, face samples and reports that are returned.
 """
 from __future__ import annotations
 
@@ -56,6 +62,11 @@ class DelzantPolytope:
     compact=False marks inputs accepted as unbounded (quarter-space style);
     boundedness checks are skipped for them and orbit-level features are
     refused downstream.
+
+    The facet data is frozen, so its integer forms are computed once per
+    polytope: `integer_offsets` (the offsets as numerators over one
+    denominator) and the vertex table of one fraction-free elimination per
+    n-subset of facets.
     """
 
     n: int
@@ -102,16 +113,46 @@ class DelzantPolytope:
         return all(s > 0 for s in scaled_slacks(self, y)[0])
 
     @cached_property
-    def _vertices(self) -> tuple[tuple[Fraction, ...], ...]:
-        # the facet data is frozen, so one exact solve per n-subset suffices
-        found = set()
+    def integer_offsets(self) -> tuple[int, tuple[int, ...]]:
+        """(L, a): L > 0 the lcm of the offsets' denominators and a the
+        integer numerators with lambda_j = a[j] / L."""
+        L = math.lcm(*(lam.denominator for lam in self.offsets))
+        return L, tuple(lam.numerator * (L // lam.denominator)
+                        for lam in self.offsets)
+
+    @cached_property
+    def _vertex_table(self):
+        """(D, rows): every vertex is numerators / D for one D > 0, and rows
+        holds (numerators, active set, det) per vertex, sorted by vertex.
+
+        Each n-subset of facets costs one `_solve_facets`; a solution with
+        no negative slack is a vertex and its zero slacks are its active
+        set.  det belongs to the subset that gave the vertex, which is the
+        active set itself when the vertex is simple.
+        """
+        L, a = self.integer_offsets
+        solved = []
         for subset in itertools.combinations(range(self.n_facets), self.n):
-            sol = intlat.solve_rational(
-                [self.normals[j] for j in subset],
-                [self.offsets[j] for j in subset])
-            if sol is not None and self.contains(sol):
-                found.add(sol)
-        return tuple(sorted(found))
+            sol = _solve_facets(self.normals, a, subset)
+            if sol is None:
+                continue
+            det, x = sol
+            scale = abs(det)
+            s = [_pair_int(x, X) - aj * scale for X, aj in zip(self.normals, a)]
+            if min(s) >= 0:
+                active = tuple(j for j, sj in enumerate(s) if sj == 0)
+                solved.append((x, L * scale, active, det))
+        D = math.lcm(*(den for _, den, _, _ in solved))
+        found = {}
+        for x, den, active, det in solved:
+            found.setdefault(tuple(c * (D // den) for c in x), (active, det))
+        # one positive denominator: integer order is the vertices' order
+        return D, tuple((x, active, det) for x, (active, det) in sorted(found.items()))
+
+    @cached_property
+    def _vertices(self) -> tuple[tuple[Fraction, ...], ...]:
+        D, rows = self._vertex_table
+        return tuple(tuple(Fraction(c, D) for c in x) for x, _, _ in rows)
 
     @cached_property
     def _bounding_box(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -167,11 +208,11 @@ def scaled_slacks(P: DelzantPolytope, y, hbar=0):
     if len(y) != P.n:
         raise DimensionError(f"point has {len(y)} coordinates, expected {P.n}")
     hbar = Fraction(hbar)
-    d = math.lcm(hbar.denominator, *(c.denominator for c in y),
-                 *(lam.denominator for lam in P.offsets))
+    L, a = P.integer_offsets
+    d = math.lcm(hbar.denominator, L, *(c.denominator for c in y))
     yd = [c.numerator * (d // c.denominator) for c in y]
-    s = tuple(_pair_int(yd, x) - lam.numerator * (d // lam.denominator)
-              for x, lam in zip(P.normals, P.offsets))
+    scale = d // L
+    s = tuple(_pair_int(yd, x) - aj * scale for x, aj in zip(P.normals, a))
     return s, d, hbar.numerator * (d // hbar.denominator)
 
 
@@ -211,7 +252,8 @@ def isotropy_lattice(P: DelzantPolytope, y) -> list[tuple[int, ...]]:
 # vertices and screening
 
 def vertices(P: DelzantPolytope) -> list[tuple[Fraction, ...]]:
-    """All vertices, sorted, found by exact solves over n-subsets of facets.
+    """All vertices, sorted, found by one fraction-free integer elimination
+    per n-subset of facets (`_solve_facets`).
 
     Computed once per polytope; each call returns a fresh list.
     """
@@ -223,35 +265,84 @@ def bounding_box(P: DelzantPolytope):
     return P._bounding_box
 
 
+def _eliminate(rows, width: int):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows, in
+    place, on columns 0..width-1, stopping at the first column without a
+    pivot.
+
+    Returns (f, d, sign): columns 0..f-1 hold the pivots of rows 0..f-1 (f
+    = width when every column has one), d is the last pivot (1 when f = 0)
+    and sign the parity of the row swaps.  The rows are then d times their
+    reduced row echelon form on the first f columns, so d stands in every
+    pivot position, and for width square rows of rank width, sign * d is
+    their determinant.  Each division by the previous pivot is exact: every
+    entry is a minor of the input (Sylvester's identity).
+    """
+    sign, prev = 1, 1
+    for c in range(width):
+        piv = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            return c, prev, sign
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            sign = -sign
+        top = rows[c]
+        p = top[c]
+        for i, row in enumerate(rows):
+            if i != c:
+                q = row[c]
+                rows[i] = [(p * v - q * t) // prev for v, t in zip(row, top)]
+        prev = p
+    return width, prev, sign
+
+
+def _solve_facets(normals, a, subset):
+    """The point where the facets in `subset` (n of them) are all met with
+    equality, from one `_eliminate` of [X_j | a_j]: (det, x) with det the
+    determinant of their normals and x the integer numerators of the point
+    over L * |det| (L, a from `integer_offsets`); None when det = 0.
+    """
+    n = len(subset)
+    rows = [[*normals[j], a[j]] for j in subset]
+    f, d, sign = _eliminate(rows, n)
+    if f < n:
+        return None
+    unit = 1 if d > 0 else -1
+    return sign * d, [unit * r[n] for r in rows]
+
+
+def _kernel_vector(rows, n: int):
+    """The primitive integer kernel vector of the integer rows (length n)
+    that is a positive multiple of `intlat.rational_kernel_vector`'s: 1 at
+    the first free column, 0 at the later ones.  None when the rows have
+    rank n.  No rows give (1, 0, ..., 0).
+    """
+    rows = [list(r) for r in rows]
+    f, d, _ = _eliminate(rows, n)
+    if f == n:
+        return None
+    unit = 1 if d > 0 else -1
+    v = [-unit * r[f] for r in rows[:f]] + [unit * d] + [0] * (n - f - 1)
+    g = math.gcd(*v)
+    return tuple(c // g for c in v)
+
+
 def _recession_ray(P: DelzantPolytope):
-    """An integer direction of recession, or None when the polytope is bounded."""
-    line = intlat.rational_kernel_vector(P.normals)
+    """An integer direction of recession, or None when the polytope is bounded.
+
+    A line of the polytope comes first; else an edge direction, the kernel
+    of an (n-1)-subset of facets, or its negative, that pairs
+    nonnegatively with every normal.
+    """
+    line = _kernel_vector(P.normals, P.n)
     if line is not None:
-        return _primitive(line)
-    if P.n == 1:
-        candidates = [(Fraction(1),)]
-    else:
-        candidates = []
-        for subset in itertools.combinations(range(P.n_facets), P.n - 1):
-            v = intlat.rational_kernel_vector([P.normals[j] for j in subset])
-            if v is not None:
-                candidates.append(v)
-    for v in candidates:
-        v = _primitive(v)   # a positive multiple: the pairing signs stay
+        return line
+    for subset in itertools.combinations(range(P.n_facets), P.n - 1):
+        v = _kernel_vector([P.normals[j] for j in subset], P.n)
         for w in (v, tuple(-c for c in v)):
-            if any(w) and all(_pair_int(w, x) >= 0 for x in P.normals):
+            if all(_pair_int(w, x) >= 0 for x in P.normals):
                 return w
     return None
-
-
-def _primitive(v):
-    denoms = [Fraction(c).denominator for c in v]
-    scale = math.lcm(*denoms) if denoms else 1
-    ints = [int(Fraction(c) * scale) for c in v]
-    g = math.gcd(*(abs(c) for c in ints))
-    if g:
-        ints = [c // g for c in ints]
-    return tuple(ints)
 
 
 def check_delzant(P: DelzantPolytope) -> DelzantReport:
@@ -259,7 +350,12 @@ def check_delzant(P: DelzantPolytope) -> DelzantReport:
     boundedness and a nonempty interior (the latter two skipped when the
     polytope is flagged noncompact).  Violations are reported, not raised.
 
-    Screened once per polytope; every call returns that one report.
+    Screening runs on the polytope's vertex table in Python ints: each
+    vertex's active set and determinant come from the one elimination of
+    its n-subset of facets, and the recession ray from integer kernel
+    vectors.  Fractions appear only in the returned vertices and the
+    violation texts.  Screened once per polytope; every call returns that
+    one report.
     """
     return P._screening
 
@@ -276,6 +372,7 @@ def _screen(P: DelzantPolytope) -> DelzantReport:
             violations.append(f"facet {j}: normal {x} is not primitive")
 
     verts = P._vertices
+    _, table = P._vertex_table
     bounded = None
     if P.compact:
         ray = _recession_ray(P)
@@ -285,25 +382,21 @@ def _screen(P: DelzantPolytope) -> DelzantReport:
         if not verts:
             violations.append("no vertices (empty or degenerate)")
 
-    for v in verts:
-        active = P.active_set(v)
+    for v, (_, active, det) in zip(verts, table):
         if len(active) > P.n:
             violations.append(
                 f"vertex {v}: {len(active)} facets active (not simple)")
-            continue
-        det = intlat.determinant([P.normals[j] for j in active])
-        if abs(det) != 1:
+        elif abs(det) != 1:
             violations.append(
                 f"vertex {v}: active normals have determinant {det}")
 
     if P.compact and verts and not violations:
-        centroid = tuple(
-            sum(v[i] for v in verts) / len(verts) for i in range(P.n))
-        for j, s in enumerate(scaled_slacks(P, centroid)[0]):
-            if s <= 0:
-                violations.append(
-                    f"facet {j} touches every vertex (empty interior "
-                    "or redundant facet)")
+        # the centroid's slacks are the means of the vertices' slacks, which
+        # are >= 0: one is 0 exactly when the facet is active at every vertex
+        for j in sorted(set.intersection(*(set(active) for _, active, _ in table))):
+            violations.append(
+                f"facet {j} touches every vertex (empty interior "
+                "or redundant facet)")
 
     return DelzantReport(not violations, tuple(violations), verts, bounded)
 
@@ -327,24 +420,23 @@ def enumerate_faces(P: DelzantPolytope) -> list[Face]:
     screening proved every vertex simple with a unimodular basis of active
     normals, so each such S is a face, the average of the vertices whose
     active set contains S has active set exactly S, and the face has
-    dimension n - |S|.
+    dimension n - |S|.  Active sets and vertex numerators come from the
+    polytope's vertex table, so each sample coordinate is one Fraction of
+    an integer sum.
     """
     if not P.compact:
         return _faces_noncompact(P)
-    verts = vertices(P)
-    if not verts:
+    D, table = P._vertex_table
+    if not table:
         raise DomainError("cannot enumerate faces of an empty polytope")
-    active_of = {v: set(P.active_set(v)) for v in verts}
     candidates = {frozenset()}
-    for v in verts:
-        act = sorted(active_of[v])
-        for r in range(1, len(act) + 1):
-            candidates.update(frozenset(s) for s in itertools.combinations(act, r))
+    for _, active, _ in table:
+        for r in range(1, len(active) + 1):
+            candidates.update(frozenset(s) for s in itertools.combinations(active, r))
     faces = []
     for cand in sorted(candidates, key=lambda s: (len(s), sorted(s))):
-        members = [v for v in verts if cand <= active_of[v]]
-        sample = tuple(
-            sum(v[i] for v in members) / len(members) for i in range(P.n))
+        members = [x for x, active, _ in table if cand.issubset(active)]
+        sample = tuple(Fraction(sum(col), D * len(members)) for col in zip(*members))
         faces.append(Face(tuple(sorted(cand)), sample, P.n - len(cand)))
     return faces
 

@@ -102,11 +102,11 @@ def random_interior_point(P: DelzantPolytope, rng: random.Random,
     """
     lo, hi = bounding_box(P)
     margin = Fraction(margin)
-    d = math.lcm(denom, margin.denominator,
-                 *(lam.denominator for lam in P.offsets))
+    L, offsets = P.integer_offsets
+    d = math.lcm(denom, margin.denominator, L)
     scale = d // denom
     tail = margin.numerator * (d // margin.denominator)
-    bounds = [lam.numerator * (d // lam.denominator) + tail for lam in P.offsets]
+    bounds = [a * (d // L) + tail for a in offsets]
     ranges = [(int(lo[i] * denom), int(hi[i] * denom)) for i in range(P.n)]
     for _ in range(10_000):
         a = [rng.randint(a0, a1) for a0, a1 in ranges]

@@ -382,6 +382,43 @@ def test_polytope_check_golden(tmp_path, name, fmt, suffix):
     assert text == (GOLDEN / f"check_{name}.{suffix}").read_text()
 
 
+def _facets(*pairs):
+    return [{"normal": list(x), "offset": lam} for x, lam in pairs]
+
+
+# polytopes that fail screening, one violation kind each (the nonprimitive
+# normal also breaks two determinants); the slab's pair of parallel facets
+# gives a rank-deficient (n-1)-subset before the ray-giving one
+FAILING = {
+    "slab3": {"n": 3, "facets": _facets(((1, 0, 0), "0"), ((-1, 0, 0), "-1"),
+                                        ((0, 1, 0), "0"), ((0, 0, 1), "0"))},
+    "halfstrip": {"n": 2, "facets": _facets(((1, 0), "0"), ((-1, 0), "-1"),
+                                            ((0, 1), "0"))},
+    "det2_triangle": {"n": 2, "facets": _facets(((1, 0), "0"), ((0, 1), "0"),
+                                                ((-1, -2), "-1"))},
+    "nonprimitive": {"n": 2, "facets": _facets(((2, 0), "0"), ((0, 1), "0"),
+                                               ((-1, 0), "-1"), ((0, -1), "-1"))},
+    "pyramid_apex": {"n": 3, "facets": _facets(
+        ((0, 0, 1), "0"), ((1, 0, -1), "-1"), ((-1, 0, -1), "-1"),
+        ((0, 1, -1), "-1"), ((0, -1, -1), "-1"))},
+    "redundant_facet": {"n": 2, "facets": _facets(
+        ((1, 0), "0"), ((0, 1), "0"), ((-1, 0), "-1"), ((0, -1), "-1"),
+        ((1, 1), "0"))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING))
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+def test_polytope_check_failing_golden(tmp_path, name, fmt, suffix):
+    path = tmp_path / "polytope.json"
+    path.write_text(json.dumps(FAILING[name]))
+    golden = (GOLDEN / f"check_fail_{name}.{suffix}").read_text()
+    for extra, code in (([], 1), (["--permissive"], 0)):
+        rc, text = run(["polytope", "check", str(path), "--format", fmt, *extra],
+                       tmp_path)
+        assert (rc, text) == (code, golden)
+
+
 def test_polytope_make_product_golden(tmp_path):
     rc, text = run(["polytope", "make", "product", "--of", str(DATA / "sphere.json"),
                     str(DATA / "cp2.json")], tmp_path, "product.json")

@@ -274,14 +274,15 @@ def test_scaled_slacks_dimension_error():
 
 
 def test_vertices_computed_once_per_polytope(monkeypatch):
+    # one integer elimination per n-subset of facets, for the whole lifetime
     calls = []
-    solve = intlat.solve_rational
+    solve = pt._solve_facets
 
     def counting(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(intlat, "solve_rational", counting)
+    monkeypatch.setattr(pt, "_solve_facets", counting)
     P = pt.projective_space(2)
     pt.require_delzant(P)
     gr.orbit(P, F(1, 4), (F(1, 8), F(1, 8)))
@@ -316,3 +317,219 @@ def test_bounding_box_is_computed_once_per_polytope():
     empty = pt.DelzantPolytope(1, ((1,), (-1,)), (F(1), F(0)))
     with pytest.raises(DomainError, match="no vertices"):
         pt.bounding_box(empty)
+
+
+# ---------------------------------------------------------------------------
+# screening and faces against the Fraction reference: per-subset solves over
+# Q, Fraction kernel vectors, Fraction slacks and Fraction averages
+
+def oracle_vertices(P):
+    found = set()
+    for subset in itertools.combinations(range(P.n_facets), P.n):
+        sol = intlat.solve_rational([P.normals[j] for j in subset],
+                                    [P.offsets[j] for j in subset])
+        if sol is not None and all(v >= 0 for v in fraction_slacks(P, sol)):
+            found.add(sol)
+    return tuple(sorted(found))
+
+
+def oracle_active_set(P, y):
+    return tuple(j for j, v in enumerate(fraction_slacks(P, y)) if v == 0)
+
+
+def oracle_primitive(v):
+    denoms = [F(c).denominator for c in v]
+    scale = math.lcm(*denoms) if denoms else 1
+    ints = [int(F(c) * scale) for c in v]
+    g = math.gcd(*(abs(c) for c in ints))
+    if g:
+        ints = [c // g for c in ints]
+    return tuple(ints)
+
+
+def oracle_recession_ray(P):
+    line = intlat.rational_kernel_vector(P.normals)
+    if line is not None:
+        return oracle_primitive(line)
+    if P.n == 1:
+        candidates = [(F(1),)]
+    else:
+        candidates = []
+        for subset in itertools.combinations(range(P.n_facets), P.n - 1):
+            v = intlat.rational_kernel_vector([P.normals[j] for j in subset])
+            if v is not None:
+                candidates.append(v)
+    for v in candidates:
+        v = oracle_primitive(v)
+        for w in (v, tuple(-c for c in v)):
+            if any(w) and all(sum(a * b for a, b in zip(w, x)) >= 0
+                              for x in P.normals):
+                return w
+    return None
+
+
+def oracle_screen(P):
+    """(ok, violations, vertices, bounded) of the Fraction screening."""
+    violations = []
+    if P.n_facets == 0:
+        return False, ("no facets",), (), None
+    for j, x in enumerate(P.normals):
+        if all(c == 0 for c in x):
+            violations.append(f"facet {j}: zero normal")
+        elif math.gcd(*(abs(c) for c in x)) != 1:
+            violations.append(f"facet {j}: normal {x} is not primitive")
+    verts = oracle_vertices(P)
+    bounded = None
+    if P.compact:
+        ray = oracle_recession_ray(P)
+        bounded = ray is None
+        if ray is not None:
+            violations.append(f"unbounded: recession direction {ray}")
+        if not verts:
+            violations.append("no vertices (empty or degenerate)")
+    for v in verts:
+        active = oracle_active_set(P, v)
+        if len(active) > P.n:
+            violations.append(
+                f"vertex {v}: {len(active)} facets active (not simple)")
+            continue
+        det = intlat.determinant([P.normals[j] for j in active])
+        if abs(det) != 1:
+            violations.append(
+                f"vertex {v}: active normals have determinant {det}")
+    if P.compact and verts and not violations:
+        centroid = tuple(
+            sum(v[i] for v in verts) / len(verts) for i in range(P.n))
+        for j, s in enumerate(fraction_slacks(P, centroid)):
+            if s <= 0:
+                violations.append(
+                    f"facet {j} touches every vertex (empty interior "
+                    "or redundant facet)")
+    return not violations, tuple(violations), verts, bounded
+
+
+def oracle_faces(P):
+    verts = oracle_vertices(P)
+    active_of = {v: set(oracle_active_set(P, v)) for v in verts}
+    candidates = {frozenset()}
+    for v in verts:
+        act = sorted(active_of[v])
+        for r in range(1, len(act) + 1):
+            candidates.update(frozenset(s) for s in itertools.combinations(act, r))
+    faces = []
+    for cand in sorted(candidates, key=lambda s: (len(s), sorted(s))):
+        members = [v for v in verts if cand <= active_of[v]]
+        sample = tuple(
+            sum(v[i] for v in members) / len(members) for i in range(P.n))
+        faces.append(pt.Face(tuple(sorted(cand)), sample, P.n - len(cand)))
+    return faces
+
+
+def random_unimodular(n, rng):
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            c = rng.choice((-2, -1, 1, 2))
+            U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+    if rng.random() < 0.5:
+        U[0] = [-a for a in U[0]]
+    return U
+
+
+def random_offset(rng):
+    return F(rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 5, 7, 12)))
+
+
+def random_screening_polytope(rng):
+    """A random polytope: a transformed box or simplex with mixed-denominator
+    offsets, then some of: a non-primitive or det-2 normal, a redundant
+    facet (slack or through a vertex), a removed facet (unbounded, or a
+    line), a duplicated facet, an empty system; or small random normals."""
+    n = rng.randint(1, 3)
+    if rng.random() < 0.25:
+        m = rng.randint(1, 2 * n + 2)
+        normals = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(m)]
+        normals = [x if any(x) else (1,) + (0,) * (n - 1) for x in normals]
+        return pt.DelzantPolytope(n, tuple(normals),
+                                  tuple(random_offset(rng) for _ in normals))
+    U = random_unimodular(n, rng)
+    # rows of U^T: a box's or simplex's normals through the lattice map U
+    basis = [tuple(U[i][j] for i in range(n)) for j in range(n)]
+    if rng.random() < 0.5:
+        normals = basis + [tuple(-c for c in x) for x in basis]
+        offsets = [random_offset(rng) for _ in range(n)]
+        offsets += [-(lo + F(rng.randint(1, 6), rng.choice((1, 2, 3))))
+                    for lo in offsets]
+    else:
+        normals = basis + [tuple(-sum(c) for c in zip(*basis))]
+        offsets = [random_offset(rng) for _ in range(n)]
+        offsets.append(-sum(offsets) - F(rng.randint(1, 5), rng.choice((1, 2, 4))))
+    P = pt.DelzantPolytope(n, tuple(normals), tuple(offsets))
+    verts = oracle_vertices(P)
+    for _ in range(rng.randint(0, 2)):
+        kind = rng.choice(("nonprimitive", "det2", "slack", "through", "drop",
+                           "duplicate", "empty"))
+        j = rng.randrange(len(normals))
+        if kind == "nonprimitive":
+            normals[j] = tuple(2 * c for c in normals[j])
+            offsets[j] = 2 * offsets[j]
+        elif kind == "det2":
+            normals.append(tuple(rng.choice((-1, 1)) * c + 2 * d for c, d in
+                                 zip(normals[j], normals[(j + 1) % len(normals)])))
+            offsets.append(random_offset(rng) - 30)
+        elif kind in ("slack", "through") and verts:
+            x = tuple(rng.randint(-2, 2) for _ in range(n))
+            if not any(x):
+                continue
+            lowest = min(sum(a * b for a, b in zip(v, x)) for v in verts)
+            normals.append(x)
+            offsets.append(lowest - (F(1, 3) if kind == "slack" else 0))
+        elif kind == "drop" and len(normals) > 1:
+            del normals[j], offsets[j]
+        elif kind == "duplicate":
+            normals.append(normals[j])
+            offsets.append(offsets[j])
+        elif kind == "empty":
+            normals.append(tuple(-c for c in normals[j]))
+            offsets.append(-offsets[j] + 1)
+    return pt.DelzantPolytope(n, tuple(normals), tuple(offsets))
+
+
+SCREENING_POLYTOPES = [
+    # a slab: the parallel pair is a rank-deficient 2-subset before the ray's
+    pt.DelzantPolytope(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                       (F(0), F(-1), F(0), F(0))),
+    # a strip with a line, and a 3-D slab with a plane of lines
+    pt.DelzantPolytope(2, ((1, 0), (-1, 0)), (F(1, 3), F(-5, 2))),
+    pt.DelzantPolytope(3, ((0, 1, 1), (0, -1, -1)), (F(0), F(-1))),
+    # the det-2 triangle, a redundant facet through a vertex, an empty system
+    pt.DelzantPolytope(2, ((1, 0), (0, 1), (-1, -2)), (F(0), F(0), F(-1))),
+    pt.DelzantPolytope(2, ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)),
+                       (F(0), F(0), F(-1), F(-1), F(0))),
+    pt.DelzantPolytope(1, ((1,), (-1,)), (F(1), F(0))),
+    pt.orthant(3), pt.interval(), pt.projective_space(3),
+]
+
+
+VIOLATION_KINDS = ("not primitive", "unbounded", "no vertices", "not simple",
+                   "determinant")
+
+
+def test_screening_matches_the_fraction_oracle():
+    rng = random.Random(16)
+    polytopes = SCREENING_POLYTOPES + [random_screening_polytope(rng) for _ in range(300)]
+    kinds = set()
+    for P in polytopes:
+        report = pt.check_delzant(P)
+        ok, violations, verts, bounded = oracle_screen(P)
+        assert report.ok == ok, P
+        assert report.violations == violations, P
+        assert report.vertices == verts, P
+        assert report.bounded == bounded, P
+        assert pt.vertices(P) == list(verts)
+        kinds.update(k for k in VIOLATION_KINDS for v in violations if k in v)
+        if ok and P.compact:
+            kinds.add("pass")
+            assert pt.enumerate_faces(P) == oracle_faces(P), P
+    assert kinds == {"pass", *VIOLATION_KINDS}
