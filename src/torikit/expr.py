@@ -18,8 +18,11 @@ Grammar (EBNF):
 A quotient of two integer literals is folded to a rational constant, and a
 negated constant to its negative, so printing round-trips to the same tree.
 Nodes are frozen dataclasses with structural equality: immutable, equal when
-of the same class with equal fields, and hashed by their fields.  Complex
-values never appear here; the algebra layer pairs two real expressions per
+of the same class with equal fields, and hashed by their fields.  Each node
+class holds its own behaviour: its printing precedence and text, its
+derivative, its substitution and its evaluation; the module functions
+(`to_text`, `d_dh`, `d_dy`, `shift_y`, `subs_h`, `evaluate`) call the root
+node's method.  Complex values never appear here; the algebra layer pairs two real expressions per
 mode coefficient.
 """
 from __future__ import annotations
@@ -38,22 +41,30 @@ __all__ = [
     "shift_y", "subs_h", "ComplexExpr",
 ]
 
-_FUNCTIONS = ("sin", "cos", "exp", "sqrt")
+# the functions of the language and the ufunc that evaluates each
+_UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}
 
 
 _node = dataclass(frozen=True, slots=True, repr=False)
 
 
 class Expr:
-    """Expression node; `_node` (repr=False) keeps the to_text forms below."""
+    """Expression node; `_node` (repr=False) keeps the to_text forms below.
+
+    A node class defines `prec` (printing precedence), `text()`,
+    `derive(wrt)` (wrt is 'h' or a coordinate index), `subs(h_node,
+    y_nodes)` and `eval(h, y)`.  `derive` and `subs` build through the smart
+    constructors `_add` ... `_pow`, read as module globals at call time.
+    """
 
     __slots__ = ()
+    prec = 9
 
     def __str__(self):
-        return to_text(self)
+        return self.text()
 
     def __repr__(self):
-        return f"{type(self).__name__}({to_text(self)!r})"
+        return f"{type(self).__name__}({self.text()!r})"
 
 
 @_node
@@ -64,10 +75,40 @@ class Const(Expr):
         if type(self.value) is not Fraction:
             object.__setattr__(self, "value", Fraction(self.value))
 
+    @property
+    def prec(self):
+        if self.value.denominator != 1:
+            return 2         # prints as a quotient
+        if self.value < 0:
+            return 3         # prints with a leading minus
+        return 9
+
+    def text(self):
+        return str(self.value)
+
+    def derive(self, wrt):
+        return _ZERO
+
+    def subs(self, h_node, y_nodes):
+        return self
+
+    def eval(self, h, y):
+        return float(self.value)
+
 
 @_node
 class H(Expr):
-    pass
+    def text(self):
+        return "h"
+
+    def derive(self, wrt):
+        return _ONE if wrt == "h" else _ZERO
+
+    def subs(self, h_node, y_nodes):
+        return h_node if h_node is not None else self
+
+    def eval(self, h, y):
+        return h
 
 
 @_node
@@ -79,43 +120,141 @@ class Y(Expr):
             raise ParseError(f"coordinate index must be >= 1, got {self.index}")
         object.__setattr__(self, "index", int(self.index))
 
+    def text(self):
+        return f"y{self.index}"
 
-@_node
-class Add(Expr):
-    a: Expr
-    b: Expr
+    def derive(self, wrt):
+        return _ONE if self.index == wrt else _ZERO
 
+    def subs(self, h_node, y_nodes):
+        repl = y_nodes.get(self.index)
+        return repl if repl is not None else self
 
-@_node
-class Sub(Expr):
-    a: Expr
-    b: Expr
-
-
-@_node
-class Mul(Expr):
-    a: Expr
-    b: Expr
+    def eval(self, h, y):
+        if self.index > len(y):
+            raise EvalDomainError(
+                f"point has {len(y)} coordinates, expression uses y{self.index}", self)
+        return y[self.index - 1]
 
 
 @_node
-class Div(Expr):
+class _Binary(Expr):
+    """A left-associative operator, printed `a op b`."""
+
     a: Expr
     b: Expr
+
+    def text(self):
+        # right operands of equal precedence need parentheses or reparsing
+        # would rebuild a left-leaning tree
+        return f"{_wrap(self.a, self.prec)}{self.op}{_wrap(self.b, self.prec, strict=True)}"
+
+
+@_node
+class Add(_Binary):
+    op, prec = " + ", 1
+
+    def derive(self, wrt):
+        return _add(self.a.derive(wrt), self.b.derive(wrt))
+
+    def subs(self, h_node, y_nodes):
+        return _add(self.a.subs(h_node, y_nodes), self.b.subs(h_node, y_nodes))
+
+    def eval(self, h, y):
+        return self.a.eval(h, y) + self.b.eval(h, y)
+
+
+@_node
+class Sub(_Binary):
+    op, prec = " - ", 1
+
+    def derive(self, wrt):
+        return _sub(self.a.derive(wrt), self.b.derive(wrt))
+
+    def subs(self, h_node, y_nodes):
+        return _sub(self.a.subs(h_node, y_nodes), self.b.subs(h_node, y_nodes))
+
+    def eval(self, h, y):
+        return self.a.eval(h, y) - self.b.eval(h, y)
+
+
+@_node
+class Mul(_Binary):
+    op, prec = "*", 2
+
+    def derive(self, wrt):
+        return _add(_mul(self.a.derive(wrt), self.b), _mul(self.a, self.b.derive(wrt)))
+
+    def subs(self, h_node, y_nodes):
+        return _mul(self.a.subs(h_node, y_nodes), self.b.subs(h_node, y_nodes))
+
+    def eval(self, h, y):
+        return self.a.eval(h, y) * self.b.eval(h, y)
+
+
+@_node
+class Div(_Binary):
+    op, prec = "/", 2
+
+    def derive(self, wrt):
+        num = _sub(_mul(self.a.derive(wrt), self.b), _mul(self.a, self.b.derive(wrt)))
+        return _div(num, _pow(self.b, 2))
+
+    def subs(self, h_node, y_nodes):
+        return _div(self.a.subs(h_node, y_nodes), self.b.subs(h_node, y_nodes))
+
+    def eval(self, h, y):
+        num = self.a.eval(h, y)
+        den = self.b.eval(h, y)
+        if np.any(den == 0):
+            raise EvalDomainError("division by zero", self)
+        return num / den
 
 
 @_node
 class Neg(Expr):
     a: Expr
+    prec = 3
+
+    def text(self):
+        return f"-{_wrap(self.a, self.prec, strict=True)}"
+
+    def derive(self, wrt):
+        return _neg(self.a.derive(wrt))
+
+    def subs(self, h_node, y_nodes):
+        return _neg(self.a.subs(h_node, y_nodes))
+
+    def eval(self, h, y):
+        return -self.a.eval(h, y)
 
 
 @_node
 class Pow(Expr):
     a: Expr
     exponent: int
+    prec = 4
 
     def __post_init__(self):
         object.__setattr__(self, "exponent", int(self.exponent))
+
+    def text(self):
+        return f"{_wrap(self.a, self.prec, strict=True)}^{self.exponent}"
+
+    def derive(self, wrt):
+        if self.exponent == 0:
+            return _ZERO
+        inner = self.a.derive(wrt)
+        return _mul(_mul(Const(self.exponent), _pow(self.a, self.exponent - 1)), inner)
+
+    def subs(self, h_node, y_nodes):
+        return _pow(self.a.subs(h_node, y_nodes), self.exponent)
+
+    def eval(self, h, y):
+        base = self.a.eval(h, y)
+        if self.exponent < 0 and np.any(base == 0):
+            raise EvalDomainError("zero raised to a negative power", self)
+        return base ** self.exponent
 
 
 @_node
@@ -124,8 +263,31 @@ class Fun(Expr):
     a: Expr
 
     def __post_init__(self):
-        if self.name not in _FUNCTIONS:
+        if self.name not in _UFUNCS:
             raise ParseError(f"unknown function '{self.name}'")
+
+    def text(self):
+        return f"{self.name}({self.a.text()})"
+
+    def derive(self, wrt):
+        inner = self.a.derive(wrt)
+        if self.name == "sin":
+            return _mul(Fun("cos", self.a), inner)
+        if self.name == "cos":
+            return _neg(_mul(Fun("sin", self.a), inner))
+        if self.name == "exp":
+            return _mul(self, inner)
+        # sqrt introduces a quotient; domain issues surface at evaluation
+        return _div(inner, _mul(Const(2), self))
+
+    def subs(self, h_node, y_nodes):
+        return Fun(self.name, self.a.subs(h_node, y_nodes))
+
+    def eval(self, h, y):
+        arg = self.a.eval(h, y)
+        if self.name == "sqrt" and np.any(arg < 0):
+            raise EvalDomainError("sqrt of a negative value", self)
+        return _UFUNCS[self.name](arg)
 
 
 _ZERO = Const(0)
@@ -244,7 +406,7 @@ class _Parser:
         if kind == "name":
             if value == "h":
                 return H()
-            if value in _FUNCTIONS:
+            if value in _UFUNCS:
                 self.expect("(")
                 arg = self.expr()
                 self.expect(")")
@@ -268,27 +430,9 @@ def parse(text: str, n: int) -> Expr:
 # ---------------------------------------------------------------------------
 # printing (inverse of parse up to tree equality)
 
-def _prec(e) -> int:
-    if isinstance(e, (Add, Sub)):
-        return 1
-    if isinstance(e, (Mul, Div)):
-        return 2
-    if isinstance(e, Neg):
-        return 3
-    if isinstance(e, Const):
-        if e.value.denominator != 1:
-            return 2         # prints as a quotient
-        if e.value < 0:
-            return 3         # prints with a leading minus
-        return 9
-    if isinstance(e, Pow):
-        return 4
-    return 9
-
-
 def _wrap(e, level, strict=False):
-    text = to_text(e)
-    p = _prec(e)
+    text = e.text()
+    p = e.prec
     if p < level or (strict and p == level):
         return f"({text})"
     return text
@@ -296,29 +440,7 @@ def _wrap(e, level, strict=False):
 
 def to_text(e: Expr) -> str:
     """Render an expression; parse(to_text(e), n) rebuilds the same tree."""
-    if isinstance(e, Const):
-        return str(e.value)
-    if isinstance(e, H):
-        return "h"
-    if isinstance(e, Y):
-        return f"y{e.index}"
-    # +,-,*,/ are left-associative: right operands of equal precedence need
-    # parentheses or reparsing would rebuild a left-leaning tree
-    if isinstance(e, Add):
-        return f"{_wrap(e.a, 1)} + {_wrap(e.b, 1, strict=True)}"
-    if isinstance(e, Sub):
-        return f"{_wrap(e.a, 1)} - {_wrap(e.b, 1, strict=True)}"
-    if isinstance(e, Mul):
-        return f"{_wrap(e.a, 2)}*{_wrap(e.b, 2, strict=True)}"
-    if isinstance(e, Div):
-        return f"{_wrap(e.a, 2)}/{_wrap(e.b, 2, strict=True)}"
-    if isinstance(e, Neg):
-        return f"-{_wrap(e.a, 3, strict=True)}"
-    if isinstance(e, Pow):
-        return f"{_wrap(e.a, 4, strict=True)}^{e.exponent}"
-    if isinstance(e, Fun):
-        return f"{e.name}({to_text(e.a)})"
-    raise TypeError(f"not an expression: {e!r}")
+    return e.text()
 
 
 # ---------------------------------------------------------------------------
@@ -397,82 +519,16 @@ def _pow(a, p):
 
 
 # ---------------------------------------------------------------------------
-# derivatives
-
-def _derive(e, wrt):
-    """wrt: 'h' or a coordinate index (int)."""
-    if isinstance(e, Const):
-        return _ZERO
-    if isinstance(e, H):
-        return _ONE if wrt == "h" else _ZERO
-    if isinstance(e, Y):
-        return _ONE if e.index == wrt else _ZERO
-    if isinstance(e, Add):
-        return _add(_derive(e.a, wrt), _derive(e.b, wrt))
-    if isinstance(e, Sub):
-        return _sub(_derive(e.a, wrt), _derive(e.b, wrt))
-    if isinstance(e, Mul):
-        return _add(_mul(_derive(e.a, wrt), e.b), _mul(e.a, _derive(e.b, wrt)))
-    if isinstance(e, Div):
-        num = _sub(_mul(_derive(e.a, wrt), e.b), _mul(e.a, _derive(e.b, wrt)))
-        return _div(num, _pow(e.b, 2))
-    if isinstance(e, Neg):
-        return _neg(_derive(e.a, wrt))
-    if isinstance(e, Pow):
-        if e.exponent == 0:
-            return _ZERO
-        inner = _derive(e.a, wrt)
-        return _mul(_mul(Const(e.exponent), _pow(e.a, e.exponent - 1)), inner)
-    if isinstance(e, Fun):
-        inner = _derive(e.a, wrt)
-        if e.name == "sin":
-            return _mul(Fun("cos", e.a), inner)
-        if e.name == "cos":
-            return _neg(_mul(Fun("sin", e.a), inner))
-        if e.name == "exp":
-            return _mul(e, inner)
-        if e.name == "sqrt":
-            # introduces a quotient; domain issues surface at evaluation
-            return _div(inner, _mul(Const(2), e))
-    raise TypeError(f"not an expression: {e!r}")
-
+# derivatives, substitution and evaluation
 
 def d_dh(e: Expr) -> Expr:
     """Exact symbolic derivative with respect to h."""
-    return _derive(e, "h")
+    return e.derive("h")
 
 
 def d_dy(e: Expr, i: int) -> Expr:
     """Exact symbolic derivative with respect to y_i (1-based)."""
-    return _derive(e, int(i))
-
-
-# ---------------------------------------------------------------------------
-# substitution
-
-def _substitute(e, h_node, y_nodes):
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, H):
-        return h_node if h_node is not None else e
-    if isinstance(e, Y):
-        repl = y_nodes.get(e.index)
-        return repl if repl is not None else e
-    if isinstance(e, Add):
-        return _add(_substitute(e.a, h_node, y_nodes), _substitute(e.b, h_node, y_nodes))
-    if isinstance(e, Sub):
-        return _sub(_substitute(e.a, h_node, y_nodes), _substitute(e.b, h_node, y_nodes))
-    if isinstance(e, Mul):
-        return _mul(_substitute(e.a, h_node, y_nodes), _substitute(e.b, h_node, y_nodes))
-    if isinstance(e, Div):
-        return _div(_substitute(e.a, h_node, y_nodes), _substitute(e.b, h_node, y_nodes))
-    if isinstance(e, Neg):
-        return _neg(_substitute(e.a, h_node, y_nodes))
-    if isinstance(e, Pow):
-        return _pow(_substitute(e.a, h_node, y_nodes), e.exponent)
-    if isinstance(e, Fun):
-        return Fun(e.name, _substitute(e.a, h_node, y_nodes))
-    raise TypeError(f"not an expression: {e!r}")
+    return e.derive(int(i))
 
 
 def shift_y(e: Expr, k) -> Expr:
@@ -482,58 +538,12 @@ def shift_y(e: Expr, k) -> Expr:
         ki = int(ki)
         if ki != 0:
             y_nodes[i] = _add(Y(i), _mul(Const(ki), H()))
-    return _substitute(e, None, y_nodes)
+    return e.subs(None, y_nodes)
 
 
 def subs_h(e: Expr, value) -> Expr:
     """Substitute an exact rational value for h."""
-    return _substitute(e, Const(value), {})
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-
-def _eval(e, h, y):
-    if isinstance(e, Const):
-        return float(e.value)
-    if isinstance(e, H):
-        return h
-    if isinstance(e, Y):
-        if e.index > len(y):
-            raise EvalDomainError(
-                f"point has {len(y)} coordinates, expression uses y{e.index}", e)
-        return y[e.index - 1]
-    if isinstance(e, Add):
-        return _eval(e.a, h, y) + _eval(e.b, h, y)
-    if isinstance(e, Sub):
-        return _eval(e.a, h, y) - _eval(e.b, h, y)
-    if isinstance(e, Mul):
-        return _eval(e.a, h, y) * _eval(e.b, h, y)
-    if isinstance(e, Div):
-        num = _eval(e.a, h, y)
-        den = _eval(e.b, h, y)
-        if np.any(den == 0):
-            raise EvalDomainError("division by zero", e)
-        return num / den
-    if isinstance(e, Neg):
-        return -_eval(e.a, h, y)
-    if isinstance(e, Pow):
-        base = _eval(e.a, h, y)
-        if e.exponent < 0 and np.any(base == 0):
-            raise EvalDomainError("zero raised to a negative power", e)
-        return base ** e.exponent
-    if isinstance(e, Fun):
-        arg = _eval(e.a, h, y)
-        if e.name == "sin":
-            return np.sin(arg)
-        if e.name == "cos":
-            return np.cos(arg)
-        if e.name == "exp":
-            return np.exp(arg)
-        if np.any(arg < 0):
-            raise EvalDomainError("sqrt of a negative value", e)
-        return np.sqrt(arg)
-    raise TypeError(f"not an expression: {e!r}")
+    return e.subs(Const(value), {})
 
 
 def evaluate(e: Expr, h, y):
@@ -552,7 +562,7 @@ def evaluate(e: Expr, h, y):
             v = float(v)
         yy.append(v)
     try:
-        out = _eval(e, h, yy)
+        out = e.eval(h, yy)
     except OverflowError as exc:
         raise EvalDomainError("evaluation overflows", e) from exc
     if isinstance(out, np.ndarray):

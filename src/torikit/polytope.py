@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from . import intlat
 from .errors import DimensionError, DomainError, FormatError
 
 __all__ = [
@@ -347,8 +346,11 @@ def _recession_ray(P: DelzantPolytope):
 
 def check_delzant(P: DelzantPolytope) -> DelzantReport:
     """Screen a polytope: primitive normals, simple unimodular vertices,
-    boundedness and a nonempty interior (the latter two skipped when the
+    boundedness and at least one vertex (the latter two skipped when the
     polytope is flagged noncompact).  Violations are reported, not raised.
+    A compact polytope that passes has a nonempty interior: each vertex has
+    n independent active normals, so its tangent cone is full-dimensional
+    and no facet holds every vertex.
 
     Screening runs on the polytope's vertex table in Python ints: each
     vertex's active set and determinant come from the one elimination of
@@ -389,14 +391,6 @@ def _screen(P: DelzantPolytope) -> DelzantReport:
         elif abs(det) != 1:
             violations.append(
                 f"vertex {v}: active normals have determinant {det}")
-
-    if P.compact and verts and not violations:
-        # the centroid's slacks are the means of the vertices' slacks, which
-        # are >= 0: one is 0 exactly when the facet is active at every vertex
-        for j in sorted(set.intersection(*(set(active) for _, active, _ in table))):
-            violations.append(
-                f"facet {j} touches every vertex (empty interior "
-                "or redundant facet)")
 
     return DelzantReport(not violations, tuple(violations), verts, bounded)
 
@@ -448,15 +442,17 @@ def _faces_noncompact(P: DelzantPolytope) -> list[Face]:
         raise DomainError(
             "face enumeration for noncompact polytopes needs exactly n "
             "independent facets")
+    L, a = P.integer_offsets
     faces = []
     for r in range(P.n + 1):
         for subset in itertools.combinations(range(P.n_facets), r):
-            rhs = [P.offsets[j] + (0 if j in subset else 1)
-                   for j in range(P.n_facets)]
-            sol = intlat.solve_rational(P.normals, rhs)
+            rhs = [aj + (0 if j in subset else L) for j, aj in enumerate(a)]
+            sol = _solve_facets(P.normals, rhs, range(P.n_facets))
             if sol is None:
                 raise DomainError("facets are not linearly independent")
-            faces.append(Face(tuple(subset), sol, P.n - r))
+            det, x = sol
+            sample = tuple(Fraction(c, L * abs(det)) for c in x)
+            faces.append(Face(tuple(subset), sample, P.n - r))
     return faces
 
 

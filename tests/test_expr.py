@@ -128,6 +128,15 @@ def test_nodes_and_complex_coefficients_are_immutable():
                 setattr(node, name, ex.Const(0))
 
 
+def test_nodes_are_slotted():
+    # a base class without __slots__ would give every node a __dict__
+    for build, _ in NODES:
+        node = build()
+        assert not hasattr(node, "__dict__"), type(node)
+        for cls in type(node).__mro__[:-1]:
+            assert "__slots__" in vars(cls), cls
+
+
 def test_node_checks_raise_parse_errors():
     with pytest.raises(ParseError, match="coordinate index must be >= 1, got 0"):
         ex.Y(0)
@@ -204,6 +213,27 @@ def test_eval_examples():
         ex.evaluate(ex.parse("y1^-2", 1), 0.0, [0.0])
     with pytest.raises(EvalDomainError, match=r"y1\^200"):
         ex.evaluate(ex.parse("y1^200", 1), 0.0, [1000.0])
+
+
+def test_out_of_range_constant_parses_and_overflows_on_evaluation():
+    e = ex.parse("1" + "0" * 400 + " + y1", 1)
+    assert ex.parse(ex.to_text(e), 1) == e
+    for y in (0.5, np.array([0.5, 1.5])):
+        with pytest.raises(EvalDomainError, match="evaluation overflows"):
+            ex.evaluate(e, 0.0, [y])
+
+
+def test_integer_power_rounds_as_the_scalar_and_array_operators_do():
+    # scalar ** and np.power round differently at some of these points
+    # (x = 2.3673799335066334 is one), so each path is pinned to its own
+    rng = random.Random(23)
+    xs = [rng.uniform(-10.0, 10.0) for _ in range(2000)]
+    e = ex.parse("y1^3", 1)
+    for x in xs:
+        assert ex.evaluate(e, 0.0, [x]).hex() == (x ** 3).hex()
+    arr = np.array(xs)
+    got = ex.evaluate(e, 0.0, [arr])
+    assert np.array_equal(got.view(np.int64), np.power(arr, 3).view(np.int64))
 
 
 def test_eval_accepts_fractions_and_arrays():
@@ -304,6 +334,70 @@ def oracle_scaled(c, a, b=0):
     return ex.ComplexExpr(re, im)
 
 
+# reference walkers: derivative and substitution as one isinstance ladder
+# each, independent of the node classes' methods; they build through the
+# module's constructors, looked up at call time so the test can swap them
+
+def ref_derive(e, wrt):
+    if isinstance(e, ex.Const):
+        return ex._ZERO
+    if isinstance(e, ex.H):
+        return ex._ONE if wrt == "h" else ex._ZERO
+    if isinstance(e, ex.Y):
+        return ex._ONE if e.index == wrt else ex._ZERO
+    if isinstance(e, ex.Add):
+        return ex._add(ref_derive(e.a, wrt), ref_derive(e.b, wrt))
+    if isinstance(e, ex.Sub):
+        return ex._sub(ref_derive(e.a, wrt), ref_derive(e.b, wrt))
+    if isinstance(e, ex.Mul):
+        return ex._add(ex._mul(ref_derive(e.a, wrt), e.b), ex._mul(e.a, ref_derive(e.b, wrt)))
+    if isinstance(e, ex.Div):
+        num = ex._sub(ex._mul(ref_derive(e.a, wrt), e.b), ex._mul(e.a, ref_derive(e.b, wrt)))
+        return ex._div(num, ex._pow(e.b, 2))
+    if isinstance(e, ex.Neg):
+        return ex._neg(ref_derive(e.a, wrt))
+    if isinstance(e, ex.Pow):
+        if e.exponent == 0:
+            return ex._ZERO
+        inner = ref_derive(e.a, wrt)
+        return ex._mul(ex._mul(ex.Const(e.exponent), ex._pow(e.a, e.exponent - 1)), inner)
+    inner = ref_derive(e.a, wrt)
+    if e.name == "sin":
+        return ex._mul(ex.Fun("cos", e.a), inner)
+    if e.name == "cos":
+        return ex._neg(ex._mul(ex.Fun("sin", e.a), inner))
+    if e.name == "exp":
+        return ex._mul(e, inner)
+    return ex._div(inner, ex._mul(ex.Const(2), e))
+
+
+def ref_substitute(e, h_node, y_nodes):
+    if isinstance(e, ex.Const):
+        return e
+    if isinstance(e, ex.H):
+        return h_node if h_node is not None else e
+    if isinstance(e, ex.Y):
+        return y_nodes.get(e.index, e)
+    if isinstance(e, (ex.Add, ex.Sub, ex.Mul, ex.Div)):
+        build = {ex.Add: ex._add, ex.Sub: ex._sub, ex.Mul: ex._mul, ex.Div: ex._div}[type(e)]
+        return build(ref_substitute(e.a, h_node, y_nodes), ref_substitute(e.b, h_node, y_nodes))
+    if isinstance(e, ex.Neg):
+        return ex._neg(ref_substitute(e.a, h_node, y_nodes))
+    if isinstance(e, ex.Pow):
+        return ex._pow(ref_substitute(e.a, h_node, y_nodes), e.exponent)
+    return ex.Fun(e.name, ref_substitute(e.a, h_node, y_nodes))
+
+
+def ref_subs_h(e, value):
+    return ref_substitute(e, ex.Const(value), {})
+
+
+def ref_shift_y(e, k):
+    y_nodes = {i: ex._add(ex.Y(i), ex._mul(ex.Const(ki), ex.H()))
+               for i, ki in enumerate(k, start=1) if ki != 0}
+    return ref_substitute(e, None, y_nodes)
+
+
 CONSTANT_SOURCES = ["0", "1", "-1", "2", "1/2", "y1", "y2", "h"]
 
 
@@ -333,24 +427,24 @@ def test_constructors_build_the_equality_oracles_trees(monkeypatch):
              for _ in range(150)]
     scalars = [0, 1, -1, 2, Fraction(-1, 2), Fraction(0)]
 
-    def derived():
+    def derived(d_dy, subs_h, shift_y):
         out = []
         for e in trees:
-            out += [ex.d_dy(e, 1), ex.d_dy(e, 2), ex.subs_h(e, 0),
-                    ex.subs_h(e, Fraction(-1, 3)), ex.shift_y(e, (1, -1)),
-                    ex.shift_y(e, (0, 2))]
+            out += [d_dy(e, 1), d_dy(e, 2), subs_h(e, 0),
+                    subs_h(e, Fraction(-1, 3)), shift_y(e, (1, -1)),
+                    shift_y(e, (0, 2))]
         for a, b in pairs:
             out.append(a * b)
             out += [a.scaled(s, t) for s in scalars for t in scalars]
         return out
 
-    got = derived()
+    got = derived(ex.d_dy, ex.subs_h, ex.shift_y)
     with monkeypatch.context() as m:
         for name, oracle in (("_add", oracle_add), ("_sub", oracle_sub),
                              ("_mul", oracle_mul), ("_div", oracle_div)):
             m.setattr(ex, name, oracle)
         m.setattr(ex.ComplexExpr, "scaled", oracle_scaled)
-        want = derived()
+        want = derived(ref_derive, ref_subs_h, ref_shift_y)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g == w

@@ -140,6 +140,29 @@ def test_faces_orthant():
         assert pt.orthant(2).active_set(face.sample) == face.active
 
 
+def test_noncompact_faces_match_the_fraction_oracle():
+    # independent facets with any determinant and mixed-denominator offsets:
+    # each face's sample solves <y, X_j> = lambda_j + (0 if j active else 1)
+    rng = random.Random(17)
+    checked = 0
+    while checked < 60:
+        n = rng.randint(1, 3)
+        normals = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
+        offsets = tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
+        P = pt.DelzantPolytope(n, normals, offsets, compact=False)
+        if intlat.determinant(normals) == 0:
+            with pytest.raises(DomainError, match="not linearly independent"):
+                pt.enumerate_faces(P)
+            continue
+        want = []
+        for r in range(n + 1):
+            for active in itertools.combinations(range(n), r):
+                rhs = [lam + (0 if j in active else 1) for j, lam in enumerate(offsets)]
+                want.append((active, intlat.solve_rational(normals, rhs), n - r))
+        assert [(f.active, f.sample, f.dim) for f in pt.enumerate_faces(P)] == want
+        checked += 1
+
+
 def test_json_roundtrip(tmp_path):
     P = pt.projective_space(2)
     doc = pt.polytope_to_dict(P)
