@@ -1,11 +1,11 @@
 """Exact integer linear algebra: normal form, kernels, determinants."""
-import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import fraction_oracle as oracle
 from torikit import intlat
 from torikit.errors import DimensionError
 
@@ -152,9 +152,7 @@ def test_solve_rational_solves_exactly_iff_nonsingular_randomized():
             c = [entry() for _ in range(n - 1)]
             A[-1] = [sum(ci * A[i][j] for i, ci in enumerate(c)) for j in range(n)]
             b[-1] = sum(ci * b[i] for i, ci in enumerate(c)) + (singular == 2)
-        scale = [math.lcm(*(Fraction(v).denominator for v in row)) for row in A]
-        det = intlat.determinant([[int(v * s) for v in row]
-                                  for row, s in zip(A, scale)])
+        det = oracle.determinant(A)
         sol = intlat.solve_rational(A, b)
         if det:
             assert all(isinstance(x, Fraction) for x in sol)
@@ -171,3 +169,102 @@ def test_row_space_equal():
     assert intlat.row_space_equal([], [])
     assert not intlat.row_space_equal([(1, 0)], [])
     assert intlat.row_space_equal([(2, 4)], [(1, 2)])
+
+
+def random_rows(rng, m, n, dens):
+    """m rows of length n with entries p/q, q from `dens` (plain ints when
+    dens is (1,)); at random one row is a combination of the others and one
+    row is zero, so ranks below min(m, n) are common."""
+    def entry():
+        q = rng.choice(dens)
+        return rng.randint(-4, 4) if q == 1 else Fraction(rng.randint(-4, 4), q)
+
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    if m > 1 and rng.random() < 0.4:
+        c = [entry() for _ in range(m - 1)]
+        rows[-1] = [sum(ci * rows[i][j] for i, ci in enumerate(c)) for j in range(n)]
+    if m and rng.random() < 0.2:
+        rows[rng.randrange(m)] = [0] * n
+    rng.shuffle(rows)
+    return rows
+
+
+def same_row_space(rng, rows, dens):
+    """Rows spanning the same space: random row operations, then at random
+    a duplicated row or a zero row appended."""
+    rows = [[Fraction(v) for v in r] for r in rows]
+    for _ in range(2 * len(rows)):
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        c = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice(dens))
+        if i == j:
+            rows[i] = [c * v for v in rows[i]]
+        else:
+            rows[i] = [v + c * w for v, w in zip(rows[i], rows[j])]
+    extra = rng.choice((None, "duplicate", "zero"))
+    if extra == "duplicate":
+        rows.append(list(rng.choice(rows)))
+    elif extra == "zero":
+        rows.append([0] * len(rows[0]))
+    rng.shuffle(rows)
+    return rows
+
+
+def test_exact_algebra_matches_the_fraction_oracle():
+    # integer and mixed-denominator, square and rectangular, full rank and
+    # rank-deficient, empty and zero rows
+    rng = random.Random(18)
+    seen = set()
+    for trial in range(900):
+        dens = (1,) if trial % 2 else (1, 2, 3, 7)
+        n = rng.randint(1, 4)
+        A = random_rows(rng, n, n, (1,))
+        det = intlat.determinant(A)
+        assert det == oracle.determinant(A), A
+        seen.add(("det", det != 0))
+
+        A, b = random_rows(rng, n, n, dens), random_rows(rng, 1, n, dens)[0]
+        sol = intlat.solve_rational(A, b)
+        assert sol == oracle.solve(A, b), (A, b)
+        assert sol is None or all(type(x) is Fraction for x in sol)
+        seen.add(("solve", sol is not None))
+
+        m, n = rng.randint(0, 4), rng.randint(0, 4)
+        A = random_rows(rng, m, n, dens)
+        v = intlat.rational_kernel_vector(A)
+        assert v == oracle.kernel_vector(A), A
+        assert v is None or all(type(x) is Fraction for x in v)
+        seen.add(("kernel", m, v is not None))
+
+        B = (same_row_space(rng, A, dens) if A and rng.random() < 0.5
+             else random_rows(rng, rng.randint(0, 4), n, dens))
+        if A and B and n and rng.random() < 0.3:
+            B[0][rng.randrange(n)] += 1
+        equal = intlat.row_space_equal(A, B)
+        assert equal == oracle.row_space_equal(A, B), (A, B)
+        seen.add(("rows", bool(A) and bool(B), equal))
+    assert {("det", False), ("det", True), ("solve", False), ("solve", True),
+            ("kernel", 0, False), ("kernel", 3, False), ("kernel", 3, True),
+            ("rows", False, True), ("rows", False, False),
+            ("rows", True, True), ("rows", True, False)} <= seen
+
+
+@pytest.mark.parametrize("call", [
+    lambda: intlat.determinant([[1, 2], [3]]),
+    lambda: intlat.determinant([[1, 2, 3], [4, 5, 6]]),
+    lambda: intlat.determinant([[Fraction(1, 2)]]),
+    lambda: intlat.determinant([[1.0]]),
+    lambda: intlat.determinant([[True]]),
+    lambda: intlat.solve_rational([[1, 2], [3]], [1, 2]),
+    lambda: intlat.solve_rational([[1, 2]], [1]),
+    lambda: intlat.solve_rational([[1], [2]], [1, 2]),
+    lambda: intlat.solve_rational([[1, 0], [0, 1]], [1]),
+    lambda: intlat.solve_rational([], []),
+    lambda: intlat.rational_kernel_vector([[1, 2], [3]]),
+    lambda: intlat.row_space_equal([[1, 2], [3]], [[1, 2]]),
+    lambda: intlat.row_space_equal([[1, 2]], [[1, 2, 3]]),
+], ids=["det-ragged", "det-rectangular", "det-fraction", "det-float",
+        "det-bool", "solve-ragged", "solve-wide", "solve-tall", "solve-short-rhs",
+        "solve-empty", "kernel-ragged", "rows-ragged", "rows-ambient"])
+def test_exact_algebra_dimension_errors(call):
+    with pytest.raises(DimensionError):
+        call()

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import fraction_oracle as oracle
 from torikit import cli
 from torikit import groupoid as gr
-from torikit import intlat
 from torikit import polytope as pt
 from torikit.errors import DimensionError, DomainError, FormatError
 
@@ -150,7 +150,7 @@ def test_noncompact_faces_match_the_fraction_oracle():
         normals = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
         offsets = tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
         P = pt.DelzantPolytope(n, normals, offsets, compact=False)
-        if intlat.determinant(normals) == 0:
+        if oracle.determinant(normals) == 0:
             with pytest.raises(DomainError, match="not linearly independent"):
                 pt.enumerate_faces(P)
             continue
@@ -158,7 +158,7 @@ def test_noncompact_faces_match_the_fraction_oracle():
         for r in range(n + 1):
             for active in itertools.combinations(range(n), r):
                 rhs = [lam + (0 if j in active else 1) for j, lam in enumerate(offsets)]
-                want.append((active, intlat.solve_rational(normals, rhs), n - r))
+                want.append((active, oracle.solve(normals, rhs), n - r))
         assert [(f.active, f.sample, f.dim) for f in pt.enumerate_faces(P)] == want
         checked += 1
 
@@ -349,8 +349,8 @@ def test_bounding_box_is_computed_once_per_polytope():
 def oracle_vertices(P):
     found = set()
     for subset in itertools.combinations(range(P.n_facets), P.n):
-        sol = intlat.solve_rational([P.normals[j] for j in subset],
-                                    [P.offsets[j] for j in subset])
+        sol = oracle.solve([P.normals[j] for j in subset],
+                           [P.offsets[j] for j in subset])
         if sol is not None and all(v >= 0 for v in fraction_slacks(P, sol)):
             found.add(sol)
     return tuple(sorted(found))
@@ -371,7 +371,7 @@ def oracle_primitive(v):
 
 
 def oracle_recession_ray(P):
-    line = intlat.rational_kernel_vector(P.normals)
+    line = oracle.kernel_vector(P.normals)
     if line is not None:
         return oracle_primitive(line)
     if P.n == 1:
@@ -379,7 +379,7 @@ def oracle_recession_ray(P):
     else:
         candidates = []
         for subset in itertools.combinations(range(P.n_facets), P.n - 1):
-            v = intlat.rational_kernel_vector([P.normals[j] for j in subset])
+            v = oracle.kernel_vector([P.normals[j] for j in subset])
             if v is not None:
                 candidates.append(v)
     for v in candidates:
@@ -416,7 +416,7 @@ def oracle_screen(P):
             violations.append(
                 f"vertex {v}: {len(active)} facets active (not simple)")
             continue
-        det = intlat.determinant([P.normals[j] for j in active])
+        det = oracle.determinant([P.normals[j] for j in active])
         if abs(det) != 1:
             violations.append(
                 f"vertex {v}: active normals have determinant {det}")
