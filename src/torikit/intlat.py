@@ -1,12 +1,16 @@
 """Exact integer and rational linear algebra for lattice computations.
 
-Everything here runs on arbitrary-precision Python integers (held in
-object-dtype numpy arrays) or on exact Fractions.  No floating point enters
-this module: downstream membership predicates rely on these results being
-exact.
+Everything here runs on arbitrary-precision Python integers: lattice maps
+are object-dtype numpy arrays, and every Gauss-style elimination is one
+fraction-free `eliminate` on Python-int rows (`smith_normal_form` is the
+other algorithm here).  Fractions appear only at the edges: rational input
+rows are scaled to integers by the lcm of their denominators, and Fractions
+are built for the results.  No floating point enters this module:
+downstream membership predicates rely on these results being exact.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +22,7 @@ __all__ = [
     "int_identity",
     "smith_normal_form",
     "integer_kernel_basis",
+    "eliminate",
     "determinant",
     "is_unimodular_basis",
     "integer_right_inverse",
@@ -155,29 +160,47 @@ def integer_kernel_basis(A) -> np.ndarray:
     return B
 
 
+def eliminate(rows, width: int):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows, in
+    place, on columns 0..width-1; a column without a pivot is skipped.
+
+    Returns (pivots, d, sign): rows 0..r-1 (r = len(pivots)) hold their
+    pivots in the columns listed by `pivots`, d is the last pivot (1 when
+    there is none) and sign the parity of the row swaps.  Those rows are
+    then d times the reduced row echelon form on the first width columns,
+    so d stands in every pivot position, and the rows past r are zero
+    there.  For width square rows of rank width, sign * d is their
+    determinant.  Each division by the previous pivot is exact: every entry
+    is a minor of the input (Sylvester's identity).
+    """
+    pivots, sign, prev = [], 1, 1
+    for c in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        top = rows[r]
+        p = top[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                q = row[c]
+                rows[i] = [(p * v - q * t) // prev for v, t in zip(row, top)]
+        prev = p
+        pivots.append(c)
+    return pivots, prev, sign
+
+
 def determinant(A) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
+    """Exact determinant of a square integer matrix, from one `eliminate`."""
     A = imat(A)
     m, n = A.shape
     if m != n:
         raise DimensionError(f"determinant needs a square matrix, got {m}x{n}")
-    a = [[int(A[i, j]) for j in range(n)] for i in range(n)]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    pivots, d, sign = eliminate(A.tolist(), n)
+    return sign * d if len(pivots) == n else 0
 
 
 def is_unimodular_basis(vectors) -> bool:
@@ -210,12 +233,16 @@ def integer_right_inverse(A) -> np.ndarray | None:
     return S
 
 
-def _as_fraction_rows(rows):
-    out = [[Fraction(v) for v in r] for r in rows]
-    if not out:
-        return out
-    width = len(out[0])
-    if any(len(r) != width for r in out):
+def _integer_rows(rows):
+    """Rational rows as Python-int rows, each scaled by the lcm of its
+    denominators; the scaling keeps every row's span and every equation's
+    solutions."""
+    out = []
+    for r in rows:
+        r = [Fraction(v) for v in r]
+        scale = math.lcm(*(v.denominator for v in r))
+        out.append([v.numerator * (scale // v.denominator) for v in r])
+    if out and any(len(r) != len(out[0]) for r in out):
         raise DimensionError("ragged rows")
     return out
 
@@ -224,76 +251,57 @@ def solve_rational(rows, rhs):
     """Exact solution of a square rational system, or None if singular.
 
     `rows` are the equation left-hand sides, `rhs` the right-hand sides.
-    Solved by `_rref` on the augmented rows [A | b]: the system has a unique
-    solution iff the pivots are exactly the n columns of A, and the solution
-    is then the reduced last column.
+    The integer-scaled equations [A_i | b_i] are eliminated on the n columns
+    of A: the system has a unique solution iff every column has a pivot,
+    and x_i is then row i's last entry over d.
     """
-    a = _as_fraction_rows(rows)
-    b = [Fraction(v) for v in rhs]
-    n = len(a)
-    if n == 0 or len(a[0]) != n or len(b) != n:
+    rows, rhs = [list(r) for r in rows], list(rhs)
+    n = len(rows)
+    if n == 0 or any(len(r) != n for r in rows) or len(rhs) != n:
         raise DimensionError("solve_rational needs a square system")
-    reduced, pivots = _rref([r + [v] for r, v in zip(a, b)])
-    if pivots != list(range(n)):
+    a = _integer_rows(r + [v] for r, v in zip(rows, rhs))
+    pivots, d, _ = eliminate(a, n)
+    if len(pivots) < n:
         return None
-    return tuple(r[n] for r in reduced)
+    return tuple(Fraction(r[n], d) for r in a)
 
 
 def rational_kernel_vector(rows):
-    """A nonzero rational kernel vector of the given row system, or None."""
-    a = _as_fraction_rows(rows)
+    """A nonzero rational kernel vector of the given row system, or None.
+
+    It is 1 at the first column without a pivot and 0 at the later ones;
+    None when there are no rows or every column has a pivot.
+    """
+    a = _integer_rows(rows)
     if not a:
         return None
     n = len(a[0])
-    reduced, pivots = _rref(a)
-    pivot_cols = set(pivots)
-    free = next((j for j in range(n) if j not in pivot_cols), None)
+    pivots, d, _ = eliminate(a, n)
+    free = next((j for j in range(n) if j not in pivots), None)
     if free is None:
         return None
     v = [Fraction(0)] * n
     v[free] = Fraction(1)
-    for row, pc in zip(reduced, pivots):
-        v[pc] = -row[free]
+    for row, pc in zip(a, pivots):
+        v[pc] = Fraction(-row[free], d)
     return tuple(v)
-
-
-def _rref(rows):
-    """Reduced row echelon form over Q; returns (nonzero rows, pivot cols)."""
-    a = [list(r) for r in rows]
-    if not a:
-        return [], []
-    n = len(a[0])
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(a):
-            break
-    return a[:r], pivots
 
 
 def row_space_equal(rows1, rows2) -> bool:
     """Exact equality of the rational row spaces spanned by two row lists.
 
     Empty lists span the zero space.  Used to compare isotropy algebras.
+    The spaces are equal iff both eliminations put their pivots in the same
+    columns and their rows agree after dividing by their d (rows past the
+    rank are zero in both).
     """
-    f1 = _as_fraction_rows(rows1)
-    f2 = _as_fraction_rows(rows2)
-    if not f1 or not f2:
-        return not f1 and not f2
-    if len(f1[0]) != len(f2[0]):
+    a1, a2 = _integer_rows(rows1), _integer_rows(rows2)
+    if not a1 or not a2:
+        return not a1 and not a2
+    n = len(a1[0])
+    if len(a2[0]) != n:
         raise DimensionError("row spaces live in different ambient dimensions")
-    r1, p1 = _rref(f1)
-    r2, p2 = _rref(f2)
-    return p1 == p2 and r1 == r2
+    p1, d1, _ = eliminate(a1, n)
+    p2, d2, _ = eliminate(a2, n)
+    return p1 == p2 and all(u * d2 == v * d1 for r1, r2 in zip(a1, a2)
+                            for u, v in zip(r1, r2))

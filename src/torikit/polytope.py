@@ -10,9 +10,10 @@ float or per-facet Fraction arithmetic.
 
 Screening runs in Python ints too.  The offsets are integer numerators a_j
 over one denominator L, and each n-subset of facets is solved by one
-fraction-free elimination, which gives its determinant, its vertex as
-integer numerators and the vertex's integer slacks.  Fractions are built
-only for the vertices, face samples and reports that are returned.
+fraction-free `intlat.eliminate`, which gives its determinant, its vertex as
+integer numerators and the vertex's integer slacks; recession rays are
+integer kernel vectors from the same elimination.  Fractions are built only
+for the vertices, face samples and reports that are returned.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from . import intlat
 from .errors import DimensionError, DomainError, FormatError
 
 __all__ = [
@@ -105,7 +107,7 @@ class DelzantPolytope:
         y = ratpoint(y)
         s = scaled_slacks(self, y)[0]
         if any(sj < 0 for sj in s):
-            raise DomainError(f"point {y} lies outside the polytope")
+            raise DomainError(f"point {format_point(y)} lies outside the polytope")
         return tuple(j for j, sj in enumerate(s) if sj == 0)
 
     def is_interior(self, y) -> bool:
@@ -264,47 +266,16 @@ def bounding_box(P: DelzantPolytope):
     return P._bounding_box
 
 
-def _eliminate(rows, width: int):
-    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows, in
-    place, on columns 0..width-1, stopping at the first column without a
-    pivot.
-
-    Returns (f, d, sign): columns 0..f-1 hold the pivots of rows 0..f-1 (f
-    = width when every column has one), d is the last pivot (1 when f = 0)
-    and sign the parity of the row swaps.  The rows are then d times their
-    reduced row echelon form on the first f columns, so d stands in every
-    pivot position, and for width square rows of rank width, sign * d is
-    their determinant.  Each division by the previous pivot is exact: every
-    entry is a minor of the input (Sylvester's identity).
-    """
-    sign, prev = 1, 1
-    for c in range(width):
-        piv = next((i for i in range(c, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            return c, prev, sign
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        top = rows[c]
-        p = top[c]
-        for i, row in enumerate(rows):
-            if i != c:
-                q = row[c]
-                rows[i] = [(p * v - q * t) // prev for v, t in zip(row, top)]
-        prev = p
-    return width, prev, sign
-
-
 def _solve_facets(normals, a, subset):
     """The point where the facets in `subset` (n of them) are all met with
-    equality, from one `_eliminate` of [X_j | a_j]: (det, x) with det the
-    determinant of their normals and x the integer numerators of the point
-    over L * |det| (L, a from `integer_offsets`); None when det = 0.
+    equality, from one `intlat.eliminate` of [X_j | a_j]: (det, x) with
+    det the determinant of their normals and x the integer numerators of the
+    point over L * |det| (L, a from `integer_offsets`); None when det = 0.
     """
     n = len(subset)
     rows = [[*normals[j], a[j]] for j in subset]
-    f, d, sign = _eliminate(rows, n)
-    if f < n:
+    pivots, d, sign = intlat.eliminate(rows, n)
+    if len(pivots) < n:
         return None
     unit = 1 if d > 0 else -1
     return sign * d, [unit * r[n] for r in rows]
@@ -317,12 +288,15 @@ def _kernel_vector(rows, n: int):
     rank n.  No rows give (1, 0, ..., 0).
     """
     rows = [list(r) for r in rows]
-    f, d, _ = _eliminate(rows, n)
-    if f == n:
+    pivots, d, _ = intlat.eliminate(rows, n)
+    free = next((j for j in range(n) if j not in pivots), None)
+    if free is None:
         return None
-    unit = 1 if d > 0 else -1
-    v = [-unit * r[f] for r in rows[:f]] + [unit * d] + [0] * (n - f - 1)
-    g = math.gcd(*v)
+    v = [0] * n
+    v[free] = d
+    for row, pc in zip(rows, pivots):
+        v[pc] = -row[free]
+    g = math.gcd(*v) if d > 0 else -math.gcd(*v)
     return tuple(c // g for c in v)
 
 
