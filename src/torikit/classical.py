@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import AlgebraElement
 from .errors import DomainError, StratumError
-from .polytope import DelzantPolytope, in_delta_k, ratpoint
+from .polytope import DelzantPolytope, format_point, in_delta_k, ratpoint
 
 __all__ = [
     "synthesize", "angle_spectrum", "poisson_bracket_aa", "poisson_bracket_aa_at",
@@ -35,7 +35,7 @@ def synthesize(P: DelzantPolytope, f: AlgebraElement, y, theta) -> complex:
     """
     y = ratpoint(y)
     if not P.contains(y):
-        raise DomainError(f"point {y} lies outside the polytope")
+        raise DomainError(f"point {format_point(y)} lies outside the polytope")
     theta = [float(t) for t in theta]
     if len(theta) != f.n:
         raise DomainError(f"theta needs length {f.n}")

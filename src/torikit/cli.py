@@ -24,6 +24,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from itertools import repeat
@@ -257,7 +258,7 @@ def cmd_quantize_spectra(args) -> int:
         hbar = _fraction(htext)
         if hbar == 0:
             raise FormatError("--hbar must be nonzero")
-        y0 = _point(args.point, P.n) if args.point else tuple([hbar / 2] * P.n)
+        y0 = _point(args.point, P.n) if args.point else tuple([abs(hbar) / 2] * P.n)
         orb = gr.orbit(P, hbar, y0)
         eigs = mr.spectrum(mr.represent(P, orb, f))
         rows.extend(zip(repeat(str(hbar)), repeat(len(orb)), range(len(eigs)),
@@ -284,11 +285,23 @@ def cmd_verify_suite(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every token starting with "-" and a digit
+    (or "-." and a digit) as a value, so `--hbar -1/11`, `--point -1/2,1/4`
+    and `--mode -1,0` parse as their `--opt=value` forms do.  argparse's own
+    test takes only plain negative integers and decimals as values; no
+    option here starts with a digit.  Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first `main` call of a process and
     reused: parse_args keeps no state between calls."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="torikit",
         description="quantization toolkit for toric phase spaces")
     sub = parser.add_subparsers(dest="group", required=True)

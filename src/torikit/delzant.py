@@ -16,7 +16,8 @@ import numpy as np
 
 from . import intlat
 from .errors import ConstructionError, DomainError, StratumError
-from .polytope import DelzantPolytope, ratpoint, require_delzant, scaled_slacks
+from .polytope import (DelzantPolytope, format_point, ratpoint, require_delzant,
+                       scaled_slacks)
 
 __all__ = [
     "DelzantSystem", "build_system",
@@ -109,7 +110,8 @@ def sigma_squared(sys: DelzantSystem, y) -> tuple[Fraction, ...]:
     """Exact squared moduli 2(<y, X_j> - lambda_j) of the section point."""
     s, d, _ = scaled_slacks(sys.P, y)
     if any(sj < 0 for sj in s):
-        raise DomainError(f"point {ratpoint(y)} lies outside the polytope")
+        raise DomainError(
+            f"point {format_point(ratpoint(y))} lies outside the polytope")
     return tuple(Fraction(2 * sj, d) for sj in s)
 
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import intlat
 from .errors import ComposabilityError, DimensionError, DomainError, OrbitCapError
-from .polytope import (DelzantPolytope, bounding_box, in_delta_k,
+from .polytope import (DelzantPolytope, bounding_box, format_point, in_delta_k,
                        isotropy_lattice, mode_pairings, ratpoint, scaled_slacks)
 
 __all__ = [
@@ -254,7 +254,8 @@ def face_bounds(P: DelzantPolytope, y0, hbar):
     """
     s0, _, h = scaled_slacks(P, y0, hbar)
     if min(s0) < 0:
-        raise DomainError(f"base point {ratpoint(y0)} lies outside the polytope")
+        raise DomainError(
+            f"base point {format_point(ratpoint(y0))} lies outside the polytope")
     N = np.array(P.normals, dtype=np.int64).T * (1 if h > 0 else -1)
     lower = np.array([max(-s // abs(h) + 1, -2 ** 62) for s in s0], dtype=np.int64)
     return N, np.array([s == 0 for s in s0]), lower

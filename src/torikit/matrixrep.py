@@ -343,7 +343,7 @@ def bracket_via_matrices(P: DelzantPolytope, f: al.AlgebraElement,
         row = 0                     # an orbit lists its base point first
         if orb.target_index(row, k) is None:
             raise DomainError(
-                f"arrow (hbar={h}, y={y}, k={k}) is not in the groupoid")
+                f"arrow (hbar={h}, y={format_point(y)}, k={k}) is not in the groupoid")
         F, G = represent(P, orb, f), represent(P, orb, g)
         comm = (F @ G).entry(row, k) - (G @ F).entry(row, k)
         values.append(comm / (1j * float(h)))

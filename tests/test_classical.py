@@ -96,7 +96,7 @@ def test_synthesize_boundary_vanishing_coefficient_is_fine():
 
 
 def test_synthesize_outside_polytope():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^point \(2\) lies outside"):
         cl.synthesize(P, al.element(1, {0: "1"}), (F(2),), [0.0])
 
 

@@ -100,6 +100,42 @@ def test_groupoid_orbit_box_past_int64_exits_2(tmp_path, capsys):
     assert "Traceback" not in err and "too large for int64" in err
 
 
+def test_groupoid_orbit_outside_point_prints_p_over_q(tmp_path, capsys):
+    rc, text = run(["groupoid", "orbit", str(DATA / "sphere.json"), "--hbar=1/4",
+                    "--point=3/2"], tmp_path)
+    assert (rc, text) == (2, None)
+    assert capsys.readouterr().err == "error: base point (3/2) lies outside the polytope\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["groupoid", "orbit", str(DATA / "cp2.json"), "--hbar", "-1/6",
+     "--point", "3/5,1/5"],
+    ["groupoid", "orbit", str(GOLDEN / "square_pm1.json"), "--hbar", "-1/6",
+     "--point", "-1,1/3"],
+    ["quantize", "spectra", str(DATA / "sphere.json"),
+     "--obs", str(GOLDEN / "obs_sphere_herm.json"), "--hbar", "-1/11"],
+    ["quantize", "spectra", str(GOLDEN / "square_pm1.json"),
+     "--obs", str(GOLDEN / "obs_cp2_herm.json"), "--hbar", "1/4",
+     "--point", "-1/2,1/4"],
+    ["quantize", "bracket-limit", str(GOLDEN / "square_pm1.json"),
+     "--obs", str(GOLDEN / "obs_cp2_f.json"), "--obs2", str(GOLDEN / "obs_cp2_g.json"),
+     "--point", "-1/2,1/4", "--mode", "-1,0"],
+], ids=["orbit-hbar", "orbit-point", "spectra-hbar", "spectra-point",
+        "bracket-limit-point-mode"])
+def test_negative_value_as_its_own_argument(tmp_path, argv):
+    # `--opt -1/2` reads like `--opt=-1/2`: same bytes, same exit code
+    joined = []
+    for token in argv:
+        if token.startswith("-") and not token.startswith("--"):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    assert joined != argv
+    separate = run(argv, tmp_path, "separate.csv")
+    assert separate[1] is not None
+    assert separate == run(joined, tmp_path, "joined.csv")
+
+
 def test_ratio_text_matches_fraction_randomized():
     rng = random.Random(70)
     for _ in range(3000):
@@ -218,6 +254,21 @@ def check_exact_x3_spectrum(text, q):
         assert (hbar, size, index, im) == (f"1/{q}", str(q), str(i), "0.0")
         exact = Fraction(2 * i + 1, 2 * q) - Fraction(1, 2)
         assert abs(Fraction(float(re)) - exact) <= Fraction(1, 2 ** 54)
+
+
+@pytest.mark.parametrize("polytope, obs", [
+    ("sphere", GOLDEN / "obs_sphere_herm.json"),
+    ("cp2", GOLDEN / "obs_cp2_herm.json"),
+], ids=["sphere", "cp2"])
+def test_quantize_spectra_default_point_at_negative_hbar(tmp_path, polytope, obs):
+    # the default base point is |hbar|/2 per coordinate, inside the polytope
+    sizes = []
+    for hbar in ("1/11", "-1/11"):
+        rc, text = run(["quantize", "spectra", str(DATA / f"{polytope}.json"),
+                        "--obs", str(obs), f"--hbar={hbar}"], tmp_path)
+        assert rc == 0
+        sizes.append({line.split(",")[1] for line in text.splitlines()[2:]})
+    assert sizes[0] == sizes[1] and len(sizes[0]) == 1
 
 
 def test_quantize_spectra_x3_beyond_the_dense_cap(tmp_path):

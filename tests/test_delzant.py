@@ -71,7 +71,7 @@ def test_sigma_vanishes_on_active_facet():
 
 def test_sigma_outside_raises():
     sys = dz.build_system(pt.interval())
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^point \(3/2\) lies outside"):
         dz.sigma(sys, (F(3, 2),))
 
 

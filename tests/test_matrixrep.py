@@ -386,3 +386,11 @@ def test_bracket_via_matrices_matches_symbolic(P, f, g, y, k, hs, rel):
     sym = al.symbolic_bracket(f, g, y, k)
     assert sym != 0
     assert abs(got - sym) <= rel * abs(sym)
+
+
+def test_bracket_via_matrices_names_a_missing_arrow_in_p_over_q():
+    # the sphere's vertex y = 0 admits no arrow of mode 1
+    f = al.element(1, {0: "1"})
+    with pytest.raises(DomainError,
+                       match=r"^arrow \(hbar=1/4, y=\(0\), k=\(1,\)\) is not in"):
+        mr.bracket_via_matrices(SPHERE, f, f, (F(0),), (1,), [F(1, 4), F(1, 8)])

@@ -70,7 +70,7 @@ def test_isotropy_projective_vertex():
 
 
 def test_isotropy_outside_raises():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^point \(2\) lies outside"):
         pt.isotropy_lattice(pt.interval(), (F(2),))
 
 
