@@ -19,15 +19,13 @@ config and seed give byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import re
 import sys
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -77,28 +75,42 @@ def _mode(text: str, n: int) -> tuple[int, ...]:
     return _require_length("mode", text, k, n)
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, blocks) -> None:
+    """Write the text blocks, in order, to --out or else to stdout.  A CSV
+    document comes as blocks of rows, so the whole text is never held at
+    once; other documents are one block."""
     if getattr(args, "out", None):
         try:
             with open(args.out, "w") as fh:
-                fh.write(text)
+                fh.writelines(blocks)
         except OSError as exc:
             raise FormatError(
                 f"cannot write output file {args.out}: {exc.strerror}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
 
 
-def _csv_document(name: str, header, rows, preamble=()) -> str:
-    buf = io.StringIO()
-    buf.write(f"# torikit {name} {CSV_VERSION}")
-    for item in preamble:
-        buf.write(f" {item}")
-    buf.write("\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+_CSV_BLOCK = 1 << 14    # rows per block of `_csv_document`
+
+
+def _csv_document(name: str, header, rows, preamble=()):
+    """The CSV text of a `# torikit NAME v1` document, as blocks of at most
+    `_CSV_BLOCK` rows for `_emit`.
+
+    Every field is a str, written as it is: it must hold no comma, quote or
+    newline unless the caller has quoted it (`_quoted`), which is what
+    csv.writer(lineterminator="\\n") writes for the same rows.
+    """
+    title = " ".join((f"# torikit {name} {CSV_VERSION}", *preamble))
+    yield f"{title}\n{','.join(header)}\n"
+    rows = iter(rows)
+    while block := list(islice(rows, _CSV_BLOCK)):
+        yield "\n".join(map(",".join, block)) + "\n"
+
+
+def _quoted(field: str) -> str:
+    """A field with a comma in double quotes, as csv.writer quotes it."""
+    return f'"{field}"' if "," in field else field
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +137,7 @@ def cmd_polytope_check(args) -> int:
             for f in faces
         ]
     if args.format == "json":
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _emit(args, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
     else:
         lines = [report.summary()]
         for v in report.vertices:
@@ -135,7 +147,7 @@ def cmd_polytope_check(args) -> int:
                 lines.append(
                     f"face active={f['active']} dim={f['dim']} "
                     f"sample=({','.join(f['sample'])})")
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, ["\n".join(lines) + "\n"])
     if report.ok:
         return 0
     return 0 if args.permissive else 1
@@ -146,9 +158,9 @@ def cmd_polytope_strata(args) -> int:
     pt.require_delzant(P)
     faces = pt.enumerate_faces(P)
     rows = [
-        (";".join(str(j) for j in f.active) or "-", f.dim,
-         ",".join(str(c) for c in f.sample),
-         ";".join(",".join(str(c) for c in P.normals[j]) for j in f.active) or "-")
+        (";".join(str(j) for j in f.active) or "-", str(f.dim),
+         _quoted(",".join(str(c) for c in f.sample)),
+         _quoted(";".join(",".join(str(c) for c in P.normals[j]) for j in f.active) or "-"))
         for f in faces
     ]
     _emit(args, _csv_document("strata", ("active", "dim", "sample", "isotropy"), rows))
@@ -162,7 +174,7 @@ def cmd_polytope_make(args) -> int:
         P = pt.product(pt.load_polytope(args.of[0]), pt.load_polytope(args.of[1]))
     else:
         P = _BUILDERS[args.name](args)
-    _emit(args, json.dumps(pt.polytope_to_dict(P), indent=2) + "\n")
+    _emit(args, [json.dumps(pt.polytope_to_dict(P), indent=2) + "\n"])
     return 0
 
 
@@ -189,12 +201,14 @@ def cmd_groupoid_orbit(args) -> int:
     # coordinate i of point j is the integer num0[i] + step*steps[j, i] over d
     d, num0, step = orb.numerators
     columns = []
-    for i in range(P.n):    # each distinct coordinate formatted once
-        values, inverse = np.unique(orb.steps[:, i], return_inverse=True)
-        text = [_ratio_text(num0[i] + step * c, d) for c in values.tolist()]
-        columns.append([text[j] for j in inverse.tolist()])
+    for i, (lo, hi) in enumerate(zip(orb.steps.min(axis=0).tolist(),
+                                     orb.steps.max(axis=0).tolist())):
+        # each coordinate formatted once, looked up by its step's offset
+        text = np.array([_ratio_text(num0[i] + step * c, d) for c in range(lo, hi + 1)],
+                        dtype=object)
+        columns.append(text[orb.steps[:, i] - lo].tolist())
     header = ("index",) + tuple(f"y{i + 1}" for i in range(P.n))
-    _emit(args, _csv_document("orbit", header, zip(range(len(orb)), *columns),
+    _emit(args, _csv_document("orbit", header, zip(map(str, range(len(orb))), *columns),
                               preamble=[f"hbar={hbar}", f"size={len(orb)}"]))
     return 0
 
@@ -261,7 +275,7 @@ def cmd_quantize_spectra(args) -> int:
         y0 = _point(args.point, P.n) if args.point else tuple([abs(hbar) / 2] * P.n)
         orb = gr.orbit(P, hbar, y0)
         eigs = mr.spectrum(mr.represent(P, orb, f))
-        rows.extend(zip(repeat(str(hbar)), repeat(len(orb)), range(len(eigs)),
+        rows.extend(zip(repeat(str(hbar)), repeat(str(len(orb))), map(str, range(len(eigs))),
                         map(str, eigs.real.tolist()), map(str, eigs.imag.tolist())))
     _emit(args, _csv_document(
         "spectra", ("hbar", "orbit_size", "index", "re", "im"),
@@ -278,7 +292,7 @@ def cmd_verify_suite(args) -> int:
     P = pt.load_polytope(args.polytope)
     pt.require_delzant(P)
     report = su.run_suite(P, seed=args.seed, tol=args.tol, cases=args.cases)
-    _emit(args, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    _emit(args, [json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"])
     return 0 if report.passed else 1
 
 

@@ -12,14 +12,17 @@ form: the orbit of y0 is the set of points y0 + hbar*k (k in Z^n) of the
 polytope that lie in the same open face as y0, and any two of them are
 exactly one valid arrow apart.  So an `Orbit` is y0, hbar and one int64
 array of its steps k, the origin first and then ascending k in
-lexicographic order; `orbit` selects them with one int64 face test
-(`face_bounds`) and raises OrbitCapError once their number exceeds the cap.
-It scans the candidate box in flat row-major blocks: the first holds
-min(`_CHUNK`, cap + 1) candidates and each later one doubles, up to
-`_CHUNK`, so a refusal costs about the cap, not the box.  A box whose volume
-or pairings could reach 2^62 is refused first, so no array needs Python
-ints.  Arrow queries are lookups in the steps with no facet test, and exact
-points are built only on demand.
+lexicographic order.  `orbit` builds only those steps.  It bounds k by the
+box of the vertices of y0's closed face, tightened exactly by the facets
+whose normal has one nonzero entry; every other facet leaves each prefix
+k[:-1] an exact integer interval of k[-1] (`face_bounds` in int64), so
+every row built is an orbit point and the scan costs the orbit plus its
+prefixes.  Prefixes come in blocks: the first holds min(`_CHUNK`, cap + 1)
+and each later one doubles, up to `_CHUNK`; a block whose interval lengths
+take the size past the cap raises OrbitCapError before its rows are built.
+A box whose volume or pairings could reach 2^62 is refused first, so no
+array needs Python ints.  Arrow queries are lookups in the steps with no
+facet test, and exact points are built only on demand.
 
 With d the common denominator of y0 and hbar every coordinate is an integer
 numerator over d (`Orbit.numerators`).  `Orbit.coordinates` gives the float
@@ -39,7 +42,7 @@ import numpy as np
 
 from . import intlat
 from .errors import ComposabilityError, DimensionError, DomainError, OrbitCapError
-from .polytope import (DelzantPolytope, bounding_box, format_point, in_delta_k,
+from .polytope import (DelzantPolytope, face_box, format_point, in_delta_k,
                        isotropy_lattice, mode_pairings, ratpoint, scaled_slacks)
 
 __all__ = [
@@ -138,7 +141,7 @@ def invert(P: DelzantPolytope, g: GroupoidPoint) -> GroupoidPoint:
 # ---------------------------------------------------------------------------
 # orbits at fixed hbar != 0
 
-_CHUNK = 1 << 16   # candidates per full block; bounds the working memory of `orbit`
+_CHUNK = 1 << 16   # prefixes per full block; bounds the working memory of `orbit`
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +208,7 @@ class Orbit:
         them.
 
         int64 always suffices for an orbit built by `orbit`: its steps' box
-        lies inside the candidate box, whose volume and pairings `orbit`
+        lies inside the face box it scans, whose volume and pairings `orbit`
         holds below 2^62 before it scans, so no key and no |step| reaches
         that bound.  A hand-built orbit whose box fails the bound (computed
         in Python ints) raises DomainError.
@@ -241,6 +244,16 @@ class Orbit:
         return out
 
 
+def _face_test(P: DelzantPolytope, y0, hbar):
+    """(sign, active, lower) of `face_bounds` as a sign and Python lists."""
+    s0, _, h = scaled_slacks(P, y0, hbar)
+    if min(s0) < 0:
+        raise DomainError(
+            f"base point {format_point(ratpoint(y0))} lies outside the polytope")
+    return (1 if h > 0 else -1, [s == 0 for s in s0],
+            [max(-s // abs(h) + 1, -2 ** 62) for s in s0])
+
+
 def face_bounds(P: DelzantPolytope, y0, hbar):
     """The open face of y0 as int64 bounds (N, active, lower) on q = k @ N.
 
@@ -252,13 +265,18 @@ def face_bounds(P: DelzantPolytope, y0, hbar):
     clamped at -2^62, which changes no test on the pairings below 2^62 that
     `orbit` allows.  hbar must be nonzero.
     """
-    s0, _, h = scaled_slacks(P, y0, hbar)
-    if min(s0) < 0:
-        raise DomainError(
-            f"base point {format_point(ratpoint(y0))} lies outside the polytope")
-    N = np.array(P.normals, dtype=np.int64).T * (1 if h > 0 else -1)
-    lower = np.array([max(-s // abs(h) + 1, -2 ** 62) for s in s0], dtype=np.int64)
-    return N, np.array([s == 0 for s in s0]), lower
+    sign, active, lower = _face_test(P, y0, hbar)
+    return (np.array(P.normals, dtype=np.int64).T * sign, np.array(active),
+            np.array(lower, dtype=np.int64))
+
+
+def _expand(prefixes, shift, count) -> np.ndarray:
+    """The rows of one block: prefix row i (a step whose last entry is 0)
+    taken count[i] times, and row r of the result given the last entry
+    r + shift[i]."""
+    k = np.repeat(prefixes, count, axis=0)
+    k[:, -1] = np.arange(len(k)) + np.repeat(shift, count)
+    return k
 
 
 def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
@@ -266,17 +284,21 @@ def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
 
     It is the set of points y0 + hbar*k (k in Z^n) of the polytope whose
     active facet set equals y0's: any two such points are one valid arrow
-    apart, and no arrow leaves the set.  The candidates k of the vertex
-    bounding box are tested on `face_bounds` in flat row-major blocks.
-    DomainError is raised before any allocation when the box's volume, or
-    the pairing of a step plus a mode inside the box, could reach 2^62 (in
-    Python ints), so no int64 value here or in `convolve_orbit` overflows.
+    apart, and no arrow leaves the set.  k ranges over the box of the
+    vertices of y0's closed face (`face_box`), tightened exactly by every
+    facet whose normal has one nonzero entry.  Each prefix k[:-1] of that
+    box gets from the other facets the exact interval of k[-1] that
+    `face_bounds` allows, in int64 floor and ceiling divisions, so every
+    row built is an orbit point.  DomainError is raised before any
+    allocation when the box's volume, or the pairing of a step plus a mode
+    inside the box, could reach 2^62 (in Python ints), so no int64 value
+    here or in `convolve_orbit` overflows.
 
     Points come in a fixed order: y0 first, then ascending k in
     lexicographic order.  OrbitCapError is raised as soon as the size
-    exceeds `cap`, before the rest of the box is scanned.  The first block
-    holds min(`_CHUNK`, cap + 1) candidates and each later block doubles, up
-    to `_CHUNK` candidates.
+    exceeds `cap`, before the rows of the block that exceeds it are built.
+    The first block holds min(`_CHUNK`, cap + 1) prefixes and each later
+    block doubles, up to `_CHUNK` prefixes.
     """
     hbar = Fraction(hbar)
     if hbar == 0:
@@ -284,39 +306,90 @@ def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
     if not P.compact:
         raise DomainError("orbit enumeration requires a compact polytope")
     y0 = ratpoint(y0)
-    N, active, lower = face_bounds(P, y0, hbar)
+    sign, active, lower = _face_test(P, y0, hbar)
 
-    lo, hi = bounding_box(P)
-    axes = []
-    for i in range(P.n):
-        a, b = sorted(((lo[i] - y0[i]) / hbar, (hi[i] - y0[i]) / hbar))
-        axes.append((math.ceil(a), math.floor(b) + 1))
-    shape = tuple(b - a for a, b in axes)
-    total = math.prod(shape)
-    reach = [max(-a, b - 1) + e for (a, b), e in zip(axes, shape)]
-    if (total >= 2 ** 62 or max(
+    # k[i] lies between (lo[i]/D - y0[i]) / hbar and (hi[i]/D - y0[i]) / hbar
+    D, lo, hi = face_box(P, [j for j, a in enumerate(active) if a])
+    hn, hd = hbar.numerator, hbar.denominator
+    box = []
+    for y, a, b in zip(y0, lo, hi):
+        yn, yd = y.numerator, y.denominator
+        den = D * yd * hn
+        a, b = (a * yd - yn * D) * hd, (b * yd - yn * D) * hd
+        if den < 0:
+            a, b, den = -b, -a, -den
+        box.append([-(-a // den), b // den])
+    # a facet whose normal has one nonzero entry c at axis i bounds k[i]
+    # alone: c * k[i] >= lower, or k[i] = 0 when active, which the face box
+    # already holds
+    slanted = []
+    for j, X in enumerate(P.normals):
+        axes = [i for i, c in enumerate(X) if c]
+        if len(axes) > 1:
+            slanted.append(j)
+        elif not active[j]:
+            i = axes[0]
+            c = sign * X[i]
+            if c > 0:
+                box[i][0] = max(box[i][0], -(-lower[j] // c))
+            else:
+                box[i][1] = min(box[i][1], lower[j] // c)
+    shape = [b - a + 1 for a, b in box]
+    reach = [max(-a, b) + e for (a, b), e in zip(box, shape)]
+    if (math.prod(shape) >= 2 ** 62 or max(
             sum(abs(x) * r for x, r in zip(X, reach)) for X in P.normals) >= 2 ** 62):
         raise DomainError(
             f"candidate box of the orbit at hbar = {hbar} is too large for "
             "int64 (hbar too small?)")
 
-    corner = np.array([a for a, _ in axes], dtype=np.int64)
+    # the slanted facets leave each prefix k[:-1] one interval of k[-1]
+    N = np.array([[sign * P.normals[j][i] for j in slanted] for i in range(P.n)],
+                 dtype=np.int64)
+    facets = [(sign * P.normals[j][-1], active[j], lower[j]) for j in slanted]
+    corner = [[a] for a, _ in box[:-1]] + [[0]]
+    first, last = box[-1]
+    dims = shape[:-1] + [1]
+    prefixes = math.prod(dims)
+    zero = 0        # the flat index of the prefix of y0, k[:-1] = 0
+    for (a, _), e in zip(box[:-1], dims):
+        zero = zero * e - a
     start, block = 0, min(_CHUNK, cap + 1)
     blocks, size = [], 0
-    while start < total:
-        index = np.arange(start, min(start + block, total))
-        start += block
-        block = min(2 * block, _CHUNK)
-        k = np.stack(np.unravel_index(index, shape), axis=-1) + corner
-        q = k @ N
-        k = k[np.where(active, q == 0, q >= lower).all(axis=1)]
-        size += len(k)
+    while start < prefixes:
+        stop = min(start + block, prefixes)
+        # prefix rows with last entry 0
+        k = (np.array(np.unravel_index(np.arange(start, stop), dims)) + corner).T
+        lo_k, hi_k, keep = np.full(len(k), first), last, None
+        for r, (c, on_face, low) in zip((k @ N).T, facets):
+            # the facet's pairing at k[-1] = t is r + c*t
+            if c == 0:
+                ok = r == 0 if on_face else r >= low
+            elif on_face:
+                t = -r // c
+                ok = t * c == -r
+                lo_k, hi_k = np.maximum(lo_k, t), np.minimum(hi_k, t)
+            else:
+                if c > 0:
+                    lo_k = np.maximum(lo_k, -((r - low) // c))
+                else:
+                    hi_k = np.minimum(hi_k, (low - r) // c)
+                continue
+            keep = ok if keep is None else keep & ok
+        count = np.maximum(hi_k - lo_k + 1, 0)
+        if keep is not None:
+            count *= keep
+        ends = np.cumsum(count)
+        shift = lo_k + count - ends
+        if start <= zero < stop:
+            origin = size - int(shift[zero - start])    # the row of k = 0
+        size += int(ends[-1])
         if size > cap:
             raise OrbitCapError(
                 f"orbit exceeded cap of {cap} points "
                 "(noncompact or degenerate input?)")
-        blocks.append(k)
+        blocks.append(_expand(k, shift, count))
+        start, block = stop, min(2 * block, _CHUNK)
 
-    steps = np.concatenate(blocks)
-    origin = ~steps.any(axis=1)     # exactly one row: y0 itself
-    return Orbit(hbar, y0, np.concatenate((steps[origin], steps[~origin])))
+    steps = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    steps = np.concatenate((steps[origin:origin + 1], steps[:origin], steps[origin + 1:]))
+    return Orbit(hbar, y0, steps)

@@ -32,7 +32,7 @@ __all__ = [
     "ratpoint", "format_point", "json_int", "scaled_slacks", "mode_pairings",
     "in_delta_k", "in_u_k", "isotropy_lattice",
     "check_delzant", "require_delzant", "enumerate_faces", "vertices",
-    "bounding_box",
+    "bounding_box", "face_box",
     "interval", "projective_space", "orthant", "product", "square",
     "load_polytope", "polytope_from_dict", "polytope_to_dict",
 ]
@@ -159,8 +159,8 @@ class DelzantPolytope:
     def _bounding_box(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
         if not self._vertices:
             raise DomainError("polytope has no vertices")
-        return (tuple(map(min, zip(*self._vertices))),
-                tuple(map(max, zip(*self._vertices))))
+        D, lo, hi = face_box(self, ())
+        return (tuple(Fraction(c, D) for c in lo), tuple(Fraction(c, D) for c in hi))
 
     @cached_property
     def _screening(self) -> "DelzantReport":
@@ -264,6 +264,17 @@ def vertices(P: DelzantPolytope) -> list[tuple[Fraction, ...]]:
 def bounding_box(P: DelzantPolytope):
     """Coordinate-wise (lo, hi) tuples over the vertices, cached per polytope."""
     return P._bounding_box
+
+
+def face_box(P: DelzantPolytope, active) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(D, lo, hi): the coordinate-wise box of the vertices of the closed
+    face whose active facet set is `active` (the vertices whose active set
+    contains it), as integer numerators lo and hi over one D > 0.  The
+    empty set gives the polytope's `bounding_box`."""
+    D, table = P._vertex_table
+    active = set(active)
+    members = [x for x, vertex_active, _ in table if active.issubset(vertex_active)]
+    return D, tuple(map(min, zip(*members))), tuple(map(max, zip(*members)))
 
 
 def _solve_facets(normals, a, subset):

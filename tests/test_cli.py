@@ -1,5 +1,6 @@
 """The command-line front-end, driven through cli.main."""
 import contextlib
+import csv
 import io
 import json
 import math
@@ -49,8 +50,14 @@ def test_groupoid_orbit_golden(tmp_path):
     # the square [-1, 1]^2 from the facet y1 = -1: negative coordinates
     ("orbit_square_pm1_facet_hbar-1-6.csv",
      [GOLDEN / "square_pm1.json", "--hbar=-1/6", "--point=-1,1/3"]),
+    # cp2's slanted edge y1 + y2 = 1
+    ("orbit_cp2_hypotenuse_hbar-1-24.csv",
+     [DATA / "cp2.json", "--hbar=-1/24", "--point", "3/10,7/10"]),
+    # a vertex: a one-point orbit
+    ("orbit_square_vertex_hbar-1-1000.csv",
+     [DATA / "square.json", "--hbar=-1/1000", "--point", "1,0"]),
 ], ids=["cp2-negative-hbar", "square-facet", "sphere-past-2^53",
-        "square-pm1-negative-coordinates"])
+        "square-pm1-negative-coordinates", "cp2-hypotenuse", "square-vertex"])
 def test_groupoid_orbit_goldens(tmp_path, golden, argv):
     rc, text = run(["groupoid", "orbit", str(argv[0])] + argv[1:], tmp_path)
     assert rc == 0
@@ -89,15 +96,77 @@ def test_groupoid_orbit_cap_below_1_exits_2(tmp_path, capsys, cap):
 
 
 def test_groupoid_orbit_box_past_int64_exits_2(tmp_path, capsys):
-    # a vertex of the square at hbar 2^-40: a candidate box of 2^80 points
+    # an interior point of the square at hbar 2^-40: a candidate box of 2^80 points
     rc, text = run(["groupoid", "orbit", str(DATA / "square.json"),
-                    "--hbar", "1/1099511627776", "--point", "0,0", "--cap", "10"],
+                    "--hbar", "1/1099511627776", "--point", "1/3,1/7", "--cap", "10"],
                    tmp_path)
     assert rc == 2
     assert text is None
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err and "too large for int64" in err
+
+
+def test_groupoid_orbit_from_a_vertex_at_small_hbar(tmp_path):
+    # the orbit of a vertex is the vertex, whatever hbar and the cap
+    rc, text = run(["groupoid", "orbit", str(DATA / "sphere.json"),
+                    "--hbar", "1/100000000", "--point", "0", "--cap", "10"], tmp_path)
+    assert rc == 0
+    assert text == "# torikit orbit v1 hbar=1/100000000 size=1\nindex,y1\n0,0\n"
+
+
+def csv_oracle(name, header, rows, preamble=()):
+    """The document `cli._csv_document` must give, written by csv.writer."""
+    buf = io.StringIO()
+    buf.write(" ".join((f"# torikit {name} v1", *preamble)) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def random_csv_field(rng):
+    kind = rng.randrange(6)
+    if kind == 0:       # p/q, denominators up to 2^62 and past it
+        den = rng.choice((1, 3, 2 ** 62, 3 * 2 ** 62 + 1))
+        return str(Fraction(rng.randint(-2 ** 70, 2 ** 70), den))
+    if kind == 1:
+        return str(rng.choice((math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e+300,
+                               -1.5e-300, rng.uniform(-1e6, 1e6))))
+    if kind == 2:
+        return str(rng.randint(-10 ** 6, 10 ** 6))
+    if kind == 3:       # the empty est_order field of bracket-limit
+        return ""
+    if kind == 4:       # strata's sample and isotropy fields, with commas
+        return rng.choice((",", ";")).join(
+            str(Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(rng.randint(1, 3)))
+    return rng.choice(("-", "0;1", "1/2", "-1;-1"))
+
+
+@pytest.mark.parametrize("block", [1, 7, cli._CSV_BLOCK])
+def test_csv_document_matches_csv_writer_randomized(monkeypatch, block):
+    monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+    rng = random.Random(block)
+    for n_rows in (0, 1, 2, 6, 7, 8, 15, 40):
+        width = rng.randint(2, 6)
+        header = tuple(f"c{i}" for i in range(width))
+        rows = [tuple(random_csv_field(rng) for _ in range(width)) for _ in range(n_rows)]
+        preamble = [f"hbar={Fraction(rng.randint(1, 9), 2 ** 62)}", f"size={n_rows}"]
+        blocks = list(cli._csv_document(
+            "test", header, (tuple(map(cli._quoted, row)) for row in rows), preamble))
+        assert "".join(blocks) == csv_oracle("test", header, rows, preamble)
+        # the title block, then blocks of at most `block` rows
+        assert len(blocks) == 1 + -(-n_rows // block)
+        assert all(0 < b.count("\n") <= block for b in blocks[1:])
+
+
+def test_orbit_stdout_equals_out_in_blocks(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 5)
+    argv = ["groupoid", "orbit", str(DATA / "cp2.json"), "--hbar", "1/4", "--point", "1/8,1/8"]
+    assert cli.main(argv) == 0
+    rc, text = run(argv, tmp_path)
+    assert rc == 0
+    assert capsys.readouterr().out == text == (GOLDEN / "orbit_cp2_hbar1-4.csv").read_text()
 
 
 def test_groupoid_orbit_outside_point_prints_p_over_q(tmp_path, capsys):

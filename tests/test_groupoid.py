@@ -406,20 +406,24 @@ def test_orbit_scan_memory_is_bounded_by_the_cap():
 
 @pytest.mark.parametrize("hbar", [F(1, 2 ** 40), F(-1, 2 ** 40), F(1, 2 ** 70)])
 def test_orbit_refuses_a_box_past_int64(hbar, monkeypatch):
-    # the vertex's box holds 2^80 (or 2^140) candidates: refused before
-    # any block is built
+    # an interior point's box holds 2^80 (or 2^140) candidates: refused
+    # before any block is built
     blocks = record_blocks(monkeypatch)
     with pytest.raises(DomainError, match="too large for int64"):
-        gr.orbit(pt.square(), hbar, (F(0), F(0)), cap=10)
+        gr.orbit(pt.square(), hbar, (F(1, 3), F(1, 7)), cap=10)
     assert blocks == []
 
 
-def test_orbit_int64_guard_on_pairings():
-    # from the vertex 0 the box holds 2^61 + 1 candidates, below the volume
-    # bound, but a step plus a mode inside the box pairs to 2^62 + 1
+def test_orbit_int64_guard_on_pairings(monkeypatch):
+    # on [0, 3/2] from the interior point 1/4 the box holds 3 * 2^60 - 1
+    # candidates, below the volume bound, but a step plus a mode inside the
+    # box pairs to about 11 * 2^59 > 2^62
+    blocks = record_blocks(monkeypatch)
+    P = pt.DelzantPolytope(1, ((1,), (-1,)), (F(0), F(-3, 2)))
     with pytest.raises(DomainError, match="too large for int64"):
-        gr.orbit(pt.interval(), F(1, 2 ** 61), (F(0),), cap=10)
-    # from the midpoint at 2^-60 every pairing stays below 2^62
+        gr.orbit(P, F(1, 2 ** 61), (F(1, 4),), cap=10)
+    assert blocks == []
+    # from the midpoint of [0, 1] at 2^-60 every pairing stays below 2^62
     with pytest.raises(OrbitCapError):
         gr.orbit(pt.interval(), F(1, 2 ** 60), (F(1, 2),), cap=10)
 
@@ -470,8 +474,7 @@ def test_orbit_cap_boundary():
 
 
 def record_blocks(monkeypatch):
-    """The number of candidates in each flat block of the box that `orbit`
-    scans."""
+    """The number of prefixes k[:-1] in each block that `orbit` scans."""
     blocks = []
     unravel_index = np.unravel_index
 
@@ -483,10 +486,25 @@ def record_blocks(monkeypatch):
     return blocks
 
 
+def record_rows(monkeypatch):
+    """The number of candidate steps `orbit` builds in each block."""
+    rows = []
+    expand = gr._expand
+
+    def recording(*args):
+        k = expand(*args)
+        rows.append(len(k))
+        return k
+
+    monkeypatch.setattr(gr, "_expand", recording)
+    return rows
+
+
 def test_capped_scan_stops_after_its_first_block(monkeypatch):
     # square at hbar 1/600: every candidate near y0 is an interior point,
-    # so the first block of cap + 1 candidates already exceeds the cap
+    # so the first block of cap + 1 prefixes already exceeds the cap
     blocks = record_blocks(monkeypatch)
+    rows = record_rows(monkeypatch)
     tracemalloc.start()
     try:
         with pytest.raises(OrbitCapError):
@@ -495,22 +513,82 @@ def test_capped_scan_stops_after_its_first_block(monkeypatch):
     finally:
         tracemalloc.stop()
     assert blocks == [10 + 1]
+    assert rows == []       # refused on the interval lengths, before any row
     assert peak < 512 * 2 ** 10
 
 
 def test_capped_scan_doubles_its_blocks(monkeypatch):
-    # a one-point orbit (a vertex) in a 401 x 401 box under a small cap:
-    # 11 candidates, then doubling up to 65,536, and the 5,164 left
+    # an edge of cp3 (y3 = 0, y1 + y2 + y3 = 1) at hbar 1/100: the face box
+    # has 100 x 100 prefixes (k1, k2) but only 99 of them hold a point.
+    # Under cap 99 the blocks hold 100 prefixes, then doubling, and the
+    # 3,700 left; the rows built are the orbit's 99 points
     blocks = record_blocks(monkeypatch)
-    orb = gr.orbit(pt.projective_space(2), F(1, 400), (F(0), F(0)), cap=10)
-    assert len(orb) == 1
-    assert blocks == [11 * 2 ** i for i in range(13)] + [65536, 5164]
-    assert sum(blocks) == 401 * 401
+    rows = record_rows(monkeypatch)
+    orb = gr.orbit(pt.projective_space(3), F(1, 100), (F(1, 2), F(1, 2), F(0)), cap=99)
+    assert len(orb) == 99
+    assert blocks == [100 * 2 ** i for i in range(6)] + [3700]
+    assert sum(blocks) == 100 * 100
+    assert sum(rows) == len(orb)
 
 
 def test_default_cap_scans_full_blocks(monkeypatch):
-    # 400 x 400 candidates: blocks of 65,536 from the start
+    # the same edge at hbar 1/300: 300 x 300 prefixes in blocks of 65,536
     blocks = record_blocks(monkeypatch)
-    orb = gr.orbit(pt.projective_space(2), F(1, 400), (F(1, 800), F(1, 800)))
-    assert len(orb) == 400 * 399 // 2
-    assert blocks == [65536, 65536, 28928]
+    rows = record_rows(monkeypatch)
+    orb = gr.orbit(pt.projective_space(3), F(1, 300), (F(1, 2), F(1, 2), F(0)))
+    assert len(orb) == 299
+    assert blocks == [65536, 300 * 300 - 65536]
+    assert sum(rows) == len(orb)
+
+
+@pytest.mark.parametrize("P, hbar, y0, steps", [
+    # a vertex of the interval at hbar 1e-8 and at 2^-50: one point
+    (pt.interval(), F(1, 10 ** 8), (F(0),), [(0,)]),
+    (pt.interval(), F(1, 2 ** 50), (F(0),), [(0,)]),
+    (pt.interval(), F(-1, 2 ** 50), (F(1),), [(0,)]),
+    # a vertex of the square at hbar 1/4000: one point
+    (pt.square(), F(1, 4000), (F(0), F(0)), [(0, 0)]),
+    # the square's edge y1 = 0 from (0, 1/2): 3,999 points
+    (pt.square(), F(1, 4000), (F(0), F(1, 2)),
+     [(0, 0)] + [(0, k) for k in range(-1999, 2000) if k]),
+    # cp2's slanted edge y1 + y2 = 1 from (1/2, 1/2): 3,999 points
+    (pt.projective_space(2), F(1, 4000), (F(1, 2), F(1, 2)),
+     [(0, 0)] + [(k, -k) for k in range(-1999, 2000) if k]),
+    (pt.projective_space(2), F(-1, 4000), (F(1, 2), F(1, 2)),
+     [(0, 0)] + [(k, -k) for k in range(-1999, 2000) if k]),
+], ids=["interval-vertex-1e-8", "interval-vertex-2^-50", "interval-vertex-minus-2^-50",
+        "square-vertex", "square-edge", "cp2-hypotenuse", "cp2-hypotenuse-minus"])
+def test_orbit_builds_only_its_points(monkeypatch, P, hbar, y0, steps):
+    # the scan costs the orbit, not the polytope's box: every candidate
+    # built is an orbit point, from a vertex to a slanted edge
+    rows = record_rows(monkeypatch)
+    orb = gr.orbit(P, hbar, y0, cap=max(10, len(steps)))
+    assert step_tuples(orb) == steps
+    assert sum(rows) == len(orb)
+
+
+SLANTED_FACES = {
+    # cp2's hypotenuse y1 + y2 = 1 (an edge) and its end (1, 0)
+    "cp2": (pt.projective_space(2),
+            [(F(1, 2), F(1, 2)), (F(1, 3), F(2, 3)), (F(3, 4), F(1, 4)), (F(1), F(0))]),
+    # cp3: the edges on y1 + y2 + y3 = 1 and a point of that facet
+    "cp3": (pt.projective_space(3),
+            [(F(1, 2), F(1, 2), F(0)), (F(0), F(1, 3), F(2, 3)), (F(1, 4), F(0), F(3, 4)),
+             (F(1, 4), F(1, 4), F(1, 2))]),
+    # interval x cp2: y2 + y3 = 1 at an interior and an end point of the interval
+    "interval x cp2": (pt.product(pt.interval(), pt.projective_space(2)),
+                       [(F(1, 2), F(1, 3), F(2, 3)), (F(0), F(1, 2), F(1, 2)),
+                        (F(1), F(1, 4), F(3, 4))]),
+}
+
+
+@pytest.mark.parametrize("name", SLANTED_FACES)
+def test_orbit_on_slanted_faces_matches_the_oracles(monkeypatch, name):
+    P, base_points = SLANTED_FACES[name]
+    rows = record_rows(monkeypatch)
+    for y0 in base_points:
+        for hbar in (F(1, 3), F(-1, 4), F(1, 6)):
+            orb = gr.orbit(P, hbar, y0)
+            assert set(points(orb)) == brute_force_orbit(P, hbar, y0)
+            assert points(orb) == bfs_orbit_oracle(P, hbar, y0)
+            assert rows[-1] == len(orb)

@@ -342,6 +342,21 @@ def test_bounding_box_is_computed_once_per_polytope():
         pt.bounding_box(empty)
 
 
+def test_face_box_is_the_box_of_the_face_vertices():
+    for P in [pt.interval(), pt.square(), pt.projective_space(3),
+              pt.product(pt.interval(), pt.projective_space(2))]:
+        verts = pt.vertices(P)
+        for face in pt.enumerate_faces(P):
+            members = [v for v in verts if set(face.active) <= set(P.active_set(v))]
+            D, lo, hi = pt.face_box(P, face.active)
+            assert D > 0
+            assert [F(c, D) for c in lo] == [min(v[i] for v in members) for i in range(P.n)]
+            assert [F(c, D) for c in hi] == [max(v[i] for v in members) for i in range(P.n)]
+        # the interior's face is the polytope
+        D, lo, hi = pt.face_box(P, ())
+        assert (tuple(F(c, D) for c in lo), tuple(F(c, D) for c in hi)) == pt.bounding_box(P)
+
+
 # ---------------------------------------------------------------------------
 # screening and faces against the Fraction reference: per-subset solves over
 # Q, Fraction kernel vectors, Fraction slacks and Fraction averages
