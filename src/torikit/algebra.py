@@ -35,8 +35,11 @@ computes (f.g)(hbar, u, k) at all orbit points u in one array pass: both
 factor arrows are tested on the orbit's face bounds (`groupoid.face_bounds`,
 the closed form of `groupoid.is_member`, not the orbit's own index), each
 coefficient is evaluated once per mode on the rows where both arrows exist,
-and the terms are summed over the modes of f in order.  It returns the same
-floats, bit for bit, as one `convolve` per point wherever `expr.evaluate`
+and the terms are summed over the modes of f in order.  One call serves
+every mode asked for, after one face test of the orbit.  The tails'
+coordinates are rows of `Orbit.points` and the heads' are computed from
+their steps, both correctly rounded.  It returns the same floats, bit for
+bit, as one `convolve` per point wherever `expr.evaluate`
 gives the same floats on arrays as on scalars.  The four operations always do, and numpy runs sin, cos and exp
 through one loop for a scalar and a contiguous column; an integer power
 may not (numpy's array power and Python's float power round differently).
@@ -249,49 +252,48 @@ def convolve(P: DelzantPolytope, f: AlgebraElement, g: AlgebraElement,
 
 
 def convolve_orbit(P: DelzantPolytope, f: AlgebraElement, g: AlgebraElement,
-                   orb: Orbit, k) -> np.ndarray:
-    """(f.g)(hbar, u, k) at every point u of the orbit, as a complex array
-    in the orbit's order; equal to `convolve` at each point (module
-    docstring).  An arrow is valid when its mode moves no facet active on
+                   orb: Orbit, modes) -> dict:
+    """{k: (f.g)(hbar, u, k) at every point u of the orbit} for each mode k
+    (an int tuple) in `modes`, each a complex array in the orbit's order and
+    equal to `convolve` at each point (module docstring), from one face test
+    of the orbit.  An arrow is valid when its mode moves no facet active on
     the face and its head's pairing is at least `lower`; a mode longer than
     the steps' box joins no two orbit points.  A coefficient that is
     singular or not finite where its arrow exists raises EvalDomainError.
     """
     if f.n != g.n:
         raise DomainError("elements live over different dimensions")
-    k = tuple(int(c) for c in k)
-    terms = []
-    for l, cf in f.modes:
-        m = tuple(a - b for a, b in zip(k, l))
-        cg = g.coefficient(m)
-        if not cg.is_zero_tree():
-            terms.append((l, cf, m, cg))
-    re, im = np.zeros(len(orb)), np.zeros(len(orb))
-    if not terms:
-        return re + 1j * im
     steps = orb.steps
     N, active, lower = face_bounds(P, orb.y0, orb.hbar)
     free = ~active
     q, lower = steps @ N[:, free], lower[free]
-    extent = (steps.max(axis=0) - steps.min(axis=0)).tolist()
+    extent = (steps.max(axis=0) - steps.min(axis=0)).tolist() * 2
     hbar = float(orb.hbar)
-    for l, cf, m, cg in terms:
-        if any(abs(c) > e for c, e in zip(l + m, extent + extent)):
-            continue        # an arrow this long leaves the orbit
-        p = np.array((l, m), dtype=np.int64) @ N
-        if p[:, active].any():
-            continue        # it moves a facet of the orbit's face
-        mid = q + p[0, free]
-        rows = np.flatnonzero((mid >= lower).all(axis=1)
-                              & (mid + p[1, free] >= lower).all(axis=1))
-        if not len(rows):
-            continue
-        tails = steps[rows]
-        ar, ai = evaluate_rows(cf, hbar, orb.coordinates(tails), l)
-        br, bi = evaluate_rows(cg, hbar, orb.coordinates(tails + l), m)
-        re[rows] += ar * br - ai * bi
-        im[rows] += ar * bi + ai * br
-    return re + 1j * im
+    out = {}
+    for k in modes:
+        k = tuple(int(c) for c in k)
+        re, im = np.zeros(len(orb)), np.zeros(len(orb))
+        for l, cf in f.modes:
+            m = tuple(a - b for a, b in zip(k, l))
+            cg = g.coefficient(m)
+            if cg.is_zero_tree():
+                continue
+            if any(abs(c) > e for c, e in zip(l + m, extent)):
+                continue        # an arrow this long leaves the orbit
+            p = np.array((l, m), dtype=np.int64) @ N
+            if p[:, active].any():
+                continue        # it moves a facet of the orbit's face
+            mid = q + p[0, free]
+            rows = np.flatnonzero((mid >= lower).all(axis=1)
+                                  & (mid + p[1, free] >= lower).all(axis=1))
+            if not len(rows):
+                continue
+            ar, ai = evaluate_rows(cf, hbar, orb.points[rows], l)
+            br, bi = evaluate_rows(cg, hbar, orb.coordinates(steps[rows] + l), m)
+            re[rows] += ar * br - ai * bi
+            im[rows] += ar * bi + ai * br
+        out[k] = re + 1j * im
+    return out
 
 
 def evaluate_rows(coeff: ex.ComplexExpr, hbar: float, ys, k):
@@ -303,9 +305,9 @@ def evaluate_rows(coeff: ex.ComplexExpr, hbar: float, ys, k):
     with np.errstate(all="ignore"):
         re = ex.evaluate(coeff.re, hbar, cols)
         im = ex.evaluate(coeff.im, hbar, cols)
-    re = np.broadcast_to(re, (len(ys),))
-    im = np.broadcast_to(im, (len(ys),))
-    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+    # a part free of y evaluates to a float: one value for every row
+    re, im = (np.full(len(ys), v) if type(v) is float else v for v in (re, im))
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise EvalDomainError(f"coefficient of mode {k} not finite on the orbit")
     return re, im
 

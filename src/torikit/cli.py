@@ -75,6 +75,13 @@ def _mode(text: str, n: int) -> tuple[int, ...]:
     return _require_length("mode", text, k, n)
 
 
+def _check_tol(tol: float) -> None:
+    """A --tol value: finite and not negative, else FormatError (a NaN
+    would fail every check and an infinite one pass every check)."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise FormatError(f"--tol must be a finite number >= 0, got {tol}")
+
+
 def _emit(args, blocks) -> None:
     """Write the text blocks, in order, to --out or else to stdout.  A CSV
     document comes as blocks of rows, so the whole text is never held at
@@ -217,6 +224,7 @@ def cmd_groupoid_orbit(args) -> int:
 # quantize commands
 
 def cmd_quantize_bracket_limit(args) -> int:
+    _check_tol(args.tol)
     P = pt.load_polytope(args.polytope)
     pt.require_delzant(P)
     f = al.load_observable(args.obs, P.n)
@@ -289,6 +297,7 @@ def cmd_quantize_spectra(args) -> int:
 def cmd_verify_suite(args) -> int:
     if args.cases < 1:
         raise FormatError(f"--cases must be at least 1, got {args.cases}")
+    _check_tol(args.tol)
     P = pt.load_polytope(args.polytope)
     pt.require_delzant(P)
     report = su.run_suite(P, seed=args.seed, tol=args.tol, cases=args.cases)

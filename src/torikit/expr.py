@@ -24,11 +24,18 @@ derivative, its substitution and its evaluation; the module functions
 (`to_text`, `d_dh`, `d_dy`, `shift_y`, `subs_h`, `evaluate`) call the root
 node's method.  Complex values never appear here; the algebra layer pairs two real expressions per
 mode coefficient.
+
+A constant converts its rational value to float on its first evaluation and
+keeps the float in a slot that equality, hashing and printing ignore.  It
+does not convert at construction, so a literal past float range still parses;
+its evaluation raises each time, since a failed conversion is not kept.
+`evaluate` converts rational inputs once per call, floats and arrays pass
+through, and `ComplexExpr.evaluate` converts once for both parts.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +77,9 @@ class Expr:
 @_node
 class Const(Expr):
     value: Fraction
+    # float(value), set by the first `eval` that succeeds; not a field of
+    # equality, hashing or printing
+    _float: float | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         if type(self.value) is not Fraction:
@@ -93,7 +103,11 @@ class Const(Expr):
         return self
 
     def eval(self, h, y):
-        return float(self.value)
+        v = self._float
+        if v is None:
+            v = float(self.value)       # OverflowError past float range
+            object.__setattr__(self, "_float", v)
+        return v
 
 
 @_node
@@ -546,23 +560,26 @@ def subs_h(e: Expr, value) -> Expr:
     return e.subs(Const(value), {})
 
 
+def _floats(h, y):
+    """h and the list of y with each Fraction converted to float; floats
+    and arrays pass through."""
+    if isinstance(h, Fraction):
+        h = float(h)
+    return h, [float(v) if isinstance(v, Fraction) else v for v in y]
+
+
 def evaluate(e: Expr, h, y):
     """IEEE-double evaluation at h and the coordinate vector y.
 
     Accepts scalars or numpy arrays (broadcast elementwise); rational inputs
     are converted to float.  Deterministic; raises EvalDomainError carrying
     the offending subexpression at singular points, and carrying `e` when a
-    scalar result overflows (arrays read inf there instead).
+    scalar result overflows (arrays read inf there instead) or a constant
+    lies past float range (scalars and arrays alike).
     """
-    if isinstance(h, Fraction):
-        h = float(h)
-    yy = []
-    for v in y:
-        if isinstance(v, Fraction):
-            v = float(v)
-        yy.append(v)
+    h, y = _floats(h, y)
     try:
-        out = e.eval(h, yy)
+        out = e.eval(h, y)
     except OverflowError as exc:
         raise EvalDomainError("evaluation overflows", e) from exc
     if isinstance(out, np.ndarray):
@@ -624,6 +641,7 @@ class ComplexExpr:
         return _is(self.re, 0) and _is(self.im, 0)
 
     def evaluate(self, h, y):
+        h, y = _floats(h, y)
         re = evaluate(self.re, h, y)
         im = evaluate(self.im, h, y)
         return re + 1j * im

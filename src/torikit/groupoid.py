@@ -24,6 +24,12 @@ A box whose volume or pairings could reach 2^62 is refused first, so no
 array needs Python ints.  Arrow queries are lookups in the steps with no
 facet test, and exact points are built only on demand.
 
+An orbit is immutable, so what it derives is derived once and kept on it:
+its numerators, the steps' sorted keys, the float coordinates of every
+point (`Orbit.points`) and, per mode k, the lookup `Orbit.targets(k)`.  The
+arrays it hands out are read-only, and each memo lives and dies with its
+orbit.
+
 With d the common denominator of y0 and hbar every coordinate is an integer
 numerator over d (`Orbit.numerators`).  `Orbit.coordinates` gives the float
 coordinates of y0 + hbar*k for an array of steps k, each the correctly
@@ -150,8 +156,8 @@ class Orbit:
 
     `steps` is a read-only (D, n) int64 array whose row 0 is the origin, so
     point 0 is y0.  The steps' sorted keys (`_step_keys`) are the orbit's
-    only index: every arrow query is a lookup in them.  Equality is
-    identity, since the orbit holds an array.
+    only index: every arrow query is a lookup in them, made once per mode.
+    Equality is identity, since the orbit holds an array.
     """
 
     hbar: Fraction
@@ -181,7 +187,7 @@ class Orbit:
         j = int(self.targets(k)[i])
         return None if j < 0 else j
 
-    @property
+    @cached_property
     def numerators(self) -> tuple[int, tuple[int, ...], int]:
         """(d, y0*d, hbar*d) in Python ints, d the common denominator of y0
         and hbar: coordinate i of point j is the integer
@@ -189,6 +195,14 @@ class Orbit:
         d = math.lcm(self.hbar.denominator, *(c.denominator for c in self.y0))
         return (d, tuple(c.numerator * (d // c.denominator) for c in self.y0),
                 self.hbar.numerator * (d // self.hbar.denominator))
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """The read-only (D, n) float coordinates of every point, in orbit
+        order: `coordinates(steps)`, built once per orbit."""
+        points = self.coordinates(self.steps)
+        points.flags.writeable = False
+        return points
 
     def coordinates(self, steps) -> np.ndarray:
         """Float coordinates of y0 + hbar*steps for a (rows, n) int64 step
@@ -223,13 +237,26 @@ class Orbit:
         return lo, hi, extents, keys[order], order
 
     def targets(self, k) -> np.ndarray:
-        """For every i, the index of point(i) + hbar*k: an int64 array
-        holding -1 where the arrow (hbar, point(i), k) is invalid.
+        """For every i, the index of point(i) + hbar*k: a read-only int64
+        array holding -1 where the arrow (hbar, point(i), k) is invalid.
 
-        One vectorized lookup of the shifted steps' keys, no facet test.
+        One vectorized lookup of the shifted steps' keys, no facet test,
+        made on the first call for each mode and kept on the orbit.
         """
+        k = tuple(int(c) for c in k)
+        out = self._targets.get(k)
+        if out is None:
+            out = self._lookup(k)
+            out.flags.writeable = False
+            self._targets[k] = out
+        return out
+
+    @cached_property
+    def _targets(self) -> dict:
+        return {}
+
+    def _lookup(self, k: tuple[int, ...]) -> np.ndarray:
         lo, hi, extents, keys, order = self._step_keys
-        k = [int(c) for c in k]
         if len(k) != len(lo):
             raise DimensionError("point/mode dimension mismatch")
         out = np.full(len(self.steps), -1, dtype=np.int64)

@@ -127,7 +127,7 @@ def represent(P: DelzantPolytope, orb: Orbit, f: al.AlgebraElement) -> OrbitOper
     """
     D = orb.dim
     hbar = float(orb.hbar)
-    ys = orb.coordinates(orb.steps)  # (D, n)
+    ys = orb.points  # (D, n)
     modes = {}
     for k, coeff in f.modes:
         targets = orb.targets(k)

@@ -39,8 +39,9 @@ __all__ = [
 
 
 def ratpoint(coords) -> tuple[Fraction, ...]:
-    """Coerce a sequence (ints, Fractions, 'p/q' strings) to an exact point."""
-    return tuple(Fraction(c) for c in coords)
+    """Coerce a sequence (ints, Fractions, 'p/q' strings) to an exact point;
+    Fractions pass through."""
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
 
 def format_point(y) -> str:
@@ -208,7 +209,8 @@ def scaled_slacks(P: DelzantPolytope, y, hbar=0):
     y = ratpoint(y)
     if len(y) != P.n:
         raise DimensionError(f"point has {len(y)} coordinates, expected {P.n}")
-    hbar = Fraction(hbar)
+    if type(hbar) is not Fraction:
+        hbar = Fraction(hbar)
     L, a = P.integer_offsets
     d = math.lcm(hbar.denominator, L, *(c.denominator for c in y))
     yd = [c.numerator * (d // c.denominator) for c in y]

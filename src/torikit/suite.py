@@ -267,10 +267,10 @@ def battery_representation(P, rng, cases, tol) -> BatteryResult:
         direct = np.zeros_like(prod)
         ks = {tuple(a + b for a, b in zip(l, m))
               for l, _ in f.modes for m, _ in g.modes}
-        for k in ks:
+        for k, values in al.convolve_orbit(P, f, g, orb, ks).items():
             targets = orb.targets(k)
             rows = np.flatnonzero(targets >= 0)
-            direct[rows, targets[rows]] += al.convolve_orbit(P, f, g, orb, k)[rows]
+            direct[rows, targets[rows]] += values[rows]
         scale = max(np.abs(prod).max(), 1.0)
         result.check(float(np.abs(prod - direct).max()) / scale, tol,
                      {"law": "pi(f.g) = pi(f)pi(g)", "hbar": hbar, "y0": y0})

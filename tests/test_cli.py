@@ -493,6 +493,27 @@ def test_bad_count_exits_2(tmp_path, capsys, argv):
     assert "input error" in capsys.readouterr().err
 
 
+TOL_COMMANDS = {
+    "verify-suite": ["verify", "suite"],
+    "bracket-limit": ["quantize", "bracket-limit", "--obs", str(DATA / "obs" / "xplus.json"),
+                      "--obs2", str(DATA / "obs" / "mode_minus.json"), "--point", "1/2"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.5"], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("command", sorted(TOL_COMMANDS))
+def test_bad_tol_exits_2_before_any_work(tmp_path, capsys, command, value):
+    # a NaN tolerance fails every check, an infinite one passes every check
+    # and a negative one fails them all; the polytope file does not exist,
+    # so the error names --tol only if the check comes before any loading
+    argv = TOL_COMMANDS[command] + [str(tmp_path / "missing.json"), "--tol", value]
+    rc, text = run(argv, tmp_path)
+    assert rc == 2
+    assert text is None
+    assert capsys.readouterr().err == (
+        f"input error: --tol must be a finite number >= 0, got {float(value)}\n")
+
+
 @pytest.mark.parametrize("name", SHIPPED)
 @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
 def test_polytope_check_golden(tmp_path, name, fmt, suffix):

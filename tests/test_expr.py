@@ -223,6 +223,44 @@ def test_out_of_range_constant_parses_and_overflows_on_evaluation():
             ex.evaluate(e, 0.0, [y])
 
 
+def test_const_float_is_kept_on_first_eval_and_ignored_by_equality():
+    c, d = ex.Const(Fraction(1, 3)), ex.Const(Fraction(1, 3))
+    assert c._float is None         # not converted at construction
+    assert ex.evaluate(c, 0.0, [0.5]) == 1 / 3
+    assert c._float == 1 / 3 and d._float is None
+    assert c == d and hash(c) == hash(d) and {d: 1}[c] == 1
+    assert ex.to_text(c) == ex.to_text(d) == "1/3" and repr(c) == repr(d)
+    assert ex.Add(c, ex.Y(1)) == ex.parse("1/3 + y1", 1)
+    assert ex.evaluate(c, 0.0, [0.5]) == ex.evaluate(d, 0.0, [0.5]) == 1 / 3
+
+
+def test_out_of_range_constant_keeps_no_failed_float():
+    e = ex.parse("1" + "0" * 400, 1)
+    assert e == ex.Const(10 ** 400) and e._float is None
+    for y in (0.5, 0.5, np.array([0.5, 1.5])):
+        with pytest.raises(EvalDomainError, match="evaluation overflows"):
+            ex.evaluate(e, 0.0, [y])
+        assert e._float is None
+
+
+def test_overflowing_result_raises_on_scalars_and_reads_inf_on_arrays():
+    e = ex.parse("2*y1^400", 1)
+    for _ in range(2):
+        with pytest.raises(EvalDomainError, match="evaluation overflows"):
+            ex.evaluate(e, 0.0, [10.0])
+    with np.errstate(over="ignore"):
+        out = ex.evaluate(e, 0.0, [np.array([10.0, 0.5])])
+    assert out[0] == np.inf and out[1] == 2 * 0.5 ** 400
+    assert e.a._float == 2.0
+
+
+def test_complex_evaluate_at_a_rational_point_equals_its_float_point():
+    c = ex.ComplexExpr(ex.parse("h*y1 + sin(y2)", 2), ex.parse("y1/3 - h^2", 2))
+    exact = c.evaluate(Fraction(1, 7), (Fraction(1, 3), Fraction(2, 5)))
+    floats = c.evaluate(1 / 7, (1 / 3, 2 / 5))
+    assert exact.real.hex() == floats.real.hex() and exact.imag.hex() == floats.imag.hex()
+
+
 def test_integer_power_rounds_as_the_scalar_and_array_operators_do():
     # scalar ** and np.power round differently at some of these points
     # (x = 2.3673799335066334 is one), so each path is pinned to its own

@@ -11,7 +11,7 @@ import pytest
 
 from torikit import groupoid as gr
 from torikit import polytope as pt
-from torikit.errors import ComposabilityError, DomainError, OrbitCapError
+from torikit.errors import ComposabilityError, DimensionError, DomainError, OrbitCapError
 
 F = Fraction
 
@@ -363,6 +363,55 @@ def test_targets_keys_refuse_a_box_past_int64():
     orb = gr.Orbit(F(1), (F(0), F(0)), np.array(steps))
     for k in [(2 ** 30, 1), (2 ** 30 - 1, 2 ** 30), (-(2 ** 30), -1), (0, 0), (1, 1)]:
         check_targets(orb, k)
+
+
+# orbits whose memos are checked: interior, on a facet and at negative hbar,
+# and the orbit whose numerators pass 2^53, so its coordinates come from
+# Python-int division
+MEMO_ORBITS = {
+    "cp2-interior": (pt.projective_space(2), F(1, 5), (F(1, 8), F(1, 4))),
+    "square-facet-negative-hbar": (pt.square(), F(-1, 6), (F(0), F(2, 3))),
+    "square-past-2^53": (pt.square(), F(1, 4), (F(1, 3) + F(1, 2 ** 55), F(1, 2))),
+}
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_ORBITS))
+def test_orbit_memos_are_read_only_and_equal_a_fresh_computation(name):
+    P, hbar, y0 = MEMO_ORBITS[name]
+    orb = gr.orbit(P, hbar, y0)
+    assert len(orb) > 1
+    pts = orb.points
+    assert pts is orb.points and not pts.flags.writeable
+    with pytest.raises(ValueError):
+        pts[0, 0] = 0.0
+    want = np.array([[float(c) for c in p] for p in points(orb)])
+    assert same_bits(pts, want)
+    assert same_bits(pts, orb.coordinates(orb.steps))
+    for k in itertools.product(range(-2, 3), repeat=P.n):
+        got = orb.targets(k)
+        assert got is orb.targets(list(k)) and got is orb.targets(np.array(k))
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 0
+        assert got.dtype == np.int64 and got.tolist() == step_lookup_oracle(orb, k)
+    # a fresh orbit over the same steps computes each memo anew, bit for bit
+    fresh = gr.Orbit(orb.hbar, orb.y0, orb.steps)
+    assert same_bits(fresh.points, pts)
+    for k in itertools.product(range(-2, 3), repeat=P.n):
+        assert np.array_equal(fresh.targets(k), orb.targets(k))
+
+
+def test_targets_keep_no_failed_lookup():
+    orb = gr.orbit(pt.square(), F(1, 4), (F(1, 8), F(1, 8)))
+    for _ in range(2):
+        with pytest.raises(DimensionError):
+            orb.targets((1,))
+    assert (1,) not in orb._targets
+    check_targets(orb, (1, 0))
 
 
 def test_orbit_int64_guard_cannot_overflow():

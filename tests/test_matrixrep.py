@@ -394,3 +394,26 @@ def test_bracket_via_matrices_names_a_missing_arrow_in_p_over_q():
     with pytest.raises(DomainError,
                        match=r"^arrow \(hbar=1/4, y=\(0\), k=\(1,\)\) is not in"):
         mr.bracket_via_matrices(SPHERE, f, f, (F(0),), (1,), [F(1, 4), F(1, 8)])
+
+
+def test_operator_algebra_never_writes_into_the_orbit_memos():
+    # the orbit through hbar/2 lists its points in ascending order, so the
+    # real symmetric tridiagonal f takes the chain path
+    orb = gr.orbit(SPHERE, F(1, 10), (F(1, 20),))
+    f = al.element(1, {0: "y1", 1: "1", -1: "1"})
+    g = al.element(1, {1: "y1", 0: "h"})
+    Fop, Gop = mr.represent(SPHERE, orb, f), mr.represent(SPHERE, orb, g)
+    memos = {k: orb.targets(k) for k in [(0,), (1,), (-1,)]}
+    assert all(Fop.modes[k][1] is t for k, t in memos.items())   # shared, not copied
+    before = {k: t.copy() for k, t in memos.items()}
+    points = orb.points.copy()
+    FG, GF = Fop @ Gop, Gop @ Fop
+    assert mr._chain_spectrum(Fop) is not None
+    for op in (Fop, Gop, FG, GF):
+        mr.spectrum(op)
+    for k, t in memos.items():
+        assert orb.targets(k) is t and not t.flags.writeable
+        assert np.array_equal(t, before[k]) and t.tolist() == [
+            -1 if j is None else j for j in step_targets(orb, k)]
+    assert not orb.points.flags.writeable
+    assert np.array_equal(orb.points.view(np.int64), points.view(np.int64))

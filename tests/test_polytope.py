@@ -571,3 +571,13 @@ def test_screening_matches_the_fraction_oracle():
             kinds.add("pass")
             assert pt.enumerate_faces(P) == oracle_faces(P), P
     assert kinds == {"pass", *VIOLATION_KINDS}
+
+
+def test_ratpoint_and_scaled_slacks_pass_fractions_through():
+    y = (F(1, 3), F(2, 5))
+    assert all(a is b for a, b in zip(pt.ratpoint(y), y))
+    got = pt.ratpoint((1, "3/4", F(2, 5)))
+    assert got == (F(1), F(3, 4), F(2, 5)) and all(type(c) is F for c in got)
+    P = pt.projective_space(2)
+    for hbar in (F(1, 6), "1/6"):
+        assert pt.scaled_slacks(P, y, hbar) == pt.scaled_slacks(P, ("1/3", "2/5"), F(1, 6))

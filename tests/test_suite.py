@@ -64,6 +64,57 @@ def test_suite_derivation_stays_demand_driven(monkeypatch):
     assert 0 < len(calls) <= D_DY_CALLS_CP2_SEED0_CASES2
 
 
+@pytest.mark.parametrize("name", sorted(POLYTOPES))
+def test_representation_case_derives_each_orbit_quantity_once(monkeypatch, name):
+    # counts, not times: per case one face test, one float conversion of the
+    # full step array and one lookup per distinct mode
+    counts = {"face_bounds": 0, "full_coordinates": 0}
+    lookups, orbits = {}, []
+    real_face_bounds, real_coordinates = al.face_bounds, gr.Orbit.coordinates
+    real_lookup, real_orbit = gr.Orbit._lookup, gr.orbit
+
+    def face_bounds(*args):
+        counts["face_bounds"] += 1
+        return real_face_bounds(*args)
+
+    def coordinates(orb, steps):
+        counts["full_coordinates"] += steps is orb.steps
+        return real_coordinates(orb, steps)
+
+    def lookup(orb, k):
+        lookups[k] = lookups.get(k, 0) + 1
+        return real_lookup(orb, k)
+
+    def orbit(*args, **kwargs):
+        orbits.append(real_orbit(*args, **kwargs))
+        return orbits[-1]
+
+    monkeypatch.setattr(al, "face_bounds", face_bounds)
+    monkeypatch.setattr(gr.Orbit, "coordinates", coordinates)
+    monkeypatch.setattr(gr.Orbit, "_lookup", lookup)
+    monkeypatch.setattr(gr, "orbit", orbit)
+    for seed in range(4):
+        counts.update(face_bounds=0, full_coordinates=0)
+        lookups.clear()
+        result = su.battery_representation(POLYTOPES[name], random.Random(seed), 1, 1e-10)
+        assert result.cases == 2 and result.passed
+        assert counts == {"face_bounds": 1, "full_coordinates": 1}
+        assert lookups and set(lookups.values()) == {1}
+        # the battery wrote into no memo: each is read-only and equals a
+        # lookup by hashing the steps
+        orb = orbits[-1]
+        assert set(orb._targets) == set(lookups)
+        steps = [tuple(s) for s in orb.steps.tolist()]
+        index = {s: i for i, s in enumerate(steps)}
+        for k, got in orb._targets.items():
+            assert not got.flags.writeable
+            assert got.tolist() == [
+                index.get(tuple(a + b for a, b in zip(s, k)), -1) for s in steps]
+        assert not orb.points.flags.writeable
+        assert orb.points.tolist() == [[float(c) for c in p] for p in points(orb)]
+    assert len(orbits) == 4
+
+
 # a noncompact polytope, and a compact one that passes screening but has no
 # point with every slack above the samplers' margin of 1/8
 NO_INTERIOR_SAMPLE = {
@@ -143,9 +194,11 @@ def modes_to_check(f, g, n, rng):
 
 
 def assert_matches_per_point(P, f, g, orb, rng):
-    for k in modes_to_check(f, g, P.n, rng):
-        got = al.convolve_orbit(P, f, g, orb, k)
-        want = per_point(P, f, g, orb, k)
+    ks = modes_to_check(f, g, P.n, rng)
+    conv = al.convolve_orbit(P, f, g, orb, ks)
+    assert list(conv) == ks
+    for k in ks:
+        got, want = conv[k], per_point(P, f, g, orb, k)
         assert got.dtype == complex and got.shape == (len(orb),)
         assert np.array_equal(got.real, want.real), (k, got, want)
         assert np.array_equal(got.imag, want.imag), (k, got, want)
@@ -232,4 +285,4 @@ def test_convolve_orbit_rejects_a_non_finite_coefficient():
     g = al.element(1, {0: "1"})
     orb = gr.orbit(P, F(1, 4), (F(1, 2),))
     with pytest.raises(EvalDomainError, match=r"mode \(1,\)"):
-        al.convolve_orbit(P, f, g, orb, (1,))
+        al.convolve_orbit(P, f, g, orb, [(1,)])
