@@ -18,17 +18,20 @@ With these, the canonical pair y*e_1, y*e_(-1) on the unit interval has
 renormalized commutator identically -2iy at mode 0, for every hbar.
 
 The zero-fiber constructions `bracket_element` and `pointwise_product_at_zero`
-are demand-driven.  Given `modes=`, they skip every pair (l, m) with l + m
-outside that set but visit the kept pairs in the same order, so the
-coefficient at each kept mode is the same tree as in the full construction,
-and evaluates to the same floats.  A check that reads one mode asks for that
-mode (and, for a bracket that is a factor of another, the modes k - l the
-outer step reads).  Their results are already at h = 0: the coefficients are
-h-free trees built by the smart constructors, which a restriction to h = 0
-would rebuild unchanged, so such an element is its own zero fiber.  The
-derivatives d_i of each coefficient are taken once per (mode, axis), on
-first use, and kept on the element (`AlgebraElement.derivative`); the
-bracket and the classical oracles read the same memo.
+are one demand-driven pair walk with two term builders: it restricts both
+factors to h = 0 and sums the term of each pair (l, m) of their modes, in
+f0-then-g0 order, at mode l + m; the bracket drops a term that is the zero
+tree.  Given `modes=`, the walk skips every pair with l + m outside that set
+but visits the kept pairs in the same order, so the coefficient at each kept
+mode is the same tree as in the full construction, and evaluates to the same
+floats.  A check that reads one mode asks for that mode (and, for a bracket
+that is a factor of another, the modes k - l the outer step reads).  Their
+results are already at h = 0: the coefficients are h-free trees built by the
+smart constructors, which a restriction to h = 0 would rebuild unchanged, so
+such an element is its own zero fiber.  The derivatives d_i of each
+coefficient are taken once per (mode, axis), on first use, and kept on the
+element (`AlgebraElement.derivative`); the bracket and the classical oracles
+read the same memo.
 
 On an orbit at fixed hbar every arrow is a lattice step, so `convolve_orbit`
 computes (f.g)(hbar, u, k) at all orbit points u in one array pass: both
@@ -50,7 +53,6 @@ may fuse them and round differently.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -61,7 +63,7 @@ import numpy as np
 from . import expr as ex
 from .errors import DomainError, EvalDomainError, FormatError, MarginError
 from .groupoid import GroupoidPoint, Orbit, face_bounds, is_member, translate
-from .polytope import DelzantPolytope, format_point, json_int, ratpoint
+from .polytope import DelzantPolytope, format_point, json_int, ratpoint, read_json
 
 __all__ = [
     "AlgebraElement", "element", "observable_from_dict", "observable_to_dict",
@@ -199,12 +201,7 @@ def observable_to_dict(f: AlgebraElement) -> dict:
 
 
 def load_observable(path, n: int) -> AlgebraElement:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot read observable file {path}: {exc}") from exc
-    return observable_from_dict(doc, n)
+    return observable_from_dict(read_json(path, "observable"), n)
 
 
 # ---------------------------------------------------------------------------
@@ -342,18 +339,11 @@ def involution(f: AlgebraElement) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 # the classical bracket from the zero fiber, symbolically
 
-def bracket_element(f: AlgebraElement, g: AlgebraElement, *,
-                    modes=None) -> AlgebraElement:
-    """The limit bracket as an element over the zero fiber.
-
-    Mode k coefficient: (1/i) sum_{l+m=k} sum_i [ l_i f_l d_i g_m
-    - m_i g_m d_i f_l ], all coefficients taken at h = 0.  With `modes` (a
-    set of int tuples) only the modes in it are built; each is the same tree
-    as in the full bracket, so it evaluates to the same floats.
-    """
+def _zero_fiber_walk(f: AlgebraElement, g: AlgebraElement, modes, term) -> dict:
+    """{k: sum of term(f0, g0, l, f0_l, m, g0_m) over l + m = k in `modes`
+    (None for all)} (module docstring); a term of None is left out."""
     if f.n != g.n:
         raise DomainError("elements live over different dimensions")
-    n = f.n
     f0, g0 = f.subs_h_zero(), g.subs_h_zero()
     acc: dict[tuple[int, ...], ex.ComplexExpr] = {}
     for l, cf0 in f0.modes:
@@ -361,18 +351,35 @@ def bracket_element(f: AlgebraElement, g: AlgebraElement, *,
             k = tuple(a + b for a, b in zip(l, m))
             if modes is not None and k not in modes:
                 continue
-            term = ex.ComplexExpr.zero()
-            for i in range(1, n + 1):
-                li, mi = l[i - 1], m[i - 1]
-                if li:
-                    term = term + (cf0 * g0.derivative(m, i)).scaled(li)
-                if mi:
-                    term = term - (cg0 * f0.derivative(l, i)).scaled(mi)
-            if term.is_zero_tree():
-                continue
-            acc[k] = acc[k] + term if k in acc else term
-    out = {k: c.scaled(0, -1) for k, c in acc.items()}   # divide by i
-    return AlgebraElement(n, tuple(sorted(out.items())), at_zero=True)
+            t = term(f0, g0, l, cf0, m, cg0)
+            if t is not None:
+                acc[k] = acc[k] + t if k in acc else t
+    return acc
+
+
+def _bracket_term(f0, g0, l, cf0, m, cg0):
+    # sum_i [ l_i f_l d_i g_m - m_i g_m d_i f_l ], None when it is the zero tree
+    term = ex.ComplexExpr.zero()
+    for i in range(1, f0.n + 1):
+        li, mi = l[i - 1], m[i - 1]
+        if li:
+            term = term + (cf0 * g0.derivative(m, i)).scaled(li)
+        if mi:
+            term = term - (cg0 * f0.derivative(l, i)).scaled(mi)
+    return None if term.is_zero_tree() else term
+
+
+def bracket_element(f: AlgebraElement, g: AlgebraElement, *,
+                    modes=None) -> AlgebraElement:
+    """The limit bracket as an element over the zero fiber.
+
+    Mode k coefficient: (1/i) sum_{l+m=k} sum_i [ l_i f_l d_i g_m
+    - m_i g_m d_i f_l ], all coefficients taken at h = 0.  With `modes` (a
+    set of int tuples) only those modes are built (module docstring).
+    """
+    acc = _zero_fiber_walk(f, g, modes, _bracket_term)
+    return AlgebraElement(f.n, tuple(sorted((k, c.scaled(0, -1))    # divide by i
+                                            for k, c in acc.items())), at_zero=True)
 
 
 def symbolic_bracket(f: AlgebraElement, g: AlgebraElement, y, k) -> complex:
@@ -383,20 +390,9 @@ def symbolic_bracket(f: AlgebraElement, g: AlgebraElement, y, k) -> complex:
 
 def pointwise_product_at_zero(f: AlgebraElement, g: AlgebraElement, *,
                               modes=None) -> AlgebraElement:
-    """Mode convolution of the zero-fiber restrictions (no base shift).
-    With `modes`, only those modes are built, each the same tree as in the
-    full product."""
-    if f.n != g.n:
-        raise DomainError("elements live over different dimensions")
-    f0, g0 = f.subs_h_zero(), g.subs_h_zero()
-    acc: dict[tuple[int, ...], ex.ComplexExpr] = {}
-    for l, cf0 in f0.modes:
-        for m, cg0 in g0.modes:
-            k = tuple(a + b for a, b in zip(l, m))
-            if modes is not None and k not in modes:
-                continue
-            term = cf0 * cg0
-            acc[k] = acc[k] + term if k in acc else term
+    """Mode convolution of the zero-fiber restrictions (no base shift);
+    `modes` as in `bracket_element`."""
+    acc = _zero_fiber_walk(f, g, modes, lambda f0, g0, l, cf0, m, cg0: cf0 * cg0)
     return AlgebraElement(f.n, tuple(sorted(acc.items())), at_zero=True)
 
 

@@ -21,8 +21,13 @@ from .errors import DomainError, StratumError
 from .polytope import DelzantPolytope, format_point, in_delta_k, ratpoint
 
 __all__ = [
-    "synthesize", "angle_spectrum", "poisson_bracket_aa", "poisson_bracket_aa_at",
+    "synthesize", "ANGLE_GRID_CAP", "angle_spectrum", "poisson_bracket_aa",
+    "poisson_bracket_aa_at",
 ]
+
+# the most angles `angle_spectrum` samples: 1 MiB of complex values, and
+# one call of the sampled function per angle
+ANGLE_GRID_CAP = 1 << 16
 
 
 def synthesize(P: DelzantPolytope, f: AlgebraElement, y, theta) -> complex:
@@ -56,7 +61,12 @@ def synthesize(P: DelzantPolytope, f: AlgebraElement, y, theta) -> complex:
 
 def angle_spectrum(value, n: int, grid_size: int) -> np.ndarray:
     """Normalized n-dimensional DFT of value(theta) sampled on the uniform
-    grid of grid_size^n angles; entry k % grid_size holds mode k."""
+    grid of grid_size^n angles; entry k % grid_size holds mode k.  A grid
+    of more than ANGLE_GRID_CAP angles is DomainError, before any sample."""
+    if grid_size ** n > ANGLE_GRID_CAP:
+        raise DomainError(
+            f"classical oracle grid of {grid_size}^{n} = {grid_size ** n} angles "
+            f"exceeds the cap of {ANGLE_GRID_CAP}")
     shape = (grid_size,) * n
     values = np.zeros(shape, dtype=complex)
     step = 2 * math.pi / grid_size

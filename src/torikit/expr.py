@@ -44,7 +44,7 @@ from .errors import EvalDomainError, ParseError
 
 __all__ = [
     "Expr", "Const", "H", "Y", "Add", "Sub", "Mul", "Div", "Neg", "Pow", "Fun",
-    "parse", "to_text", "d_dh", "d_dy", "evaluate",
+    "MAX_NESTING", "MAX_DEPTH", "parse", "to_text", "d_dh", "d_dy", "evaluate",
     "shift_y", "subs_h", "ComplexExpr",
 ]
 
@@ -330,12 +330,34 @@ def _tokenize(text):
     return tokens
 
 
+# Bounds on an expression's syntactic nesting (parentheses, function calls and
+# unary minus, one level each) and on its tree depth (the nodes on its longest
+# root-to-leaf path), so that no parsed tree exhausts Python's default
+# recursion limit of 1,000 frames.  Parsing takes about five frames a nesting
+# level; a bracket differentiates a quotient chain to three times its depth
+# and prints a singular derivative at two frames a level.  Measured, parsing
+# failed past about 195 levels and that printing past a depth of about 160,
+# so a tree at both bounds still runs every command.
+MAX_NESTING = 100
+MAX_DEPTH = 100
+
+
+def _integer(digits, pos):
+    try:
+        return int(digits)
+    except ValueError:      # past Python's limit on integer string conversion
+        raise ParseError(f"integer of {len(digits)} digits is too long", pos) from None
+
+
 class _Parser:
+    """Recursive descent; each rule returns (node, tree depth of the node)."""
+
     def __init__(self, text, n):
         self.text = text
         self.n = n
         self.tokens = _tokenize(text)
         self.i = 0
+        self.level = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -353,26 +375,46 @@ class _Parser:
             raise ParseError(f"expected {value!r}, got {tok[1]!r}", tok[2])
         return tok
 
+    def nested(self, rule, pos):
+        """rule() one nesting level down; ParseError past MAX_NESTING."""
+        if self.level == MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", pos)
+        self.level += 1
+        out = rule()
+        self.level -= 1
+        return out
+
+    @staticmethod
+    def above(e, depth, pos):
+        """(e, its depth) for a node e over a subtree of the given depth; a
+        constant is a leaf.  ParseError past MAX_DEPTH."""
+        if type(e) is Const:
+            return e, 1
+        if depth == MAX_DEPTH:
+            raise ParseError(f"expression tree deeper than {MAX_DEPTH} levels", pos)
+        return e, depth + 1
+
     def parse(self):
-        e = self.expr()
+        e, _ = self.expr()
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
         return e
 
     def expr(self):
-        e = self.term()
+        e, depth = self.term()
         while (tok := self.peek()) and tok[1] in "+-":
             self.next()
-            rhs = self.term()
-            e = Add(e, rhs) if tok[1] == "+" else Sub(e, rhs)
-        return e
+            rhs, d = self.term()
+            e, depth = self.above(Add(e, rhs) if tok[1] == "+" else Sub(e, rhs),
+                                  max(depth, d), tok[2])
+        return e, depth
 
     def term(self):
-        e = self.unary()
+        e, depth = self.unary()
         while (tok := self.peek()) and tok[1] in "*/":
             self.next()
-            rhs = self.unary()
+            rhs, d = self.unary()
             if tok[1] == "*":
                 e = Mul(e, rhs)
             elif isinstance(e, Const) and isinstance(rhs, Const) and rhs.value != 0:
@@ -380,20 +422,20 @@ class _Parser:
                 e = Const(e.value / rhs.value)
             else:
                 e = Div(e, rhs)
-        return e
+            e, depth = self.above(e, max(depth, d), tok[2])
+        return e, depth
 
     def unary(self):
         tok = self.peek()
         if tok and tok[1] == "-":
             self.next()
-            inner = self.unary()
-            if isinstance(inner, Const):
-                return Const(-inner.value)
-            return Neg(inner)
+            inner, depth = self.nested(self.unary, tok[2])
+            return self.above(Const(-inner.value) if isinstance(inner, Const)
+                              else Neg(inner), depth, tok[2])
         return self.power()
 
     def power(self):
-        base = self.atom()
+        base, depth = self.atom()
         tok = self.peek()
         if tok and tok[1] == "^":
             self.next()
@@ -405,39 +447,40 @@ class _Parser:
             tok = self.next()
             if tok[0] != "int":
                 raise ParseError(f"exponent must be an integer, got {tok[1]!r}", tok[2])
-            return Pow(base, sign * int(tok[1]))
-        return base
+            return self.above(Pow(base, sign * _integer(tok[1], tok[2])), depth, tok[2])
+        return base, depth
 
     def atom(self):
         tok = self.next()
         kind, value, pos = tok
         if kind == "int":
-            return Const(int(value))
+            return Const(_integer(value, pos)), 1
         if value == "(":
-            e = self.expr()
+            e = self.nested(self.expr, pos)
             self.expect(")")
             return e
         if kind == "name":
             if value == "h":
-                return H()
+                return H(), 1
             if value in _UFUNCS:
                 self.expect("(")
-                arg = self.expr()
+                arg, depth = self.nested(self.expr, pos)
                 self.expect(")")
-                return Fun(value, arg)
+                return self.above(Fun(value, arg), depth, pos)
             m = re.fullmatch(r"y(\d+)", value)
             if m:
-                idx = int(m.group(1))
+                idx = _integer(m.group(1), pos)
                 if not 1 <= idx <= self.n:
                     raise ParseError(
                         f"coordinate y{idx} out of range (n = {self.n})", pos)
-                return Y(idx)
+                return Y(idx), 1
             raise ParseError(f"unknown identifier {value!r}", pos)
         raise ParseError(f"unexpected token {value!r}", pos)
 
 
 def parse(text: str, n: int) -> Expr:
-    """Parse an expression in h, y1..yn.  Raises ParseError with a position."""
+    """Parse an expression in h, y1..yn.  Raises ParseError with a position,
+    also past MAX_NESTING levels of nesting or MAX_DEPTH levels of tree."""
     return _Parser(text, n).parse()
 
 

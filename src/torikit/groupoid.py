@@ -17,9 +17,9 @@ box of the vertices of y0's closed face, tightened exactly by the facets
 whose normal has one nonzero entry; every other facet leaves each prefix
 k[:-1] an exact integer interval of k[-1] (`face_bounds` in int64), so
 every row built is an orbit point and the scan costs the orbit plus its
-prefixes.  Prefixes come in blocks: the first holds min(`_CHUNK`, cap + 1)
-and each later one doubles, up to `_CHUNK`; a block whose interval lengths
-take the size past the cap raises OrbitCapError before its rows are built.
+prefixes.  Prefixes come in blocks of `_CHUNK`, the first of min(`_CHUNK`,
+cap + 1); a block whose interval lengths take the size past the cap raises
+OrbitCapError before its rows are built.
 A box whose volume or pairings could reach 2^62 is refused first, so no
 array needs Python ints.  Arrow queries are lookups in the steps with no
 facet test, and exact points are built only on demand.
@@ -325,7 +325,7 @@ def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
     lexicographic order.  OrbitCapError is raised as soon as the size
     exceeds `cap`, before the rows of the block that exceeds it are built.
     The first block holds min(`_CHUNK`, cap + 1) prefixes and each later
-    block doubles, up to `_CHUNK` prefixes.
+    one `_CHUNK` (the last, what is left).
     """
     hbar = Fraction(hbar)
     if hbar == 0:
@@ -415,7 +415,7 @@ def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
                 f"orbit exceeded cap of {cap} points "
                 "(noncompact or degenerate input?)")
         blocks.append(_expand(k, shift, count))
-        start, block = stop, min(2 * block, _CHUNK)
+        start, block = stop, _CHUNK
 
     steps = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     steps = np.concatenate((steps[origin:origin + 1], steps[:origin], steps[origin + 1:]))

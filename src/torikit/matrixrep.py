@@ -13,23 +13,24 @@ the package's convolution convention, which makes it an independent oracle
 for the algebra layer, and its spectra are the quantized values of
 observables.
 
-`spectrum` takes the first path that applies.  A Hermitian operator whose
-nonzero off-diagonal entries are real and join neighbouring indices only is
-real symmetric tridiagonal: the modes {0, +-e_n} act along chains in the
-last axis, which orbit order lists as contiguous index ranges, and each
-chain is solved alone by real `eigvalsh`; any other Hermitian operator goes
-to dense `eigvalsh`.  A non-Hermitian operator whose nonzero arrows form an
-acyclic graph (permutation-similar to a triangular matrix) has its diagonal
-as spectrum; any other goes to dense `eigvals`.  The chains give the dense
-bits: on a real tridiagonal matrix zhetrd and dsytrd find every Householder
-tau = 0, so both solvers hand the same (d, e) to dsterf, which works block
-by block.  Hermitian operators stay dense when a coupling is complex, when
-it joins indices further apart (cp2 modes (1,0) and (1,-1), or a base point
-inside a chain, as orbit order lists it first), or when a chain's largest
-|entry| is nonzero and outside LAPACK's no-rescale window [2^-485, 2^485].
-The dense D x D matrix, `OrbitOperator.dense`, and the chain path for its
-longest chain refuse any matrix larger than DENSE_CAP_BYTES before
-allocating it.
+`spectrum` takes the first path that applies; the chain and acyclic tests
+read one arrow graph (`_arrows`: the nonzero off-diagonal entries as arrows
+i -> t_k(i)).  A Hermitian operator whose arrows carry real values and join
+neighbouring indices only is real symmetric tridiagonal: the modes
+{0, +-e_n} act along chains in the last axis, which orbit order lists as
+contiguous index ranges, and each chain is solved alone by real `eigvalsh`;
+any other Hermitian operator goes to dense `eigvalsh`.  A non-Hermitian
+operator whose arrows form an acyclic graph (permutation-similar to a
+triangular matrix) has its diagonal as spectrum; any other goes to dense
+`eigvals`.  The chains give the dense bits: on a real tridiagonal matrix
+zhetrd and dsytrd find every Householder tau = 0, so both solvers hand the
+same (d, e) to dsterf, which works block by block.  Hermitian operators stay
+dense when a coupling is complex, when it joins indices further apart (cp2
+modes (1,0) and (1,-1), or a base point inside a chain, as orbit order lists
+it first), or when a chain's largest |entry| is nonzero and outside LAPACK's
+no-rescale window [2^-485, 2^485].  The dense D x D matrix,
+`OrbitOperator.dense`, and the chain path for its longest chain refuse any
+matrix larger than DENSE_CAP_BYTES before allocating it.
 """
 from __future__ import annotations
 
@@ -205,23 +206,16 @@ def _chain_spectrum(op: OrbitOperator) -> np.ndarray | None:
     longest chain is held to the dense cap, and each chain is solved alone,
     so no allocation exceeds the longest chain's.
     """
-    e = np.zeros(op.dim - 1)
-    coupled = False
-    for k, (values, targets) in op.modes.items():
-        if not any(k):
-            continue
-        rows = np.flatnonzero(values != 0)
-        if not len(rows):
-            continue
-        if np.any(values[rows].imag != 0) or np.any(np.abs(targets[rows] - rows) != 1):
-            return None
-        coupled = True
-        lower = rows[targets[rows] < rows]
-        e[lower - 1] += values[lower].real    # dense() accumulates in this order
+    tails, heads, values = _arrows(op)
+    if np.any(values.imag != 0) or np.any(np.abs(heads - tails) != 1):
+        return None
+    lower = heads < tails
+    # e[i] = M[i+1, i], summed mode by mode as dense() accumulates it
+    e = np.bincount(heads[lower], weights=values[lower].real, minlength=op.dim - 1)
     d = op.diagonal().real
     bounds = np.concatenate(([0], np.flatnonzero(e == 0) + 1, [op.dim]))
     starts, lengths = bounds[:-1], np.diff(bounds)
-    if coupled:
+    if len(tails):
         extent = np.abs(d)
         extent[:-1] = np.maximum(extent[:-1], np.abs(e))
         top = np.maximum.reduceat(extent, starts)
@@ -248,18 +242,21 @@ def _is_hermitian(op: OrbitOperator, atol: float) -> bool:
     return True
 
 
+def _arrows(op: OrbitOperator):
+    """The arrow graph: (tails, heads, values) of the arrows i -> t_k(i) of
+    the nonzero off-diagonal entries, mode by mode in op.modes order."""
+    off = [mode for k, mode in op.modes.items() if any(k)]
+    values = np.array([v for v, _ in off], dtype=complex).reshape(-1, op.dim)
+    targets = np.array([t for _, t in off], dtype=np.int64).reshape(-1, op.dim)
+    at = np.nonzero(values)
+    return at[1], targets[at], values[at]
+
+
 def _is_acyclic(op: OrbitOperator) -> bool:
-    """Kahn's algorithm on the arrows i -> t_k(i) of the nonzero
-    off-diagonal entries."""
-    tails, heads = [], []
-    for k, (values, targets) in op.modes.items():
-        if any(k):
-            rows = np.flatnonzero(values != 0)
-            tails.append(rows)
-            heads.append(targets[rows])
-    if not tails:
+    """Kahn's algorithm on the operator's arrow graph (`_arrows`)."""
+    tails, heads, _ = _arrows(op)
+    if not len(tails):
         return True
-    tails, heads = np.concatenate(tails), np.concatenate(heads)
     order = np.argsort(tails, kind="stable")
     starts = np.searchsorted(tails[order], np.arange(op.dim + 1)).tolist()
     heads_by_tail = heads[order].tolist()

@@ -34,7 +34,7 @@ __all__ = [
     "check_delzant", "require_delzant", "enumerate_faces", "vertices",
     "bounding_box", "face_box",
     "interval", "projective_space", "orthant", "product", "square",
-    "load_polytope", "polytope_from_dict", "polytope_to_dict",
+    "read_json", "load_polytope", "polytope_from_dict", "polytope_to_dict",
 ]
 
 
@@ -527,10 +527,14 @@ def polytope_to_dict(P: DelzantPolytope) -> dict:
     }
 
 
-def load_polytope(path) -> DelzantPolytope:
+def read_json(path, what: str):
+    """The JSON document at path; FormatError "cannot read <what> file" else."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot read polytope file {path}: {exc}") from exc
-    return polytope_from_dict(doc)
+        raise FormatError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def load_polytope(path) -> DelzantPolytope:
+    return polytope_from_dict(read_json(path, "polytope"))

@@ -238,3 +238,16 @@ def test_pullback_pure_radial_and_pure_angular_vanish():
         angular_pairs.append(((zero, mk()), (zero, mk())))
     assert pullback_omega_check(sys, y, s, radial_pairs) <= 1e-6
     assert pullback_omega_check(sys, y, s, angular_pairs) <= 1e-6
+
+
+def test_angle_spectrum_refuses_a_grid_past_the_cap_before_sampling():
+    calls = []
+    side = math.isqrt(cl.ANGLE_GRID_CAP)
+    assert side ** 2 == cl.ANGLE_GRID_CAP
+    spectrum = cl.angle_spectrum(lambda theta: calls.append(theta) or 1.0, 2, side)
+    assert len(calls) == cl.ANGLE_GRID_CAP and spectrum.shape == (side, side)
+    assert spectrum[0, 0] == 1.0
+    with pytest.raises(DomainError, match=f"grid of {side + 1}\\^2 = {(side + 1) ** 2} "
+                                          f"angles exceeds the cap of {cl.ANGLE_GRID_CAP}"):
+        cl.angle_spectrum(lambda theta: calls.append(theta), 2, side + 1)
+    assert len(calls) == cl.ANGLE_GRID_CAP

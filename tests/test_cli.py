@@ -17,7 +17,9 @@ import pytest
 
 import torikit
 from torikit import algebra as al
+from torikit import classical as cl
 from torikit import cli
+from torikit import expr as ex
 from torikit import matrixrep as mr
 
 DATA = Path(torikit.__file__).parent / "data"
@@ -626,3 +628,86 @@ def test_one_parser_per_process_matches_fresh_processes(tmp_path):
             assert out.read_bytes() == fresh_out.read_bytes(), argv
     assert codes == [0, 0, 2, 2, 0]
     assert cli._build_parser() is cli._build_parser()
+
+
+def test_verify_suite_failure_exits_1_deterministically(tmp_path):
+    # at --tol 0 roundoff fails some batteries: exit 1, and the failing
+    # report is byte-identical on a re-run like a passing one
+    argv = ["verify", "suite", str(DATA / "sphere.json"), "--cases", "2", "--tol", "0"]
+    rc1, first = run(argv, tmp_path, "a.json")
+    rc2, second = run(argv, tmp_path, "b.json")
+    assert rc1 == rc2 == 1
+    assert first == second
+    report = json.loads(first)
+    assert report["passed"] is False
+    failed = [b for b in report["batteries"] if not b["passed"]]
+    assert failed and all(b["first_counterexample"] is not None for b in failed)
+
+
+def observable(path, k, text):
+    path.write_text(json.dumps({"modes": [{"k": list(k), "re": text, "im": "0"}]}))
+    return str(path)
+
+
+def run_expression(tmp_path, command, text, name="out.csv"):
+    """quantize spectra or bracket-limit on the sphere with f = text e_1
+    (and g = text e_-1), writing to tmp_path / name."""
+    f = observable(tmp_path / "f.json", (1,), text)
+    if command == "spectra":
+        argv = ["quantize", "spectra", str(DATA / "sphere.json"), "--obs", f,
+                "--hbar", "1/10"]
+    else:
+        argv = ["quantize", "bracket-limit", str(DATA / "sphere.json"), "--obs", f,
+                "--obs2", observable(tmp_path / "g.json", (-1,), text), "--point", "1/4"]
+    return run(argv, tmp_path, name)
+
+
+@pytest.mark.parametrize("command", ["spectra", "bracket-limit"])
+@pytest.mark.parametrize("text", [
+    "(" * 198 + "y1" + ")" * 198,
+    " + ".join(["y1"] * 990),
+    "*".join(["y1"] * 990),
+    "1" * 5000 + "*y1",
+], ids=["198-parentheses", "990-term-sum", "990-factor-product", "5000-digit-literal"])
+def test_expression_past_the_parser_bounds_exits_2(tmp_path, capsys, command, text):
+    # each of these raised RecursionError or ValueError (exit 1 with a traceback)
+    rc, out = run_expression(tmp_path, command, text)
+    assert (rc, out) == (2, None)
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def test_expression_at_the_parser_bounds_runs(tmp_path, capsys):
+    # the deepest derivatives per level: a quotient chain, at both bounds
+    text = "(" * ex.MAX_NESTING + "/".join(["y1"] * ex.MAX_DEPTH) + ")" * ex.MAX_NESTING
+    rc, out = run_expression(tmp_path, "spectra", text, "spectra.csv")
+    assert rc == 0 and len(out.splitlines()) == 12
+    # y1^-98 near 1/4 is about 1e59: the sweep completes, far off the tolerance
+    rc, out = run_expression(tmp_path, "bracket-limit", text, "limit.csv")
+    assert rc == 1 and len(out.splitlines()) == 9     # preamble, header, 7 hbars
+    # a derivative singular at the point, printed in the error: two frames a level
+    text = "sqrt((y1 - 1/4)^2" + "/y1" * (ex.MAX_DEPTH - 4) + ")"
+    capsys.readouterr()
+    rc, out = run_expression(tmp_path, "bracket-limit", text, "singular.csv")
+    assert (rc, out) == (2, None)
+    err = capsys.readouterr().err
+    assert err.startswith("error: division by zero in subexpression ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("hbars, code", [
+    (["1/1000000000", "1/2000000000"], 2),
+    ([], 3),      # the default sweep leaves the interior first
+], ids=["grid-past-cap", "margin-first"])
+def test_classical_oracle_grid_past_the_cap_exits_2(tmp_path, capsys, hbars, code):
+    # mode (1000000, 0) asked numpy for a 2000005^2 grid (58.2 TiB)
+    f = observable(tmp_path / "f.json", (1000000, 0), "y1")
+    argv = ["quantize", "bracket-limit", str(DATA / "cp2.json"), "--obs", f,
+            "--obs2", str(GOLDEN / "obs_cp2_g.json"), "--point", "1/4,1/4"]
+    rc, out = run(argv + [f"--hbar={h}" for h in hbars], tmp_path)
+    assert (rc, out) == (code, None)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    if code == 2:
+        assert err == ("error: classical oracle grid of 2000005^2 = 4000020000025 "
+                       f"angles exceeds the cap of {cl.ANGLE_GRID_CAP}\n")

@@ -1,7 +1,12 @@
 """Expression language: parsing, printing, derivatives, evaluation."""
+import hashlib
+import importlib.util
+import json
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -487,3 +492,105 @@ def test_constructors_build_the_equality_oracles_trees(monkeypatch):
     for g, w in zip(got, want):
         assert g == w
         assert str(g) == str(w)
+
+
+# ---------------------------------------------------------------------------
+# the parser's bounds on nesting and tree depth
+
+def chain(op, terms, leaf="y1"):
+    return op.join([leaf] * terms)
+
+
+def test_nesting_bound():
+    assert ex.parse("(" * ex.MAX_NESTING + "y1" + ")" * ex.MAX_NESTING, 1) == ex.Y(1)
+    assert ex.parse("-" * ex.MAX_NESTING + "5", 1) == ex.Const(5)
+
+
+@pytest.mark.parametrize("opener, closer", [("(", ")"), ("-", ""), ("sin(", ")")],
+                         ids=["parentheses", "unary-minus", "function"])
+def test_nesting_past_the_bound_is_a_parse_error(opener, closer):
+    levels = ex.MAX_NESTING + 1
+    with pytest.raises(ParseError, match=f"nested deeper than {ex.MAX_NESTING} "
+                                         "levels") as info:
+        ex.parse(opener * levels + "5" + closer * levels, 1)
+    # the position of the first level past the bound
+    assert info.value.position == len(opener) * ex.MAX_NESTING
+
+
+def tree_depth(e):
+    return 1 + max((tree_depth(getattr(e, f)) for f in ("a", "b") if hasattr(e, f)),
+                   default=0)
+
+
+@pytest.mark.parametrize("op", [" + ", " - ", "*", "/"])
+def test_depth_bound_on_a_flat_chain(op):
+    # a chain of t leaves is a tree of depth t
+    e = ex.parse(chain(op, ex.MAX_DEPTH), 1)
+    assert tree_depth(e) == ex.MAX_DEPTH
+    text = chain(op, ex.MAX_DEPTH + 1)
+    with pytest.raises(ParseError, match=f"tree deeper than {ex.MAX_DEPTH} levels") as info:
+        ex.parse(text, 1)
+    # the operator that joins the last leaf
+    assert info.value.position == text.rindex(op.strip())
+
+
+def test_depth_bound_counts_every_node_kind():
+    # sin, sqrt, ^ and unary minus each add a level; a folded constant is a leaf
+    for wrap in ("sin({})", "sqrt({})", "({})^2", "-{}"):
+        text = "y1"
+        for _ in range(ex.MAX_DEPTH - 1):
+            text = wrap.format(text)
+        assert tree_depth(ex.parse(text, 1)) == ex.MAX_DEPTH
+        with pytest.raises(ParseError, match="tree deeper than"):
+            ex.parse(wrap.format(text), 1)
+    assert ex.parse(chain("/", 5 * ex.MAX_DEPTH, "1"), 1) == ex.Const(1)
+
+
+@pytest.mark.parametrize("text, position", [
+    ("1" * 5000, 0),
+    ("y1 + " + "7" * 5000, 5),
+    ("y" + "1" * 5000, 0),
+    ("y1^" + "2" * 5000, 3),
+], ids=["literal", "literal-in-a-sum", "coordinate-index", "exponent"])
+def test_integer_past_python_conversion_limit_is_a_parse_error(text, position):
+    with pytest.raises(ParseError, match="integer of 5000 digits is too long") as info:
+        ex.parse(text, 1)
+    assert info.value.position == position
+
+
+ROOT = Path(__file__).parents[1]
+
+
+def observable_trees(workdir):
+    """One line per coefficient part of every shipped, golden and benchmark
+    (matrix_model, seed 1) observable: the file, the mode and the printed
+    tree, which parse(to_text(e)) == e makes a stand-in for the tree."""
+    spec = importlib.util.spec_from_file_location(
+        "torikit_bench_inputs", ROOT / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    inputs.generate("matrix_model", 1, str(workdir), str(ROOT / "src" / "torikit" / "data"))
+    paths = (sorted((ROOT / "src" / "torikit" / "data" / "obs").glob("*.json"))
+             + sorted((ROOT / "tests" / "golden").glob("obs_*.json"))
+             + sorted(workdir.glob("*.json")))
+    lines = []
+    for path in paths:
+        doc = json.loads(path.read_text())
+        for item in doc.get("modes", []) if isinstance(doc, dict) else []:
+            for part in ("re", "im"):
+                tree = ex.to_text(ex.parse(item.get(part, "0"), 3))
+                lines.append(f"{path.name} {item['k']} {part} {tree}")
+    return lines
+
+
+# measured on the parser before it bounded nesting and depth
+LINES = 204
+DIGEST = "a3a3bf4cc69e24c484de40651d2f4d7381f951a0e35585588dcc80e99d8973b6"
+
+
+def test_every_shipped_golden_and_benchmark_observable_parses_as_before(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    lines = observable_trees(tmp_path)
+    assert len(lines) == LINES
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DIGEST

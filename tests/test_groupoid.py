@@ -569,13 +569,13 @@ def test_capped_scan_stops_after_its_first_block(monkeypatch):
 def test_capped_scan_doubles_its_blocks(monkeypatch):
     # an edge of cp3 (y3 = 0, y1 + y2 + y3 = 1) at hbar 1/100: the face box
     # has 100 x 100 prefixes (k1, k2) but only 99 of them hold a point.
-    # Under cap 99 the blocks hold 100 prefixes, then doubling, and the
-    # 3,700 left; the rows built are the orbit's 99 points
+    # Under cap 99 the first block holds 100 prefixes and the next the
+    # 9,900 left (at most _CHUNK); the rows built are the orbit's 99 points
     blocks = record_blocks(monkeypatch)
     rows = record_rows(monkeypatch)
     orb = gr.orbit(pt.projective_space(3), F(1, 100), (F(1, 2), F(1, 2), F(0)), cap=99)
     assert len(orb) == 99
-    assert blocks == [100 * 2 ** i for i in range(6)] + [3700]
+    assert blocks == [100, 9900]
     assert sum(blocks) == 100 * 100
     assert sum(rows) == len(orb)
 
