@@ -31,25 +31,12 @@ smart constructors, which a restriction to h = 0 would rebuild unchanged, so
 such an element is its own zero fiber.  The derivatives d_i of each
 coefficient are taken once per (mode, axis), on first use, and kept on the
 element (`AlgebraElement.derivative`); the bracket and the classical oracles
-read the same memo.
+read the same memo.  The terms at one mode form a chain of sums as deep as
+their count, which evaluation and derivation recurse through, so the walk
+refuses more than MAX_PAIRS_PER_MODE of them at one mode (DomainError).
 
-On an orbit at fixed hbar every arrow is a lattice step, so `convolve_orbit`
-computes (f.g)(hbar, u, k) at all orbit points u in one array pass: both
-factor arrows are tested on the orbit's face bounds (`groupoid.face_bounds`,
-the closed form of `groupoid.is_member`, not the orbit's own index), each
-coefficient is evaluated once per mode on the rows where both arrows exist,
-and the terms are summed over the modes of f in order.  One call serves
-every mode asked for, after one face test of the orbit.  The tails'
-coordinates are rows of `Orbit.points` and the heads' are computed from
-their steps, both correctly rounded.  It returns the same floats, bit for
-bit, as one `convolve` per point wherever `expr.evaluate`
-gives the same floats on arrays as on scalars.  The four operations always do, and numpy runs sin, cos and exp
-through one loop for a scalar and a contiguous column; an integer power
-may not (numpy's array power and Python's float power round differently).
-To keep that contract the complex product and the sum are separate
-float64 operations, re += ar*br - ai*bi and im += ar*bi + ai*br, in the
-order Python's complex arithmetic performs them; numpy's complex multiply
-may fuse them and round differently.
+This is the symbolic and scalar layer; the product on a whole orbit's
+arrays is `matrixrep.convolve_orbit`.
 """
 from __future__ import annotations
 
@@ -58,20 +45,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from . import expr as ex
-from .errors import DomainError, EvalDomainError, FormatError, MarginError
-from .groupoid import GroupoidPoint, Orbit, face_bounds, is_member, translate
+from .errors import DomainError, FormatError, MarginError
+from .groupoid import GroupoidPoint, is_member, translate
 from .polytope import DelzantPolytope, format_point, json_int, ratpoint, read_json
 
 __all__ = [
     "AlgebraElement", "element", "observable_from_dict", "observable_to_dict",
-    "load_observable", "extension_value", "groupoid_value", "evaluate_rows",
-    "convolve", "convolve_orbit", "commutator", "renormalized_commutator", "involution",
-    "bracket_element", "symbolic_bracket", "pointwise_product_at_zero",
-    "BracketLimit", "EXACT_THRESHOLD", "numeric_bracket_limit", "displacements",
-    "check_margin",
+    "load_observable", "extension_value", "groupoid_value",
+    "convolve", "commutator", "renormalized_commutator", "involution",
+    "MAX_PAIRS_PER_MODE", "bracket_element", "symbolic_bracket",
+    "pointwise_product_at_zero", "BracketLimit", "EXACT_THRESHOLD",
+    "numeric_bracket_limit", "displacements", "check_margin",
 ]
 
 
@@ -248,67 +233,6 @@ def convolve(P: DelzantPolytope, f: AlgebraElement, g: AlgebraElement,
     return total
 
 
-def convolve_orbit(P: DelzantPolytope, f: AlgebraElement, g: AlgebraElement,
-                   orb: Orbit, modes) -> dict:
-    """{k: (f.g)(hbar, u, k) at every point u of the orbit} for each mode k
-    (an int tuple) in `modes`, each a complex array in the orbit's order and
-    equal to `convolve` at each point (module docstring), from one face test
-    of the orbit.  An arrow is valid when its mode moves no facet active on
-    the face and its head's pairing is at least `lower`; a mode longer than
-    the steps' box joins no two orbit points.  A coefficient that is
-    singular or not finite where its arrow exists raises EvalDomainError.
-    """
-    if f.n != g.n:
-        raise DomainError("elements live over different dimensions")
-    steps = orb.steps
-    N, active, lower = face_bounds(P, orb.y0, orb.hbar)
-    free = ~active
-    q, lower = steps @ N[:, free], lower[free]
-    extent = (steps.max(axis=0) - steps.min(axis=0)).tolist() * 2
-    hbar = float(orb.hbar)
-    out = {}
-    for k in modes:
-        k = tuple(int(c) for c in k)
-        re, im = np.zeros(len(orb)), np.zeros(len(orb))
-        for l, cf in f.modes:
-            m = tuple(a - b for a, b in zip(k, l))
-            cg = g.coefficient(m)
-            if cg.is_zero_tree():
-                continue
-            if any(abs(c) > e for c, e in zip(l + m, extent)):
-                continue        # an arrow this long leaves the orbit
-            p = np.array((l, m), dtype=np.int64) @ N
-            if p[:, active].any():
-                continue        # it moves a facet of the orbit's face
-            mid = q + p[0, free]
-            rows = np.flatnonzero((mid >= lower).all(axis=1)
-                                  & (mid + p[1, free] >= lower).all(axis=1))
-            if not len(rows):
-                continue
-            ar, ai = evaluate_rows(cf, hbar, orb.points[rows], l)
-            br, bi = evaluate_rows(cg, hbar, orb.coordinates(steps[rows] + l), m)
-            re[rows] += ar * br - ai * bi
-            im[rows] += ar * bi + ai * br
-        out[k] = re + 1j * im
-    return out
-
-
-def evaluate_rows(coeff: ex.ComplexExpr, hbar: float, ys, k):
-    """The (re, im) float arrays of the mode-k coefficient at the rows of the
-    (rows, n) array ys, each of length rows; EvalDomainError where it is
-    singular or not finite."""
-    # contiguous columns: numpy may take another (SIMD) loop on strided ones
-    cols = [np.ascontiguousarray(ys[:, i]) for i in range(ys.shape[1])]
-    with np.errstate(all="ignore"):
-        re = ex.evaluate(coeff.re, hbar, cols)
-        im = ex.evaluate(coeff.im, hbar, cols)
-    # a part free of y evaluates to a float: one value for every row
-    re, im = (np.full(len(ys), v) if type(v) is float else v for v in (re, im))
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise EvalDomainError(f"coefficient of mode {k} not finite on the orbit")
-    return re, im
-
-
 def commutator(P, f, g, hbar, y, k) -> complex:
     return convolve(P, f, g, hbar, y, k) - convolve(P, g, f, hbar, y, k)
 
@@ -339,21 +263,32 @@ def involution(f: AlgebraElement) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 # the classical bracket from the zero fiber, symbolically
 
+# the most terms a zero-fiber sum chains at one mode (module docstring)
+MAX_PAIRS_PER_MODE = 128
+
+
 def _zero_fiber_walk(f: AlgebraElement, g: AlgebraElement, modes, term) -> dict:
     """{k: sum of term(f0, g0, l, f0_l, m, g0_m) over l + m = k in `modes`
-    (None for all)} (module docstring); a term of None is left out."""
+    (None for all)} (module docstring); a term of None is left out.
+    DomainError when more than MAX_PAIRS_PER_MODE terms land on one mode."""
     if f.n != g.n:
         raise DomainError("elements live over different dimensions")
     f0, g0 = f.subs_h_zero(), g.subs_h_zero()
     acc: dict[tuple[int, ...], ex.ComplexExpr] = {}
+    count: dict[tuple[int, ...], int] = {}
     for l, cf0 in f0.modes:
         for m, cg0 in g0.modes:
             k = tuple(a + b for a, b in zip(l, m))
             if modes is not None and k not in modes:
                 continue
             t = term(f0, g0, l, cf0, m, cg0)
-            if t is not None:
-                acc[k] = acc[k] + t if k in acc else t
+            if t is None:
+                continue
+            count[k] = count.get(k, 0) + 1
+            if count[k] > MAX_PAIRS_PER_MODE:
+                raise DomainError(f"zero-fiber sum at mode {k} exceeds the cap "
+                                  f"of {MAX_PAIRS_PER_MODE} mode pairs")
+            acc[k] = acc[k] + t if k in acc else t
     return acc
 
 

@@ -11,10 +11,11 @@ Commands:
 
 Exit codes: 0 success; 1 a failed verification or check (a screening
 violation, a bracket limit off by more than --tol, a failed suite); 2 bad
-input (an --out file that cannot be written, an expression nested or deep
-past the parser's bounds or an integer literal too long for Python) or a
-computation that cannot be carried out (a domain error, the orbit cap, a
-classical oracle grid past its cap, a singular or overflowing evaluation);
+input (an --out file that cannot be written, a JSON file nested too deeply
+to read, an expression nested or deep past the parser's bounds or an
+integer literal too long for Python) or a computation that cannot be carried
+out (a domain error, the orbit cap, a classical oracle grid or a symbolic
+bracket mode sum past its cap, a singular or overflowing evaluation);
 3 margin violation.  Rationals are serialized as
 "p/q" end to end; floats appear only in measured/error columns.  Identical
 config and seed give byte-identical output.

@@ -5,8 +5,10 @@ are object-dtype numpy arrays, and every Gauss-style elimination is one
 fraction-free `eliminate` on Python-int rows (`smith_normal_form` is the
 other algorithm here).  Fractions appear only at the edges: rational input
 rows are scaled to integers by the lcm of their denominators, and Fractions
-are built for the results.  No floating point enters this module:
-downstream membership predicates rely on these results being exact.
+are built for the results (`solve_rational` and `rational_kernel_vector`
+wrap the integer `solve_integer` and `integer_kernel_vector`, which
+screening calls).  No floating point enters this module: downstream
+membership predicates rely on these results being exact.
 """
 from __future__ import annotations
 
@@ -26,6 +28,8 @@ __all__ = [
     "determinant",
     "is_unimodular_basis",
     "integer_right_inverse",
+    "solve_integer",
+    "integer_kernel_vector",
     "solve_rational",
     "rational_kernel_vector",
     "row_space_equal",
@@ -247,44 +251,65 @@ def _integer_rows(rows):
     return out
 
 
+def solve_integer(rows):
+    """The square integer system [A | b] (n rows of n + 1 entries), from one
+    `eliminate`: (det, x) with det the determinant of A and x the integer
+    numerators of the solution of A x = b over |det|; None when det = 0.
+    """
+    rows = list(rows)
+    n = len(rows)
+    pivots, d, sign = eliminate(rows, n)
+    if len(pivots) < n:
+        return None
+    unit = 1 if d > 0 else -1
+    return sign * d, [unit * r[n] for r in rows]
+
+
+def integer_kernel_vector(rows, n: int):
+    """(v, free): the primitive integer kernel vector v of the integer rows
+    (length n) that is positive at the first free column, `free`, and 0 at
+    the later ones.  None when the rows have rank n; no rows give
+    ((1, 0, ..., 0), 0).
+    """
+    rows = list(rows)
+    pivots, d, _ = eliminate(rows, n)
+    free = next((j for j in range(n) if j not in pivots), None)
+    if free is None:
+        return None
+    v = [0] * n
+    v[free] = d
+    for row, pc in zip(rows, pivots):
+        v[pc] = -row[free]
+    g = math.gcd(*v) if d > 0 else -math.gcd(*v)
+    return tuple(c // g for c in v), free
+
+
 def solve_rational(rows, rhs):
-    """Exact solution of a square rational system, or None if singular.
+    """Exact solution of a square rational system, or None if singular:
+    `solve_integer` of the integer-scaled equations [A_i | b_i].
 
     `rows` are the equation left-hand sides, `rhs` the right-hand sides.
-    The integer-scaled equations [A_i | b_i] are eliminated on the n columns
-    of A: the system has a unique solution iff every column has a pivot,
-    and x_i is then row i's last entry over d.
     """
     rows, rhs = [list(r) for r in rows], list(rhs)
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows) or len(rhs) != n:
         raise DimensionError("solve_rational needs a square system")
-    a = _integer_rows(r + [v] for r, v in zip(rows, rhs))
-    pivots, d, _ = eliminate(a, n)
-    if len(pivots) < n:
-        return None
-    return tuple(Fraction(r[n], d) for r in a)
+    sol = solve_integer(_integer_rows(r + [v] for r, v in zip(rows, rhs)))
+    return None if sol is None else tuple(Fraction(c, abs(sol[0])) for c in sol[1])
 
 
 def rational_kernel_vector(rows):
-    """A nonzero rational kernel vector of the given row system, or None.
-
-    It is 1 at the first column without a pivot and 0 at the later ones;
+    """A nonzero rational kernel vector of the given row system, or None:
+    `integer_kernel_vector` of the integer-scaled rows over its entry at the
+    free column, so 1 there and 0 at the later columns without a pivot.
     None when there are no rows or every column has a pivot.
     """
     a = _integer_rows(rows)
-    if not a:
+    kernel = integer_kernel_vector(a, len(a[0])) if a else None
+    if kernel is None:
         return None
-    n = len(a[0])
-    pivots, d, _ = eliminate(a, n)
-    free = next((j for j in range(n) if j not in pivots), None)
-    if free is None:
-        return None
-    v = [Fraction(0)] * n
-    v[free] = Fraction(1)
-    for row, pc in zip(a, pivots):
-        v[pc] = Fraction(-row[free], d)
-    return tuple(v)
+    v, free = kernel
+    return tuple(Fraction(c, v[free]) for c in v)
 
 
 def row_space_equal(rows1, rows2) -> bool:

@@ -13,6 +13,27 @@ the package's convolution convention, which makes it an independent oracle
 for the algebra layer, and its spectra are the quantized values of
 observables.
 
+The product itself is computed on the orbit too: every arrow is a lattice
+step, so `convolve_orbit` computes (f.g)(hbar, u, k) at all orbit points u
+in one array pass and returns it as an `OrbitOperator`.  Both factor arrows
+are tested on the orbit's face bounds (`groupoid.face_bounds`, the closed
+form of `groupoid.is_member`, not the orbit's own index), each coefficient
+is evaluated once per mode on the rows where both arrows exist, and the
+terms are summed over the modes of f in order.  One call serves every mode
+asked for, after one face test of the orbit; only the placement of its
+output reads the orbit's index (`Orbit.targets`), so pi(f.g) = pi(f)pi(g)
+checks that index independently.  The tails' coordinates are rows of
+`Orbit.points` and the heads' are computed from their steps, both correctly
+rounded.  It returns the same floats, bit for bit, as one
+`algebra.convolve` per point wherever `expr.evaluate` gives the same floats
+on arrays as on scalars.  The four operations always do, and numpy runs
+sin, cos and exp through one loop for a scalar and a contiguous column; an
+integer power may not (numpy's array power and Python's float power round
+differently).  To keep that contract the complex product and the sum are
+separate float64 operations, re += ar*br - ai*bi and im += ar*bi + ai*br,
+in the order Python's complex arithmetic performs them; numpy's complex
+multiply may fuse them and round differently.
+
 `spectrum` takes the first path that applies; the chain and acyclic tests
 read one arrow graph (`_arrows`: the nonzero off-diagonal entries as arrows
 i -> t_k(i)).  A Hermitian operator whose arrows carry real values and join
@@ -40,12 +61,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import algebra as al
+from . import expr as ex
 from .errors import DomainError, EvalDomainError
-from .groupoid import Orbit, orbit
+from .groupoid import Orbit, face_bounds, orbit
 from .polytope import DelzantPolytope, format_point, ratpoint
 
 __all__ = [
-    "OrbitOperator", "DENSE_CAP_BYTES", "represent",
+    "OrbitOperator", "DENSE_CAP_BYTES", "represent", "convolve_orbit",
     "spectrum", "sphere_x3", "sphere_xplus", "sphere_xminus", "casimir_defect",
     "bracket_via_matrices",
 ]
@@ -137,13 +159,76 @@ def represent(P: DelzantPolytope, orb: Orbit, f: al.AlgebraElement) -> OrbitOper
             continue
         # evaluate only where the arrow exists; masked points may be singular
         try:
-            re, im = al.evaluate_rows(coeff, hbar, ys[rows], k)
+            re, im = _evaluate_rows(coeff, hbar, ys[rows], k)
         except EvalDomainError:
             _locate_bad_point(f, k, orb, rows)
         values = np.zeros(D, dtype=complex)
         values[rows] = re + 1j * im
         modes[k] = (values, targets)
     return OrbitOperator(D, modes)
+
+
+def convolve_orbit(P: DelzantPolytope, f: al.AlgebraElement, g: al.AlgebraElement,
+                   orb: Orbit, modes) -> OrbitOperator:
+    """The product f.g as an operator on the orbit, at each mode k (an int
+    tuple) in `modes`, in that order: mode k holds (f.g)(hbar, u, k) at
+    every point u, equal to `algebra.convolve` at each point (module
+    docstring), and the targets `orb.targets(k)`.  Membership comes from one
+    face test of the orbit: an arrow is valid when its mode moves no facet
+    active on the face and its head's pairing is at least `lower`; a mode
+    longer than the steps' box joins no two orbit points.  A coefficient
+    that is singular or not finite where its arrow exists raises
+    EvalDomainError.
+    """
+    if f.n != g.n:
+        raise DomainError("elements live over different dimensions")
+    steps = orb.steps
+    N, active, lower = face_bounds(P, orb.y0, orb.hbar)
+    free = ~active
+    q, lower = steps @ N[:, free], lower[free]
+    extent = (steps.max(axis=0) - steps.min(axis=0)).tolist() * 2
+    hbar = float(orb.hbar)
+    out = {}
+    for k in modes:
+        k = tuple(int(c) for c in k)
+        re, im = np.zeros(orb.dim), np.zeros(orb.dim)
+        for l, cf in f.modes:
+            m = tuple(a - b for a, b in zip(k, l))
+            cg = g.coefficient(m)
+            if cg.is_zero_tree():
+                continue
+            if any(abs(c) > e for c, e in zip(l + m, extent)):
+                continue        # an arrow this long leaves the orbit
+            p = np.array((l, m), dtype=np.int64) @ N
+            if p[:, active].any():
+                continue        # it moves a facet of the orbit's face
+            mid = q + p[0, free]
+            rows = np.flatnonzero((mid >= lower).all(axis=1)
+                                  & (mid + p[1, free] >= lower).all(axis=1))
+            if not len(rows):
+                continue
+            ar, ai = _evaluate_rows(cf, hbar, orb.points[rows], l)
+            br, bi = _evaluate_rows(cg, hbar, orb.coordinates(steps[rows] + l), m)
+            re[rows] += ar * br - ai * bi
+            im[rows] += ar * bi + ai * br
+        out[k] = (re + 1j * im, orb.targets(k))
+    return OrbitOperator(orb.dim, out)
+
+
+def _evaluate_rows(coeff: ex.ComplexExpr, hbar: float, ys, k):
+    """The (re, im) float arrays of the mode-k coefficient at the rows of the
+    (rows, n) array ys, each of length rows; EvalDomainError where it is
+    singular or not finite."""
+    # contiguous columns: numpy may take another (SIMD) loop on strided ones
+    cols = [np.ascontiguousarray(ys[:, i]) for i in range(ys.shape[1])]
+    with np.errstate(all="ignore"):
+        re = ex.evaluate(coeff.re, hbar, cols)
+        im = ex.evaluate(coeff.im, hbar, cols)
+    # a part free of y evaluates to a float: one value for every row
+    re, im = (np.full(len(ys), v) if type(v) is float else v for v in (re, im))
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise EvalDomainError(f"coefficient of mode {k} not finite on the orbit")
+    return re, im
 
 
 def _locate_bad_point(f, k, orb, rows):

@@ -8,12 +8,12 @@ denominator, so that they become Python ints.  The scaling keeps every sign,
 so facet activity and strict slackness are integer comparisons with 0, never
 float or per-facet Fraction arithmetic.
 
-Screening runs in Python ints too.  The offsets are integer numerators a_j
-over one denominator L, and each n-subset of facets is solved by one
-fraction-free `intlat.eliminate`, which gives its determinant, its vertex as
-integer numerators and the vertex's integer slacks; recession rays are
-integer kernel vectors from the same elimination.  Fractions are built only
-for the vertices, face samples and reports that are returned.
+Screening runs in Python ints too, on `intlat`'s integer forms.  The
+offsets are integer numerators a_j over one denominator L, and each n-subset
+of facets is one `intlat.solve_integer`, which gives its determinant and its
+vertex as integer numerators, from which the vertex's integer slacks
+follow; recession rays are `intlat.integer_kernel_vector`s.  Fractions are
+built only for the vertices, face samples and reports that are returned.
 """
 from __future__ import annotations
 
@@ -127,15 +127,15 @@ class DelzantPolytope:
         """(D, rows): every vertex is numerators / D for one D > 0, and rows
         holds (numerators, active set, det) per vertex, sorted by vertex.
 
-        Each n-subset of facets costs one `_solve_facets`; a solution with
-        no negative slack is a vertex and its zero slacks are its active
-        set.  det belongs to the subset that gave the vertex, which is the
-        active set itself when the vertex is simple.
+        Each n-subset of facets costs one `intlat.solve_integer`; a solution
+        with no negative slack is a vertex and its zero slacks are its
+        active set.  det belongs to the subset that gave the vertex, which
+        is the active set itself when the vertex is simple.
         """
         L, a = self.integer_offsets
         solved = []
         for subset in itertools.combinations(range(self.n_facets), self.n):
-            sol = _solve_facets(self.normals, a, subset)
+            sol = intlat.solve_integer([*self.normals[j], a[j]] for j in subset)
             if sol is None:
                 continue
             det, x = sol
@@ -256,7 +256,7 @@ def isotropy_lattice(P: DelzantPolytope, y) -> list[tuple[int, ...]]:
 
 def vertices(P: DelzantPolytope) -> list[tuple[Fraction, ...]]:
     """All vertices, sorted, found by one fraction-free integer elimination
-    per n-subset of facets (`_solve_facets`).
+    per n-subset of facets (`intlat.solve_integer`).
 
     Computed once per polytope; each call returns a fresh list.
     """
@@ -279,40 +279,6 @@ def face_box(P: DelzantPolytope, active) -> tuple[int, tuple[int, ...], tuple[in
     return D, tuple(map(min, zip(*members))), tuple(map(max, zip(*members)))
 
 
-def _solve_facets(normals, a, subset):
-    """The point where the facets in `subset` (n of them) are all met with
-    equality, from one `intlat.eliminate` of [X_j | a_j]: (det, x) with
-    det the determinant of their normals and x the integer numerators of the
-    point over L * |det| (L, a from `integer_offsets`); None when det = 0.
-    """
-    n = len(subset)
-    rows = [[*normals[j], a[j]] for j in subset]
-    pivots, d, sign = intlat.eliminate(rows, n)
-    if len(pivots) < n:
-        return None
-    unit = 1 if d > 0 else -1
-    return sign * d, [unit * r[n] for r in rows]
-
-
-def _kernel_vector(rows, n: int):
-    """The primitive integer kernel vector of the integer rows (length n)
-    that is a positive multiple of `intlat.rational_kernel_vector`'s: 1 at
-    the first free column, 0 at the later ones.  None when the rows have
-    rank n.  No rows give (1, 0, ..., 0).
-    """
-    rows = [list(r) for r in rows]
-    pivots, d, _ = intlat.eliminate(rows, n)
-    free = next((j for j in range(n) if j not in pivots), None)
-    if free is None:
-        return None
-    v = [0] * n
-    v[free] = d
-    for row, pc in zip(rows, pivots):
-        v[pc] = -row[free]
-    g = math.gcd(*v) if d > 0 else -math.gcd(*v)
-    return tuple(c // g for c in v)
-
-
 def _recession_ray(P: DelzantPolytope):
     """An integer direction of recession, or None when the polytope is bounded.
 
@@ -320,11 +286,11 @@ def _recession_ray(P: DelzantPolytope):
     of an (n-1)-subset of facets, or its negative, that pairs
     nonnegatively with every normal.
     """
-    line = _kernel_vector(P.normals, P.n)
+    line = intlat.integer_kernel_vector(P.normals, P.n)
     if line is not None:
-        return line
+        return line[0]
     for subset in itertools.combinations(range(P.n_facets), P.n - 1):
-        v = _kernel_vector([P.normals[j] for j in subset], P.n)
+        v, _ = intlat.integer_kernel_vector([P.normals[j] for j in subset], P.n)
         for w in (v, tuple(-c for c in v)):
             if all(_pair_int(w, x) >= 0 for x in P.normals):
                 return w
@@ -433,8 +399,8 @@ def _faces_noncompact(P: DelzantPolytope) -> list[Face]:
     faces = []
     for r in range(P.n + 1):
         for subset in itertools.combinations(range(P.n_facets), r):
-            rhs = [aj + (0 if j in subset else L) for j, aj in enumerate(a)]
-            sol = _solve_facets(P.normals, rhs, range(P.n_facets))
+            sol = intlat.solve_integer([*X, aj + (0 if j in subset else L)]
+                                       for j, (X, aj) in enumerate(zip(P.normals, a)))
             if sol is None:
                 raise DomainError("facets are not linearly independent")
             det, x = sol
@@ -528,11 +494,12 @@ def polytope_to_dict(P: DelzantPolytope) -> dict:
 
 
 def read_json(path, what: str):
-    """The JSON document at path; FormatError "cannot read <what> file" else."""
+    """The JSON document at path; FormatError "cannot read <what> file" else,
+    also when it nests too deeply for the decoder."""
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"cannot read {what} file {path}: {exc}") from exc
 
 

@@ -264,13 +264,9 @@ def battery_representation(P, rng, cases, tol) -> BatteryResult:
         Mf = mr.represent(P, orb, f).dense()
         Mg = mr.represent(P, orb, g).dense()
         prod = Mf @ Mg
-        direct = np.zeros_like(prod)
         ks = {tuple(a + b for a, b in zip(l, m))
               for l, _ in f.modes for m, _ in g.modes}
-        for k, values in al.convolve_orbit(P, f, g, orb, ks).items():
-            targets = orb.targets(k)
-            rows = np.flatnonzero(targets >= 0)
-            direct[rows, targets[rows]] += values[rows]
+        direct = mr.convolve_orbit(P, f, g, orb, ks).dense()
         scale = max(np.abs(prod).max(), 1.0)
         result.check(float(np.abs(prod - direct).max()) / scale, tol,
                      {"law": "pi(f.g) = pi(f)pi(g)", "hbar": hbar, "y0": y0})

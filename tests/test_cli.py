@@ -475,6 +475,23 @@ def test_inexact_integer_or_bool_field_exits_2(tmp_path, capsys, polytope, obs):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("what", ["polytope", "observable"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, what):
+    # json.load raised RecursionError here (exit 1 with a traceback)
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    if what == "polytope":
+        argv = ["polytope", "check", str(path)]
+    else:
+        argv = ["quantize", "spectra", str(DATA / "sphere.json"),
+                "--obs", str(path), "--hbar", "1/4"]
+    rc, text = run(argv, tmp_path)
+    assert (rc, text) == (2, None)
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot read {what} file {path}: ")
+    assert err.count("\n") == 1
+
+
 def test_polytope_strata_golden(tmp_path):
     for name in SHIPPED:
         rc, text = run(["polytope", "strata", str(DATA / f"{name}.json")], tmp_path)
@@ -692,6 +709,43 @@ def test_expression_at_the_parser_bounds_runs(tmp_path, capsys):
     assert (rc, out) == (2, None)
     err = capsys.readouterr().err
     assert err.startswith("error: division by zero in subexpression ")
+    assert err.count("\n") == 1
+
+
+def mode_sum_observables(tmp_path, count, f_text, g_text):
+    """f = f_text on modes 1..count and g = g_text on modes -1..-count of the
+    sphere: every pair (l, -l) lands on mode 0 of their bracket."""
+    paths = []
+    for name, sign, text in (("f", 1, f_text), ("g", -1, g_text)):
+        modes = [{"k": [sign * i], "re": text, "im": "0"} for i in range(1, count + 1)]
+        (tmp_path / f"{name}.json").write_text(json.dumps({"modes": modes}))
+        paths += [f"--obs{'' if name == 'f' else '2'}", str(tmp_path / f"{name}.json")]
+    return ["quantize", "bracket-limit", str(DATA / "sphere.json"), *paths,
+            "--point", "1/2", "--hbar", "1/100000", "--hbar", "1/200000"]
+
+
+def test_bracket_mode_sum_past_the_cap_exits_2(tmp_path, capsys):
+    # 1,099 pairs on mode 0 built a sum 1,099 levels deep, whose evaluation
+    # raised RecursionError (exit 1 with a traceback)
+    rc, out = run(mode_sum_observables(tmp_path, 1099, "y1", "y1"), tmp_path)
+    assert (rc, out) == (2, None)
+    assert capsys.readouterr().err == (
+        f"error: zero-fiber sum at mode (0,) exceeds the cap of {al.MAX_PAIRS_PER_MODE} "
+        "mode pairs\n")
+
+
+def test_bracket_mode_sum_at_the_cap_runs(tmp_path, capsys):
+    cap = al.MAX_PAIRS_PER_MODE
+    rc, out = run(mode_sum_observables(tmp_path, cap, "y1", "y1"), tmp_path)
+    assert rc == 0 and len(out.splitlines()) == 4     # preamble, header, 2 hbars
+    # the deepest path measured: the error text of the whole mode-0 sum, whose
+    # terms are the derivative of a quotient chain at the parser's depth bound
+    # (10^200 overflows the derivative's square, not the sweep's values)
+    chain = "/".join(["y1"] * (ex.MAX_DEPTH - 1)) + "/(y1*10^200)"
+    rc, out = run(mode_sum_observables(tmp_path, cap, "y1", chain), tmp_path, "deep.csv")
+    assert (rc, out) == (2, None)
+    err = capsys.readouterr().err
+    assert err.startswith("error: evaluation overflows in subexpression ")
     assert err.count("\n") == 1
 
 

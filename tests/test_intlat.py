@@ -1,4 +1,5 @@
 """Exact integer linear algebra: normal form, kernels, determinants."""
+import math
 import random
 from fractions import Fraction
 
@@ -159,6 +160,15 @@ def test_solve_rational_solves_exactly_iff_nonsingular_randomized():
             assert [sum(a * x for a, x in zip(row, sol)) for row in A] == b
         else:
             assert sol is None
+        # the integer form on the integer-scaled equations: A x = |det| b
+        Ab = integer_rows(r + [v] for r, v in zip(A, b))
+        got = intlat.solve_integer(Ab)
+        assert (got is None) == (det == 0)
+        if got is not None:
+            d, x = got
+            assert d == oracle.determinant([r[:n] for r in Ab])
+            assert all(type(c) is int for c in x)
+            assert [sum(a * c for a, c in zip(r, x)) for r in Ab] == [abs(d) * r[n] for r in Ab]
         outcomes.add((singular, det != 0))
     assert {(0, True), (1, False), (2, False)} <= outcomes
 
@@ -169,6 +179,16 @@ def test_row_space_equal():
     assert intlat.row_space_equal([], [])
     assert not intlat.row_space_equal([(1, 0)], [])
     assert intlat.row_space_equal([(2, 4)], [(1, 2)])
+
+
+def integer_rows(rows):
+    """Each rational row times the lcm of its denominators, as Python ints."""
+    out = []
+    for r in rows:
+        r = [Fraction(v) for v in r]
+        scale = math.lcm(*(v.denominator for v in r))
+        out.append([int(v * scale) for v in r])
+    return out
 
 
 def random_rows(rng, m, n, dens):
@@ -227,6 +247,16 @@ def test_exact_algebra_matches_the_fraction_oracle():
         assert sol == oracle.solve(A, b), (A, b)
         assert sol is None or all(type(x) is Fraction for x in sol)
         seen.add(("solve", sol is not None))
+        # the integer form: det and numerators over |det| of the scaled system
+        Ab = integer_rows(r + [v] for r, v in zip(A, b))
+        Ai, bi = [r[:n] for r in Ab], [r[n] for r in Ab]
+        got = intlat.solve_integer(Ab)
+        det = oracle.determinant(Ai)
+        if det:
+            assert got[0] == det and all(type(c) is int for c in got[1]), (A, b)
+            assert tuple(Fraction(c, abs(det)) for c in got[1]) == oracle.solve(Ai, bi)
+        else:
+            assert got is None, (A, b)
 
         m, n = rng.randint(0, 4), rng.randint(0, 4)
         A = random_rows(rng, m, n, dens)
@@ -234,6 +264,19 @@ def test_exact_algebra_matches_the_fraction_oracle():
         assert v == oracle.kernel_vector(A), A
         assert v is None or all(type(x) is Fraction for x in v)
         seen.add(("kernel", m, v is not None))
+        # the integer form: primitive, positive at its free column, in the
+        # kernel, and the oracle's vector times its entry there
+        got = intlat.integer_kernel_vector(integer_rows(A), n)
+        if not A:
+            assert got == ((1,) + (0,) * (n - 1), 0) if n else got is None
+        elif v is None:
+            assert got is None, A
+        else:
+            w, free = got
+            assert all(type(c) is int for c in w) and math.gcd(*w) == 1
+            assert w[free] > 0
+            assert all(sum(a * c for a, c in zip(row, w)) == 0 for row in A)
+            assert tuple(Fraction(c, w[free]) for c in w) == v, A
 
         B = (same_row_space(rng, A, dens) if A and rng.random() < 0.5
              else random_rows(rng, rng.randint(0, 4), n, dens))

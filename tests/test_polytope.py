@@ -12,6 +12,7 @@ import pytest
 import fraction_oracle as oracle
 from torikit import cli
 from torikit import groupoid as gr
+from torikit import intlat
 from torikit import polytope as pt
 from torikit.errors import DimensionError, DomainError, FormatError
 
@@ -299,13 +300,13 @@ def test_scaled_slacks_dimension_error():
 def test_vertices_computed_once_per_polytope(monkeypatch):
     # one integer elimination per n-subset of facets, for the whole lifetime
     calls = []
-    solve = pt._solve_facets
+    solve = intlat.solve_integer
 
     def counting(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(pt, "_solve_facets", counting)
+    monkeypatch.setattr(intlat, "solve_integer", counting)
     P = pt.projective_space(2)
     pt.require_delzant(P)
     gr.orbit(P, F(1, 4), (F(1, 8), F(1, 8)))

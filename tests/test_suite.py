@@ -12,6 +12,7 @@ from torikit import algebra as al
 from torikit import cli
 from torikit import expr as ex
 from torikit import groupoid as gr
+from torikit import matrixrep as mr
 from torikit import polytope as pt
 from torikit import suite as su
 from torikit.errors import DomainError, EvalDomainError
@@ -70,7 +71,7 @@ def test_representation_case_derives_each_orbit_quantity_once(monkeypatch, name)
     # full step array and one lookup per distinct mode
     counts = {"face_bounds": 0, "full_coordinates": 0}
     lookups, orbits = {}, []
-    real_face_bounds, real_coordinates = al.face_bounds, gr.Orbit.coordinates
+    real_face_bounds, real_coordinates = mr.face_bounds, gr.Orbit.coordinates
     real_lookup, real_orbit = gr.Orbit._lookup, gr.orbit
 
     def face_bounds(*args):
@@ -89,7 +90,7 @@ def test_representation_case_derives_each_orbit_quantity_once(monkeypatch, name)
         orbits.append(real_orbit(*args, **kwargs))
         return orbits[-1]
 
-    monkeypatch.setattr(al, "face_bounds", face_bounds)
+    monkeypatch.setattr(mr, "face_bounds", face_bounds)
     monkeypatch.setattr(gr.Orbit, "coordinates", coordinates)
     monkeypatch.setattr(gr.Orbit, "_lookup", lookup)
     monkeypatch.setattr(gr, "orbit", orbit)
@@ -195,13 +196,16 @@ def modes_to_check(f, g, n, rng):
 
 def assert_matches_per_point(P, f, g, orb, rng):
     ks = modes_to_check(f, g, P.n, rng)
-    conv = al.convolve_orbit(P, f, g, orb, ks)
-    assert list(conv) == ks
+    conv = mr.convolve_orbit(P, f, g, orb, ks)
+    assert conv.dim == len(orb) and list(conv.modes) == ks
     for k in ks:
-        got, want = conv[k], per_point(P, f, g, orb, k)
+        (got, targets), want = conv.modes[k], per_point(P, f, g, orb, k)
         assert got.dtype == complex and got.shape == (len(orb),)
         assert np.array_equal(got.real, want.real), (k, got, want)
         assert np.array_equal(got.imag, want.imag), (k, got, want)
+        # placed by the orbit's index, and 0 off it, as `dense` assumes
+        assert targets is orb.targets(k)
+        assert not got[targets < 0].any(), (k, got, targets)
 
 
 @pytest.mark.parametrize("name", sorted(POLYTOPES))
@@ -285,4 +289,4 @@ def test_convolve_orbit_rejects_a_non_finite_coefficient():
     g = al.element(1, {0: "1"})
     orb = gr.orbit(P, F(1, 4), (F(1, 2),))
     with pytest.raises(EvalDomainError, match=r"mode \(1,\)"):
-        al.convolve_orbit(P, f, g, orb, [(1,)])
+        mr.convolve_orbit(P, f, g, orb, [(1,)])
