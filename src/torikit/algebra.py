@@ -47,8 +47,9 @@ from functools import cached_property
 
 from . import expr as ex
 from .errors import DomainError, FormatError, MarginError
-from .groupoid import GroupoidPoint, is_member, translate
-from .polytope import DelzantPolytope, format_point, json_int, ratpoint, read_json
+from .groupoid import GroupoidPoint, arrow_valid, is_member, translate
+from .polytope import (DelzantPolytope, format_point, json_int, mode_pairings,
+                       ratpoint, read_json, scaled_slacks)
 
 __all__ = [
     "AlgebraElement", "element", "observable_from_dict", "observable_to_dict",
@@ -56,7 +57,7 @@ __all__ = [
     "convolve", "commutator", "renormalized_commutator", "involution",
     "MAX_PAIRS_PER_MODE", "bracket_element", "symbolic_bracket",
     "pointwise_product_at_zero", "BracketLimit", "EXACT_THRESHOLD",
-    "numeric_bracket_limit", "displacements", "check_margin",
+    "numeric_bracket_limit", "check_margin",
 ]
 
 
@@ -211,25 +212,29 @@ def convolve(P: DelzantPolytope, f: AlgebraElement, g: AlgebraElement,
 
     Each term carries the indicator that both factor arrows lie in the arrow
     space, so the sum never sees points where a coefficient is singular but
-    masked.
+    masked.  Both indicators are `groupoid.arrow_valid` on y's integer
+    slacks, taken once per call.
     """
     if f.n != g.n:
         raise DomainError("elements live over different dimensions")
     hbar = Fraction(hbar)
     y = ratpoint(y)
     k = tuple(int(c) for c in k)
+    s, _, h = scaled_slacks(P, y, hbar)
     total = 0j
     for l, cf in f.modes:
         m = tuple(a - b for a, b in zip(k, l))
         cg = g.coefficient(m)
         if cg.is_zero_tree():
             continue
-        if not is_member(P, GroupoidPoint(hbar, y, l)):
+        pl = mode_pairings(P, l)
+        if not arrow_valid(s, h, pl):
             continue
-        mid = translate(y, hbar, l)
-        if not is_member(P, GroupoidPoint(hbar, mid, m)):
+        # the head's slacks over the same denominator
+        if not arrow_valid([sj + h * pj for sj, pj in zip(s, pl)], h,
+                           mode_pairings(P, m)):
             continue
-        total += cf.evaluate(hbar, y) * cg.evaluate(hbar, mid)
+        total += cf.evaluate(hbar, y) * cg.evaluate(hbar, translate(y, hbar, l))
     return total
 
 
@@ -334,33 +339,46 @@ def pointwise_product_at_zero(f: AlgebraElement, g: AlgebraElement, *,
 # ---------------------------------------------------------------------------
 # numeric limit with margin guard and two-level extrapolation
 
-def displacements(f: AlgebraElement, g: AlgebraElement):
-    """Mode displacements visited by the two convolution orders."""
-    out = set()
-    for l, _ in f.modes:
-        out.add(l)
-        for m, _ in g.modes:
-            out.add(m)
-            out.add(tuple(a + b for a, b in zip(l, m)))
-    out.discard(tuple([0] * f.n))
-    return sorted(out)
-
-
 def check_margin(P: DelzantPolytope, f, g, y, hbar_max) -> None:
-    """Require every intermediate point y + hbar*l strictly interior.
+    """Require y and every intermediate point y + hbar_max*d strictly
+    interior, for the displacements d the two convolution orders visit: the
+    modes l of f, and when f has a mode, the modes m of g and the sums
+    l + m.
 
-    Raises MarginError naming the first offending intermediate point.
+    On y's scaled slacks s and step h (`scaled_slacks`) the point
+    y + hbar_max*d is interior iff s_j + h*<d, X_j> > 0 at every facet j.
+    The pairing is linear and s > 0, so every displacement passes iff each
+    facet has s_j + (least h*<l, X_j> or 0) + (least h*<m, X_j> or 0) > 0:
+    one pairing per mode.  Otherwise MarginError names the first offending
+    displacement in sorted order; the sums l + m with l fixed follow the
+    order of m, so each l adds at most its first offending sum.
     """
     y = ratpoint(y)
     hbar_max = Fraction(hbar_max)
-    if not P.is_interior(y):
+    s, _, h = scaled_slacks(P, y, hbar_max)
+    if min(s) <= 0:
         raise MarginError(f"sample point {format_point(y)} is not interior")
-    for d in displacements(f, g):
-        p = translate(y, hbar_max, d)
-        if not P.is_interior(p):
-            raise MarginError(
-                f"intermediate point {format_point(p)} (displacement {d} at "
-                f"hbar = {hbar_max}) leaves the interior")
+    fs = [(l, [h * p for p in mode_pairings(P, l)]) for l, _ in f.modes]
+    gs = [(m, [h * p for p in mode_pairings(P, m)])
+          for m in sorted(m for m, _ in g.modes)] if fs else []
+
+    def least(steps):       # per facet, the least step or 0
+        return [min(col) for col in zip(*(t for _, t in steps), [0] * len(s))]
+
+    if all(sj + a + b > 0 for sj, a, b in zip(s, least(fs), least(gs))):
+        return
+
+    def leaves(step):
+        return any(sj + t <= 0 for sj, t in zip(s, step))
+
+    bad = [d for d, t in fs + gs if leaves(t)]
+    for l, tl in fs:
+        bad += next(([tuple(a + b for a, b in zip(l, m))] for m, tm in gs
+                     if leaves([a + b for a, b in zip(tl, tm)])), [])
+    d = min(bad)
+    raise MarginError(
+        f"intermediate point {format_point(translate(y, hbar_max, d))} "
+        f"(displacement {d} at hbar = {hbar_max}) leaves the interior")
 
 
 @dataclass

@@ -38,17 +38,27 @@ class ParseError(ToriKitError):
         super().__init__(message)
 
 
+# the most characters of a subexpression's text that an error message quotes
+MAX_SUBEXPRESSION_TEXT = 1000
+
+
 class EvalDomainError(ToriKitError):
     """Numeric evaluation hit a singular point (sqrt of a negative, 1/0).
 
     `reason` is the message without the subexpression the text appends.
+    The text quotes at most MAX_SUBEXPRESSION_TEXT characters of the
+    subexpression, then "...", since a derived tree can print to megabytes;
+    `subexpression` keeps the whole node.
     """
 
     def __init__(self, message, subexpression=None):
         self.reason = message
         self.subexpression = subexpression
         if subexpression is not None:
-            message = f"{message} in subexpression '{subexpression}'"
+            text = str(subexpression)
+            if len(text) > MAX_SUBEXPRESSION_TEXT:
+                text = text[:MAX_SUBEXPRESSION_TEXT] + "..."
+            message = f"{message} in subexpression '{text}'"
         super().__init__(message)
 
 

@@ -15,24 +15,28 @@ observables.
 
 The product itself is computed on the orbit too: every arrow is a lattice
 step, so `convolve_orbit` computes (f.g)(hbar, u, k) at all orbit points u
-in one array pass and returns it as an `OrbitOperator`.  Both factor arrows
-are tested on the orbit's face bounds (`groupoid.face_bounds`, the closed
-form of `groupoid.is_member`, not the orbit's own index), each coefficient
-is evaluated once per mode on the rows where both arrows exist, and the
-terms are summed over the modes of f in order.  One call serves every mode
-asked for, after one face test of the orbit; only the placement of its
+in one array pass and returns it as an `OrbitOperator`.  It walks the mode
+pairs (l, m) of f and g, as `OrbitOperator.__matmul__` does, and fills
+mode l + m.  Both factor arrows are tested on the orbit's face bounds
+(`groupoid.face_bounds`, the closed form of `groupoid.is_member`, not the
+orbit's own index).  Each coefficient of f is evaluated once per mode, on
+the union of the rows its terms need, and indexed per term; each term's
+coefficient of g is evaluated on the rows where both arrows exist; at each
+mode the terms are summed over the modes of f in order.  One call serves
+every mode after one face test of the orbit; only the placement of its
 output reads the orbit's index (`Orbit.targets`), so pi(f.g) = pi(f)pi(g)
 checks that index independently.  The tails' coordinates are rows of
 `Orbit.points` and the heads' are computed from their steps, both correctly
 rounded.  It returns the same floats, bit for bit, as one
 `algebra.convolve` per point wherever `expr.evaluate` gives the same floats
-on arrays as on scalars.  The four operations always do, and numpy runs
-sin, cos and exp through one loop for a scalar and a contiguous column; an
-integer power may not (numpy's array power and Python's float power round
-differently).  To keep that contract the complex product and the sum are
-separate float64 operations, re += ar*br - ai*bi and im += ar*bi + ai*br,
-in the order Python's complex arithmetic performs them; numpy's complex
-multiply may fuse them and round differently.
+on arrays as on scalars, and on a subset of rows as on a superset.  The four
+operations always do, and numpy runs sin, cos and exp through one loop for a
+scalar and a contiguous column; an integer power may not (numpy's array
+power and Python's float power round differently).  To keep that contract
+the complex product and the sum are separate float64 operations,
+re += ar*br - ai*bi and im += ar*bi + ai*br, in the order Python's complex
+arithmetic performs them; numpy's complex multiply may fuse them and round
+differently.
 
 `spectrum` takes the first path that applies; the chain and acyclic tests
 read one arrow graph (`_arrows`: the nonzero off-diagonal entries as arrows
@@ -169,16 +173,18 @@ def represent(P: DelzantPolytope, orb: Orbit, f: al.AlgebraElement) -> OrbitOper
 
 
 def convolve_orbit(P: DelzantPolytope, f: al.AlgebraElement, g: al.AlgebraElement,
-                   orb: Orbit, modes) -> OrbitOperator:
-    """The product f.g as an operator on the orbit, at each mode k (an int
-    tuple) in `modes`, in that order: mode k holds (f.g)(hbar, u, k) at
-    every point u, equal to `algebra.convolve` at each point (module
-    docstring), and the targets `orb.targets(k)`.  Membership comes from one
-    face test of the orbit: an arrow is valid when its mode moves no facet
-    active on the face and its head's pairing is at least `lower`; a mode
-    longer than the steps' box joins no two orbit points.  A coefficient
-    that is singular or not finite where its arrow exists raises
-    EvalDomainError.
+                   orb: Orbit) -> OrbitOperator:
+    """The product f.g as an operator on the orbit: mode k holds
+    (f.g)(hbar, u, k) at every point u, equal to `algebra.convolve` at each
+    point (module docstring), and the targets `orb.targets(k)`.  Every sum
+    k = l + m of a mode l of f and a mode m of g gets a mode, in the order
+    the pairs are walked (f's modes, then g's), zeros where no term lands.
+    Membership comes from one face test of the orbit: an arrow is valid when
+    its mode moves no facet active on the face and its head's pairing is at
+    least `lower`; a mode longer than the steps' box joins no two orbit
+    points.  f's mode-l coefficient is evaluated once, on the union of the
+    rows its terms need.  A coefficient that is singular or not finite where
+    its arrow exists raises EvalDomainError.
     """
     if f.n != g.n:
         raise DomainError("elements live over different dimensions")
@@ -186,33 +192,47 @@ def convolve_orbit(P: DelzantPolytope, f: al.AlgebraElement, g: al.AlgebraElemen
     N, active, lower = face_bounds(P, orb.y0, orb.hbar)
     free = ~active
     q, lower = steps @ N[:, free], lower[free]
-    extent = (steps.max(axis=0) - steps.min(axis=0)).tolist() * 2
+    extent = (steps.max(axis=0) - steps.min(axis=0)).tolist()
+
+    def pairings(k):
+        """The pairings of k with the free facets (k @ N), or None when an
+        arrow of mode k leaves the orbit: it is longer than the steps' box,
+        or it moves a facet of the face."""
+        if any(abs(c) > e for c, e in zip(k, extent)):
+            return None
+        p = np.array(k, dtype=np.int64) @ N
+        return None if p[active].any() else p[free]
+
     hbar = float(orb.hbar)
-    out = {}
-    for k in modes:
-        k = tuple(int(c) for c in k)
-        re, im = np.zeros(orb.dim), np.zeros(orb.dim)
-        for l, cf in f.modes:
-            m = tuple(a - b for a, b in zip(k, l))
-            cg = g.coefficient(m)
-            if cg.is_zero_tree():
+    gp = [(m, cg, None if cg.is_zero_tree() else pairings(m)) for m, cg in g.modes]
+    acc = {}
+    for l, cf in f.modes:
+        pl = pairings(l)
+        mid = None if pl is None else q + pl
+        terms = []      # (re, im, m, cg, rows) of the pairs with an arrow
+        for m, cg, pm in gp:
+            k = tuple(a + b for a, b in zip(l, m))
+            if k not in acc:
+                acc[k] = (np.zeros(orb.dim), np.zeros(orb.dim))
+            if mid is None or pm is None:
                 continue
-            if any(abs(c) > e for c, e in zip(l + m, extent)):
-                continue        # an arrow this long leaves the orbit
-            p = np.array((l, m), dtype=np.int64) @ N
-            if p[:, active].any():
-                continue        # it moves a facet of the orbit's face
-            mid = q + p[0, free]
             rows = np.flatnonzero((mid >= lower).all(axis=1)
-                                  & (mid + p[1, free] >= lower).all(axis=1))
-            if not len(rows):
-                continue
-            ar, ai = _evaluate_rows(cf, hbar, orb.points[rows], l)
+                                  & (mid + pm >= lower).all(axis=1))
+            if len(rows):
+                terms.append((*acc[k], m, cg, rows))
+        if not terms:
+            continue
+        # the rows in ascending order; np.unique would import numpy.ma (1 MB)
+        need = np.flatnonzero(np.bincount(np.concatenate([t[-1] for t in terms])))
+        fr, fi = _evaluate_rows(cf, hbar, orb.points[need], l)
+        for re, im, m, cg, rows in terms:
+            at = np.searchsorted(need, rows)
+            ar, ai = fr[at], fi[at]
             br, bi = _evaluate_rows(cg, hbar, orb.coordinates(steps[rows] + l), m)
             re[rows] += ar * br - ai * bi
             im[rows] += ar * bi + ai * br
-        out[k] = (re + 1j * im, orb.targets(k))
-    return OrbitOperator(orb.dim, out)
+    return OrbitOperator(orb.dim, {k: (re + 1j * im, orb.targets(k))
+                                   for k, (re, im) in acc.items()})
 
 
 def _evaluate_rows(coeff: ex.ComplexExpr, hbar: float, ys, k):

@@ -264,9 +264,7 @@ def battery_representation(P, rng, cases, tol) -> BatteryResult:
         Mf = mr.represent(P, orb, f).dense()
         Mg = mr.represent(P, orb, g).dense()
         prod = Mf @ Mg
-        ks = {tuple(a + b for a, b in zip(l, m))
-              for l, _ in f.modes for m, _ in g.modes}
-        direct = mr.convolve_orbit(P, f, g, orb, ks).dense()
+        direct = mr.convolve_orbit(P, f, g, orb).dense()
         scale = max(np.abs(prod).max(), 1.0)
         result.check(float(np.abs(prod - direct).max()) / scale, tol,
                      {"law": "pi(f.g) = pi(f)pi(g)", "hbar": hbar, "y0": y0})

@@ -1,9 +1,10 @@
 """Slow exact linear algebra over Q, the reference for `torikit.intlat` and
-for polytope screening.
+for polytope screening, and the reference margin check.
 
 Nothing here calls torikit: rows are reduced with Fraction arithmetic, and
 the determinant is the Leibniz sum over permutations, so the oracles share
-no code with the fraction-free elimination they check.
+no code with the fraction-free elimination they check.  The margin check
+reads only a polytope's normals and offsets and an element's mode keys.
 """
 import itertools
 import math
@@ -77,3 +78,39 @@ def row_space_equal(rows1, rows2):
     if not rows1 or not rows2:
         return not rows1 and not rows2
     return rref(rows1) == rref(rows2)
+
+
+def displacements(f, g):
+    """Mode displacements visited by the two convolution orders."""
+    out = set()
+    for l, _ in f.modes:
+        out.add(l)
+        for m, _ in g.modes:
+            out.add(m)
+            out.add(tuple(a + b for a, b in zip(l, m)))
+    out.discard(tuple([0] * f.n))
+    return sorted(out)
+
+
+def margin_error(P, f, g, y, hbar_max):
+    """The message `algebra.check_margin` raises, or None when y and every
+    intermediate point y + hbar_max*d over `displacements` is strictly
+    interior; each point's slacks are taken in Fractions."""
+    y = tuple(Fraction(c) for c in y)
+    hbar_max = Fraction(hbar_max)
+
+    def text(p):
+        return "(" + ", ".join(str(c) for c in p) + ")"
+
+    def interior(p):
+        return all(sum(a * x for a, x in zip(p, X)) - lam > 0
+                   for X, lam in zip(P.normals, P.offsets))
+
+    if not interior(y):
+        return f"sample point {text(y)} is not interior"
+    for d in displacements(f, g):
+        p = tuple(c + hbar_max * di for c, di in zip(y, d))
+        if not interior(p):
+            return (f"intermediate point {text(p)} (displacement {d} at "
+                    f"hbar = {hbar_max}) leaves the interior")
+    return None

@@ -13,6 +13,8 @@ from torikit import polytope as pt
 from torikit import suite as su
 from torikit.errors import DomainError, FormatError, MarginError
 
+import fraction_oracle as oracle
+
 F = Fraction
 P = pt.interval()
 
@@ -196,6 +198,46 @@ def test_numeric_limit_margin_guard_names_offender():
     with pytest.raises(MarginError) as info:
         al.numeric_bracket_limit(P, f, g, (F(15, 16),), (0,), [F(1, 4), F(1, 8)])
     assert "19/16" in str(info.value)  # y + hbar_max * 1
+
+
+def margin_message(P, f, g, y, hbar):
+    try:
+        al.check_margin(P, f, g, y, hbar)
+    except MarginError as exc:
+        return str(exc)
+    return None
+
+
+def test_margin_check_matches_the_displacement_set_oracle():
+    # per-facet least pairings against every displacement's point in
+    # Fractions: the same verdict and, on failure, the same offender
+    checked = {None: 0, "fail": 0}
+    for name, Q in [("sphere", P), ("square", pt.square()), ("cp2", pt.projective_space(2))]:
+        rng = random.Random(f"margin-{name}")
+        for _ in range(400):
+            f, g = (al.element(Q.n, {tuple(rng.randint(-4, 4) for _ in range(Q.n)): "1"
+                                     for _ in range(rng.randint(0, 5))})
+                    for _ in range(2))
+            den = rng.choice((4, 7, 8, 16, 48))
+            y = tuple(F(rng.randint(-1, den + 1), den) for _ in range(Q.n))
+            hbar = F(rng.choice((1, 1, 1, -1)) * rng.randint(1, 3), rng.choice((8, 24, 64)))
+            want = oracle.margin_error(Q, f, g, y, hbar)
+            assert margin_message(Q, f, g, y, hbar) == want, (name, f, g, y, hbar)
+            checked[None if want is None else "fail"] += 1
+    assert min(checked.values()) >= 200
+
+
+def test_margin_check_reads_each_mode_once_on_the_pass_path(monkeypatch):
+    # 1,099 modes each way: 1.2 million pair sums for 2,197 distinct
+    # displacements when every pair was added to a set
+    count = 1099
+    f = al.element(1, {i: "y1" for i in range(1, count + 1)})
+    g = al.element(1, {-i: "y1" for i in range(1, count + 1)})
+    calls = []
+    real = al.mode_pairings
+    monkeypatch.setattr(al, "mode_pairings", lambda P, k: calls.append(k) or real(P, k))
+    al.check_margin(P, f, g, (F(1, 2),), F(1, 100000))
+    assert 0 < len(calls) <= 2 * count
 
 
 def test_mode_zero_pair_renormalized_commutator_identically_zero():

@@ -21,6 +21,7 @@ from torikit import classical as cl
 from torikit import cli
 from torikit import expr as ex
 from torikit import matrixrep as mr
+from torikit.errors import MAX_SUBEXPRESSION_TEXT
 
 DATA = Path(torikit.__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -747,6 +748,19 @@ def test_bracket_mode_sum_at_the_cap_runs(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: evaluation overflows in subexpression ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("count", [1, al.MAX_PAIRS_PER_MODE])
+def test_evaluation_error_line_quotes_a_bounded_subexpression(tmp_path, capsys, count):
+    # the whole mode-0 bracket sum was the error text: one stderr line of
+    # 16,432 bytes with one mode each way, and 2,098,512 bytes with 128
+    chain = "/".join(["y1"] * (ex.MAX_DEPTH - 1)) + "/(y1*10^200)"
+    rc, out = run(mode_sum_observables(tmp_path, count, "y1", chain), tmp_path, "deep.csv")
+    assert (rc, out) == (2, None)
+    err = capsys.readouterr().err
+    head = "error: evaluation overflows in subexpression '"
+    assert err.startswith(head) and err.endswith("...'\n") and err.count("\n") == 1
+    assert len(err) == len(head) + MAX_SUBEXPRESSION_TEXT + len("...'\n")
 
 
 @pytest.mark.parametrize("hbars, code", [

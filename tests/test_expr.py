@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from torikit import expr as ex
-from torikit.errors import EvalDomainError, ParseError
+from torikit.errors import MAX_SUBEXPRESSION_TEXT, EvalDomainError, ParseError
 
 
 def test_parse_product_tree():
@@ -290,6 +290,18 @@ def test_eval_domain_error_carries_subexpression():
     with pytest.raises(EvalDomainError) as info:
         ex.evaluate(ex.parse("1 + sqrt(y1 - 2)", 1), 0.0, [0.0])
     assert isinstance(info.value.subexpression, ex.Fun)
+
+
+def test_eval_domain_error_quotes_a_bounded_text_and_keeps_the_node():
+    short = ex.parse("y1^200", 1)
+    assert str(EvalDomainError("overflows", short)) == "overflows in subexpression 'y1^200'"
+    # a constant of 1,201 digits prints past the cap; the node stays whole
+    long = ex.parse("1" + "0" * 1200 + " + y1", 1)
+    exc = EvalDomainError("overflows", long)
+    assert exc.subexpression is long and exc.reason == "overflows"
+    text = ex.to_text(long)
+    assert len(text) > MAX_SUBEXPRESSION_TEXT
+    assert str(exc) == f"overflows in subexpression '{text[:MAX_SUBEXPRESSION_TEXT]}...'"
 
 
 def test_shift_y_substitution():

@@ -417,3 +417,48 @@ def test_operator_algebra_never_writes_into_the_orbit_memos():
             -1 if j is None else j for j in step_targets(orb, k)]
     assert not orb.points.flags.writeable
     assert np.array_equal(orb.points.view(np.int64), points.view(np.int64))
+
+
+def random_coefficient_tree(rng, depth=0):
+    """A random tree over (h, y1, y2) using every node type: the four
+    operations, unary minus, integer powers of both signs, sin, cos, exp and
+    sqrt (of a square plus a constant, so it stays real)."""
+    if depth > 3 or rng.random() < 0.25:
+        return ex.parse(rng.choice(["y1", "y2", "h", "3/7", "-2"]), 2)
+    a = random_coefficient_tree(rng, depth + 1)
+    kind = rng.choice(["+", "-", "*", "/", "neg", "pow", "sin", "cos", "exp", "sqrt"])
+    if kind in "+-*/":
+        b = random_coefficient_tree(rng, depth + 1)
+        return {"+": ex.Add, "-": ex.Sub, "*": ex.Mul, "/": ex.Div}[kind](a, b)
+    if kind == "neg":
+        return ex.Neg(a)
+    if kind == "pow":
+        return ex.Pow(a, rng.choice((-3, -2, -1, 2, 3, 5, 7)))
+    if kind == "sqrt":
+        return ex.Fun("sqrt", ex.Add(ex.Mul(a, a), ex.Const(F(1, 5))))
+    return ex.Fun(kind, a)
+
+
+def test_evaluate_rows_on_a_subset_equals_the_superset_bit_for_bit():
+    # `convolve_orbit` evaluates each coefficient of f once on the union of
+    # the rows its terms need and indexes it per term, which keeps the bits
+    # of one evaluation per term only if a subset of rows evaluates to the
+    # same bits as the matching rows of a superset
+    rng = random.Random(2024)
+    pts = np.array([[rng.uniform(-3.0, 3.0), rng.uniform(0.05, 4.0)] for _ in range(257)])
+    checked = 0
+    for _ in range(300):
+        coeff = ex.ComplexExpr(random_coefficient_tree(rng), random_coefficient_tree(rng))
+        hbar = rng.choice((0.25, -0.125, 0.2))
+        S = np.array(sorted(rng.sample(range(len(pts)), rng.randint(1, len(pts)))))
+        R = np.array(sorted(rng.sample(S.tolist(), rng.randint(1, len(S)))))
+        try:
+            sup = mr._evaluate_rows(coeff, hbar, pts[S], (1, 0))
+        except EvalDomainError:
+            continue        # singular or not finite somewhere on S
+        sub = mr._evaluate_rows(coeff, hbar, pts[R], (1, 0))
+        at = np.searchsorted(S, R)
+        for a, b in zip(sub, sup):
+            assert np.array_equal(a.view(np.int64), b[at].view(np.int64)), coeff
+        checked += 1
+    assert checked >= 150

@@ -90,10 +90,28 @@ def test_representation_case_derives_each_orbit_quantity_once(monkeypatch, name)
         orbits.append(real_orbit(*args, **kwargs))
         return orbits[-1]
 
+    products = []
+    real_evaluate_rows, real_convolve_orbit = mr._evaluate_rows, mr.convolve_orbit
+
+    def convolve_orbit(P, f, g, orb):
+        # each coefficient of f is evaluated at most once per product
+        calls = []
+        mr._evaluate_rows = lambda c, hbar, ys, k: (calls.append((c, k))
+                                                    or real_evaluate_rows(c, hbar, ys, k))
+        try:
+            out = real_convolve_orbit(P, f, g, orb)
+        finally:
+            mr._evaluate_rows = real_evaluate_rows
+        for l, cf in f.modes:
+            assert sum(c is cf and k == l for c, k in calls) <= 1, l
+        products.append(calls)
+        return out
+
     monkeypatch.setattr(mr, "face_bounds", face_bounds)
     monkeypatch.setattr(gr.Orbit, "coordinates", coordinates)
     monkeypatch.setattr(gr.Orbit, "_lookup", lookup)
     monkeypatch.setattr(gr, "orbit", orbit)
+    monkeypatch.setattr(mr, "convolve_orbit", convolve_orbit)
     for seed in range(4):
         counts.update(face_bounds=0, full_coordinates=0)
         lookups.clear()
@@ -101,6 +119,7 @@ def test_representation_case_derives_each_orbit_quantity_once(monkeypatch, name)
         assert result.cases == 2 and result.passed
         assert counts == {"face_bounds": 1, "full_coordinates": 1}
         assert lookups and set(lookups.values()) == {1}
+        assert products and products[-1]
         # the battery wrote into no memo: each is read-only and equals a
         # lookup by hashing the steps
         orb = orbits[-1]
@@ -195,11 +214,16 @@ def modes_to_check(f, g, n, rng):
 
 
 def assert_matches_per_point(P, f, g, orb, rng):
-    ks = modes_to_check(f, g, P.n, rng)
-    conv = mr.convolve_orbit(P, f, g, orb, ks)
-    assert conv.dim == len(orb) and list(conv.modes) == ks
-    for k in ks:
-        (got, targets), want = conv.modes[k], per_point(P, f, g, orb, k)
+    conv = mr.convolve_orbit(P, f, g, orb)
+    # every pair sum, in the order the pairs are walked
+    sums = [tuple(a + b for a, b in zip(l, m)) for l, _ in f.modes for m, _ in g.modes]
+    assert conv.dim == len(orb) and list(conv.modes) == list(dict.fromkeys(sums))
+    for k in modes_to_check(f, g, P.n, rng):
+        want = per_point(P, f, g, orb, k)
+        if k not in conv.modes:     # no pair lands on k
+            assert not want.any(), (k, want)
+            continue
+        got, targets = conv.modes[k]
         assert got.dtype == complex and got.shape == (len(orb),)
         assert np.array_equal(got.real, want.real), (k, got, want)
         assert np.array_equal(got.imag, want.imag), (k, got, want)
@@ -289,4 +313,4 @@ def test_convolve_orbit_rejects_a_non_finite_coefficient():
     g = al.element(1, {0: "1"})
     orb = gr.orbit(P, F(1, 4), (F(1, 2),))
     with pytest.raises(EvalDomainError, match=r"mode \(1,\)"):
-        mr.convolve_orbit(P, f, g, orb, [(1,)])
+        mr.convolve_orbit(P, f, g, orb)
