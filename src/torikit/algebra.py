@@ -40,7 +40,10 @@ arrays is `matrixrep.convolve_orbit`.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -351,7 +354,8 @@ def check_margin(P: DelzantPolytope, f, g, y, hbar_max) -> None:
     facet has s_j + (least h*<l, X_j> or 0) + (least h*<m, X_j> or 0) > 0:
     one pairing per mode.  Otherwise MarginError names the first offending
     displacement in sorted order; the sums l + m with l fixed follow the
-    order of m, so each l adds at most its first offending sum.
+    order of m, so each l adds at most its first offending sum, found with
+    one binary search per facet on the prefix maxima of g's negated steps.
     """
     y = ratpoint(y)
     hbar_max = Fraction(hbar_max)
@@ -372,9 +376,15 @@ def check_margin(P: DelzantPolytope, f, g, y, hbar_max) -> None:
         return any(sj + t <= 0 for sj, t in zip(s, step))
 
     bad = [d for d, t in fs + gs if leaves(t)]
+    # per facet j, the prefix maxima of -h*<m, X_j> in m's sorted order:
+    # l + m leaves at facet j iff -h*<m, X_j> >= s_j + h*<l, X_j>, so one
+    # search per facet finds each l's first offending m
+    reach = [list(itertools.accumulate((-t for t in col), max))
+             for col in zip(*(t for _, t in gs))]
     for l, tl in fs:
-        bad += next(([tuple(a + b for a, b in zip(l, m))] for m, tm in gs
-                     if leaves([a + b for a, b in zip(tl, tm)])), [])
+        i = min(map(bisect.bisect_left, reach, map(operator.add, s, tl)), default=len(gs))
+        if i < len(gs):
+            bad.append(tuple(a + b for a, b in zip(l, gs[i][0])))
     d = min(bad)
     raise MarginError(
         f"intermediate point {format_point(translate(y, hbar_max, d))} "

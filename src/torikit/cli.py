@@ -29,7 +29,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -101,16 +101,18 @@ def _emit(args, blocks) -> None:
         sys.stdout.writelines(blocks)
 
 
-_CSV_BLOCK = 1 << 14    # rows per block of `_csv_document`
+_CSV_BLOCK = 1 << 14    # rows per block of `_csv_document` and of the orbit CSV
 
 
 def _csv_document(name: str, header, rows, preamble=()):
-    """The CSV text of a `# torikit NAME v1` document, as blocks of at most
-    `_CSV_BLOCK` rows for `_emit`.
+    """The CSV text of a `# torikit NAME v1` document, as blocks for `_emit`:
+    the title and header line, then one text per `_CSV_BLOCK` rows.
 
     Every field is a str, written as it is: it must hold no comma, quote or
     newline unless the caller has quoted it (`_quoted`), which is what
-    csv.writer(lineterminator="\\n") writes for the same rows.
+    csv.writer(lineterminator="\\n") writes for the same rows.  A command
+    that formats its rows in bulk passes none and appends its own blocks
+    (`_orbit_blocks`).
     """
     title = " ".join((f"# torikit {name} {CSV_VERSION}", *preamble))
     yield f"{title}\n{','.join(header)}\n"
@@ -192,13 +194,53 @@ def cmd_polytope_make(args) -> int:
 # ---------------------------------------------------------------------------
 # groupoid commands
 
-def _ratio_text(num: int, den: int) -> str:
-    """str(Fraction(num, den)) for den > 0, without building the Fraction."""
-    g = math.gcd(num, den)
-    return str(num // g) if den == g else f"{num // g}/{den // g}"
+def _axis_texts(d: int, a: int, step: int, lo: int, hi: int) -> np.ndarray:
+    """str(Fraction(a + step*c, d)) for c = lo .. hi, as an object array;
+    d > 0.  The gcds and quotients are taken on int64 arrays when d, a,
+    step and both end numerators lie below 2^62 (so no product or sum
+    overflows), else on Python ints."""
+    ends = (a + step * lo, a + step * hi)
+    if max(d, abs(a), abs(step), *map(abs, ends)) < 2 ** 62:
+        num = a + step * np.arange(lo, hi + 1, dtype=np.int64)
+        g = np.gcd(num, d)
+        pairs = zip((num // g).tolist(), (d // g).tolist())
+    else:
+        num = [a + step * c for c in range(lo, hi + 1)]
+        pairs = [(x // g, d // g) for x, g in zip(num, map(math.gcd, num, repeat(d)))]
+    return np.array([str(p) if q == 1 else f"{p}/{q}" for p, q in pairs], dtype=object)
+
+
+def _orbit_blocks(orb):
+    """The rows `index,y1,...,yn` of an orbit's CSV, as one text per
+    `_CSV_BLOCK` rows.
+
+    Each axis's distinct coordinate texts are formatted once
+    (`_axis_texts`).  A block's cells are its row indices and, per axis,
+    the texts its steps pick, laid out row-major in one list and written
+    with one `%`; no cell is built for more than a block at a time.
+    """
+    # coordinate i of point j is the integer num0[i] + step*steps[j, i] over d
+    d, num0, step = orb.numerators
+    n = len(num0)
+    axes = [(lo, _axis_texts(d, a, step, lo, hi)) for a, lo, hi in
+            zip(num0, orb.steps.min(axis=0).tolist(), orb.steps.max(axis=0).tolist())]
+    line = "%d" + ",%s" * n + "\n"
+    for start in range(0, len(orb), _CSV_BLOCK):
+        steps = orb.steps[start:start + _CSV_BLOCK]
+        cells = [None] * (len(steps) * (n + 1))
+        cells[::n + 1] = range(start, start + len(steps))
+        for i, (lo, texts) in enumerate(axes):
+            cells[i + 1::n + 1] = texts[steps[:, i] - lo].tolist()
+        yield line * len(steps) % tuple(cells)
 
 
 def cmd_groupoid_orbit(args) -> int:
+    """The orbit CSV: one row per point, coordinates as exact "p/q" texts.
+
+    The text is written a block of `_CSV_BLOCK` rows at a time
+    (`_orbit_blocks`), so a large orbit never holds its whole text, or a
+    cell per point, at once.
+    """
     if args.cap < 1:
         raise FormatError(f"--cap must be at least 1, got {args.cap}")
     P = pt.load_polytope(args.polytope)
@@ -209,18 +251,9 @@ def cmd_groupoid_orbit(args) -> int:
     if hbar == 0:
         raise FormatError("--hbar must be nonzero")
     orb = gr.orbit(P, hbar, _point(args.point, P.n), cap=args.cap)
-    # coordinate i of point j is the integer num0[i] + step*steps[j, i] over d
-    d, num0, step = orb.numerators
-    columns = []
-    for i, (lo, hi) in enumerate(zip(orb.steps.min(axis=0).tolist(),
-                                     orb.steps.max(axis=0).tolist())):
-        # each coordinate formatted once, looked up by its step's offset
-        text = np.array([_ratio_text(num0[i] + step * c, d) for c in range(lo, hi + 1)],
-                        dtype=object)
-        columns.append(text[orb.steps[:, i] - lo].tolist())
     header = ("index",) + tuple(f"y{i + 1}" for i in range(P.n))
-    _emit(args, _csv_document("orbit", header, zip(map(str, range(len(orb))), *columns),
-                              preamble=[f"hbar={hbar}", f"size={len(orb)}"]))
+    title = _csv_document("orbit", header, (), preamble=[f"hbar={hbar}", f"size={len(orb)}"])
+    _emit(args, chain(title, _orbit_blocks(orb)))
     return 0
 
 

@@ -48,14 +48,15 @@ class EvalDomainError(ToriKitError):
     `reason` is the message without the subexpression the text appends.
     The text quotes at most MAX_SUBEXPRESSION_TEXT characters of the
     subexpression, then "...", since a derived tree can print to megabytes;
-    `subexpression` keeps the whole node.
+    `subexpression` keeps the whole node.  Only the quoted head is printed
+    (`Expr.text_head`), never the whole tree.
     """
 
     def __init__(self, message, subexpression=None):
         self.reason = message
         self.subexpression = subexpression
         if subexpression is not None:
-            text = str(subexpression)
+            text = subexpression.text_head(MAX_SUBEXPRESSION_TEXT + 1)
             if len(text) > MAX_SUBEXPRESSION_TEXT:
                 text = text[:MAX_SUBEXPRESSION_TEXT] + "..."
             message = f"{message} in subexpression '{text}'"

@@ -58,7 +58,8 @@ _node = dataclass(frozen=True, slots=True, repr=False)
 class Expr:
     """Expression node; `_node` (repr=False) keeps the to_text forms below.
 
-    A node class defines `prec` (printing precedence), `text()`,
+    A node class defines `prec` (printing precedence), `parts()` (its own
+    text pieces and its children in printing order, for `_pieces`),
     `derive(wrt)` (wrt is 'h' or a coordinate index), `subs(h_node,
     y_nodes)` and `eval(h, y)`.  `derive` and `subs` build through the smart
     constructors `_add` ... `_pow`, read as module globals at call time.
@@ -69,6 +70,22 @@ class Expr:
 
     def __str__(self):
         return self.text()
+
+    def text(self):
+        """The expression's text (`to_text`)."""
+        return "".join(_pieces(self))
+
+    def text_head(self, limit: int) -> str:
+        """The first `limit` characters of the text.  The walk stops once
+        they are out, so a tree whose text runs to megabytes costs about
+        `limit` nodes plus its depth."""
+        out, size = [], 0
+        for piece in _pieces(self):
+            out.append(piece)
+            size += len(piece)
+            if size >= limit:
+                break
+        return "".join(out)[:limit]
 
     def __repr__(self):
         return f"{type(self).__name__}({self.text()!r})"
@@ -93,8 +110,8 @@ class Const(Expr):
             return 3         # prints with a leading minus
         return 9
 
-    def text(self):
-        return str(self.value)
+    def parts(self):
+        return (str(self.value),)
 
     def derive(self, wrt):
         return _ZERO
@@ -112,8 +129,8 @@ class Const(Expr):
 
 @_node
 class H(Expr):
-    def text(self):
-        return "h"
+    def parts(self):
+        return ("h",)
 
     def derive(self, wrt):
         return _ONE if wrt == "h" else _ZERO
@@ -134,8 +151,8 @@ class Y(Expr):
             raise ParseError(f"coordinate index must be >= 1, got {self.index}")
         object.__setattr__(self, "index", int(self.index))
 
-    def text(self):
-        return f"y{self.index}"
+    def parts(self):
+        return (f"y{self.index}",)
 
     def derive(self, wrt):
         return _ONE if self.index == wrt else _ZERO
@@ -158,10 +175,10 @@ class _Binary(Expr):
     a: Expr
     b: Expr
 
-    def text(self):
+    def parts(self):
         # right operands of equal precedence need parentheses or reparsing
         # would rebuild a left-leaning tree
-        return f"{_wrap(self.a, self.prec)}{self.op}{_wrap(self.b, self.prec, strict=True)}"
+        return (*_wrap(self.a, self.prec), self.op, *_wrap(self.b, self.prec, strict=True))
 
 
 @_node
@@ -230,8 +247,8 @@ class Neg(Expr):
     a: Expr
     prec = 3
 
-    def text(self):
-        return f"-{_wrap(self.a, self.prec, strict=True)}"
+    def parts(self):
+        return ("-", *_wrap(self.a, self.prec, strict=True))
 
     def derive(self, wrt):
         return _neg(self.a.derive(wrt))
@@ -252,8 +269,8 @@ class Pow(Expr):
     def __post_init__(self):
         object.__setattr__(self, "exponent", int(self.exponent))
 
-    def text(self):
-        return f"{_wrap(self.a, self.prec, strict=True)}^{self.exponent}"
+    def parts(self):
+        return (*_wrap(self.a, self.prec, strict=True), f"^{self.exponent}")
 
     def derive(self, wrt):
         if self.exponent == 0:
@@ -280,8 +297,8 @@ class Fun(Expr):
         if self.name not in _UFUNCS:
             raise ParseError(f"unknown function '{self.name}'")
 
-    def text(self):
-        return f"{self.name}({self.a.text()})"
+    def parts(self):
+        return (f"{self.name}(", self.a, ")")
 
     def derive(self, wrt):
         inner = self.a.derive(wrt)
@@ -488,11 +505,23 @@ def parse(text: str, n: int) -> Expr:
 # printing (inverse of parse up to tree equality)
 
 def _wrap(e, level, strict=False):
-    text = e.text()
     p = e.prec
     if p < level or (strict and p == level):
-        return f"({text})"
-    return text
+        return ("(", e, ")")
+    return (e,)
+
+
+def _pieces(e):
+    """The text of e as str pieces in order: each node's `parts` are its
+    own text and its children, expanded on an explicit stack, so printing
+    needs no recursion and can stop early (`Expr.text_head`)."""
+    stack = [e]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            yield item
+        else:
+            stack.extend(reversed(item.parts()))
 
 
 def to_text(e: Expr) -> str:

@@ -12,11 +12,14 @@ Screening runs in Python ints too, on `intlat`'s integer forms.  The
 offsets are integer numerators a_j over one denominator L, and each n-subset
 of facets is one `intlat.solve_integer`, which gives its determinant and its
 vertex as integer numerators, from which the vertex's integer slacks
-follow; recession rays are `intlat.integer_kernel_vector`s.  Fractions are
+follow.  A polytope whose edges all end at vertices is bounded by that
+table alone; the others search for a recession ray among
+`intlat.integer_kernel_vector`s.  Fractions are
 built only for the vertices, face samples and reports that are returned.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
@@ -279,6 +282,29 @@ def face_box(P: DelzantPolytope, active) -> tuple[int, tuple[int, ...], tuple[in
     return D, tuple(map(min, zip(*members))), tuple(map(max, zip(*members)))
 
 
+def _edges_close(P: DelzantPolytope) -> bool:
+    """True when the vertex table alone proves the polytope bounded: it has
+    a vertex, and every vertex's active set minus one facet is also held by
+    another vertex's active set.
+
+    A polytope with a vertex holds no line, so if it is unbounded it has a
+    ray edge from some vertex v.  The facets through that edge have rank
+    n - 1, so n - 1 independent ones among them are active at v; they cut
+    the polytope in that edge, whose only vertex is v, so no other vertex
+    holds them.  At a simple vertex the n active sets minus one facet are
+    exactly its n edges, and the test reads each as a segment (held twice)
+    or a ray (held once), so for simple polytopes it is also complete.
+    False says nothing either way.
+    """
+    _, table = P._vertex_table
+    if not table:
+        return False
+    held = collections.Counter(
+        edge for _, active, _ in table
+        for edge in itertools.combinations(active, P.n - 1))
+    return min(held.values()) > 1
+
+
 def _recession_ray(P: DelzantPolytope):
     """An integer direction of recession, or None when the polytope is bounded.
 
@@ -307,10 +333,12 @@ def check_delzant(P: DelzantPolytope) -> DelzantReport:
 
     Screening runs on the polytope's vertex table in Python ints: each
     vertex's active set and determinant come from the one elimination of
-    its n-subset of facets, and the recession ray from integer kernel
-    vectors.  Fractions appear only in the returned vertices and the
-    violation texts.  Screened once per polytope; every call returns that
-    one report.
+    its n-subset of facets.  Boundedness is read from the same table when
+    every edge ends at another vertex (`_edges_close`); only otherwise does
+    the search for a recession ray over integer kernel vectors run, which
+    also names the ray in the violation.  Fractions appear only in the
+    returned vertices and the violation texts.  Screened once per polytope;
+    every call returns that one report.
     """
     return P._screening
 
@@ -330,7 +358,8 @@ def _screen(P: DelzantPolytope) -> DelzantReport:
     _, table = P._vertex_table
     bounded = None
     if P.compact:
-        ray = _recession_ray(P)
+        # the ray search runs only where the vertex table cannot decide
+        ray = None if _edges_close(P) else _recession_ray(P)
         bounded = ray is None
         if ray is not None:
             violations.append(f"unbounded: recession direction {ray}")

@@ -227,6 +227,24 @@ def test_margin_check_matches_the_displacement_set_oracle():
     assert min(checked.values()) >= 200
 
 
+def test_margin_failure_names_the_oracle_offender_among_ties():
+    # many modes on few pairings: each facet's prefix maxima hold long runs
+    # of equal values, and each l's first offending m sits among ties
+    checked = 0
+    for name, Q in [("square", pt.square()), ("cp2", pt.projective_space(2))]:
+        rng = random.Random(f"margin-ties-{name}")
+        for _ in range(150):
+            f, g = (al.element(2, {(rng.randint(-3, 3), rng.randint(-3, 3)): "1"
+                                   for _ in range(rng.randint(1, 30))})
+                    for _ in range(2))
+            y = (F(rng.randint(1, 7), 8), F(rng.randint(1, 3), 8))
+            hbar = F(rng.choice((1, -1)), rng.choice((8, 16, 24)))
+            want = oracle.margin_error(Q, f, g, y, hbar)
+            assert margin_message(Q, f, g, y, hbar) == want, (name, f, g, y, hbar)
+            checked += want is not None and "intermediate point" in want
+    assert checked >= 200
+
+
 def test_margin_check_reads_each_mode_once_on_the_pass_path(monkeypatch):
     # 1,099 modes each way: 1.2 million pair sums for 2,197 distinct
     # displacements when every pair was added to a set

@@ -16,11 +16,14 @@ import numpy as np
 import pytest
 
 import torikit
+from failing_polytopes import FAILING
 from torikit import algebra as al
 from torikit import classical as cl
 from torikit import cli
 from torikit import expr as ex
+from torikit import groupoid as gr
 from torikit import matrixrep as mr
+from torikit import polytope as pt
 from torikit.errors import MAX_SUBEXPRESSION_TEXT
 
 DATA = Path(torikit.__file__).parent / "data"
@@ -208,7 +211,13 @@ def test_negative_value_as_its_own_argument(tmp_path, argv):
     assert separate == run(joined, tmp_path, "joined.csv")
 
 
-def test_ratio_text_matches_fraction_randomized():
+def axis_texts_oracle(d, a, step, lo, hi):
+    return [str(Fraction(a + step * c, d)) for c in range(lo, hi + 1)]
+
+
+def test_axis_texts_match_fraction_randomized():
+    # the numerators of the former per-value test, now each an axis's value
+    # at c = 0 with a random step of either sign; past 2^62 on either path
     rng = random.Random(70)
     for _ in range(3000):
         den = rng.randint(1, 2 ** rng.randint(0, 70))
@@ -218,7 +227,67 @@ def test_ratio_text_matches_fraction_randomized():
             rng.randint(-2 ** 20, 2 ** 20) * den,               # an integer
             rng.randint(-2 ** 20, 2 ** 20) * math.gcd(den, rng.randint(1, 2 ** 70)),
         ))
-        assert cli._ratio_text(num, den) == str(Fraction(num, den))
+        step = rng.choice((0, 1, -1, den, -den, rng.randint(-2 ** rng.randint(0, 64), 2 ** 64)))
+        lo = -rng.randint(0, 4)
+        hi = rng.randint(0, 4)
+        got = cli._axis_texts(den, num, step, lo, hi)
+        assert got.dtype == object
+        assert got.tolist() == axis_texts_oracle(den, num, step, lo, hi)
+
+
+@pytest.mark.parametrize("d, a, step, lo, hi", [
+    (6, 0, -1, -12, 12),                # negative hbar, zero and integers
+    (5, 3, 5, -3, 3),                   # every value p/5 off the integers
+    (3, 2 ** 62 - 1, 3, 0, 0),          # the largest int64 numerator
+    (3, 2 ** 62 - 4, 3, 0, 1),          # ... reached by the last step
+    (3, 2 ** 62, 3, -1, 0),             # 2^62 itself: Python ints
+    (3, -(2 ** 62) + 1, -3, 0, 0),
+    (3, -(2 ** 62), 1, 0, 2),
+    (2 ** 62 - 1, 1, 1, -2, 2),         # the largest int64 denominator
+    (2 ** 62, 1, 1, -2, 2),
+    (7, 1, 2 ** 62, 0, 0),              # a one-point orbit at a huge step
+])
+def test_axis_texts_at_the_int64_bound(d, a, step, lo, hi):
+    assert cli._axis_texts(d, a, step, lo, hi).tolist() == axis_texts_oracle(d, a, step, lo, hi)
+
+
+@pytest.mark.parametrize("block", [1, 7, cli._CSV_BLOCK])
+@pytest.mark.parametrize("name, hbar, point", [
+    ("square", "1/50", "1/100,1/3"),
+    ("cp2", "-1/30", "1/3,1/7"),
+    ("sphere", "1/40", str(Fraction(1, 2 ** 62) + Fraction(1, 5))),   # Python ints
+], ids=["square", "cp2-negative", "sphere-exact"])
+def test_orbit_csv_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, block,
+                                                         name, hbar, point):
+    # orbits of 2,500, 435 and 40 points: many blocks of 1 and 7 rows, one at the
+    # default
+    argv = ["groupoid", "orbit", str(DATA / f"{name}.json"), f"--hbar={hbar}", "--point", point]
+    rc, want = run(argv, tmp_path, "default.csv")
+    assert rc == 0
+    monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+    assert run(argv, tmp_path, f"block{block}.csv") == (0, want)
+    title, header, *rows = want.splitlines()
+    assert title.endswith(f"size={len(rows)}") and len(rows) > 7
+    assert [row.split(",", 1)[0] for row in rows] == [str(i) for i in range(len(rows))]
+    P = pt.load_polytope(DATA / f"{name}.json")
+    blocks = list(cli._orbit_blocks(gr.orbit(P, Fraction(hbar), cli._point(point, P.n))))
+    assert len(blocks) == -(-len(rows) // block)
+    assert "".join(blocks) == "".join(f"{row}\n" for row in rows)
+
+
+def test_orbit_csv_memory_is_one_block_whatever_the_orbit():
+    # 160,000 rows print to 3.5 MB; with cells for the whole orbit at once
+    # the peak was 17 MiB, with cells for one block of 16,384 rows 1.9 MiB
+    hbar = Fraction(1, 400)
+    orb = gr.orbit(pt.square(), hbar, (hbar / 2, hbar / 2))
+    tracemalloc.start()
+    try:
+        size = sum(map(len, cli._orbit_blocks(orb)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(orb) == 160000 and size > 3 * 10 ** 6
+    assert peak < 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("argv", [
@@ -541,31 +610,6 @@ def test_polytope_check_golden(tmp_path, name, fmt, suffix):
                    tmp_path)
     assert rc == 0
     assert text == (GOLDEN / f"check_{name}.{suffix}").read_text()
-
-
-def _facets(*pairs):
-    return [{"normal": list(x), "offset": lam} for x, lam in pairs]
-
-
-# polytopes that fail screening, one violation kind each (the nonprimitive
-# normal also breaks two determinants); the slab's pair of parallel facets
-# gives a rank-deficient (n-1)-subset before the ray-giving one
-FAILING = {
-    "slab3": {"n": 3, "facets": _facets(((1, 0, 0), "0"), ((-1, 0, 0), "-1"),
-                                        ((0, 1, 0), "0"), ((0, 0, 1), "0"))},
-    "halfstrip": {"n": 2, "facets": _facets(((1, 0), "0"), ((-1, 0), "-1"),
-                                            ((0, 1), "0"))},
-    "det2_triangle": {"n": 2, "facets": _facets(((1, 0), "0"), ((0, 1), "0"),
-                                                ((-1, -2), "-1"))},
-    "nonprimitive": {"n": 2, "facets": _facets(((2, 0), "0"), ((0, 1), "0"),
-                                               ((-1, 0), "-1"), ((0, -1), "-1"))},
-    "pyramid_apex": {"n": 3, "facets": _facets(
-        ((0, 0, 1), "0"), ((1, 0, -1), "-1"), ((-1, 0, -1), "-1"),
-        ((0, 1, -1), "-1"), ((0, -1, -1), "-1"))},
-    "redundant_facet": {"n": 2, "facets": _facets(
-        ((1, 0), "0"), ((0, 1), "0"), ((-1, 0), "-1"), ((0, -1), "-1"),
-        ((1, 1), "0"))},
-}
 
 
 @pytest.mark.parametrize("name", sorted(FAILING))

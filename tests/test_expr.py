@@ -304,6 +304,30 @@ def test_eval_domain_error_quotes_a_bounded_text_and_keeps_the_node():
     assert str(exc) == f"overflows in subexpression '{text[:MAX_SUBEXPRESSION_TEXT]}...'"
 
 
+def test_eval_domain_error_walks_only_the_quoted_head(monkeypatch):
+    # a shared tree whose text doubles per level: 2^17 copies of its leaf
+    # pair print to 1,966,072 characters, but the message needs 1,001
+    e = ex.parse("y1 + 3", 1)
+    for _ in range(17):
+        e = ex.Mul(e, ex.Sub(e, ex.Y(1)))
+    text = str(e)
+    assert len(text) > 2 ** 20
+    visits = []
+    for cls in (ex.Add, ex.Sub, ex.Mul, ex.Y, ex.Const):
+        parts = cls.parts
+        monkeypatch.setattr(cls, "parts",
+                            lambda node, parts=parts: visits.append(node) or parts(node))
+    exc = EvalDomainError("evaluation overflows", e)
+    assert str(exc) == ("evaluation overflows in subexpression "
+                        f"'{text[:MAX_SUBEXPRESSION_TEXT]}...'")
+    # each node visited prints a character, apart from the path down the
+    # tree's depth to its first leaf
+    assert 0 < len(visits) <= MAX_SUBEXPRESSION_TEXT + 1 + 2 * 17 + 2
+    for limit in (0, 1, 7, 999):
+        assert e.text_head(limit) == text[:limit]
+    assert ex.Add(ex.Y(1), ex.H()).text_head(100) == "y1 + h"
+
+
 def test_shift_y_substitution():
     e = ex.shift_y(ex.parse("y1*(1-y1)", 1), (1,))
     for h, y in ((0.25, 0.3), (0.01, 0.7)):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import fraction_oracle as oracle
+from failing_polytopes import FAILING
 from torikit import cli
 from torikit import groupoid as gr
 from torikit import intlat
@@ -582,3 +583,27 @@ def test_ratpoint_and_scaled_slacks_pass_fractions_through():
     P = pt.projective_space(2)
     for hbar in (F(1, 6), "1/6"):
         assert pt.scaled_slacks(P, y, hbar) == pt.scaled_slacks(P, ("1/3", "2/5"), F(1, 6))
+
+
+def test_vertex_table_boundedness_agrees_with_the_ray_search():
+    # `_edges_close` says bounded only when the ray search finds no ray, and
+    # whenever every vertex is simple the two agree; a table with a vertex
+    # that is not simple may still close, as a bounded polytope's does here
+    shipped = Path(pt.__file__).parent / "data"
+    golden = Path(__file__).parent / "golden"
+    polytopes = [pt.load_polytope(path) for path in
+                 sorted(shipped.glob("*.json")) + [golden / "square_pm1.json"]]
+    polytopes += [pt.polytope_from_dict(doc) for doc in FAILING.values()]
+    rng = random.Random(24)
+    polytopes += SCREENING_POLYTOPES + [random_screening_polytope(rng) for _ in range(600)]
+    seen = {"bounded": 0, "ray edge": 0, "not simple, closed": 0, "not simple, open": 0}
+    for P in polytopes:
+        closed, bounded = pt._edges_close(P), pt._recession_ray(P) is None
+        assert not (closed and not bounded), P
+        _, table = P._vertex_table
+        if table and all(len(active) == P.n for _, active, _ in table):
+            assert closed == bounded, P
+            seen["bounded" if closed else "ray edge"] += 1
+        else:
+            seen["not simple, closed" if closed else "not simple, open"] += 1
+    assert min(seen.values()) >= 20, seen
