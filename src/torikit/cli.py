@@ -16,7 +16,9 @@ to read, an expression nested or deep past the parser's bounds or an
 integer literal too long for Python) or a computation that cannot be carried
 out (a domain error, the orbit cap, a classical oracle grid or a symbolic
 bracket mode sum past its cap, a singular or overflowing evaluation);
-3 margin violation.  Rationals are serialized as
+3 margin violation.  `quantize spectra` builds each orbit through --point,
+or by default through (|hbar|/2, ..., |hbar|/2); a default point outside
+the polytope exits 2 and asks for --point.  Rationals are serialized as
 "p/q" end to end; floats appear only in measured/error columns.  Identical
 config and seed give byte-identical output.
 """
@@ -318,6 +320,10 @@ def cmd_quantize_spectra(args) -> int:
         if hbar == 0:
             raise FormatError("--hbar must be nonzero")
         y0 = _point(args.point, P.n) if args.point else tuple([abs(hbar) / 2] * P.n)
+        if not (args.point or P.contains(y0)):
+            raise DomainError(
+                f"default base point {pt.format_point(y0)} = (|hbar|/2, ...) "
+                "lies outside the polytope; give one with --point")
         orb = gr.orbit(P, hbar, y0)
         eigs = mr.spectrum(mr.represent(P, orb, f))
         rows.extend(zip(repeat(str(hbar)), repeat(str(len(orb))), map(str, range(len(eigs))),
@@ -417,7 +423,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("polytope")
     p.add_argument("--obs", required=True)
     p.add_argument("--hbar", action="append", metavar="P/Q")
-    p.add_argument("--point")
+    p.add_argument("--point", help="base point of every orbit (default: "
+                   "(|hbar|/2, ..., |hbar|/2) for each --hbar)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_quantize_spectra)
 

@@ -351,10 +351,13 @@ def _tokenize(text):
 # unary minus, one level each) and on its tree depth (the nodes on its longest
 # root-to-leaf path), so that no parsed tree exhausts Python's default
 # recursion limit of 1,000 frames.  Parsing takes about five frames a nesting
-# level; a bracket differentiates a quotient chain to three times its depth
-# and prints a singular derivative at two frames a level.  Measured, parsing
-# failed past about 195 levels and that printing past a depth of about 160,
-# so a tree at both bounds still runs every command.
+# level and failed past about 195 levels.  Printing walks an explicit stack
+# (`_pieces`), at any depth.  `derive`, `subs` and `eval` recurse one frame a
+# level: measured in a fresh Python 3.11 process, each ran chains of
+# quotients, negations and sines to a depth of 995 and failed by 999.  A
+# bracket differentiates a quotient chain to three times its depth (297 at
+# the depth bound, 593 for a second derivative), so a tree at both bounds
+# still runs every command.
 MAX_NESTING = 100
 MAX_DEPTH = 100
 
@@ -688,11 +691,10 @@ class ComplexExpr:
         return ComplexExpr(re, im)
 
     def scaled(self, a, b=0):
-        """Multiply by the exact complex scalar a + b*i (rationals)."""
-        a = Const(a)
-        if b == 0:      # the two b products are zero and drop out of the sums
-            return ComplexExpr(_mul(a, self.re), _mul(a, self.im))
-        b = Const(b)
+        """Multiply by the exact complex scalar a + b*i (rationals).  With
+        b = 0 the smart constructors drop the two b products, so a real
+        scalar scales each part alone."""
+        a, b = Const(a), Const(b)
         re = _sub(_mul(a, self.re), _mul(b, self.im))
         im = _add(_mul(a, self.im), _mul(b, self.re))
         return ComplexExpr(re, im)

@@ -14,12 +14,12 @@ polytope that lie in the same open face as y0, and any two of them are
 exactly one valid arrow apart.  So an `Orbit` is y0, hbar and one int64
 array of its steps k, the origin first and then ascending k in
 lexicographic order.  `orbit` builds only those steps.  It bounds k by the
-box of the vertices of y0's closed face, tightened exactly by the facets
-whose normal has one nonzero entry; every other facet leaves each prefix
-k[:-1] an exact integer interval of k[-1] (`face_bounds` in int64), so
-every row built is an orbit point and the scan costs the orbit plus its
-prefixes.  Prefixes come in blocks of `_CHUNK`, the first of min(`_CHUNK`,
-cap + 1); a block whose interval lengths take the size past the cap raises
+box of the vertices of y0's closed face, and every facet leaves each prefix
+k[:-1] of that box an exact integer interval of k[-1], empty where the
+prefix alone breaks the facet (`face_bounds` in int64), so every row built
+is an orbit point and the scan costs the orbit plus the box's prefixes.
+Prefixes come in blocks of `_CHUNK`, the first of min(`_CHUNK`, cap + 1); a
+block whose interval lengths take the size past the cap raises
 OrbitCapError before its rows are built.
 A box whose volume or pairings could reach 2^62 is refused first, so no
 array needs Python ints.  Arrow queries are lookups in the steps with no
@@ -320,14 +320,13 @@ def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
     It is the set of points y0 + hbar*k (k in Z^n) of the polytope whose
     active facet set equals y0's: any two such points are one valid arrow
     apart, and no arrow leaves the set.  k ranges over the box of the
-    vertices of y0's closed face (`face_box`), tightened exactly by every
-    facet whose normal has one nonzero entry.  Each prefix k[:-1] of that
-    box gets from the other facets the exact interval of k[-1] that
-    `face_bounds` allows, in int64 floor and ceiling divisions, so every
-    row built is an orbit point.  DomainError is raised before any
-    allocation when the box's volume, or the pairing of a step plus a mode
-    inside the box, could reach 2^62 (in Python ints), so no int64 value
-    here or in `convolve_orbit` overflows.
+    vertices of y0's closed face (`face_box`).  Each prefix k[:-1] of that
+    box gets from the facets the exact interval of k[-1] that `face_bounds`
+    allows, in int64 floor and ceiling divisions, so every row built is an
+    orbit point.  DomainError is raised before any allocation when the
+    box's volume, or the pairing of a step plus a mode inside the box, could
+    reach 2^62 (in Python ints), so no int64 value here or in
+    `convolve_orbit` overflows.
 
     Points come in a fixed order: y0 first, then ascending k in
     lexicographic order.  OrbitCapError is raised as soon as the size
@@ -353,22 +352,7 @@ def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
         a, b = (a * yd - yn * D) * hd, (b * yd - yn * D) * hd
         if den < 0:
             a, b, den = -b, -a, -den
-        box.append([-(-a // den), b // den])
-    # a facet whose normal has one nonzero entry c at axis i bounds k[i]
-    # alone: c * k[i] >= lower, or k[i] = 0 when active, which the face box
-    # already holds
-    slanted = []
-    for j, X in enumerate(P.normals):
-        axes = [i for i, c in enumerate(X) if c]
-        if len(axes) > 1:
-            slanted.append(j)
-        elif not active[j]:
-            i = axes[0]
-            c = sign * X[i]
-            if c > 0:
-                box[i][0] = max(box[i][0], -(-lower[j] // c))
-            else:
-                box[i][1] = min(box[i][1], lower[j] // c)
+        box.append((-(-a // den), b // den))
     shape = [b - a + 1 for a, b in box]
     reach = [max(-a, b) + e for (a, b), e in zip(box, shape)]
     if (math.prod(shape) >= 2 ** 62 or max(
@@ -377,10 +361,9 @@ def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
             f"candidate box of the orbit at hbar = {hbar} is too large for "
             "int64 (hbar too small?)")
 
-    # the slanted facets leave each prefix k[:-1] one interval of k[-1]
-    N = np.array([[sign * P.normals[j][i] for j in slanted] for i in range(P.n)],
-                 dtype=np.int64)
-    facets = [(sign * P.normals[j][-1], active[j], lower[j]) for j in slanted]
+    # the facets leave each prefix k[:-1] one interval of k[-1]
+    N = np.array(P.normals, dtype=np.int64).T * sign
+    facets = [(sign * X[-1], a, low) for X, a, low in zip(P.normals, active, lower)]
     corner = [[a] for a, _ in box[:-1]] + [[0]]
     first, last = box[-1]
     dims = shape[:-1] + [1]

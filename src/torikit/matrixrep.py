@@ -19,17 +19,15 @@ in one array pass and returns it as an `OrbitOperator`.  It walks the mode
 pairs (l, m) of f and g, as `OrbitOperator.__matmul__` does, and fills
 mode l + m.  Both factor arrows are tested on the orbit's face bounds
 (`groupoid.face_bounds`, the closed form of `groupoid.is_member`, not the
-orbit's own index).  Each coefficient of f is evaluated once per mode, on
-the union of the rows its terms need, and indexed per term; each term's
-coefficient of g is evaluated on the rows where both arrows exist; at each
-mode the terms are summed over the modes of f in order.  One call serves
-every mode after one face test of the orbit; only the placement of its
-output reads the orbit's index (`Orbit.targets`), so pi(f.g) = pi(f)pi(g)
-checks that index independently.  The tails' coordinates are rows of
-`Orbit.points` and the heads' are computed from their steps, both correctly
-rounded.  It returns the same floats, bit for bit, as one
-`algebra.convolve` per point wherever `expr.evaluate` gives the same floats
-on arrays as on scalars, and on a subset of rows as on a superset.  The four
+orbit's own index).  Each term evaluates its coefficients of f and g on
+its own rows, those where both of its arrows exist; at each mode the terms
+are summed over the modes of f in order.  One call serves every mode after
+one face test of the orbit; only the placement of its output reads the
+orbit's index (`Orbit.targets`), so pi(f.g) = pi(f)pi(g) checks that index
+independently.  The tails' coordinates are rows of `Orbit.points` and the
+heads' are computed from their steps, both correctly rounded.  It returns
+the same floats, bit for bit, as one `algebra.convolve` per point wherever
+`expr.evaluate` gives the same floats on arrays as on scalars.  The four
 operations always do, and numpy runs sin, cos and exp through one loop for a
 scalar and a contiguous column; an integer power may not (numpy's array
 power and Python's float power round differently).  To keep that contract
@@ -182,9 +180,9 @@ def convolve_orbit(P: DelzantPolytope, f: al.AlgebraElement, g: al.AlgebraElemen
     Membership comes from one face test of the orbit: an arrow is valid when
     its mode moves no facet active on the face and its head's pairing is at
     least `lower`; a mode longer than the steps' box joins no two orbit
-    points.  f's mode-l coefficient is evaluated once, on the union of the
-    rows its terms need.  A coefficient that is singular or not finite where
-    its arrow exists raises EvalDomainError.
+    points.  Each term evaluates both coefficients only on the rows where
+    both of its arrows exist.  A coefficient that is singular or not finite
+    where its arrow exists raises EvalDomainError.
     """
     if f.n != g.n:
         raise DomainError("elements live over different dimensions")
@@ -209,7 +207,6 @@ def convolve_orbit(P: DelzantPolytope, f: al.AlgebraElement, g: al.AlgebraElemen
     for l, cf in f.modes:
         pl = pairings(l)
         mid = None if pl is None else q + pl
-        terms = []      # (re, im, m, cg, rows) of the pairs with an arrow
         for m, cg, pm in gp:
             k = tuple(a + b for a, b in zip(l, m))
             if k not in acc:
@@ -218,17 +215,11 @@ def convolve_orbit(P: DelzantPolytope, f: al.AlgebraElement, g: al.AlgebraElemen
                 continue
             rows = np.flatnonzero((mid >= lower).all(axis=1)
                                   & (mid + pm >= lower).all(axis=1))
-            if len(rows):
-                terms.append((*acc[k], m, cg, rows))
-        if not terms:
-            continue
-        # the rows in ascending order; np.unique would import numpy.ma (1 MB)
-        need = np.flatnonzero(np.bincount(np.concatenate([t[-1] for t in terms])))
-        fr, fi = _evaluate_rows(cf, hbar, orb.points[need], l)
-        for re, im, m, cg, rows in terms:
-            at = np.searchsorted(need, rows)
-            ar, ai = fr[at], fi[at]
+            if not len(rows):
+                continue
+            ar, ai = _evaluate_rows(cf, hbar, orb.points[rows], l)
             br, bi = _evaluate_rows(cg, hbar, orb.coordinates(steps[rows] + l), m)
+            re, im = acc[k]
             re[rows] += ar * br - ai * bi
             im[rows] += ar * bi + ai * br
     return OrbitOperator(orb.dim, {k: (re + 1j * im, orb.targets(k))

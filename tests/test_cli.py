@@ -412,6 +412,23 @@ def test_quantize_spectra_default_point_at_negative_hbar(tmp_path, polytope, obs
     assert sizes[0] == sizes[1] and len(sizes[0]) == 1
 
 
+def test_quantize_spectra_default_point_outside_asks_for_a_point(tmp_path, capsys):
+    # the interval [2, 3] has no vertex at the origin, so the default
+    # (|hbar|/2) = (1/8) lies outside it: the error names the default
+    interval = tmp_path / "interval23.json"
+    interval.write_text(json.dumps({"n": 1, "facets": [
+        {"normal": [1], "offset": "2"}, {"normal": [-1], "offset": "-3"}]}))
+    argv = ["quantize", "spectra", str(interval), "--obs", str(DATA / "obs" / "x3.json"),
+            "--hbar", "1/4"]
+    assert run(argv, tmp_path) == (2, None)
+    assert capsys.readouterr().err == (
+        "error: default base point (1/8) = (|hbar|/2, ...) lies outside the "
+        "polytope; give one with --point\n")
+    rc, text = run(argv + ["--point", "5/2"], tmp_path)
+    assert rc == 0
+    assert text.splitlines()[2:] == ["1/4,3,0,1.75,0.0", "1/4,3,1,2.0,0.0", "1/4,3,2,2.25,0.0"]
+
+
 def test_quantize_spectra_x3_beyond_the_dense_cap(tmp_path):
     # D = 12,000: a dense complex matrix would need 2.3 GB
     rc, text = run(["quantize", "spectra", str(DATA / "sphere.json"),
@@ -747,7 +764,7 @@ def test_expression_at_the_parser_bounds_runs(tmp_path, capsys):
     # y1^-98 near 1/4 is about 1e59: the sweep completes, far off the tolerance
     rc, out = run_expression(tmp_path, "bracket-limit", text, "limit.csv")
     assert rc == 1 and len(out.splitlines()) == 9     # preamble, header, 7 hbars
-    # a derivative singular at the point, printed in the error: two frames a level
+    # a derivative singular at the point, printed in the error
     text = "sqrt((y1 - 1/4)^2" + "/y1" * (ex.MAX_DEPTH - 4) + ")"
     capsys.readouterr()
     rc, out = run_expression(tmp_path, "bracket-limit", text, "singular.csv")

@@ -464,7 +464,7 @@ def test_orbit_refuses_a_box_past_int64(hbar, monkeypatch):
 
 
 def test_orbit_int64_guard_on_pairings(monkeypatch):
-    # on [0, 3/2] from the interior point 1/4 the box holds 3 * 2^60 - 1
+    # on [0, 3/2] from the interior point 1/4 the box holds 3 * 2^60 + 1
     # candidates, below the volume bound, but a step plus a mode inside the
     # box pairs to about 11 * 2^59 > 2^62
     blocks = record_blocks(monkeypatch)
@@ -475,6 +475,19 @@ def test_orbit_int64_guard_on_pairings(monkeypatch):
     # from the midpoint of [0, 1] at 2^-60 every pairing stays below 2^62
     with pytest.raises(OrbitCapError):
         gr.orbit(pt.interval(), F(1, 2 ** 60), (F(1, 2),), cap=10)
+
+
+def test_orbit_int64_guard_reads_the_face_vertex_box(monkeypatch):
+    # the centre of the square at hbar 2^-31: the box of its face's vertices
+    # holds (2^31 + 1)^2 > 2^62 steps, its boundary layer included, so it is
+    # refused before any block is built; at 2^-30 it holds (2^30 + 1)^2
+    blocks = record_blocks(monkeypatch)
+    with pytest.raises(DomainError, match="too large for int64"):
+        gr.orbit(pt.square(), F(1, 2 ** 31), (F(1, 2), F(1, 2)), cap=10)
+    assert blocks == []
+    with pytest.raises(OrbitCapError):
+        gr.orbit(pt.square(), F(-1, 2 ** 30), (F(1, 2), F(1, 2)), cap=10)
+    assert blocks == [11]
 
 
 def fraction_slack(P, y, j):
@@ -567,26 +580,27 @@ def test_capped_scan_stops_after_its_first_block(monkeypatch):
 
 
 def test_capped_scan_doubles_its_blocks(monkeypatch):
-    # an edge of cp3 (y3 = 0, y1 + y2 + y3 = 1) at hbar 1/100: the face box
-    # has 100 x 100 prefixes (k1, k2) but only 99 of them hold a point.
-    # Under cap 99 the first block holds 100 prefixes and the next the
-    # 9,900 left (at most _CHUNK); the rows built are the orbit's 99 points
+    # an edge of cp3 (y3 = 0, y1 + y2 + y3 = 1) at hbar 1/100: the box of
+    # the edge's vertices has 101 x 101 prefixes (k1, k2), its boundary
+    # layer included, but only 99 of them hold a point.  Under cap 99 the
+    # first block holds 100 prefixes and the next the 10,101 left (at most
+    # _CHUNK); the rows built are the orbit's 99 points
     blocks = record_blocks(monkeypatch)
     rows = record_rows(monkeypatch)
     orb = gr.orbit(pt.projective_space(3), F(1, 100), (F(1, 2), F(1, 2), F(0)), cap=99)
     assert len(orb) == 99
-    assert blocks == [100, 9900]
-    assert sum(blocks) == 100 * 100
+    assert blocks == [100, 10101]
+    assert sum(blocks) == 101 * 101
     assert sum(rows) == len(orb)
 
 
 def test_default_cap_scans_full_blocks(monkeypatch):
-    # the same edge at hbar 1/300: 300 x 300 prefixes in blocks of 65,536
+    # the same edge at hbar 1/300: 301 x 301 prefixes in blocks of 65,536
     blocks = record_blocks(monkeypatch)
     rows = record_rows(monkeypatch)
     orb = gr.orbit(pt.projective_space(3), F(1, 300), (F(1, 2), F(1, 2), F(0)))
     assert len(orb) == 299
-    assert blocks == [65536, 300 * 300 - 65536]
+    assert blocks == [65536, 301 * 301 - 65536]
     assert sum(rows) == len(orb)
 
 

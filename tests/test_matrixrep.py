@@ -440,10 +440,10 @@ def random_coefficient_tree(rng, depth=0):
 
 
 def test_evaluate_rows_on_a_subset_equals_the_superset_bit_for_bit():
-    # `convolve_orbit` evaluates each coefficient of f once on the union of
-    # the rows its terms need and indexes it per term, which keeps the bits
-    # of one evaluation per term only if a subset of rows evaluates to the
-    # same bits as the matching rows of a superset
+    # `convolve_orbit` evaluates a coefficient of f on each term's own rows,
+    # so terms of one mode of f evaluate it on overlapping sets of rows; a
+    # row gets the same bits from each only if a subset of rows evaluates to
+    # the same bits as the matching rows of a superset
     rng = random.Random(2024)
     pts = np.array([[rng.uniform(-3.0, 3.0), rng.uniform(0.05, 4.0)] for _ in range(257)])
     checked = 0
