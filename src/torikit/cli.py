@@ -10,17 +10,19 @@ Commands:
     torikit verify suite FILE          seeded law batteries, exit 0/1
 
 Exit codes: 0 success; 1 a failed verification or check (a screening
-violation, a bracket limit off by more than --tol, a failed suite); 2 bad
-input (an --out file that cannot be written, a JSON file nested too deeply
-to read, an expression nested or deep past the parser's bounds or an
-integer literal too long for Python) or a computation that cannot be carried
-out (a domain error, the orbit cap, a classical oracle grid or a symbolic
-bracket mode sum past its cap, a singular or overflowing evaluation);
-3 margin violation.  `quantize spectra` builds each orbit through --point,
-or by default through (|hbar|/2, ..., |hbar|/2); a default point outside
-the polytope exits 2 and asks for --point.  Rationals are serialized as
-"p/q" end to end; floats appear only in measured/error columns.  Identical
-config and seed give byte-identical output.
+violation, a failed suite, or a bracket limit off by more than --tol in
+the whole sweep's Richardson estimate, which the CSV does not print: its
+err_sym/err_cls columns are each row's own extrapolant error); 2 bad input
+(an --out file that cannot be written, a JSON file nested too deeply to
+read, an expression nested or deep past the parser's bounds or an integer
+literal too long for Python) or a computation that cannot be carried out (a
+domain error, the orbit cap, a classical oracle grid or a symbolic bracket
+mode sum past its cap, a singular or overflowing evaluation); 3 margin
+violation.  `quantize spectra` builds each orbit through --point, or by
+default through (|hbar|/2, ..., |hbar|/2); a default point outside the
+polytope exits 2 and asks for --point.  Rationals are serialized as "p/q"
+end to end; floats appear only in measured/error columns.  Identical config
+and seed give byte-identical output.
 """
 from __future__ import annotations
 
@@ -224,8 +226,8 @@ def _orbit_blocks(orb):
     # coordinate i of point j is the integer num0[i] + step*steps[j, i] over d
     d, num0, step = orb.numerators
     n = len(num0)
-    axes = [(lo, _axis_texts(d, a, step, lo, hi)) for a, lo, hi in
-            zip(num0, orb.steps.min(axis=0).tolist(), orb.steps.max(axis=0).tolist())]
+    axes = [(lo, _axis_texts(d, a, step, lo, hi))
+            for a, lo, hi in zip(num0, *(bound.tolist() for bound in orb.box))]
     line = "%d" + ",%s" * n + "\n"
     for start in range(0, len(orb), _CSV_BLOCK):
         steps = orb.steps[start:start + _CSV_BLOCK]
@@ -415,7 +417,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", required=True)
     p.add_argument("--mode")
     p.add_argument("--hbar", action="append", metavar="P/Q")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="exit 1 when the whole sweep's Richardson estimate (not printed; "
+                   "err_sym/err_cls are each row's own) is further than TOL from an oracle")
     p.add_argument("--out")
     p.set_defaults(func=cmd_quantize_bracket_limit)
 

@@ -35,7 +35,7 @@ through, and `ComplexExpr.evaluate` converts once for both parts.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -52,7 +52,14 @@ __all__ = [
 _UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}
 
 
-_node = dataclass(frozen=True, slots=True, repr=False)
+def _node(cls):
+    """A frozen, slotted dataclass whose __setattr__ and __delattr__ refuse
+    every name (the generated ones raise TypeError for a non-field)."""
+    def refuse(self, name, *value):
+        raise FrozenInstanceError(f"cannot assign to or delete attribute {name!r}")
+    cls = dataclass(frozen=True, slots=True, repr=False)(cls)
+    cls.__setattr__ = cls.__delattr__ = refuse
+    return cls
 
 
 class Expr:
@@ -665,7 +672,7 @@ def evaluate(e: Expr, h, y):
 # ---------------------------------------------------------------------------
 # complex coefficients: a pair of real expressions
 
-@dataclass(frozen=True, slots=True)
+@_node
 class ComplexExpr:
     """Complex-valued coefficient as a (re, im) pair of real expressions."""
 

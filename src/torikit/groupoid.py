@@ -14,22 +14,18 @@ polytope that lie in the same open face as y0, and any two of them are
 exactly one valid arrow apart.  So an `Orbit` is y0, hbar and one int64
 array of its steps k, the origin first and then ascending k in
 lexicographic order.  `orbit` builds only those steps.  It bounds k by the
-box of the vertices of y0's closed face, and every facet leaves each prefix
-k[:-1] of that box an exact integer interval of k[-1], empty where the
-prefix alone breaks the facet (`face_bounds` in int64), so every row built
-is an orbit point and the scan costs the orbit plus the box's prefixes.
-Prefixes come in blocks of `_CHUNK`, the first of min(`_CHUNK`, cap + 1); a
-block whose interval lengths take the size past the cap raises
-OrbitCapError before its rows are built.
-A box whose volume or pairings could reach 2^62 is refused first, so no
-array needs Python ints.  Arrow queries are lookups in the steps with no
-facet test, and exact points are built only on demand.
+box of the vertices of y0's closed face.  y0's open face is a list of int64
+lower bounds on the pairings k @ M (`face_bounds`), and each leaves each
+prefix k[:-1] of that box a half-line of k[-1], all of it or none, so every
+row built is an orbit point and the scan costs the orbit plus the box's
+prefixes, in blocks under the cap (`orbit`).  Arrow queries are lookups in
+the steps with no facet test, and exact points are built only on demand.
 
 An orbit is immutable, so what it derives is derived once and kept on it:
-its numerators, the steps' sorted keys, the float coordinates of every
-point (`Orbit.points`) and, per mode k, the lookup `Orbit.targets(k)`.  The
-arrays it hands out are read-only, and each memo lives and dies with its
-orbit.
+its numerators, the steps' box and sorted keys, the float coordinates of
+every point (`Orbit.points`) and, per mode k, the lookup `Orbit.targets(k)`.
+The arrays it hands out are read-only, and each memo lives and dies with
+its orbit.
 
 With d the common denominator of y0 and hbar every coordinate is an integer
 numerator over d (`Orbit.numerators`).  `Orbit.coordinates` gives the float
@@ -224,10 +220,17 @@ class Orbit:
                          for row in steps.tolist()], dtype=float).reshape(steps.shape)
 
     @cached_property
+    def box(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi): the steps' least and greatest entry on each axis, as
+        read-only int64 arrays.  A longer mode joins no two points."""
+        lo, hi = self.steps.min(axis=0), self.steps.max(axis=0)
+        lo.flags.writeable = hi.flags.writeable = False
+        return lo, hi
+
+    @cached_property
     def _step_keys(self):
-        """The steps' bounding box and its extents, each step's row-major
-        key over the box, the keys sorted and the permutation that sorts
-        them.
+        """The extents of the steps' `box`, each step's row-major key over
+        it, the keys sorted and the permutation that sorts them.
 
         int64 always suffices for an orbit built by `orbit`: its steps' box
         lies inside the face box it scans, whose volume and pairings `orbit`
@@ -235,14 +238,13 @@ class Orbit:
         that bound.  A hand-built orbit whose box fails the bound (computed
         in Python ints) raises DomainError.
         """
-        lo, hi = self.steps.min(axis=0), self.steps.max(axis=0)
-        bounds = lo.tolist(), hi.tolist()
-        extents = tuple(b - a + 1 for a, b in zip(*bounds))
-        if math.prod(extents) >= 2 ** 62 or max(map(abs, bounds[0] + bounds[1])) >= 2 ** 61:
+        lo, hi = (bound.tolist() for bound in self.box)
+        extents = tuple(b - a + 1 for a, b in zip(lo, hi))
+        if math.prod(extents) >= 2 ** 62 or max(map(abs, lo + hi)) >= 2 ** 61:
             raise DomainError("orbit steps span a box too large for int64 keys")
-        keys = np.ravel_multi_index((self.steps - lo).T, extents)
+        keys = np.ravel_multi_index((self.steps - self.box[0]).T, extents)
         order = np.argsort(keys, kind="stable")
-        return lo, hi, extents, keys[order], order
+        return extents, keys[order], order
 
     def targets(self, k) -> np.ndarray:
         """For every i, the index of point(i) + hbar*k: a read-only int64
@@ -264,7 +266,7 @@ class Orbit:
         return {}
 
     def _lookup(self, k: tuple[int, ...]) -> np.ndarray:
-        lo, hi, extents, keys, order = self._step_keys
+        (lo, hi), (extents, keys, order) = self.box, self._step_keys
         if len(k) != len(lo):
             raise DimensionError("point/mode dimension mismatch")
         out = np.full(len(self.steps), -1, dtype=np.int64)
@@ -279,30 +281,31 @@ class Orbit:
         return out
 
 
-def _face_test(P: DelzantPolytope, y0, hbar):
-    """(sign, active, lower) of `face_bounds` as a sign and Python lists."""
+def face_bounds(P: DelzantPolytope, y0, hbar):
+    """y0's open face as int64 lower bounds (M, low) on q = k @ M, and the
+    tuple of y0's active facets.
+
+    With s0, h the scaled slacks of `scaled_slacks` (Python ints) and q the
+    pairing of k with the column sign(hbar) * X_j, the slack of y0 + hbar*k
+    at facet j has the sign of s0[j] + |h| * q.  A facet y0 leaves slack
+    gives that column with bound (-s0[j]) // |h| + 1, an active one it and
+    its negative with bound 0 (q = 0).  Bounds are clamped at -2^62, which
+    changes no test on the pairings below 2^62 that `orbit` allows; hbar != 0.
+    """
     s0, _, h = scaled_slacks(P, y0, hbar)
     if min(s0) < 0:
         raise DomainError(
             f"base point {format_point(ratpoint(y0))} lies outside the polytope")
-    return (1 if h > 0 else -1, [s == 0 for s in s0],
-            [max(-s // abs(h) + 1, -2 ** 62) for s in s0])
-
-
-def face_bounds(P: DelzantPolytope, y0, hbar):
-    """The open face of y0 as int64 bounds (N, active, lower) on q = k @ N.
-
-    N = sign(hbar) * normals.T, active[j] = (s0[j] == 0) and lower[j] =
-    (-s0[j]) // |h| + 1, from the scaled slacks s0, h of `scaled_slacks` in
-    Python ints.  The slack of y0 + hbar*k at facet j has the sign of
-    s0[j] + |h| * q[j], so y0 + hbar*k lies in y0's open face exactly when q
-    is 0 on the active facets and q >= lower on the others.  lower is
-    clamped at -2^62, which changes no test on the pairings below 2^62 that
-    `orbit` allows.  hbar must be nonzero.
-    """
-    sign, active, lower = _face_test(P, y0, hbar)
-    return (np.array(P.normals, dtype=np.int64).T * sign, np.array(active),
-            np.array(lower, dtype=np.int64))
+    sign, bounds = (1 if h > 0 else -1), []
+    for X, s in zip(P.normals, s0):
+        X = [sign * x for x in X]
+        if s:
+            bounds.append((X, max(-s // abs(h) + 1, -2 ** 62)))
+        else:
+            bounds += [(X, 0), ([-x for x in X], 0)]
+    M, low = zip(*bounds)
+    return (np.array(M, dtype=np.int64).T, np.array(low, dtype=np.int64),
+            tuple(j for j, s in enumerate(s0) if s == 0))
 
 
 def _expand(prefixes, shift, count) -> np.ndarray:
@@ -320,13 +323,14 @@ def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
     It is the set of points y0 + hbar*k (k in Z^n) of the polytope whose
     active facet set equals y0's: any two such points are one valid arrow
     apart, and no arrow leaves the set.  k ranges over the box of the
-    vertices of y0's closed face (`face_box`).  Each prefix k[:-1] of that
-    box gets from the facets the exact interval of k[-1] that `face_bounds`
-    allows, in int64 floor and ceiling divisions, so every row built is an
-    orbit point.  DomainError is raised before any allocation when the
-    box's volume, or the pairing of a step plus a mode inside the box, could
-    reach 2^62 (in Python ints), so no int64 value here or in
-    `convolve_orbit` overflows.
+    vertices of y0's closed face (`face_box`).  Each bound r + c*t >= b of
+    `face_bounds` on a prefix k[:-1] of that box (pairing r, t = k[-1])
+    raises the least t when c > 0, lowers the greatest when c < 0 and keeps
+    or drops the prefix when c = 0, in int64 floor and ceiling divisions, so
+    every row built is an orbit point.  DomainError is raised before any
+    allocation when the box's volume, or the pairing of a step plus a mode
+    inside the box, could reach 2^62 (in Python ints), so no int64 value
+    here or in `convolve_orbit` overflows.
 
     Points come in a fixed order: y0 first, then ascending k in
     lexicographic order.  OrbitCapError is raised as soon as the size
@@ -340,10 +344,10 @@ def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
     if not P.compact:
         raise DomainError("orbit enumeration requires a compact polytope")
     y0 = ratpoint(y0)
-    sign, active, lower = _face_test(P, y0, hbar)
+    M, low, active = face_bounds(P, y0, hbar)
 
     # k[i] lies between (lo[i]/D - y0[i]) / hbar and (hi[i]/D - y0[i]) / hbar
-    D, lo, hi = face_box(P, [j for j, a in enumerate(active) if a])
+    D, lo, hi = face_box(P, active)
     hn, hd = hbar.numerator, hbar.denominator
     box = []
     for y, a, b in zip(y0, lo, hi):
@@ -361,9 +365,7 @@ def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
             f"candidate box of the orbit at hbar = {hbar} is too large for "
             "int64 (hbar too small?)")
 
-    # the facets leave each prefix k[:-1] one interval of k[-1]
-    N = np.array(P.normals, dtype=np.int64).T * sign
-    facets = [(sign * X[-1], a, low) for X, a, low in zip(P.normals, active, lower)]
+    # the bounds leave each prefix k[:-1] one interval of k[-1]
     corner = [[a] for a, _ in box[:-1]] + [[0]]
     first, last = box[-1]
     dims = shape[:-1] + [1]
@@ -377,25 +379,16 @@ def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
         stop = min(start + block, prefixes)
         # prefix rows with last entry 0
         k = (np.array(np.unravel_index(np.arange(start, stop), dims)) + corner).T
-        lo_k, hi_k, keep = np.full(len(k), first), last, None
-        for r, (c, on_face, low) in zip((k @ N).T, facets):
-            # the facet's pairing at k[-1] = t is r + c*t
-            if c == 0:
-                ok = r == 0 if on_face else r >= low
-            elif on_face:
-                t = -r // c
-                ok = t * c == -r
-                lo_k, hi_k = np.maximum(lo_k, t), np.minimum(hi_k, t)
+        lo_k, hi_k = np.full(len(k), first), last
+        for r, c, b in zip((k @ M).T, M[-1].tolist(), low.tolist()):
+            # the column's pairing at k[-1] = t is r + c*t, and must reach b
+            if c > 0:
+                lo_k = np.maximum(lo_k, -((r - b) // c))
+            elif c < 0:
+                hi_k = np.minimum(hi_k, (b - r) // c)
             else:
-                if c > 0:
-                    lo_k = np.maximum(lo_k, -((r - low) // c))
-                else:
-                    hi_k = np.minimum(hi_k, (low - r) // c)
-                continue
-            keep = ok if keep is None else keep & ok
+                hi_k = np.where(r >= b, hi_k, first - 1)    # r alone decides
         count = np.maximum(hi_k - lo_k + 1, 0)
-        if keep is not None:
-            count *= keep
         ends = np.cumsum(count)
         shift = lo_k + count - ends
         if start <= zero < stop:

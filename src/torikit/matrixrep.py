@@ -178,28 +178,23 @@ def convolve_orbit(P: DelzantPolytope, f: al.AlgebraElement, g: al.AlgebraElemen
     k = l + m of a mode l of f and a mode m of g gets a mode, in the order
     the pairs are walked (f's modes, then g's), zeros where no term lands.
     Membership comes from one face test of the orbit: an arrow is valid when
-    its mode moves no facet active on the face and its head's pairing is at
-    least `lower`; a mode longer than the steps' box joins no two orbit
-    points.  Each term evaluates both coefficients only on the rows where
-    both of its arrows exist.  A coefficient that is singular or not finite
-    where its arrow exists raises EvalDomainError.
+    its head's pairings reach every lower bound of y0's open face
+    (`face_bounds`); a mode longer than the steps' box (`Orbit.box`) joins
+    no two orbit points.  Each term evaluates both coefficients only on the
+    rows where both of its arrows exist.  A coefficient that is singular or
+    not finite where its arrow exists raises EvalDomainError.
     """
     if f.n != g.n:
         raise DomainError("elements live over different dimensions")
-    steps = orb.steps
-    N, active, lower = face_bounds(P, orb.y0, orb.hbar)
-    free = ~active
-    q, lower = steps @ N[:, free], lower[free]
-    extent = (steps.max(axis=0) - steps.min(axis=0)).tolist()
+    M, low, _ = face_bounds(P, orb.y0, orb.hbar)
+    q = orb.steps @ M
+    extent = (orb.box[1] - orb.box[0]).tolist()
 
     def pairings(k):
-        """The pairings of k with the free facets (k @ N), or None when an
-        arrow of mode k leaves the orbit: it is longer than the steps' box,
-        or it moves a facet of the face."""
+        """k @ M, or None when k is longer than the steps' box."""
         if any(abs(c) > e for c, e in zip(k, extent)):
             return None
-        p = np.array(k, dtype=np.int64) @ N
-        return None if p[active].any() else p[free]
+        return np.array(k, dtype=np.int64) @ M
 
     hbar = float(orb.hbar)
     gp = [(m, cg, None if cg.is_zero_tree() else pairings(m)) for m, cg in g.modes]
@@ -213,12 +208,12 @@ def convolve_orbit(P: DelzantPolytope, f: al.AlgebraElement, g: al.AlgebraElemen
                 acc[k] = (np.zeros(orb.dim), np.zeros(orb.dim))
             if mid is None or pm is None:
                 continue
-            rows = np.flatnonzero((mid >= lower).all(axis=1)
-                                  & (mid + pm >= lower).all(axis=1))
+            rows = np.flatnonzero((mid >= low).all(axis=1)
+                                  & (mid + pm >= low).all(axis=1))
             if not len(rows):
                 continue
             ar, ai = _evaluate_rows(cf, hbar, orb.points[rows], l)
-            br, bi = _evaluate_rows(cg, hbar, orb.coordinates(steps[rows] + l), m)
+            br, bi = _evaluate_rows(cg, hbar, orb.coordinates(orb.steps[rows] + l), m)
             re, im = acc[k]
             re[rows] += ar * br - ai * bi
             im[rows] += ar * bi + ai * br

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import sys
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from pathlib import Path
 
@@ -126,11 +127,15 @@ NODES = [
 
 
 def test_nodes_and_complex_coefficients_are_immutable():
+    # every name, a field or not, refuses assignment and deletion with
+    # FrozenInstanceError, an AttributeError
     for build, fields in NODES:
         node = build()
-        for name in fields:
-            with pytest.raises(AttributeError):
+        for name in fields + ("x",):
+            with pytest.raises(FrozenInstanceError):
                 setattr(node, name, ex.Const(0))
+            with pytest.raises(FrozenInstanceError):
+                delattr(node, name)
 
 
 def test_nodes_are_slotted():

@@ -391,6 +391,12 @@ def test_orbit_memos_are_read_only_and_equal_a_fresh_computation(name):
     want = np.array([[float(c) for c in p] for p in points(orb)])
     assert same_bits(pts, want)
     assert same_bits(pts, orb.coordinates(orb.steps))
+    box = orb.box
+    assert box is orb.box and not any(b.flags.writeable for b in box)
+    with pytest.raises(ValueError):
+        box[0][0] = 0
+    steps = step_tuples(orb)
+    assert [b.tolist() for b in box] == [list(map(min, zip(*steps))), list(map(max, zip(*steps)))]
     for k in itertools.product(range(-2, 3), repeat=P.n):
         got = orb.targets(k)
         assert got is orb.targets(list(k)) and got is orb.targets(np.array(k))
@@ -401,6 +407,7 @@ def test_orbit_memos_are_read_only_and_equal_a_fresh_computation(name):
     # a fresh orbit over the same steps computes each memo anew, bit for bit
     fresh = gr.Orbit(orb.hbar, orb.y0, orb.steps)
     assert same_bits(fresh.points, pts)
+    assert all(np.array_equal(a, b) for a, b in zip(fresh.box, box))
     for k in itertools.product(range(-2, 3), repeat=P.n):
         assert np.array_equal(fresh.targets(k), orb.targets(k))
 
@@ -505,23 +512,29 @@ def test_face_bounds_match_fraction_slacks_randomized():
     assert any(not P.is_interior(y0) for P, _, y0 in cases)
     assert {hbar > 0 for _, hbar, _ in cases} == {True, False}
     for P, hbar, y0 in cases:
-        N, active, lower = gr.face_bounds(P, y0, hbar)
+        M, low, active = gr.face_bounds(P, y0, hbar)
         sign = 1 if hbar > 0 else -1
-        assert N.dtype == lower.dtype == np.int64
-        assert N.tolist() == [[sign * X[i] for X in P.normals] for i in range(P.n)]
-        for j in range(P.n_facets):
-            s = fraction_slack(P, y0, j)
-            assert active[j] == (s == 0)
-            if not active[j]:
-                # the slack at facet j of a point whose pairing there is q
-                assert s + abs(hbar) * (int(lower[j]) - 1) <= 0
-                assert s + abs(hbar) * int(lower[j]) > 0
-        k = [rng.randint(-5, 5) for _ in range(P.n)]
-        q = (np.array(k, dtype=np.int64) @ N).tolist()
-        head = gr.translate(y0, hbar, k)
-        assert [fraction_slack(P, y0, j) + abs(hbar) * q[j]
-                for j in range(P.n_facets)] == [
-                    fraction_slack(P, head, j) for j in range(P.n_facets)]
+        assert M.dtype == low.dtype == np.int64
+        slacks = [fraction_slack(P, y0, j) for j in range(P.n_facets)]
+        assert active == tuple(j for j, s in enumerate(slacks) if s == 0)
+        # in facet order, one column per slack facet and two per active one
+        columns, bounds = M.T.tolist(), low.tolist()
+        for X, s in zip(P.normals, slacks):
+            X = [sign * x for x in X]
+            if s == 0:
+                assert columns[:2] == [X, [-x for x in X]] and bounds[:2] == [0, 0]
+                del columns[:2], bounds[:2]
+            else:
+                assert columns.pop(0) == X
+                # the slack at facet j of a point whose pairing there is b
+                b = bounds.pop(0)
+                assert s + abs(hbar) * (b - 1) <= 0 < s + abs(hbar) * b
+        assert columns == bounds == []
+        # the bounds hold exactly where y0 + hbar*k lies in y0's open face
+        for k in itertools.product(range(-2, 3), repeat=P.n):
+            head = gr.translate(y0, hbar, k)
+            on_face = P.contains(head) and P.active_set(head) == active
+            assert bool(((np.array(k, dtype=np.int64) @ M) >= low).all()) == on_face
     with pytest.raises(DomainError,
                        match=r"^base point \(-1/4611686018427387904, 1/2\) lies outside"):
         gr.face_bounds(pt.square(), (F(-1, 2 ** 62), F(1, 2)), F(1, 4))
@@ -643,6 +656,20 @@ SLANTED_FACES = {
                        [(F(1, 2), F(1, 3), F(2, 3)), (F(0), F(1, 2), F(1, 2)),
                         (F(1), F(1, 4), F(3, 4))]),
 }
+
+
+# every active-set shape: vertices, edges and facets of 1-, 2- and 3-D
+# polytopes, so each bound an active facet doubles is hit
+FACE_POLYTOPES = dict(ORACLE_POLYTOPES, cube=pt.product(pt.square(), pt.interval()))
+
+
+@pytest.mark.parametrize("name", FACE_POLYTOPES)
+def test_orbit_through_every_face_matches_brute_force(name):
+    P = FACE_POLYTOPES[name]
+    for face in pt.enumerate_faces(P):
+        for hbar in (F(1, 3), F(-1, 4), F(1, 5)):
+            orb = gr.orbit(P, hbar, face.sample)
+            assert set(points(orb)) == brute_force_orbit(P, hbar, face.sample)
 
 
 @pytest.mark.parametrize("name", SLANTED_FACES)
