@@ -184,7 +184,7 @@ def observable_from_dict(doc, n: int) -> AlgebraElement:
 
 def observable_to_dict(f: AlgebraElement) -> dict:
     return {"modes": [
-        {"k": list(k), "re": ex.to_text(c.re), "im": ex.to_text(c.im)}
+        {"k": list(k), "re": c.re.text(), "im": c.im.text()}
         for k, c in f.modes
     ]}
 
@@ -438,8 +438,10 @@ def numeric_bracket_limit(P: DelzantPolytope, f: AlgebraElement,
     The first-order elimination step is iterated over the whole sweep (a
     Richardson table); the table column reports the single-step extrapolant
     per level.  The empirical convergence order is the log-ratio of
-    successive differences; "exact" is reported when every difference is
-    below the threshold (the value does not depend on hbar).
+    successive differences; "exact" is reported when there is at least one
+    difference and every difference is below the threshold (the value does
+    not depend on hbar).  A one-hbar sweep has no difference: its estimate
+    is its one value and its order nan.
     """
     hs = hbar_sweep(hbar_list)
     check_margin(P, f, g, y, hs[0])
@@ -466,7 +468,7 @@ def numeric_bracket_limit(P: DelzantPolytope, f: AlgebraElement,
             "order": order,
         })
 
-    if all(d <= EXACT_THRESHOLD for d in diffs):
+    if diffs and all(d <= EXACT_THRESHOLD for d in diffs):
         return BracketLimit(values[-1], "exact", table)
     orders = [row["order"] for row in table if row["order"] is not None]
     order = sorted(orders)[len(orders) // 2] if orders else float("nan")

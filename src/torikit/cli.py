@@ -18,11 +18,15 @@ read, an expression nested or deep past the parser's bounds or an integer
 literal too long for Python) or a computation that cannot be carried out (a
 domain error, the orbit cap, a classical oracle grid or a symbolic bracket
 mode sum past its cap, a singular or overflowing evaluation); 3 margin
-violation.  `quantize spectra` builds each orbit through --point, or by
-default through (|hbar|/2, ..., |hbar|/2); a default point outside the
-polytope exits 2 and asks for --point.  Rationals are serialized as "p/q"
-end to end; floats appear only in measured/error columns.  Identical config
-and seed give byte-identical output.
+violation.  `quantize bracket-limit`'s action-angle oracle samples
+G = 2*(max_mode(f) + max_mode(g)) + 3 angles per axis and reads mode k
+from that grid when every |k_i| <= G // 2, the window that holds every
+mode of the classical bracket; outside it the oracle's value is exactly 0.
+`quantize spectra` builds each orbit through --point, or by default through
+(|hbar|/2, ..., |hbar|/2); a default point outside the polytope exits 2 and
+asks for --point.  Rationals are serialized as "p/q" end to end; floats
+appear only in measured/error columns.  Identical config and seed give
+byte-identical output.
 """
 from __future__ import annotations
 
@@ -283,7 +287,10 @@ def cmd_quantize_bracket_limit(args) -> int:
     grid = 2 * (f.max_mode() + g.max_mode()) + 3
     yf = [float(c) for c in y]
     spec = cl.angle_spectrum(cl.poisson_bracket_aa_at(f, g, yf), P.n, grid)
-    aa = complex(spec[tuple(ki % grid for ki in k)])
+    # entry k % grid holds mode k only inside the grid's window; outside it
+    # the classical bracket has no mode
+    in_window = all(abs(ki) <= grid // 2 for ki in k)
+    aa = complex(spec[tuple(ki % grid for ki in k)]) if in_window else 0j
     err_sym = abs(limit.estimate - sym)
     err_aa = abs(limit.estimate - aa)
 

@@ -20,10 +20,10 @@ negated constant to its negative, so printing round-trips to the same tree.
 Nodes are frozen dataclasses with structural equality: immutable, equal when
 of the same class with equal fields, and hashed by their fields.  Each node
 class holds its own behaviour: its printing precedence and text, its
-derivative, its substitution and its evaluation; the module functions
-(`to_text`, `d_dh`, `d_dy`, `shift_y`, `subs_h`, `evaluate`) call the root
-node's method.  Complex values never appear here; the algebra layer pairs two real expressions per
-mode coefficient.
+derivative, its substitution and its evaluation; `Expr.text` prints a
+tree, and the module functions (`d_dh`, `d_dy`, `shift_y`, `subs_h`,
+`evaluate`) call the root node's method.  Complex values never appear here;
+the algebra layer pairs two real expressions per mode coefficient.
 
 A constant converts its rational value to float on its first evaluation and
 keeps the float in a slot that equality, hashing and printing ignore.  It
@@ -44,7 +44,7 @@ from .errors import EvalDomainError, ParseError
 
 __all__ = [
     "Expr", "Const", "H", "Y", "Add", "Sub", "Mul", "Div", "Neg", "Pow", "Fun",
-    "MAX_NESTING", "MAX_DEPTH", "parse", "to_text", "d_dh", "d_dy", "evaluate",
+    "MAX_NESTING", "MAX_DEPTH", "parse", "d_dh", "d_dy", "evaluate",
     "shift_y", "subs_h", "ComplexExpr",
 ]
 
@@ -63,7 +63,7 @@ def _node(cls):
 
 
 class Expr:
-    """Expression node; `_node` (repr=False) keeps the to_text forms below.
+    """Expression node; `_node` (repr=False) keeps the text forms below.
 
     A node class defines `prec` (printing precedence), `parts()` (its own
     text pieces and its children in printing order, for `_pieces`),
@@ -79,7 +79,7 @@ class Expr:
         return self.text()
 
     def text(self):
-        """The expression's text (`to_text`)."""
+        """The expression's text; parse(e.text(), n) rebuilds the same tree."""
         return "".join(_pieces(self))
 
     def text_head(self, limit: int) -> str:
@@ -534,11 +534,6 @@ def _pieces(e):
             stack.extend(reversed(item.parts()))
 
 
-def to_text(e: Expr) -> str:
-    """Render an expression; parse(to_text(e), n) rebuilds the same tree."""
-    return e.text()
-
-
 # ---------------------------------------------------------------------------
 # light smart constructors (keep derivative trees from exploding; no deeper
 # simplification is attempted, equality is tested by evaluation elsewhere)
@@ -684,7 +679,7 @@ class ComplexExpr:
         return cls(_ZERO, _ZERO)
 
     def __repr__(self):
-        return f"ComplexExpr({to_text(self.re)!r}, {to_text(self.im)!r})"
+        return f"ComplexExpr({self.re.text()!r}, {self.im.text()!r})"
 
     def __add__(self, other):
         return ComplexExpr(_add(self.re, other.re), _add(self.im, other.im))

@@ -70,8 +70,9 @@ class DelzantPolytope:
 
     The facet data is frozen, so its integer forms are computed once per
     polytope: `integer_offsets` (the offsets as numerators over one
-    denominator) and the vertex table of one fraction-free elimination per
-    n-subset of facets.
+    denominator), the vertex table of one fraction-free elimination per
+    n-subset of facets, and the vertex bounding box.  Screening and the
+    Fraction vertices are rebuilt from that table on every call.
     """
 
     n: int
@@ -155,21 +156,11 @@ class DelzantPolytope:
         return D, tuple((x, active, det) for x, (active, det) in sorted(found.items()))
 
     @cached_property
-    def _vertices(self) -> tuple[tuple[Fraction, ...], ...]:
-        D, rows = self._vertex_table
-        return tuple(tuple(Fraction(c, D) for c in x) for x, _, _ in rows)
-
-    @cached_property
     def _bounding_box(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-        if not self._vertices:
+        if not self._vertex_table[1]:
             raise DomainError("polytope has no vertices")
         D, lo, hi = face_box(self, ())
         return (tuple(Fraction(c, D) for c in lo), tuple(Fraction(c, D) for c in hi))
-
-    @cached_property
-    def _screening(self) -> "DelzantReport":
-        # one screening per polytope, shared by every caller of check_delzant
-        return _screen(self)
 
 
 @dataclass(frozen=True)
@@ -183,8 +174,9 @@ class Face:
 
 @dataclass(frozen=True)
 class DelzantReport:
-    """Outcome of the smoothness/boundedness screening of a polytope;
-    immutable, since every caller shares the polytope's one report."""
+    """Outcome of the smoothness/boundedness screening of a polytope, as
+    `check_delzant` returns it: violations, the sorted vertices and, for a
+    compact polytope, whether it is bounded (None when not checked)."""
 
     ok: bool
     violations: tuple[str, ...]
@@ -261,9 +253,11 @@ def vertices(P: DelzantPolytope) -> list[tuple[Fraction, ...]]:
     """All vertices, sorted, found by one fraction-free integer elimination
     per n-subset of facets (`intlat.solve_integer`).
 
-    Computed once per polytope; each call returns a fresh list.
+    The eliminations run once per polytope (its vertex table); each call
+    builds a fresh list of Fraction points from that table.
     """
-    return list(P._vertices)
+    D, table = P._vertex_table
+    return [tuple(Fraction(c, D) for c in x) for x, _, _ in table]
 
 
 def bounding_box(P: DelzantPolytope):
@@ -337,13 +331,10 @@ def check_delzant(P: DelzantPolytope) -> DelzantReport:
     every edge ends at another vertex (`_edges_close`); only otherwise does
     the search for a recession ray over integer kernel vectors run, which
     also names the ray in the violation.  Fractions appear only in the
-    returned vertices and the violation texts.  Screened once per polytope;
-    every call returns that one report.
+    returned vertices and the violation texts.  The eliminations are the
+    polytope's cached vertex table; the rest runs again on every call and
+    returns a new report.
     """
-    return P._screening
-
-
-def _screen(P: DelzantPolytope) -> DelzantReport:
     violations = []
     if P.n_facets == 0:
         return DelzantReport(False, ("no facets",), (), None)
@@ -354,8 +345,8 @@ def _screen(P: DelzantPolytope) -> DelzantReport:
         elif math.gcd(*(abs(c) for c in x)) != 1:
             violations.append(f"facet {j}: normal {x} is not primitive")
 
-    verts = P._vertices
-    _, table = P._vertex_table
+    D, table = P._vertex_table
+    verts = tuple(tuple(Fraction(c, D) for c in x) for x, _, _ in table)
     bounded = None
     if P.compact:
         # the ray search runs only where the vertex table cannot decide

@@ -184,6 +184,14 @@ def test_numeric_limit_commuting_pair_zero():
     assert lim.order == "exact" and lim.estimate == 0.0
 
 
+def test_numeric_limit_one_hbar_is_its_value_not_exact():
+    f = al.element(1, {1: "sin(y1)"})
+    g = al.element(1, {-1: "1"})
+    lim = al.numeric_bracket_limit(P, f, g, (F(1, 2),), (0,), [F(1, 16)])
+    assert isinstance(lim.order, float) and math.isnan(lim.order)
+    assert lim.estimate == lim.table[0]["value"]
+
+
 def test_numeric_limit_validates_hbar_list():
     f, g = canonical_pair()
     for limit in (al.numeric_bracket_limit, mr.bracket_via_matrices):

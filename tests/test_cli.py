@@ -338,7 +338,7 @@ def test_quantize_bracket_limit_exit_codes(tmp_path, extra, code):
 @pytest.mark.parametrize("polytope, obs, obs2, point, mode, golden", [
     ("cp2", GOLDEN / "obs_cp2_f.json", GOLDEN / "obs_cp2_g.json", "1/4,1/4",
      "1,0", "bracket_limit_cp2_mode1_0.csv"),
-    # outside the 7-point angle window: reads the aliased spectrum entry
+    # outside the 7-point angle window: the classical oracle reads 0
     ("cp2", GOLDEN / "obs_cp2_f.json", GOLDEN / "obs_cp2_g.json", "1/4,1/4",
      "5,-3", "bracket_limit_cp2_mode5_-3.csv"),
     ("sphere", DATA / "obs" / "sin_pair_a.json", DATA / "obs" / "sin_pair_b.json",
@@ -351,6 +351,39 @@ def test_quantize_bracket_limit_golden(tmp_path, polytope, obs, obs2, point,
                     f"--mode={mode}"], tmp_path)
     assert rc == 0
     assert text == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("mode", ["4", "-4", "6"])
+def test_bracket_limit_mode_outside_the_angle_window_is_classically_zero(tmp_path, mode):
+    # f and g have modes up to 1, so the oracle grid has 5 angles and
+    # window |k| <= 2; spectrum entry k % 5 belongs to mode -1 or 1
+    obs = tmp_path / "f.json"
+    obs.write_text(json.dumps({"modes": [{"k": [1], "re": "y1*(1 - y1)"},
+                                         {"k": [-1], "re": "y1"}]}))
+    obs2 = tmp_path / "g.json"
+    obs2.write_text(json.dumps({"modes": [{"k": [0], "re": "y1^2"}]}))
+    rc, text = run(["quantize", "bracket-limit", str(DATA / "sphere.json"),
+                    "--obs", str(obs), "--obs2", str(obs2), "--point", "1/2",
+                    f"--mode={mode}"], tmp_path)
+    assert rc == 0
+    header, *rows = text.splitlines()[1:]
+    columns = header.split(",")
+    for row in rows:
+        fields = dict(zip(columns, row.split(",")))
+        assert [fields[c] for c in ("re_classical_aa", "im_classical_aa", "err_cls")] \
+            == ["0.0"] * 3
+
+
+def test_bracket_limit_one_hbar_sweep_is_not_exact(tmp_path):
+    # one hbar gives no difference to call the limit exact with; two give nan
+    argv = ["quantize", "bracket-limit", str(DATA / "cp2.json"),
+            "--obs", str(GOLDEN / "obs_cp2_f.json"),
+            "--obs2", str(GOLDEN / "obs_cp2_g.json"), "--point=1/4,1/4",
+            "--mode=1,0", "--hbar", "1/16"]
+    for extra in ([], ["--hbar", "1/32"]):
+        rc, text = run(argv + extra, tmp_path)
+        assert rc == 1
+        assert text.splitlines()[-1].split(",")[-1] == "nan"
 
 
 def test_quantize_spectra_is_deterministic(tmp_path):

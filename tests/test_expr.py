@@ -92,7 +92,7 @@ def test_print_parse_roundtrip_random_trees():
     rng = random.Random(7)
     for _ in range(400):
         e = random_tree(rng)
-        assert ex.parse(ex.to_text(e), 2) == e
+        assert ex.parse(e.text(), 2) == e
 
 
 def test_structural_equality_and_hash():
@@ -227,7 +227,7 @@ def test_eval_examples():
 
 def test_out_of_range_constant_parses_and_overflows_on_evaluation():
     e = ex.parse("1" + "0" * 400 + " + y1", 1)
-    assert ex.parse(ex.to_text(e), 1) == e
+    assert ex.parse(e.text(), 1) == e
     for y in (0.5, np.array([0.5, 1.5])):
         with pytest.raises(EvalDomainError, match="evaluation overflows"):
             ex.evaluate(e, 0.0, [y])
@@ -239,7 +239,7 @@ def test_const_float_is_kept_on_first_eval_and_ignored_by_equality():
     assert ex.evaluate(c, 0.0, [0.5]) == 1 / 3
     assert c._float == 1 / 3 and d._float is None
     assert c == d and hash(c) == hash(d) and {d: 1}[c] == 1
-    assert ex.to_text(c) == ex.to_text(d) == "1/3" and repr(c) == repr(d)
+    assert c.text() == d.text() == "1/3" and repr(c) == repr(d)
     assert ex.Add(c, ex.Y(1)) == ex.parse("1/3 + y1", 1)
     assert ex.evaluate(c, 0.0, [0.5]) == ex.evaluate(d, 0.0, [0.5]) == 1 / 3
 
@@ -304,7 +304,7 @@ def test_eval_domain_error_quotes_a_bounded_text_and_keeps_the_node():
     long = ex.parse("1" + "0" * 1200 + " + y1", 1)
     exc = EvalDomainError("overflows", long)
     assert exc.subexpression is long and exc.reason == "overflows"
-    text = ex.to_text(long)
+    text = long.text()
     assert len(text) > MAX_SUBEXPRESSION_TEXT
     assert str(exc) == f"overflows in subexpression '{text[:MAX_SUBEXPRESSION_TEXT]}...'"
 
@@ -605,7 +605,7 @@ ROOT = Path(__file__).parents[1]
 def observable_trees(workdir):
     """One line per coefficient part of every shipped, golden and benchmark
     (matrix_model, seed 1) observable: the file, the mode and the printed
-    tree, which parse(to_text(e)) == e makes a stand-in for the tree."""
+    tree, which parse(e.text()) == e makes a stand-in for the tree."""
     spec = importlib.util.spec_from_file_location(
         "torikit_bench_inputs", ROOT / "perfbench" / "inputs.py")
     inputs = importlib.util.module_from_spec(spec)
@@ -619,7 +619,7 @@ def observable_trees(workdir):
         doc = json.loads(path.read_text())
         for item in doc.get("modes", []) if isinstance(doc, dict) else []:
             for part in ("re", "im"):
-                tree = ex.to_text(ex.parse(item.get(part, "0"), 3))
+                tree = ex.parse(item.get(part, "0"), 3).text()
                 lines.append(f"{path.name} {item['k']} {part} {tree}")
     return lines
 

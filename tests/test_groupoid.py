@@ -144,6 +144,44 @@ def test_associativity_on_orbit_triples():
         checked += 1
 
 
+TWO_OF_THREE_POLYTOPES = {
+    "interval": pt.interval(),
+    "square": pt.square(),
+    "cp2": pt.projective_space(2),
+    "cp3": pt.projective_space(3),
+    "cube": pt.product(pt.square(), pt.interval()),
+    "trapezoid": pt.DelzantPolytope(
+        2, ((1, 0), (0, 1), (0, -1), (-1, -2)), (F(0), F(0), F(-1), F(-3))),
+}
+
+
+@pytest.mark.parametrize("name", TWO_OF_THREE_POLYTOPES)
+def test_two_valid_arrows_from_one_point_make_the_third(name):
+    # at fixed hbar an orbit is a pair groupoid: (y, k) and (y, l) valid
+    # make the arrow from y + hbar*l to y + hbar*k valid, and composing it
+    # after (y, l) gives (y, k) back
+    P = TWO_OF_THREE_POLYTOPES[name]
+    rng = random.Random(27)
+    lo, hi = pt.bounding_box(P)
+    axes = [[F(t, 8) for t in range(int(8 * a), int(8 * b) + 1)] for a, b in zip(lo, hi)]
+    base = [y for y in map(tuple, itertools.product(*axes)) if P.contains(y)]
+    assert any(not P.is_interior(y) for y in base)
+    both = 0
+    for _ in range(2000):
+        y = rng.choice(base)
+        hbar = F(rng.choice((1, -1)) * rng.randint(1, 3), rng.choice((8, 16)))
+        k, l = (tuple(rng.randint(-1, 1) for _ in range(P.n)) for _ in range(2))
+        g_k, g_l = gr.GroupoidPoint(hbar, y, k), gr.GroupoidPoint(hbar, y, l)
+        if not (gr.is_member(P, g_k) and gr.is_member(P, g_l)):
+            continue
+        head = gr.GroupoidPoint(hbar, gr.translate(y, hbar, l),
+                                tuple(a - b for a, b in zip(k, l)))
+        assert gr.is_member(P, head)
+        assert gr.compose(P, head, g_l) == g_k
+        both += 1
+    assert both > 100
+
+
 def brute_force_orbit(P, hbar, y0):
     """Independent oracle: lattice points of y0 + hbar*Z^n in the open face
     of y0 (transitive closure not needed: any lattice point of the face is

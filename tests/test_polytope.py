@@ -2,7 +2,6 @@
 import itertools
 import json
 import math
-import os
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +10,6 @@ import pytest
 
 import fraction_oracle as oracle
 from failing_polytopes import FAILING
-from torikit import cli
 from torikit import groupoid as gr
 from torikit import intlat
 from torikit import polytope as pt
@@ -316,19 +314,6 @@ def test_vertices_computed_once_per_polytope(monkeypatch):
     first.append("scratch")
     assert pt.vertices(P) == [(F(0), F(0)), (F(0), F(1)), (F(1), F(0))]
     assert len(calls) == math.comb(P.n_facets, P.n)
-
-
-def test_screening_runs_once_per_polytope(monkeypatch):
-    # verify suite screens in the CLI and again in delzant.build_system
-    screened = []
-    real = pt._screen
-    monkeypatch.setattr(pt, "_screen", lambda P: screened.append(P) or real(P))
-    data = Path(pt.__file__).parent / "data" / "square.json"
-    assert cli.main(["verify", "suite", str(data), "--cases", "1", "--out", os.devnull]) == 0
-    assert len(screened) == 1
-    P = pt.square()
-    assert pt.check_delzant(P) is pt.check_delzant(P) is pt.require_delzant(P)
-    assert len(screened) == 2
 
 
 def test_bounding_box_is_computed_once_per_polytope():
