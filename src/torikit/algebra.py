@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import expr as ex
-from .errors import DomainError, FormatError, MarginError
+from .errors import DimensionError, DomainError, FormatError, MarginError
 from .groupoid import GroupoidPoint, arrow_valid, is_member, translate
 from .polytope import (DelzantPolytope, format_point, json_int, mode_pairings,
                        ratpoint, read_json, scaled_slacks)
@@ -75,7 +75,7 @@ class AlgebraElement:
     at_zero: bool = field(default=False, compare=False, repr=False)
 
     def coefficient(self, k) -> ex.ComplexExpr:
-        k = tuple(int(c) for c in k)
+        k = _mode(k, self.n)
         for key, c in self.modes:
             if key == k:
                 return c
@@ -209,6 +209,14 @@ def groupoid_value(P: DelzantPolytope, f: AlgebraElement, hbar, y, k) -> complex
     return extension_value(f, g.hbar, g.y, g.k)
 
 
+def _mode(k, n: int) -> tuple[int, ...]:
+    """k as a tuple of ints; DimensionError unless it has n entries."""
+    k = tuple(int(c) for c in k)
+    if len(k) != n:
+        raise DimensionError(f"mode has {len(k)} entries, expected {n}")
+    return k
+
+
 def convolve(P: DelzantPolytope, f: AlgebraElement, g: AlgebraElement,
              hbar, y, k) -> complex:
     """(f.g)(hbar, y, k): mode sum over l+m=k with the second factor shifted.
@@ -222,7 +230,7 @@ def convolve(P: DelzantPolytope, f: AlgebraElement, g: AlgebraElement,
         raise DomainError("elements live over different dimensions")
     hbar = Fraction(hbar)
     y = ratpoint(y)
-    k = tuple(int(c) for c in k)
+    k = _mode(k, f.n)
     s, _, h = scaled_slacks(P, y, hbar)
     total = 0j
     for l, cf in f.modes:

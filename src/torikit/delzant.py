@@ -16,8 +16,8 @@ import numpy as np
 
 from . import intlat
 from .errors import ConstructionError, DomainError, StratumError
-from .polytope import (DelzantPolytope, format_point, ratpoint, require_delzant,
-                       scaled_slacks)
+from .polytope import (DelzantPolytope, format_point, mode_pairings, ratpoint,
+                       require_delzant, scaled_slacks)
 
 __all__ = [
     "DelzantSystem", "build_system",
@@ -33,13 +33,13 @@ def _as_vector(z) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DelzantSystem:
-    """Facet matrix A (n x n0), kernel basis B (n0 x d, A B = 0), offsets,
-    and an integer splitting S of the quotient (A S = I)."""
+    """Facet matrix A (n x n0), kernel basis B (n0 x d, A B = 0) and an
+    integer splitting S of the quotient (A S = I).  The offsets lambda are
+    the polytope's own, `P.offsets`."""
 
     P: DelzantPolytope
     A: np.ndarray
     B: np.ndarray
-    lam: tuple[Fraction, ...]
     splitting: np.ndarray
 
     @property
@@ -70,8 +70,8 @@ def build_system(P: DelzantPolytope) -> DelzantSystem:
             "facet normals do not span the lattice (no integer splitting)")
     if B.shape[1] != P.n_facets - P.n:
         raise ConstructionError("kernel rank does not match facet count")
-    assert (A @ B == np.zeros((P.n, B.shape[1]), dtype=object)).all()
-    return DelzantSystem(P, A, B, P.offsets, S)
+    assert (A @ B == 0).all()
+    return DelzantSystem(P, A, B, S)
 
 
 # ---------------------------------------------------------------------------
@@ -80,20 +80,19 @@ def build_system(P: DelzantPolytope) -> DelzantSystem:
 def J0(sys: DelzantSystem, z) -> np.ndarray:
     """Ambient moment map lambda + (1/2)(|z_1|^2, ..., |z_{n0}|^2)."""
     z = _as_vector(z)
-    lam = np.array([float(c) for c in sys.lam])
+    lam = np.array([float(c) for c in sys.P.offsets])
     return lam + 0.5 * np.abs(z) ** 2
 
 
 def Jd(sys: DelzantSystem, z) -> np.ndarray:
     """Reduction-level map: B^T composed with the ambient moment map."""
-    Bt = np.array([[int(v) for v in row] for row in sys.B.T], dtype=float)
-    return Bt @ J0(sys, z)
+    return sys.B.T.astype(float) @ J0(sys, z)
 
 
 def J0_squared(sys: DelzantSystem, sq) -> tuple[Fraction, ...]:
     """J0 on exact squared moduli (a vector of rationals)."""
     sq = [Fraction(v) for v in sq]
-    return tuple(lam + Fraction(1, 2) * s for lam, s in zip(sys.lam, sq))
+    return tuple(lam + Fraction(1, 2) * s for lam, s in zip(sys.P.offsets, sq))
 
 
 def Jd_squared(sys: DelzantSystem, sq) -> tuple[Fraction, ...]:
@@ -122,13 +121,9 @@ def sigma(sys: DelzantSystem, y) -> np.ndarray:
 
 
 def ambient_weights(sys: DelzantSystem, k) -> tuple[int, ...]:
-    """Lift of a mode to ambient exponents: l = A^T k."""
-    k = [int(c) for c in k]
-    if len(k) != sys.n:
-        raise DomainError(f"mode length {len(k)}, expected {sys.n}")
-    return tuple(
-        sum(int(sys.A[i, j]) * k[i] for i in range(sys.n))
-        for j in range(sys.n0))
+    """Lift of a mode to ambient exponents: l = A^T k, the pairings
+    <k, X_j> with the facet normals."""
+    return tuple(mode_pairings(sys.P, k))
 
 
 def k_sigma_ambient(sys: DelzantSystem, z, k) -> complex:
@@ -159,8 +154,7 @@ def act_subtorus(sys: DelzantSystem, t, z) -> np.ndarray:
     t = np.asarray([float(v) for v in t], dtype=float)
     if t.shape != (sys.d,):
         raise DomainError(f"subtorus parameter needs length {sys.d}")
-    Bf = np.array([[int(v) for v in row] for row in sys.B], dtype=float)
-    phases = np.exp(1j * (Bf @ t))
+    phases = np.exp(1j * (sys.B.astype(float) @ t))
     return _as_vector(z) * phases
 
 
@@ -169,8 +163,7 @@ def act_torus(sys: DelzantSystem, theta, z) -> np.ndarray:
     theta = np.asarray([float(v) for v in theta], dtype=float)
     if theta.shape != (sys.n,):
         raise DomainError(f"torus parameter needs length {sys.n}")
-    Sf = np.array([[int(v) for v in row] for row in sys.splitting], dtype=float)
-    phases = np.exp(1j * (Sf @ theta))
+    phases = np.exp(1j * (sys.splitting.astype(float) @ theta))
     return _as_vector(z) * phases
 
 

@@ -336,8 +336,11 @@ def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
     lexicographic order.  OrbitCapError is raised as soon as the size
     exceeds `cap`, before the rows of the block that exceeds it are built.
     The first block holds min(`_CHUNK`, cap + 1) prefixes and each later
-    one `_CHUNK` (the last, what is left).
+    one `_CHUNK` (the last, what is left).  Every orbit holds its base
+    point, so a cap below 1 is refused with DomainError before any work.
     """
+    if cap < 1:
+        raise DomainError(f"orbit cap must be at least 1, got {cap}")
     hbar = Fraction(hbar)
     if hbar == 0:
         raise DomainError("orbits are defined for hbar != 0")

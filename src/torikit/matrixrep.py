@@ -6,20 +6,18 @@ of dimension D, whose basis vector i sits at u_i = y0 + hbar*steps[i].  An
 orbit is a pair groupoid, so mode k acts as a weighted partial shift: row i
 holds the one value f(hbar, u_i, k) in the column of u_i + hbar*k, a lookup
 in the steps.  `represent` returns an element in that form, an
-`OrbitOperator` with a values vector and a targets vector per mode, and
-products, diagonals and single entries are mode convolutions on these
-vectors at O(modes^2 * D).  The map is a *-homomorphism for
-the package's convolution convention, which makes it an independent oracle
-for the algebra layer, and its spectra are the quantized values of
-observables.
+`OrbitOperator` with a values vector and a targets vector per mode; one
+mode of a product is a convolution on these vectors at O(modes * D).  The
+map is a *-homomorphism for the package's convolution convention, which
+makes it an independent oracle for the algebra layer, and its spectra are
+the quantized values of observables.
 
 The product itself is computed on the orbit too: every arrow is a lattice
 step, so `convolve_orbit` computes (f.g)(hbar, u, k) at all orbit points u
 in one array pass and returns it as an `OrbitOperator`.  It walks the mode
-pairs (l, m) of f and g, as `OrbitOperator.__matmul__` does, and fills
-mode l + m.  Both factor arrows are tested on the orbit's face bounds
-(`groupoid.face_bounds`, the closed form of `groupoid.is_member`, not the
-orbit's own index).  Each term evaluates its coefficients of f and g on
+pairs (l, m) of f and g, f's modes first, and fills mode l + m.  Both
+factor arrows are tested on the orbit's face bounds (`groupoid.face_bounds`,
+the closed form of `groupoid.is_member`, not the orbit's own index).  Each term evaluates its coefficients of f and g on
 its own rows, those where both of its arrows exist; at each mode the terms
 are summed over the modes of f in order.  One call serves every mode after
 one face test of the orbit; only the placement of its output reads the
@@ -91,7 +89,8 @@ class OrbitOperator:
 
     modes[k] = (values, targets): row i has the entry values[i] in column
     targets[i], the index of u_i + hbar*k.  Where row i has no mode-k entry,
-    targets[i] is -1 and values[i] is 0.
+    targets[i] is -1 and values[i] is 0.  Products are read one mode at a
+    time (`product_mode`).
     """
 
     dim: int
@@ -115,31 +114,22 @@ class OrbitOperator:
                 d += values
         return d
 
-    def entry(self, i: int, k) -> complex:
-        """The mode-k entry of row i (0 where there is none)."""
-        mode = self.modes.get(tuple(k))
-        return complex(mode[0][i]) if mode else 0j
-
-    def __matmul__(self, other: "OrbitOperator") -> "OrbitOperator":
-        """Operator product.  Mode l + m of row i sums a_l[i] * b_m[t_l(i)]
-        over this operator's modes l in order, as `algebra.convolve` sums."""
-        modes = {}
+    def product_mode(self, other: "OrbitOperator", k) -> np.ndarray:
+        """Mode k of the product of this operator with `other`, as a values
+        vector: row i sums a_l[i] * b_{k-l}[t_l(i)] over this operator's
+        modes l in order, as `algebra.convolve` sums (zeros where no term
+        lands)."""
+        values = np.zeros(self.dim, dtype=complex)
         for l, (a, ta) in self.modes.items():
+            mode = other.modes.get(tuple(x - y for x, y in zip(k, l)))
+            if mode is None:
+                continue
+            b, tb = mode
             rows = np.flatnonzero(ta >= 0)
             mid = ta[rows]
-            for m, (b, tb) in other.modes.items():
-                ends = tb[mid]
-                ok = ends >= 0
-                if not ok.any():
-                    continue
-                k = tuple(x + y for x, y in zip(l, m))
-                if k not in modes:
-                    modes[k] = (np.zeros(self.dim, dtype=complex),
-                                np.full(self.dim, -1, dtype=np.int64))
-                values, targets = modes[k]
-                values[rows[ok]] += a[rows[ok]] * b[mid[ok]]
-                targets[rows[ok]] = ends[ok]
-        return OrbitOperator(self.dim, modes)
+            ok = tb[mid] >= 0
+            values[rows[ok]] += a[rows[ok]] * b[mid[ok]]
+        return values
 
 
 def represent(P: DelzantPolytope, orb: Orbit, f: al.AlgebraElement) -> OrbitOperator:
@@ -393,7 +383,8 @@ def casimir_defect(P: DelzantPolytope, hbar) -> float:
 
     Classically (y-1/2)^2 + y(1-y) = 1/4 identically; the represented value
     drifts at order hbar.  Every point of that orbit is interior, away from
-    the facets where the raising coefficient loses smoothness.
+    the facets where the raising coefficient loses smoothness.  Each of the
+    three products is read at mode 0 only (`OrbitOperator.product_mode`).
     """
     hbar = Fraction(hbar)
     if not _is_unit_interval(P):
@@ -402,10 +393,11 @@ def casimir_defect(P: DelzantPolytope, hbar) -> float:
     orb = orbit(P, hbar, (hbar / 2,))
     x3, xp, xm = (represent(P, orb, e)
                   for e in (sphere_x3(), sphere_xplus(), sphere_xminus()))
-    # every product has mode sum {0}, so the represented invariant is
-    # diagonal and its distance from I/4 is the largest diagonal deviation
-    val = (x3 @ x3).diagonal()
-    val += 0.5 * ((xp @ xm).diagonal() + (xm @ xp).diagonal())
+    # every product has mode sum {0}, so the represented invariant is its
+    # mode 0, and its distance from I/4 is the largest diagonal deviation
+    zero = (0,)
+    val = x3.product_mode(x3, zero)
+    val += 0.5 * (xp.product_mode(xm, zero) + xm.product_mode(xp, zero))
     return max(0.0, float(np.abs(val - 0.25).max()))
 
 
@@ -416,11 +408,11 @@ def bracket_via_matrices(P: DelzantPolytope, f: al.AlgebraElement,
                          g: al.AlgebraElement, y, k, hbar_list) -> complex:
     """Limit of the renormalized matrix commutator entry at (y, y + hbar*k).
 
-    For each hbar the elements are represented on the orbit through y, the
-    commutator is formed from the two operator products, and the entry
-    corresponding to the arrow (hbar, y, k) is read off; the sweep is then
-    extrapolated to zero.  Everything downstream of `represent` is
-    independent of the convolution code path.
+    For each hbar the elements are represented on the orbit through y, and
+    the commutator's entry at the arrow (hbar, y, k) is read off the base
+    point's row of mode k of the two products (`OrbitOperator.product_mode`);
+    the sweep is then extrapolated to zero.  Everything downstream of
+    `represent` is independent of the convolution code path.
     """
     y = ratpoint(y)
     k = tuple(int(c) for c in k)
@@ -433,6 +425,7 @@ def bracket_via_matrices(P: DelzantPolytope, f: al.AlgebraElement,
             raise DomainError(
                 f"arrow (hbar={h}, y={format_point(y)}, k={k}) is not in the groupoid")
         F, G = represent(P, orb, f), represent(P, orb, g)
-        comm = (F @ G).entry(row, k) - (G @ F).entry(row, k)
+        # Python complex arithmetic: numpy's division may round otherwise
+        comm = complex(F.product_mode(G, k)[row]) - complex(G.product_mode(F, k)[row])
         values.append(comm / (1j * float(h)))
     return al.neville_to_zero(hs, values)

@@ -11,7 +11,7 @@ from torikit import expr as ex
 from torikit import matrixrep as mr
 from torikit import polytope as pt
 from torikit import suite as su
-from torikit.errors import DomainError, FormatError, MarginError
+from torikit.errors import DimensionError, DomainError, FormatError, MarginError
 
 import fraction_oracle as oracle
 
@@ -190,6 +190,25 @@ def test_numeric_limit_one_hbar_is_its_value_not_exact():
     lim = al.numeric_bracket_limit(P, f, g, (F(1, 2),), (0,), [F(1, 16)])
     assert isinstance(lim.order, float) and math.isnan(lim.order)
     assert lim.estimate == lim.table[0]["value"]
+
+
+@pytest.mark.parametrize("k", [(1,), (1, 0, 0)])
+def test_a_mode_of_the_wrong_length_is_refused(k):
+    # a short mode matched no coefficient (0j) and a long one was cut to
+    # the dimension by zip
+    golden = Path(__file__).parent / "golden"
+    cp2 = pt.projective_space(2)
+    f, g = (al.load_observable(golden / f"obs_cp2_{c}.json", 2) for c in "fg")
+    y = (F(1, 4), F(1, 4))
+    hs = [F(1, 16), F(1, 32), F(1, 64)]
+    calls = [lambda: al.convolve(cp2, f, g, F(1, 16), y, k),
+             lambda: al.symbolic_bracket(f, g, y, k),
+             lambda: al.extension_value(f, F(1, 16), y, k),
+             lambda: al.numeric_bracket_limit(cp2, f, g, y, k, hs),
+             lambda: f.coefficient(k)]
+    for call in calls:
+        with pytest.raises(DimensionError, match=f"mode has {len(k)} entries, expected 2"):
+            call()
 
 
 def test_numeric_limit_validates_hbar_list():

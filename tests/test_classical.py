@@ -41,7 +41,7 @@ def pullback_omega_check(sys, y, s, tangent_pairs, step=1e-5):
     def chart(yv, sv):
         radial = np.sqrt(np.array([
             2.0 * (sum(yi * xj for yi, xj in zip(yv, col)) - float(lam))
-            for col, lam in zip(sys.P.normals, sys.lam)
+            for col, lam in zip(sys.P.normals, sys.P.offsets)
         ]))
         Sf = np.array([[int(v) for v in row] for row in sys.splitting], dtype=float)
         return radial * np.exp(1j * (Sf @ np.asarray(sv)))

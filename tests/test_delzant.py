@@ -14,6 +14,14 @@ from torikit.errors import ConstructionError, DomainError, StratumError
 F = Fraction
 
 
+def test_orthant_system_has_no_reduction_torus():
+    # d = 0: the level map has no component and every point is on the level
+    sys = dz.build_system(pt.orthant(2))
+    assert sys.d == 0 and sys.B.shape == (2, 0)
+    assert dz.Jd(sys, [1, 1j]).shape == (0,)
+    assert dz.reduced_level_defect(sys, [1, 1j]) == 0.0
+
+
 def test_build_interval_system():
     sys = dz.build_system(pt.interval())
     assert sys.A.shape == (1, 2) and list(sys.A[0]) == [1, -1]

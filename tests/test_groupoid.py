@@ -578,6 +578,14 @@ def test_face_bounds_match_fraction_slacks_randomized():
         gr.face_bounds(pt.square(), (F(-1, 2 ** 62), F(1, 2)), F(1, 4))
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_orbit_refuses_a_cap_below_1(cap):
+    # every orbit holds its base point; cap -3 asked the first block for
+    # a negative number of prefixes
+    with pytest.raises(DomainError, match=f"cap must be at least 1, got {cap}"):
+        gr.orbit(pt.square(), F(1, 4), (F(1, 2), F(1, 2)), cap=cap)
+
+
 def test_orbit_cap_boundary():
     P = pt.projective_space(2)
     y0 = (F(1, 20), F(1, 20))

@@ -329,3 +329,13 @@ def test_convolve_orbit_evaluates_no_coefficient_off_its_term():
     assert np.array_equal(got.real, want.real) and np.array_equal(got.imag, want.imag)
     with pytest.raises(EvalDomainError):
         mr.represent(P, orb, f)
+
+
+def test_a_battery_keeps_only_its_first_counterexample():
+    result = su.BatteryResult("probe", 0)
+    result.check(0.0, 0.5, {"case": 0})
+    for case in (1, 2, 3):
+        result.check(float(case), 0.5, {"case": case})
+    assert result.cases == 4 and result.max_error == 3.0 and not result.passed
+    assert result.first_failure == {"error": 1.0, "case": 1}
+    assert result.to_dict()["first_counterexample"] == {"error": 1.0, "case": 1}
