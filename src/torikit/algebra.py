@@ -50,7 +50,7 @@ from functools import cached_property
 
 from . import expr as ex
 from .errors import DimensionError, DomainError, FormatError, MarginError
-from .groupoid import GroupoidPoint, arrow_valid, is_member, translate
+from .groupoid import arrow, arrow_valid, is_member, translate
 from .polytope import (DelzantPolytope, format_point, json_int, mode_pairings,
                        ratpoint, read_json, scaled_slacks)
 
@@ -203,7 +203,7 @@ def extension_value(f: AlgebraElement, hbar, y, k) -> complex:
 
 def groupoid_value(P: DelzantPolytope, f: AlgebraElement, hbar, y, k) -> complex:
     """Extension value masked by arrow membership (0 off the arrow space)."""
-    g = GroupoidPoint(Fraction(hbar), ratpoint(y), tuple(int(c) for c in k))
+    g = arrow(hbar, y, k)
     if not is_member(P, g):
         return 0j
     return extension_value(f, g.hbar, g.y, g.k)
@@ -401,7 +401,9 @@ def check_margin(P: DelzantPolytope, f, g, y, hbar_max) -> None:
 
 @dataclass
 class BracketLimit:
-    """Extrapolated limit of the renormalized commutator over an hbar sweep."""
+    """Extrapolated limit of the renormalized commutator over an hbar sweep:
+    one `table` row per hbar, with the keys "hbar", "value" and
+    "extrapolated" (`numeric_bracket_limit`)."""
 
     estimate: complex
     order: float | str
@@ -444,40 +446,29 @@ def numeric_bracket_limit(P: DelzantPolytope, f: AlgebraElement,
     extrapolate to zero.
 
     The first-order elimination step is iterated over the whole sweep (a
-    Richardson table); the table column reports the single-step extrapolant
-    per level.  The empirical convergence order is the log-ratio of
-    successive differences; "exact" is reported when there is at least one
-    difference and every difference is below the threshold (the value does
-    not depend on hbar).  A one-hbar sweep has no difference: its estimate
-    is its one value and its order nan.
+    Richardson table) for the estimate; each table row holds its hbar, its
+    value and the single-step extrapolant from the previous hbar (the first
+    row repeats its value).  The empirical convergence order is the median,
+    over the inner nodes whose two differences both exceed the threshold,
+    of the log-ratio of those successive differences; "exact" is reported
+    when there is at least one difference and every difference is below
+    the threshold (the value does not depend on hbar).  A one-hbar sweep
+    has no difference: its estimate is its one value and its order nan.
     """
     hs = hbar_sweep(hbar_list)
     check_margin(P, f, g, y, hs[0])
 
     values = [renormalized_commutator(P, f, g, h, y, k) for h in hs]
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
-
-    table = []
-    extrapolated = values[0]
-    for i, (h, r) in enumerate(zip(hs, values)):
-        order = None
-        if 1 <= i <= len(diffs) - 1:
-            num, den = diffs[i - 1], diffs[i]
-            ratio_h = float(hs[i - 1] / hs[i])
-            if den > EXACT_THRESHOLD and num > EXACT_THRESHOLD:
-                order = math.log(num / den) / math.log(ratio_h)
-        if i >= 1:
-            extrapolated = _two_level(float(hs[i - 1]), values[i - 1],
-                                      float(hs[i]), values[i])
-        table.append({
-            "hbar": h,
-            "value": r,
-            "extrapolated": extrapolated,
-            "order": order,
-        })
+    extrapolated = values[:1] + [_two_level(float(h0), r0, float(h1), r1)
+                                 for h0, r0, h1, r1 in zip(hs, values, hs[1:], values[1:])]
+    table = [{"hbar": h, "value": r, "extrapolated": e}
+             for h, r, e in zip(hs, values, extrapolated)]
 
     if diffs and all(d <= EXACT_THRESHOLD for d in diffs):
         return BracketLimit(values[-1], "exact", table)
-    orders = [row["order"] for row in table if row["order"] is not None]
-    order = sorted(orders)[len(orders) // 2] if orders else float("nan")
+    orders = sorted(math.log(num / den) / math.log(float(h0 / h1))
+                    for num, den, h0, h1 in zip(diffs, diffs[1:], hs, hs[1:])
+                    if num > EXACT_THRESHOLD and den > EXACT_THRESHOLD)
+    order = orders[len(orders) // 2] if orders else float("nan")
     return BracketLimit(neville_to_zero(hs, values), order, table)

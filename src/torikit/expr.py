@@ -30,10 +30,13 @@ keeps the float in a slot that equality, hashing and printing ignore.  It
 does not convert at construction, so a literal past float range still parses;
 its evaluation raises each time, since a failed conversion is not kept.
 `evaluate` converts rational inputs once per call, floats and arrays pass
-through, and `ComplexExpr.evaluate` converts once for both parts.
+through, and `ComplexExpr.evaluate` converts once for both parts.  A scalar
+evaluation comes back finite or raises EvalDomainError; an array comes back
+as it is, for the caller's own finiteness test.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
@@ -651,8 +654,11 @@ def evaluate(e: Expr, h, y):
     Accepts scalars or numpy arrays (broadcast elementwise); rational inputs
     are converted to float.  Deterministic; raises EvalDomainError carrying
     the offending subexpression at singular points, and carrying `e` when a
-    scalar result overflows (arrays read inf there instead) or a constant
-    lies past float range (scalars and arrays alike).
+    scalar result is not finite or a constant lies past float range
+    (scalars and arrays alike).  So a scalar comes back finite; an array
+    comes back as it is, inf and nan included, for the caller's own test.
+    numpy may warn of an overflow on the way; a caller that refuses the
+    value silences the warning (`np.errstate`).
     """
     h, y = _floats(h, y)
     try:
@@ -661,7 +667,10 @@ def evaluate(e: Expr, h, y):
         raise EvalDomainError("evaluation overflows", e) from exc
     if isinstance(out, np.ndarray):
         return out
-    return float(out)
+    out = float(out)
+    if not math.isfinite(out):
+        raise EvalDomainError("evaluation overflows", e)
+    return out
 
 
 # ---------------------------------------------------------------------------

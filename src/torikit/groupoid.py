@@ -30,9 +30,9 @@ its orbit.
 With d the common denominator of y0 and hbar every coordinate is an integer
 numerator over d (`Orbit.numerators`).  `Orbit.coordinates` gives the float
 coordinates of y0 + hbar*k for an array of steps k, each the correctly
-rounded value `float(Fraction)` gives: when d and the numerators lie below
-2^53 they are exact in float64 and one division rounds correctly, and
-otherwise each coordinate is a Python-int quotient, also correctly rounded.
+rounded value `float(Fraction)` gives, by one division: of int64 arrays
+when d and the numerators lie below 2^53 (exact in float64), else of object
+arrays of Python ints, whose true division also rounds correctly.
 """
 from __future__ import annotations
 
@@ -213,11 +213,10 @@ class Orbit:
         array, each the correctly rounded `float(Fraction)`."""
         d, num0, step = self.numerators
         reach = max(abs(int(steps.min())), abs(int(steps.max()))) if steps.size else 0
-        if d < 2 ** 53 and max(map(abs, num0)) + abs(step) * reach < 2 ** 53:
-            return (np.array(num0, dtype=np.int64) + step * steps) / d
-        # int / int is correctly rounded, as float(Fraction) is
-        return np.array([[(c + step * s) / d for c, s in zip(num0, row)]
-                         for row in steps.tolist()], dtype=float).reshape(steps.shape)
+        exact = d < 2 ** 53 and max(map(abs, num0)) + abs(step) * reach < 2 ** 53
+        dtype = np.int64 if exact else object
+        num = np.array(num0, dtype=dtype) + step * steps.astype(dtype, copy=False)
+        return (num / d).astype(float, copy=False)
 
     @cached_property
     def box(self) -> tuple[np.ndarray, np.ndarray]:

@@ -192,6 +192,45 @@ def test_numeric_limit_one_hbar_is_its_value_not_exact():
     assert lim.estimate == lim.table[0]["value"]
 
 
+def sweep_oracle(hs, values):
+    """The extrapolant column and the median order of a sweep, recomputed
+    index by index from its values: the two-level formula between each
+    hbar and the one before it, and the log-ratio of the two differences
+    at each inner node where both exceed the threshold."""
+    extrapolated = [values[0]]
+    for i in range(1, len(hs)):
+        h0, h1 = float(hs[i - 1]), float(hs[i])
+        extrapolated.append((h0 * values[i] - h1 * values[i - 1]) / (h0 - h1))
+    diffs = [abs(values[i + 1] - values[i]) for i in range(len(values) - 1)]
+    orders = sorted(math.log(diffs[i - 1] / diffs[i]) / math.log(float(hs[i - 1] / hs[i]))
+                    for i in range(1, len(diffs))
+                    if diffs[i - 1] > al.EXACT_THRESHOLD and diffs[i] > al.EXACT_THRESHOLD)
+    return extrapolated, orders[len(orders) // 2] if orders else math.nan
+
+
+@pytest.mark.parametrize("hs", [
+    [F(1, 2) ** i for i in range(4, 11)],
+    [F(1, 16), F(1, 32)],                   # no inner node: order nan
+    [F(1, 8), F(1, 24), F(1, 40)],          # one inner node, uneven ratios
+], ids=["seven", "two", "three"])
+def test_numeric_limit_table_and_order_follow_from_the_values(hs):
+    f = al.element(1, {1: "sin(y1)"})
+    g = al.element(1, {-1: "1"})
+    lim = al.numeric_bracket_limit(P, f, g, (F(1, 2),), (0,), hs)
+    assert all(row.keys() == {"hbar", "value", "extrapolated"} for row in lim.table)
+    assert [row["hbar"] for row in lim.table] == hs
+    values = [row["value"] for row in lim.table]
+    assert values == [al.renormalized_commutator(P, f, g, h, (F(1, 2),), (0,)) for h in hs]
+    extrapolated, order = sweep_oracle(hs, values)
+    assert [row["extrapolated"] for row in lim.table] == extrapolated
+    assert isinstance(lim.order, float)
+    if len(hs) == 2:
+        assert math.isnan(lim.order) and math.isnan(order)
+    else:
+        assert lim.order == order and lim.order > 0.9
+    assert lim.estimate == al.neville_to_zero(hs, values)
+
+
 @pytest.mark.parametrize("k", [(1,), (1, 0, 0)])
 def test_a_mode_of_the_wrong_length_is_refused(k):
     # a short mode matched no coefficient (0j) and a long one was cut to

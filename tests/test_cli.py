@@ -697,6 +697,38 @@ def test_evaluation_overflow_exits_2(tmp_path, capsys):
         "overflows in subexpression 'y1^200'\n")
 
 
+def exp_overflow_observables(tmp_path):
+    # exp(1000*y1) overflows from y1 ~ 0.7098
+    f = tmp_path / "exp.json"
+    f.write_text(json.dumps({"modes": [{"k": [1], "re": "exp(1000*y1)"}]}))
+    g = tmp_path / "y1.json"
+    g.write_text(json.dumps({"modes": [{"k": [0], "re": "y1"}]}))
+    return str(f), str(g)
+
+
+@pytest.mark.parametrize("mode", ["0", "1"])
+def test_bracket_limit_overflow_exits_2(tmp_path, capsys, mode):
+    # mode 0 exited 0 on a nan classical column, since max(0.0, nan) is
+    # 0.0, and mode 1 exited 1 with nan and -inf rows
+    f, g = exp_overflow_observables(tmp_path)
+    rc, text = run(["quantize", "bracket-limit", str(DATA / "sphere.json"), "--obs", f,
+                    "--obs2", g, "--point", "3/4", "--mode", mode], tmp_path)
+    assert (rc, text) == (2, None)
+    assert capsys.readouterr().err == (
+        "error: evaluation overflows in subexpression 'exp(1000*y1)'\n")
+
+
+def test_spectra_overflow_names_the_orbit_point(tmp_path, capsys):
+    # the orbit 1/16, 3/16, ..., 15/16: 11/16 is finite, 13/16 overflows
+    f, _ = exp_overflow_observables(tmp_path)
+    rc, text = run(["quantize", "spectra", str(DATA / "sphere.json"), "--obs", f,
+                    "--hbar", "1/8"], tmp_path)
+    assert (rc, text) == (2, None)
+    assert capsys.readouterr().err == (
+        "error: coefficient of mode (1,) at orbit point (13/16): evaluation "
+        "overflows in subexpression 'exp(1000*y1)'\n")
+
+
 def test_polytope_make_matches_shipped_data(tmp_path):
     rc, text = run(["polytope", "make", "cpn", "--n", "2"], tmp_path, "cp2.json")
     assert rc == 0

@@ -264,6 +264,19 @@ def test_overflowing_result_raises_on_scalars_and_reads_inf_on_arrays():
     assert e.a._float == 2.0
 
 
+def test_scalar_result_that_is_not_finite_raises():
+    # numpy returns inf from exp (and nan from inf - inf) with a warning,
+    # not an OverflowError; the warning is silenced here, as the CLI does
+    for text in ("exp(1000*y1)", "exp(1000*y1) - exp(1000*y1)"):
+        e = ex.parse(text, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(EvalDomainError) as info:
+                ex.evaluate(e, 0.0, [0.75])
+            out = ex.evaluate(e, 0.0, [np.array([0.75, 0.5])])
+        assert str(info.value) == f"evaluation overflows in subexpression '{text}'"
+        assert not np.isfinite(out[0]) and np.isfinite(out[1])
+
+
 def test_complex_evaluate_at_a_rational_point_equals_its_float_point():
     c = ex.ComplexExpr(ex.parse("h*y1 + sin(y2)", 2), ex.parse("y1/3 - h^2", 2))
     exact = c.evaluate(Fraction(1, 7), (Fraction(1, 3), Fraction(2, 5)))

@@ -1,7 +1,8 @@
 """Source hygiene: every name a torikit module imports is read there or
 re-exported through its __all__, no module reads another module's private
-(underscore) name, every name in an __all__ exists, and every function the
-benchmark tracer patches exists."""
+(underscore) name, no module imports a package that is not declared (only
+the standard library, numpy and torikit), every name in an __all__ exists,
+and every function the benchmark tracer patches exists."""
 import ast
 import importlib
 import importlib.util
@@ -78,6 +79,35 @@ def test_private_reads_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_module_reads_no_private_sibling_name(path):
     assert private_reads(path.read_text()) == []
+
+
+# pyproject's one dependency, and the package itself
+DECLARED = {"numpy", "torikit"}
+
+
+def undeclared_imports(source: str) -> list[str]:
+    """Top-level packages a module imports absolutely that are neither in
+    the standard library nor declared."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return sorted(found - set(sys.stdlib_module_names) - DECLARED)
+
+
+def test_undeclared_imports_detector():
+    source = ("from __future__ import annotations\nimport os.path, numpy as np\n"
+              "import scipy.linalg\nfrom . import expr\nfrom .errors import ParseError\n"
+              "from torikit import cli\nfrom sympy import Symbol\n"
+              "def f():\n    import mpmath\n")
+    assert undeclared_imports(source) == ["mpmath", "scipy", "sympy"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_imports_only_declared_packages(path):
+    assert undeclared_imports(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)

@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """One sha256 per benchmark op, to show that a change keeps every output.
 
-    python3 tools/op_digests.py --seed N --workdir DIR
+    python3 tools/op_digests.py [--src SRC] --seed N --workdir DIR
 
-from the root of a source checkout.  For every op of every workload of
+from the root of a source checkout.  torikit is imported from SRC
+(default: the `src/` next to this file) before perfbench's setup runs, so
+one copy of the tool can digest two checkouts over one DIR; a torikit
+found elsewhere is refused.  For every op of every workload of
 `perfbench/run.py`, built with the same seed as the benchmark builds it,
 this prints one line
 
@@ -35,9 +38,15 @@ import run
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--workdir", required=True)
     args = parser.parse_args(argv)
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+    import torikit
+    if Path(torikit.__file__).resolve().parent.parent != src:
+        parser.error(f"torikit was imported from {torikit.__file__}, not from {src}")
     for workload in inputs.WORKLOADS:
         workdir = Path(args.workdir).resolve() / workload
         workdir.mkdir(parents=True, exist_ok=True)
