@@ -41,6 +41,7 @@ arrays is `matrixrep.convolve_orbit`.
 from __future__ import annotations
 
 import bisect
+import cmath
 import itertools
 import math
 import operator
@@ -49,10 +50,11 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import expr as ex
-from .errors import DimensionError, DomainError, FormatError, MarginError
-from .groupoid import arrow, arrow_valid, is_member, translate
-from .polytope import (DelzantPolytope, format_point, json_int, mode_pairings,
-                       ratpoint, read_json, scaled_slacks)
+from .errors import (DimensionError, DomainError, EvalDomainError, FormatError,
+                     MarginError)
+from .groupoid import arrow, is_member, translate
+from .polytope import (DelzantPolytope, arrow_valid, format_point, json_int,
+                       mode_pairings, ratpoint, read_json, scaled_slacks)
 
 __all__ = [
     "AlgebraElement", "element", "observable_from_dict", "observable_to_dict",
@@ -223,8 +225,9 @@ def convolve(P: DelzantPolytope, f: AlgebraElement, g: AlgebraElement,
 
     Each term carries the indicator that both factor arrows lie in the arrow
     space, so the sum never sees points where a coefficient is singular but
-    masked.  Both indicators are `groupoid.arrow_valid` on y's integer
-    slacks, taken once per call.
+    masked.  Both indicators are `polytope.arrow_valid` on y's integer
+    slacks, taken once per call.  A sum that is not finite (finite factors
+    whose product overflows) raises EvalDomainError (`not_finite`).
     """
     if f.n != g.n:
         raise DomainError("elements live over different dimensions")
@@ -246,7 +249,16 @@ def convolve(P: DelzantPolytope, f: AlgebraElement, g: AlgebraElement,
                            mode_pairings(P, m)):
             continue
         total += cf.evaluate(hbar, y) * cg.evaluate(hbar, translate(y, hbar, l))
+    if not cmath.isfinite(total):
+        raise not_finite("product", k, y, hbar)
     return total
+
+
+def not_finite(what: str, k, y, hbar) -> EvalDomainError:
+    """The error for a value `what` at mode k, point y and hbar that is not
+    finite; `convolve` and `matrixrep.convolve_orbit` raise the same one."""
+    return EvalDomainError(
+        f"{what} at mode {k} is not finite at {format_point(y)}, hbar = {hbar}")
 
 
 def commutator(P, f, g, hbar, y, k) -> complex:
@@ -254,13 +266,17 @@ def commutator(P, f, g, hbar, y, k) -> complex:
 
 
 def renormalized_commutator(P, f, g, hbar, y, k) -> complex:
-    """(f.g - g.f)/(i*hbar) at (hbar, y, k); hbar must be nonzero."""
+    """(f.g - g.f)/(i*hbar) at (hbar, y, k); hbar must be nonzero.  A value
+    that is not finite raises EvalDomainError, as in `convolve`."""
     hbar = Fraction(hbar)
     if hbar == 0:
         raise DomainError(
             "renormalized commutator needs hbar != 0; use symbolic_bracket "
             "for the limit value")
-    return commutator(P, f, g, hbar, y, k) / (1j * float(hbar))
+    value = commutator(P, f, g, hbar, y, k) / (1j * float(hbar))
+    if not cmath.isfinite(value):
+        raise not_finite("renormalized commutator", _mode(k, f.n), ratpoint(y), hbar)
+    return value
 
 
 def involution(f: AlgebraElement) -> AlgebraElement:

@@ -18,7 +18,8 @@ import numpy as np
 
 from .algebra import AlgebraElement
 from .errors import DomainError, StratumError
-from .polytope import DelzantPolytope, format_point, in_delta_k, ratpoint
+from .polytope import (DelzantPolytope, arrow_valid, format_point, mode_pairings,
+                       ratpoint, scaled_slacks)
 
 __all__ = [
     "synthesize", "ANGLE_GRID_CAP", "angle_spectrum", "poisson_bracket_aa",
@@ -39,7 +40,8 @@ def synthesize(P: DelzantPolytope, f: AlgebraElement, y, theta) -> complex:
     y); admissible modes all contribute.
     """
     y = ratpoint(y)
-    if not P.contains(y):
+    s = scaled_slacks(P, y)[0]
+    if any(sj < 0 for sj in s):
         raise DomainError(f"point {format_point(y)} lies outside the polytope")
     theta = [float(t) for t in theta]
     if len(theta) != f.n:
@@ -47,9 +49,9 @@ def synthesize(P: DelzantPolytope, f: AlgebraElement, y, theta) -> complex:
     total = 0j
     for k, c in f.subs_h_zero().modes:
         value = c.evaluate(0.0, y)
-        if not in_delta_k(P, y, k):
+        if not arrow_valid(s, 0, mode_pairings(P, k)):
             if value != 0:
-                active = P.active_set(y)
+                active = tuple(j for j, sj in enumerate(s) if sj == 0)
                 raise StratumError(
                     f"mode {k} has nonzero coefficient {value} at {tuple(map(str, y))} "
                     f"but facets {active} are active there")

@@ -19,9 +19,10 @@ read, an expression nested or deep past the parser's bounds or an integer
 literal too long for Python) or a computation that cannot be carried out (a
 domain error, the orbit cap, a classical oracle grid or a symbolic bracket
 mode sum past its cap, a singular evaluation or one whose value is not
-finite); 3 margin violation.  Each command runs with numpy's overflow and
-invalid-value warnings silenced: a value that is not finite is refused
-where it is evaluated, so the warning would only repeat the error.
+finite, or a product or renormalized commutator that is not finite although
+its factors are); 3 margin violation.  Each command runs with numpy's
+overflow and invalid-value warnings silenced: a value that is not finite is
+refused where it is evaluated, so the warning would only repeat the error.
 `quantize bracket-limit`'s action-angle oracle samples
 G = 2*(max_mode(f) + max_mode(g)) + 3 angles per axis and reads mode k
 from that grid when every |k_i| <= G // 2, the window that holds every

@@ -4,8 +4,8 @@ An arrow is a triple (hbar, y, k): base point y in the polytope, integer
 mode k, deformation parameter hbar.  It is valid when y lies in the stratum
 admitting k and the translated point y + hbar*k keeps every facet paired
 with k strictly slack; equivalently (for smooth polytopes) when y and
-y + hbar*k share their isotropy.  `arrow_valid` is that test in closed form
-on y's integer facet slacks; `is_member` and `algebra.convolve` run it.  At
+y + hbar*k share their isotropy.  `polytope.arrow_valid` is that test on
+y's integer facet slacks; `is_member` and `algebra.convolve` run it.  At
 hbar = 0 arrows are loops, so the zero fiber is a bundle of abelian groups.
 
 At fixed hbar != 0 the orbits are finite pair groupoids, known in closed
@@ -45,12 +45,12 @@ import numpy as np
 
 from . import intlat
 from .errors import ComposabilityError, DimensionError, DomainError, OrbitCapError
-from .polytope import (DelzantPolytope, face_box, format_point, in_delta_k,
+from .polytope import (DelzantPolytope, arrow_valid, face_box, format_point, in_delta_k,
                        isotropy_lattice, mode_pairings, ratpoint, scaled_slacks)
 
 __all__ = [
     "GroupoidPoint", "Orbit", "arrow", "translate",
-    "arrow_valid", "is_member", "is_member_isotropy",
+    "is_member", "is_member_isotropy",
     "source", "range_", "compose", "invert", "face_bounds", "orbit",
 ]
 
@@ -74,23 +74,9 @@ def translate(y, hbar, k):
     return tuple(c + hbar * ki for c, ki in zip(y, k))
 
 
-def arrow_valid(s, h, p) -> bool:
-    """Membership of an arrow (hbar, y, k) in closed form, on integers.
-
-    With d > 0 a common denominator of y, hbar and the offsets,
-    s_j = d * (slack of y at facet j), h = d * hbar (`scaled_slacks`) and
-    p_j = <k, X_j> (`mode_pairings`), the arrow is valid iff every
-    s_j >= 0 and every facet with p_j != 0 has s_j > 0 and s_j + h * p_j > 0.
-    The head's slacks over the same d are s_j + h * p_j, so a product tests
-    both of its factor arrows on the base point's slacks alone.
-    """
-    return all(sj > 0 and sj + h * pj > 0 if pj else sj >= 0
-               for sj, pj in zip(s, p))
-
-
 def is_member(P: DelzantPolytope, g: GroupoidPoint) -> bool:
     """Facet-based membership: y admits k and y + hbar*k stays strictly
-    slack on every facet paired with k (`arrow_valid`)."""
+    slack on every facet paired with k (`polytope.arrow_valid`)."""
     p = mode_pairings(P, g.k)
     s, _, h = scaled_slacks(P, g.y, g.hbar)
     return arrow_valid(s, h, p)
@@ -101,8 +87,6 @@ def is_member_isotropy(P: DelzantPolytope, g: GroupoidPoint) -> bool:
     isotropy algebra.  Points outside the polytope give False, not an error.
     """
     end = translate(g.y, g.hbar, g.k)
-    if not (P.contains(g.y) and P.contains(end)):
-        return False
     if not (in_delta_k(P, g.y, g.k) and in_delta_k(P, end, g.k)):
         return False
     return intlat.row_space_equal(isotropy_lattice(P, g.y),

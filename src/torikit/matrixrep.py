@@ -32,7 +32,10 @@ power and Python's float power round differently).  To keep that contract
 the complex product and the sum are separate float64 operations,
 re += ar*br - ai*bi and im += ar*bi + ai*br, in the order Python's complex
 arithmetic performs them; numpy's complex multiply may fuse them and round
-differently.
+differently.  `represent` and `convolve_orbit` evaluate through one path
+(`_evaluate_rows`), so both name the orbit point where a coefficient is
+singular or not finite, and a product that is not finite fails as in
+`algebra.convolve`.
 
 `spectrum` takes the first path that applies; the chain and acyclic tests
 read one arrow graph (`_arrows`: the nonzero off-diagonal entries as arrows
@@ -63,7 +66,7 @@ import numpy as np
 from . import algebra as al
 from . import expr as ex
 from .errors import DomainError, EvalDomainError
-from .groupoid import Orbit, face_bounds, orbit
+from .groupoid import Orbit, face_bounds, orbit, translate
 from .polytope import DelzantPolytope, format_point, ratpoint
 
 __all__ = [
@@ -137,12 +140,10 @@ def represent(P: DelzantPolytope, orb: Orbit, f: al.AlgebraElement) -> OrbitOper
 
     Entries exist exactly at valid arrows; each mode's targets are one
     vectorized lookup of the orbit's steps, and its coefficient is evaluated
-    on all its rows at once, with singular evaluations reported against the
-    offending orbit point.
+    on all its rows at once (`_evaluate_rows`, which names the orbit point
+    where it is singular or not finite).
     """
     D = orb.dim
-    hbar = float(orb.hbar)
-    ys = orb.points  # (D, n)
     modes = {}
     for k, coeff in f.modes:
         targets = orb.targets(k)
@@ -150,16 +151,14 @@ def represent(P: DelzantPolytope, orb: Orbit, f: al.AlgebraElement) -> OrbitOper
         if not len(rows):
             continue
         # evaluate only where the arrow exists; masked points may be singular
-        try:
-            re, im = _evaluate_rows(coeff, hbar, ys[rows], k)
-        except EvalDomainError:
-            _locate_bad_point(f, k, orb, rows)
+        re, im = _evaluate_rows(coeff, k, orb, rows)
         values = np.zeros(D, dtype=complex)
         values[rows] = re + 1j * im
         modes[k] = (values, targets)
     return OrbitOperator(D, modes)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # values not finite are refused
 def convolve_orbit(P: DelzantPolytope, f: al.AlgebraElement, g: al.AlgebraElement,
                    orb: Orbit) -> OrbitOperator:
     """The product f.g as an operator on the orbit: mode k holds
@@ -172,7 +171,9 @@ def convolve_orbit(P: DelzantPolytope, f: al.AlgebraElement, g: al.AlgebraElemen
     (`face_bounds`); a mode longer than the steps' box (`Orbit.box`) joins
     no two orbit points.  Each term evaluates both coefficients only on the
     rows where both of its arrows exist.  A coefficient that is singular or
-    not finite where its arrow exists raises EvalDomainError.
+    not finite where its arrow exists raises EvalDomainError naming that
+    orbit point, as `represent` does; so does a mode whose product is not
+    finite, naming its first such point, as `algebra.convolve` does.
     """
     if f.n != g.n:
         raise DomainError("elements live over different dimensions")
@@ -186,7 +187,6 @@ def convolve_orbit(P: DelzantPolytope, f: al.AlgebraElement, g: al.AlgebraElemen
             return None
         return np.array(k, dtype=np.int64) @ M
 
-    hbar = float(orb.hbar)
     gp = [(m, cg, None if cg.is_zero_tree() else pairings(m)) for m, cg in g.modes]
     acc = {}
     for l, cf in f.modes:
@@ -202,41 +202,49 @@ def convolve_orbit(P: DelzantPolytope, f: al.AlgebraElement, g: al.AlgebraElemen
                                   & (mid + pm >= low).all(axis=1))
             if not len(rows):
                 continue
-            ar, ai = _evaluate_rows(cf, hbar, orb.points[rows], l)
-            br, bi = _evaluate_rows(cg, hbar, orb.coordinates(orb.steps[rows] + l), m)
+            ar, ai = _evaluate_rows(cf, l, orb, rows)
+            br, bi = _evaluate_rows(cg, m, orb, rows, l)
             re, im = acc[k]
             re[rows] += ar * br - ai * bi
             im[rows] += ar * bi + ai * br
-    return OrbitOperator(orb.dim, {k: (re + 1j * im, orb.targets(k))
-                                   for k, (re, im) in acc.items()})
+    modes = {}
+    for k, (re, im) in acc.items():
+        values = re + 1j * im
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise al.not_finite("product", k, orb.point(int(np.argmin(finite))), orb.hbar)
+        modes[k] = (values, orb.targets(k))
+    return OrbitOperator(orb.dim, modes)
 
 
-def _evaluate_rows(coeff: ex.ComplexExpr, hbar: float, ys, k):
-    """The (re, im) float arrays of the mode-k coefficient at the rows of the
-    (rows, n) array ys, each of length rows; EvalDomainError where it is
-    singular or not finite."""
+def _evaluate_rows(coeff: ex.ComplexExpr, k, orb: Orbit, rows, shift=None):
+    """The (re, im) float arrays of the mode-k coefficient at the orbit
+    points of `rows`, or at their heads steps[rows] + shift; where it is
+    singular or not finite, EvalDomainError names the first such point."""
+    hbar = float(orb.hbar)
+    heads = None if shift is None else orb.steps[rows] + shift
+    ys = orb.points[rows] if heads is None else orb.coordinates(heads)
     # contiguous columns: numpy may take another (SIMD) loop on strided ones
     cols = [np.ascontiguousarray(ys[:, i]) for i in range(ys.shape[1])]
     with np.errstate(all="ignore"):
-        re = ex.evaluate(coeff.re, hbar, cols)
-        im = ex.evaluate(coeff.im, hbar, cols)
-    # a part free of y evaluates to a float: one value for every row
-    re, im = (np.full(len(ys), v) if type(v) is float else v for v in (re, im))
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise EvalDomainError(f"coefficient of mode {k} not finite on the orbit")
-    return re, im
-
-
-def _locate_bad_point(f, k, orb, rows):
-    coeff = f.coefficient(k)
-    for i in rows:
-        p = orb.point(i)
         try:
-            coeff.evaluate(float(orb.hbar), [float(c) for c in p])
-        except EvalDomainError as exc:
-            raise EvalDomainError(
-                f"coefficient of mode {k} at orbit point {format_point(p)}: "
-                f"{exc.reason}", exc.subexpression) from exc
+            re = ex.evaluate(coeff.re, hbar, cols)
+            im = ex.evaluate(coeff.im, hbar, cols)
+            # a part free of y evaluates to a float: one value for every row
+            re, im = (np.full(len(rows), v) if type(v) is float else v for v in (re, im))
+            if np.isfinite(re).all() and np.isfinite(im).all():
+                return re, im
+        except EvalDomainError:
+            pass
+        # one point at a time, in row order, to name the first that fails
+        for step in (orb.steps[rows] if heads is None else heads).tolist():
+            p = translate(orb.y0, orb.hbar, step)
+            try:
+                coeff.evaluate(hbar, [float(c) for c in p])
+            except EvalDomainError as exc:
+                raise EvalDomainError(
+                    f"coefficient of mode {k} at orbit point {format_point(p)}: "
+                    f"{exc.reason}", exc.subexpression) from exc
     raise EvalDomainError(f"coefficient of mode {k} singular on the orbit")
 
 

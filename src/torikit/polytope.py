@@ -6,7 +6,9 @@ here are exact and share one kernel, `scaled_slacks`: it scales the facet
 slacks <y, X_j> - lambda_j of a point (and hbar) by one positive common
 denominator, so that they become Python ints.  The scaling keeps every sign,
 so facet activity and strict slackness are integer comparisons with 0, never
-float or per-facet Fraction arithmetic.
+float or per-facet Fraction arithmetic.  The arrow rule `arrow_valid` reads
+that kernel, and Delta(k) is the set of base points of its hbar = 0 arrows,
+which are loops (`in_delta_k`).
 
 Screening runs in Python ints too, on `intlat`'s integer forms.  The
 offsets are integer numerators a_j over one denominator L, and each n-subset
@@ -33,7 +35,7 @@ from .errors import DimensionError, DomainError, FormatError
 __all__ = [
     "DelzantPolytope", "Face", "DelzantReport",
     "ratpoint", "format_point", "json_int", "scaled_slacks", "mode_pairings",
-    "in_delta_k", "in_u_k", "isotropy_lattice",
+    "arrow_valid", "in_delta_k", "in_u_k", "isotropy_lattice",
     "check_delzant", "require_delzant", "enumerate_faces", "vertices",
     "bounding_box", "face_box",
     "interval", "projective_space", "orthant", "product", "square",
@@ -222,11 +224,24 @@ def mode_pairings(P: DelzantPolytope, k) -> list[int]:
     return [_pair_int(k, x) for x in P.normals]
 
 
+def arrow_valid(s, h, p) -> bool:
+    """Membership of an arrow (hbar, y, k) in closed form, on integers.
+
+    With d > 0 a common denominator of y, hbar and the offsets,
+    s_j = d * (slack of y at facet j), h = d * hbar (`scaled_slacks`) and
+    p_j = <k, X_j> (`mode_pairings`), the arrow is valid iff every
+    s_j >= 0 and every facet with p_j != 0 has s_j > 0 and s_j + h * p_j > 0.
+    The head's slacks over the same d are s_j + h * p_j, so a product tests
+    both of its factor arrows on the base point's slacks alone.
+    """
+    return all(sj > 0 and sj + h * pj > 0 if pj else sj >= 0
+               for sj, pj in zip(s, p))
+
+
 def in_delta_k(P: DelzantPolytope, y, k) -> bool:
-    """y lies in the polytope and every facet active at y annihilates k."""
-    p = mode_pairings(P, k)
-    s = scaled_slacks(P, y)[0]
-    return all(sj > 0 if pj else sj >= 0 for sj, pj in zip(s, p))
+    """The hbar = 0 arrow (0, y, k) is valid: y lies in the polytope and
+    every facet active at y annihilates k."""
+    return arrow_valid(scaled_slacks(P, y)[0], 0, mode_pairings(P, k))
 
 
 def in_u_k(P: DelzantPolytope, y, k) -> bool:

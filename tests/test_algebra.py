@@ -11,7 +11,8 @@ from torikit import expr as ex
 from torikit import matrixrep as mr
 from torikit import polytope as pt
 from torikit import suite as su
-from torikit.errors import DimensionError, DomainError, FormatError, MarginError
+from torikit.errors import (DimensionError, DomainError, EvalDomainError, FormatError,
+                            MarginError)
 
 import fraction_oracle as oracle
 
@@ -324,6 +325,24 @@ def test_margin_check_reads_each_mode_once_on_the_pass_path(monkeypatch):
     assert 0 < len(calls) <= 2 * count
 
 
+def test_products_past_float_range_raise():
+    # each factor is finite; at y = 1/2, hbar = 1/4 the product f.g is
+    # 10^400 in the first case, and -5e307 in the second, where g.f is 0 and
+    # the renormalized commutator 4 * 5e307 * i is not finite
+    y, hbar = (F(1, 2),), F(1, 4)
+    f = al.element(1, {1: "10^200"})
+    with pytest.raises(EvalDomainError, match=(
+            r"^product at mode \(0,\) is not finite at \(1/2\), hbar = 1/4$")):
+        al.convolve(P, f, al.element(1, {-1: "10^200"}), hbar, y, (0,))
+    f = al.element(1, {1: "10^308"})
+    g = al.element(1, {-1: "1 - 2*y1"})
+    assert al.convolve(P, f, g, hbar, y, (0,)) == -5e307
+    with pytest.raises(EvalDomainError, match=(
+            r"^renormalized commutator at mode \(0,\) is not finite at \(1/2\), "
+            r"hbar = 1/4$")):
+        al.renormalized_commutator(P, f, g, hbar, y, (0,))
+
+
 def test_mode_zero_pair_renormalized_commutator_identically_zero():
     # zero-fiber functions commute: mode-0 elements have vanishing commutator
     rng = random.Random(23)
@@ -354,6 +373,20 @@ def test_observable_json_roundtrip(tmp_path):
 def test_observable_json_refuses_inexact_coefficients(item):
     with pytest.raises(FormatError, match="exact"):
         al.observable_from_dict({"modes": [item]}, 1)
+
+
+def test_observable_json_without_a_mode_is_refused():
+    with pytest.raises(FormatError, match="^bad observable document: 'k'$"):
+        al.observable_from_dict({"modes": [{"re": "1"}]}, 1)
+
+
+def test_element_refuses_a_mode_of_the_wrong_length_and_a_float():
+    with pytest.raises(FormatError, match=r"^mode \(1, 2\) has length 2, expected 1$"):
+        al.element(1, {(1, 2): "1"})
+    with pytest.raises(FormatError, match="^cannot interpret coefficient 0.5$"):
+        al.element(1, {(1,): 0.5})
+    with pytest.raises(FormatError, match="^coefficients must be exact .*got float$"):
+        al.element(1, {(1,): (0.5, "0")})
 
 
 def test_exact_numeric_coefficients_stay_accepted():

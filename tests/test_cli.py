@@ -24,7 +24,7 @@ from torikit import expr as ex
 from torikit import groupoid as gr
 from torikit import matrixrep as mr
 from torikit import polytope as pt
-from torikit.errors import MAX_SUBEXPRESSION_TEXT
+from torikit.errors import MAX_SUBEXPRESSION_TEXT, StratumError
 
 DATA = Path(torikit.__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -718,6 +718,21 @@ def test_bracket_limit_overflow_exits_2(tmp_path, capsys, mode):
         "error: evaluation overflows in subexpression 'exp(1000*y1)'\n")
 
 
+def test_bracket_limit_product_past_float_range_exits_2(tmp_path, capsys):
+    # each coefficient is a finite 10^200; their product at mode 0 is not,
+    # and exited 1 with nan renorm and extrapolated cells
+    obs = []
+    for name, k in (("f", 1), ("g", -1)):
+        obs.append(tmp_path / f"{name}.json")
+        obs[-1].write_text(json.dumps({"modes": [{"k": [k], "re": "10^200"}]}))
+    rc, text = run(["quantize", "bracket-limit", str(DATA / "sphere.json"),
+                    "--obs", str(obs[0]), "--obs2", str(obs[1]), "--point", "1/2",
+                    "--hbar", "1/16", "--hbar", "1/32", "--hbar", "1/64"], tmp_path)
+    assert (rc, text) == (2, None)
+    assert capsys.readouterr().err == (
+        "error: product at mode (0,) is not finite at (1/2), hbar = 1/16\n")
+
+
 def test_spectra_overflow_names_the_orbit_point(tmp_path, capsys):
     # the orbit 1/16, 3/16, ..., 15/16: 11/16 is finite, 13/16 overflows
     f, _ = exp_overflow_observables(tmp_path)
@@ -727,6 +742,40 @@ def test_spectra_overflow_names_the_orbit_point(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: coefficient of mode (1,) at orbit point (13/16): evaluation "
         "overflows in subexpression 'exp(1000*y1)'\n")
+
+
+SPHERE_PAIR = [str(DATA / "sphere.json"), "--obs", str(DATA / "obs" / "xplus.json"),
+               "--obs2", str(DATA / "obs" / "mode_minus.json"), "--point", "1/2"]
+SPHERE_X3 = [str(DATA / "sphere.json"), "--obs", str(DATA / "obs" / "x3.json")]
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["groupoid", "orbit", str(DATA / "sphere.json"), "--hbar", "1/0", "--point", "1/2"],
+     "bad rational '1/0': Fraction(1, 0)"),
+    (["quantize", "bracket-limit", *SPHERE_PAIR, "--mode", "x"],
+     "bad mode 'x': invalid literal for int() with base 10: 'x'"),
+    (["polytope", "make", "product"], "product needs --of FILE FILE"),
+    (["quantize", "bracket-limit", *SPHERE_PAIR, "--hbar", "0"],
+     "hbar list must not contain 0"),
+    (["quantize", "spectra", *SPHERE_X3], "--hbar is required"),
+    (["quantize", "spectra", *SPHERE_X3, "--hbar", "0"], "--hbar must be nonzero"),
+], ids=["bad-rational", "bad-mode", "product-without-of", "bracket-limit-hbar-zero",
+        "spectra-without-hbar", "spectra-hbar-zero"])
+def test_input_error_exits_2_with_one_line(tmp_path, capsys, argv, err):
+    rc, text = run(argv, tmp_path)
+    assert (rc, text) == (2, None)
+    assert capsys.readouterr().err == f"input error: {err}\n"
+
+
+def test_any_other_library_error_exits_1(tmp_path, capsys, monkeypatch):
+    # no command raises a bare StratumError today; main still maps it to 1
+    def refuse(args):
+        raise StratumError("mode (1,) does not live here")
+
+    monkeypatch.setitem(cli._BUILDERS, "sphere", refuse)
+    rc, text = run(["polytope", "make", "sphere"], tmp_path, "sphere.json")
+    assert (rc, text) == (1, None)
+    assert capsys.readouterr().err == "error: mode (1,) does not live here\n"
 
 
 def test_polytope_make_matches_shipped_data(tmp_path):

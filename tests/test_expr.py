@@ -35,6 +35,20 @@ def test_parse_syntax_error_position():
     assert info.value.position == 5
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("y1 $ 2", "unexpected character '$'", 3),
+    ("y1 +", "unexpected end of input", 4),
+    ("sin(y1 y1)", "expected ')', got 'y1'", 7),
+    ("y1 y1", "unexpected token 'y1'", 3),
+    ("y1^h", "exponent must be an integer, got 'h'", 3),
+], ids=["character", "end", "close", "token", "exponent"])
+def test_parse_errors_name_the_position(text, message, position):
+    with pytest.raises(ParseError) as info:
+        ex.parse(text, 2)
+    assert str(info.value) == f"{message} (at position {position})"
+    assert info.value.position == position
+
+
 def test_parse_unknown_identifier():
     with pytest.raises(ParseError):
         ex.parse("y1 + bogus", 1)
@@ -251,6 +265,14 @@ def test_out_of_range_constant_keeps_no_failed_float():
         with pytest.raises(EvalDomainError, match="evaluation overflows"):
             ex.evaluate(e, 0.0, [y])
         assert e._float is None
+
+
+def test_evaluate_refuses_a_coordinate_the_point_lacks():
+    e = ex.parse("y2", 2)
+    with pytest.raises(EvalDomainError) as info:
+        ex.evaluate(e, 0.0, [1.0])
+    assert info.value.reason == "point has 1 coordinates, expression uses y2"
+    assert info.value.subexpression == e
 
 
 def test_overflowing_result_raises_on_scalars_and_reads_inf_on_arrays():

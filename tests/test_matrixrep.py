@@ -451,26 +451,64 @@ def random_coefficient_tree(rng, depth=0):
     return ex.Fun(kind, a)
 
 
+# the box [-3, 3] x [1/20, 4]: at hbar 1/4, -1/8 or 1/5 the orbit of an
+# interior point covers it, with about 380 to 1,500 points
+BOX = pt.DelzantPolytope(2, ((1, 0), (0, 1), (-1, 0), (0, -1)),
+                         (F(-3), F(1, 20), F(-3), F(-4)))
+
+
 def test_evaluate_rows_on_a_subset_equals_the_superset_bit_for_bit():
     # `convolve_orbit` evaluates a coefficient of f on each term's own rows,
     # so terms of one mode of f evaluate it on overlapping sets of rows; a
     # row gets the same bits from each only if a subset of rows evaluates to
-    # the same bits as the matching rows of a superset
+    # the same bits as the matching rows of a superset, at the rows' points
+    # and at their heads
     rng = random.Random(2024)
-    pts = np.array([[rng.uniform(-3.0, 3.0), rng.uniform(0.05, 4.0)] for _ in range(257)])
     checked = 0
     for _ in range(300):
         coeff = ex.ComplexExpr(random_coefficient_tree(rng), random_coefficient_tree(rng))
-        hbar = rng.choice((0.25, -0.125, 0.2))
-        S = np.array(sorted(rng.sample(range(len(pts)), rng.randint(1, len(pts)))))
+        hbar = rng.choice((F(1, 4), F(-1, 8), F(1, 5)))
+        y0 = (F(rng.randint(-290, 290), 100), F(rng.randint(6, 399), 100))
+        orb = gr.orbit(BOX, hbar, y0)
+        shift = rng.choice((None, np.array([1, 0]), np.array([-2, 3])))
+        S = np.array(sorted(rng.sample(range(len(orb)), rng.randint(1, min(len(orb), 257)))))
         R = np.array(sorted(rng.sample(S.tolist(), rng.randint(1, len(S)))))
         try:
-            sup = mr._evaluate_rows(coeff, hbar, pts[S], (1, 0))
+            sup = mr._evaluate_rows(coeff, (1, 0), orb, S, shift)
         except EvalDomainError:
             continue        # singular or not finite somewhere on S
-        sub = mr._evaluate_rows(coeff, hbar, pts[R], (1, 0))
+        sub = mr._evaluate_rows(coeff, (1, 0), orb, R, shift)
         at = np.searchsorted(S, R)
         for a, b in zip(sub, sup):
             assert np.array_equal(a.view(np.int64), b[at].view(np.int64)), coeff
         checked += 1
     assert checked >= 150
+
+
+def test_represent_and_convolve_orbit_name_the_same_singular_point():
+    # the sphere orbit 1/8, 3/8, 5/8, 7/8 at hbar 1/4: f is singular at 7/8,
+    # a tail of the product f.one, and only a head of the product e_1.f
+    orb = gr.orbit(SPHERE, F(1, 4), (F(1, 8),))
+    f = al.element(1, {0: "1/(y1 - 7/8)"})
+    message = (r"^coefficient of mode \(0,\) at orbit point \(7/8\): "
+               r"division by zero in subexpression '1/\(y1 - 7/8\)'$")
+    for call in (lambda: mr.represent(SPHERE, orb, f),
+                 lambda: mr.convolve_orbit(SPHERE, f, al.element(1, {0: "1"}), orb),
+                 lambda: mr.convolve_orbit(SPHERE, al.element(1, {1: "1"}), f, orb)):
+        with pytest.raises(EvalDomainError, match=message):
+            call()
+
+
+def test_convolve_orbit_product_past_float_range_names_the_point():
+    # each factor is finite, 10^200 * 10^200 is not; the scalar product
+    # fails at the same point with the same text
+    orb = gr.orbit(SPHERE, F(1, 4), (F(1, 8),))
+    f = al.element(1, {1: "10^200"})
+    g = al.element(1, {-1: "10^200*y1"})
+    message = r"^product at mode \(0,\) is not finite at \(1/8\), hbar = 1/4$"
+    with pytest.raises(EvalDomainError, match=message):
+        mr.convolve_orbit(SPHERE, f, g, orb)
+    with pytest.raises(EvalDomainError, match=message):
+        al.convolve(SPHERE, f, g, F(1, 4), (F(1, 8),), (0,))
+    # from 7/8 f's arrow leaves the polytope: no term, so no overflow
+    assert al.convolve(SPHERE, f, g, F(1, 4), (F(7, 8),), (0,)) == 0

@@ -204,6 +204,25 @@ def test_json_rejects_float_offsets_and_garbage():
         pt.load_polytope("/nonexistent/file.json")
 
 
+def test_screening_reports_no_facets_and_a_zero_normal():
+    empty = pt.check_delzant(pt.DelzantPolytope(1, (), ()))
+    assert (empty.ok, empty.violations, empty.vertices, empty.bounded) == (
+        False, ("no facets",), (), None)
+    # the zero normal's slack is 1 everywhere, so no vertex is degenerate
+    zero = pt.DelzantPolytope(1, ((0,), (1,), (-1,)), (F(-1), F(0), F(-1)))
+    assert pt.check_delzant(zero).violations == ("facet 0: zero normal",)
+
+
+@pytest.mark.parametrize("n, normals, offsets, message", [
+    (0, (), (), "dimension must be >= 1"),
+    (1, ((1,), (-1,)), (F(0),), "one offset per facet normal required"),
+    (2, ((1, 0), (1,)), (F(0), F(0)), r"normal \(1,\) has length 1, expected 2"),
+], ids=["dimension", "offsets", "normal"])
+def test_polytope_constructor_refuses_bad_shapes(n, normals, offsets, message):
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        pt.DelzantPolytope(n, normals, offsets)
+
+
 def test_require_delzant_raises_on_bad_input():
     bad = pt.DelzantPolytope(2, ((1, 0), (0, 1), (-1, -2)), (F(0), F(0), F(-1)))
     with pytest.raises(DomainError):

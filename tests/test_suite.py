@@ -96,8 +96,8 @@ def test_representation_case_derives_each_orbit_quantity_once(monkeypatch, name)
     def convolve_orbit(P, f, g, orb):
         # the coefficient evaluations of each product
         calls = []
-        mr._evaluate_rows = lambda c, hbar, ys, k: (calls.append((c, k))
-                                                    or real_evaluate_rows(c, hbar, ys, k))
+        mr._evaluate_rows = lambda c, k, orb, rows, shift=None: (
+            calls.append((c, k)) or real_evaluate_rows(c, k, orb, rows, shift))
         try:
             out = real_convolve_orbit(P, f, g, orb)
         finally:
