@@ -35,6 +35,12 @@ read the same memo.  The terms at one mode form a chain of sums as deep as
 their count, which evaluation and derivation recurse through, so the walk
 refuses more than MAX_PAIRS_PER_MODE of them at one mode (DomainError).
 
+The limit of a renormalized commutator is reached by two routes, the
+scalar sweep `numeric_bracket_limit` and the matrix sweep
+`matrixrep.bracket_via_matrices`, and one engine, `extrapolate`, turns
+either sweep's values into the limit: its table, order, "exact" verdict
+and estimate.
+
 This is the symbolic and scalar layer; the product on a whole orbit's
 arrays is `matrixrep.convolve_orbit`.
 """
@@ -50,10 +56,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import expr as ex
-from .errors import (DimensionError, DomainError, EvalDomainError, FormatError,
-                     MarginError)
+from .errors import DomainError, EvalDomainError, FormatError, MarginError
 from .groupoid import arrow, is_member, translate
-from .polytope import (DelzantPolytope, arrow_valid, format_point, json_int,
+from .polytope import (DelzantPolytope, arrow_valid, format_point, int_mode, json_int,
                        mode_pairings, ratpoint, read_json, scaled_slacks)
 
 __all__ = [
@@ -62,7 +67,7 @@ __all__ = [
     "convolve", "commutator", "renormalized_commutator", "involution",
     "MAX_PAIRS_PER_MODE", "bracket_element", "symbolic_bracket",
     "pointwise_product_at_zero", "BracketLimit", "EXACT_THRESHOLD",
-    "numeric_bracket_limit", "check_margin",
+    "extrapolate", "numeric_bracket_limit", "check_margin",
 ]
 
 
@@ -77,7 +82,7 @@ class AlgebraElement:
     at_zero: bool = field(default=False, compare=False, repr=False)
 
     def coefficient(self, k) -> ex.ComplexExpr:
-        k = _mode(k, self.n)
+        k = int_mode(k, self.n)
         for key, c in self.modes:
             if key == k:
                 return c
@@ -145,7 +150,7 @@ def _coerce_coefficient(value, n) -> ex.ComplexExpr:
         return value
     if isinstance(value, (tuple, list)) and len(value) == 2:
         return ex.ComplexExpr(*(_coerce_part(part, n) for part in value))
-    if isinstance(value, (ex.Expr, str, int, Fraction)):
+    if isinstance(value, (ex.Expr, str, int, Fraction, float)):
         return ex.ComplexExpr(_coerce_part(value, n))
     raise FormatError(f"cannot interpret coefficient {value!r}")
 
@@ -211,14 +216,6 @@ def groupoid_value(P: DelzantPolytope, f: AlgebraElement, hbar, y, k) -> complex
     return extension_value(f, g.hbar, g.y, g.k)
 
 
-def _mode(k, n: int) -> tuple[int, ...]:
-    """k as a tuple of ints; DimensionError unless it has n entries."""
-    k = tuple(int(c) for c in k)
-    if len(k) != n:
-        raise DimensionError(f"mode has {len(k)} entries, expected {n}")
-    return k
-
-
 def convolve(P: DelzantPolytope, f: AlgebraElement, g: AlgebraElement,
              hbar, y, k) -> complex:
     """(f.g)(hbar, y, k): mode sum over l+m=k with the second factor shifted.
@@ -233,7 +230,7 @@ def convolve(P: DelzantPolytope, f: AlgebraElement, g: AlgebraElement,
         raise DomainError("elements live over different dimensions")
     hbar = Fraction(hbar)
     y = ratpoint(y)
-    k = _mode(k, f.n)
+    k = int_mode(k, f.n)
     s, _, h = scaled_slacks(P, y, hbar)
     total = 0j
     for l, cf in f.modes:
@@ -275,7 +272,7 @@ def renormalized_commutator(P, f, g, hbar, y, k) -> complex:
             "for the limit value")
     value = commutator(P, f, g, hbar, y, k) / (1j * float(hbar))
     if not cmath.isfinite(value):
-        raise not_finite("renormalized commutator", _mode(k, f.n), ratpoint(y), hbar)
+        raise not_finite("renormalized commutator", int_mode(k, f.n), ratpoint(y), hbar)
     return value
 
 
@@ -351,7 +348,7 @@ def bracket_element(f: AlgebraElement, g: AlgebraElement, *,
 
 def symbolic_bracket(f: AlgebraElement, g: AlgebraElement, y, k) -> complex:
     """Bracket value at (y, k) from symbolic derivatives at h = 0."""
-    k = tuple(int(c) for c in k)
+    k = int_mode(k, f.n)
     return extension_value(bracket_element(f, g, modes={k}), 0, y, k)
 
 
@@ -417,9 +414,11 @@ def check_margin(P: DelzantPolytope, f, g, y, hbar_max) -> None:
 
 @dataclass
 class BracketLimit:
-    """Extrapolated limit of the renormalized commutator over an hbar sweep:
-    one `table` row per hbar, with the keys "hbar", "value" and
-    "extrapolated" (`numeric_bracket_limit`)."""
+    """The limit at hbar -> 0 of an hbar sweep, as `extrapolate` gives it for
+    both routes to the bracket (`numeric_bracket_limit` and
+    `matrixrep.bracket_via_matrices`): the estimate, the order (a float, or
+    "exact") and one `table` row per hbar, with the keys "hbar", "value" and
+    "extrapolated"."""
 
     estimate: complex
     order: float | str
@@ -456,25 +455,22 @@ def hbar_sweep(hbar_list) -> list[Fraction]:
 EXACT_THRESHOLD = 1e-12
 
 
-def numeric_bracket_limit(P: DelzantPolytope, f: AlgebraElement,
-                          g: AlgebraElement, y, k, hbar_list) -> BracketLimit:
-    """Sweep the renormalized commutator over decreasing hbar and
-    extrapolate to zero.
+def extrapolate(hs, values) -> BracketLimit:
+    """The limit at zero of the values of a sweep over the hbars `hs` (as
+    `hbar_sweep` returns them), one value per hbar.
 
     The first-order elimination step is iterated over the whole sweep (a
-    Richardson table) for the estimate; each table row holds its hbar, its
-    value and the single-step extrapolant from the previous hbar (the first
-    row repeats its value).  The empirical convergence order is the median,
-    over the inner nodes whose two differences both exceed the threshold,
-    of the log-ratio of those successive differences; "exact" is reported
-    when there is at least one difference and every difference is below
-    the threshold (the value does not depend on hbar).  A one-hbar sweep
-    has no difference: its estimate is its one value and its order nan.
+    Richardson table, `neville_to_zero`) for the estimate; each table row
+    holds its hbar, its value and the single-step extrapolant from the
+    previous hbar (the first row repeats its value).  The empirical
+    convergence order is the median, over the inner nodes whose two
+    differences both exceed EXACT_THRESHOLD, of the log-ratio of those
+    successive differences.  When there is at least one difference and
+    every difference is below the threshold (the value does not depend on
+    hbar), the order is "exact" and the estimate is the last value.  A
+    one-hbar sweep has no difference: its estimate is its one value and its
+    order nan.
     """
-    hs = hbar_sweep(hbar_list)
-    check_margin(P, f, g, y, hs[0])
-
-    values = [renormalized_commutator(P, f, g, h, y, k) for h in hs]
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
     extrapolated = values[:1] + [_two_level(float(h0), r0, float(h1), r1)
                                  for h0, r0, h1, r1 in zip(hs, values, hs[1:], values[1:])]
@@ -488,3 +484,13 @@ def numeric_bracket_limit(P: DelzantPolytope, f: AlgebraElement,
                     if num > EXACT_THRESHOLD and den > EXACT_THRESHOLD)
     order = orders[len(orders) // 2] if orders else float("nan")
     return BracketLimit(neville_to_zero(hs, values), order, table)
+
+
+def numeric_bracket_limit(P: DelzantPolytope, f: AlgebraElement,
+                          g: AlgebraElement, y, k, hbar_list) -> BracketLimit:
+    """The renormalized commutator at (y, k) over a decreasing hbar sweep
+    (`hbar_sweep`), after `check_margin` at its largest hbar, extrapolated
+    to zero (`extrapolate`)."""
+    hs = hbar_sweep(hbar_list)
+    check_margin(P, f, g, y, hs[0])
+    return extrapolate(hs, [renormalized_commutator(P, f, g, h, y, k) for h in hs])

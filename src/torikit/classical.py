@@ -8,7 +8,8 @@ i*k); radial derivatives use the symbolic expression engine, read from
 the restriction's shared derivative memo (`AlgebraElement.derivative`), so
 a coefficient that `algebra.bracket_element` already differentiated is not
 differentiated again.
-`angle_spectrum` is the one uniform-grid FFT over the torus.
+`angle_spectrum` is the one uniform-grid FFT over the torus, and
+`poisson_bracket_aa_mode` reads one mode of the bracket from it.
 """
 from __future__ import annotations
 
@@ -18,12 +19,11 @@ import numpy as np
 
 from .algebra import AlgebraElement
 from .errors import DomainError, StratumError
-from .polytope import (DelzantPolytope, arrow_valid, format_point, mode_pairings,
-                       ratpoint, scaled_slacks)
+from .polytope import DelzantPolytope, arrow_valid, inside_slacks, mode_pairings, ratpoint
 
 __all__ = [
     "synthesize", "ANGLE_GRID_CAP", "angle_spectrum", "poisson_bracket_aa",
-    "poisson_bracket_aa_at",
+    "poisson_bracket_aa_at", "poisson_bracket_aa_mode",
 ]
 
 # the most angles `angle_spectrum` samples: 1 MiB of complex values, and
@@ -40,9 +40,7 @@ def synthesize(P: DelzantPolytope, f: AlgebraElement, y, theta) -> complex:
     y); admissible modes all contribute.
     """
     y = ratpoint(y)
-    s = scaled_slacks(P, y)[0]
-    if any(sj < 0 for sj in s):
-        raise DomainError(f"point {format_point(y)} lies outside the polytope")
+    s = inside_slacks(P, y)[0]
     theta = [float(t) for t in theta]
     if len(theta) != f.n:
         raise DomainError(f"theta needs length {f.n}")
@@ -128,3 +126,20 @@ def poisson_bracket_aa_at(F: AlgebraElement, G: AlgebraElement, y):
         return sum(dFy[i] * dGth[i] - dFth[i] * dGy[i] for i in range(n))
 
     return bracket
+
+
+def poisson_bracket_aa_mode(f: AlgebraElement, g: AlgebraElement, y, k) -> complex:
+    """Mode k (an int tuple) of the action-angle bracket of f and g at y,
+    read from its `angle_spectrum`.
+
+    The grid samples G = 2*(max_mode(f) + max_mode(g)) + 3 angles per axis,
+    and mode k is read from entry k % G when every |k_i| <= G // 2, the
+    window that holds every mode of the classical bracket; outside it the
+    value is exactly 0.  The spectrum is taken either way, so a grid past
+    ANGLE_GRID_CAP is refused for every k.
+    """
+    grid = 2 * (f.max_mode() + g.max_mode()) + 3
+    spec = angle_spectrum(poisson_bracket_aa_at(f, g, y), f.n, grid)
+    if all(abs(ki) <= grid // 2 for ki in k):
+        return complex(spec[tuple(ki % grid for ki in k)])
+    return 0j

@@ -23,10 +23,8 @@ finite, or a product or renormalized commutator that is not finite although
 its factors are); 3 margin violation.  Each command runs with numpy's
 overflow and invalid-value warnings silenced: a value that is not finite is
 refused where it is evaluated, so the warning would only repeat the error.
-`quantize bracket-limit`'s action-angle oracle samples
-G = 2*(max_mode(f) + max_mode(g)) + 3 angles per axis and reads mode k
-from that grid when every |k_i| <= G // 2, the window that holds every
-mode of the classical bracket; outside it the oracle's value is exactly 0.
+`quantize bracket-limit`'s action-angle oracle is
+`classical.poisson_bracket_aa_mode`.
 `quantize spectra` builds each orbit through --point, or by default through
 (|hbar|/2, ..., |hbar|/2); a default point outside the polytope exits 2 and
 asks for --point.  Rationals are serialized as "p/q" end to end; floats
@@ -287,12 +285,7 @@ def cmd_quantize_bracket_limit(args) -> int:
 
     limit = al.numeric_bracket_limit(P, f, g, y, k, hbars)
     sym = al.symbolic_bracket(f, g, y, k)
-    grid = 2 * (f.max_mode() + g.max_mode()) + 3
-    spec = cl.angle_spectrum(cl.poisson_bracket_aa_at(f, g, y), P.n, grid)
-    # entry k % grid holds mode k only inside the grid's window; outside it
-    # the classical bracket has no mode
-    in_window = all(abs(ki) <= grid // 2 for ki in k)
-    aa = complex(spec[tuple(ki % grid for ki in k)]) if in_window else 0j
+    aa = cl.poisson_bracket_aa_mode(f, g, y, k)
     err_sym = abs(limit.estimate - sym)
     err_aa = abs(limit.estimate - aa)
 

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import intlat
 from .errors import ConstructionError, DomainError, StratumError
-from .polytope import (DelzantPolytope, format_point, mode_pairings, ratpoint,
-                       require_delzant, scaled_slacks)
+from .polytope import DelzantPolytope, inside_slacks, mode_pairings, require_delzant
 
 __all__ = [
     "DelzantSystem", "build_system",
@@ -107,10 +106,7 @@ def Jd_squared(sys: DelzantSystem, sq) -> tuple[Fraction, ...]:
 
 def sigma_squared(sys: DelzantSystem, y) -> tuple[Fraction, ...]:
     """Exact squared moduli 2(<y, X_j> - lambda_j) of the section point."""
-    s, d, _ = scaled_slacks(sys.P, y)
-    if any(sj < 0 for sj in s):
-        raise DomainError(
-            f"point {format_point(ratpoint(y))} lies outside the polytope")
+    s, d, _ = inside_slacks(sys.P, y)
     return tuple(Fraction(2 * sj, d) for sj in s)
 
 

@@ -44,9 +44,10 @@ from functools import cached_property
 import numpy as np
 
 from . import intlat
-from .errors import ComposabilityError, DimensionError, DomainError, OrbitCapError
+from .errors import ComposabilityError, DomainError, OrbitCapError
 from .polytope import (DelzantPolytope, arrow_valid, face_box, format_point, in_delta_k,
-                       isotropy_lattice, mode_pairings, ratpoint, scaled_slacks)
+                       int_mode, isotropy_lattice, mode_pairings, ratpoint,
+                       scaled_slacks)
 
 __all__ = [
     "GroupoidPoint", "Orbit", "arrow", "translate",
@@ -236,7 +237,7 @@ class Orbit:
         One vectorized lookup of the shifted steps' keys, no facet test,
         made on the first call for each mode and kept on the orbit.
         """
-        k = tuple(int(c) for c in k)
+        k = int_mode(k, len(self.y0))
         out = self._targets.get(k)
         if out is None:
             out = self._lookup(k)
@@ -250,8 +251,6 @@ class Orbit:
 
     def _lookup(self, k: tuple[int, ...]) -> np.ndarray:
         (lo, hi), (extents, keys, order) = self.box, self._step_keys
-        if len(k) != len(lo):
-            raise DimensionError("point/mode dimension mismatch")
         out = np.full(len(self.steps), -1, dtype=np.int64)
         if any(abs(c) >= e for c, e in zip(k, extents)):
             return out          # every head leaves the steps' box

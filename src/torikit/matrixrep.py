@@ -55,6 +55,10 @@ it first), or when a chain's largest |entry| is nonzero and outside LAPACK's
 no-rescale window [2^-485, 2^485].  The dense D x D matrix,
 `OrbitOperator.dense`, and the chain path for its longest chain refuse any
 matrix larger than DENSE_CAP_BYTES before allocating it.
+
+`bracket_via_matrices` is the matrix route to the bracket limit.  Its hbar
+sweep is extrapolated by the one engine that extrapolates the scalar
+route, `algebra.extrapolate`, so both routes share one verdict.
 """
 from __future__ import annotations
 
@@ -67,7 +71,7 @@ from . import algebra as al
 from . import expr as ex
 from .errors import DomainError, EvalDomainError
 from .groupoid import Orbit, face_bounds, orbit, translate
-from .polytope import DelzantPolytope, format_point, ratpoint
+from .polytope import DelzantPolytope, format_point, int_mode, ratpoint
 
 __all__ = [
     "OrbitOperator", "DENSE_CAP_BYTES", "represent", "convolve_orbit",
@@ -414,12 +418,14 @@ def bracket_via_matrices(P: DelzantPolytope, f: al.AlgebraElement,
 
     For each hbar the elements are represented on the orbit through y, and
     the commutator's entry at the arrow (hbar, y, k) is read off the base
-    point's row of mode k of the two products (`OrbitOperator.product_mode`);
-    the sweep is then extrapolated to zero.  Everything downstream of
-    `represent` is independent of the convolution code path.
+    point's row of mode k of the two products (`OrbitOperator.product_mode`).
+    The sweep goes to the engine that extrapolates the scalar route too
+    (`algebra.extrapolate`), and its estimate is returned: the last value
+    when the sweep is "exact", else the Richardson estimate.  Everything
+    downstream of `represent` is independent of the convolution code path.
     """
     y = ratpoint(y)
-    k = tuple(int(c) for c in k)
+    k = int_mode(k, P.n)
     hs = al.hbar_sweep(hbar_list)
     values = []
     for h in hs:
@@ -432,4 +438,4 @@ def bracket_via_matrices(P: DelzantPolytope, f: al.AlgebraElement,
         # Python complex arithmetic: numpy's division may round otherwise
         comm = complex(F.product_mode(G, k)[row]) - complex(G.product_mode(F, k)[row])
         values.append(comm / (1j * float(h)))
-    return al.neville_to_zero(hs, values)
+    return al.extrapolate(hs, values).estimate

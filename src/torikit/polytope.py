@@ -8,7 +8,9 @@ denominator, so that they become Python ints.  The scaling keeps every sign,
 so facet activity and strict slackness are integer comparisons with 0, never
 float or per-facet Fraction arithmetic.  The arrow rule `arrow_valid` reads
 that kernel, and Delta(k) is the set of base points of its hbar = 0 arrows,
-which are loops (`in_delta_k`).
+which are loops (`in_delta_k`).  `inside_slacks` takes the slacks of a
+point that must lie in the polytope and refuses one outside it, and
+`int_mode` coerces a mode and refuses one of the wrong length.
 
 Screening runs in Python ints too, on `intlat`'s integer forms.  The
 offsets are integer numerators a_j over one denominator L, and each n-subset
@@ -34,7 +36,8 @@ from .errors import DimensionError, DomainError, FormatError
 
 __all__ = [
     "DelzantPolytope", "Face", "DelzantReport",
-    "ratpoint", "format_point", "json_int", "scaled_slacks", "mode_pairings",
+    "ratpoint", "format_point", "json_int", "int_mode", "scaled_slacks",
+    "inside_slacks", "mode_pairings",
     "arrow_valid", "in_delta_k", "in_u_k", "isotropy_lattice",
     "check_delzant", "require_delzant", "enumerate_faces", "vertices",
     "bounding_box", "face_box",
@@ -111,10 +114,7 @@ class DelzantPolytope:
 
     def active_set(self, y) -> tuple[int, ...]:
         """Indices of facets met with equality; requires y in the polytope."""
-        y = ratpoint(y)
-        s = scaled_slacks(self, y)[0]
-        if any(sj < 0 for sj in s):
-            raise DomainError(f"point {format_point(y)} lies outside the polytope")
+        s = inside_slacks(self, y)[0]
         return tuple(j for j, sj in enumerate(s) if sj == 0)
 
     def is_interior(self, y) -> bool:
@@ -216,11 +216,28 @@ def scaled_slacks(P: DelzantPolytope, y, hbar=0):
     return s, d, hbar.numerator * (d // hbar.denominator)
 
 
-def mode_pairings(P: DelzantPolytope, k) -> list[int]:
-    """<k, X_j> for every facet j, for an integer mode k."""
+def inside_slacks(P: DelzantPolytope, y):
+    """`scaled_slacks(P, y)` of a point of the polytope; DomainError
+    ("point (...) lies outside the polytope") when a slack is negative."""
+    y = ratpoint(y)
+    slacks = scaled_slacks(P, y)
+    if any(sj < 0 for sj in slacks[0]):
+        raise DomainError(f"point {format_point(y)} lies outside the polytope")
+    return slacks
+
+
+def int_mode(k, n: int) -> tuple[int, ...]:
+    """A mode k as a tuple of ints; DimensionError ("mode has L entries,
+    expected n") unless it has n entries."""
     k = tuple(int(c) for c in k)
-    if len(k) != P.n:
-        raise DimensionError("point/mode dimension mismatch")
+    if len(k) != n:
+        raise DimensionError(f"mode has {len(k)} entries, expected {n}")
+    return k
+
+
+def mode_pairings(P: DelzantPolytope, k) -> list[int]:
+    """<k, X_j> for every facet j, for an integer mode k of P's dimension."""
+    k = int_mode(k, P.n)
     return [_pair_int(k, x) for x in P.normals]
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from torikit import algebra as al
 from torikit import expr as ex
+from torikit import groupoid as gr
 from torikit import matrixrep as mr
 from torikit import polytope as pt
 from torikit import suite as su
@@ -218,18 +219,21 @@ def test_numeric_limit_table_and_order_follow_from_the_values(hs):
     f = al.element(1, {1: "sin(y1)"})
     g = al.element(1, {-1: "1"})
     lim = al.numeric_bracket_limit(P, f, g, (F(1, 2),), (0,), hs)
-    assert all(row.keys() == {"hbar", "value", "extrapolated"} for row in lim.table)
-    assert [row["hbar"] for row in lim.table] == hs
     values = [row["value"] for row in lim.table]
     assert values == [al.renormalized_commutator(P, f, g, h, (F(1, 2),), (0,)) for h in hs]
     extrapolated, order = sweep_oracle(hs, values)
-    assert [row["extrapolated"] for row in lim.table] == extrapolated
-    assert isinstance(lim.order, float)
-    if len(hs) == 2:
-        assert math.isnan(lim.order) and math.isnan(order)
-    else:
-        assert lim.order == order and lim.order > 0.9
-    assert lim.estimate == al.neville_to_zero(hs, values)
+    # the scalar route's limit, and the engine called on its values directly
+    for got in (lim, al.extrapolate(hs, values)):
+        assert all(row.keys() == {"hbar", "value", "extrapolated"} for row in got.table)
+        assert [row["hbar"] for row in got.table] == hs
+        assert [row["value"] for row in got.table] == values
+        assert [row["extrapolated"] for row in got.table] == extrapolated
+        assert isinstance(got.order, float)
+        if len(hs) == 2:
+            assert math.isnan(got.order) and math.isnan(order)
+        else:
+            assert got.order == order and got.order > 0.9
+        assert got.estimate == al.neville_to_zero(hs, values)
 
 
 @pytest.mark.parametrize("k", [(1,), (1, 0, 0)])
@@ -245,7 +249,10 @@ def test_a_mode_of_the_wrong_length_is_refused(k):
              lambda: al.symbolic_bracket(f, g, y, k),
              lambda: al.extension_value(f, F(1, 16), y, k),
              lambda: al.numeric_bracket_limit(cp2, f, g, y, k, hs),
-             lambda: f.coefficient(k)]
+             lambda: mr.bracket_via_matrices(cp2, f, g, y, k, hs),
+             lambda: f.coefficient(k),
+             lambda: pt.mode_pairings(cp2, k),
+             lambda: gr.orbit(cp2, F(1, 16), y).targets(k)]
     for call in calls:
         with pytest.raises(DimensionError, match=f"mode has {len(k)} entries, expected 2"):
             call()
@@ -383,10 +390,10 @@ def test_observable_json_without_a_mode_is_refused():
 def test_element_refuses_a_mode_of_the_wrong_length_and_a_float():
     with pytest.raises(FormatError, match=r"^mode \(1, 2\) has length 2, expected 1$"):
         al.element(1, {(1, 2): "1"})
-    with pytest.raises(FormatError, match="^cannot interpret coefficient 0.5$"):
-        al.element(1, {(1,): 0.5})
-    with pytest.raises(FormatError, match="^coefficients must be exact .*got float$"):
-        al.element(1, {(1,): (0.5, "0")})
+    # a bare float and a float inside an (re, im) pair break one rule
+    for value in (0.5, (0.5, "0")):
+        with pytest.raises(FormatError, match="^coefficients must be exact .*got float$"):
+            al.element(1, {(1,): value})
 
 
 def test_exact_numeric_coefficients_stay_accepted():

@@ -398,6 +398,21 @@ def test_bracket_via_matrices_matches_symbolic(P, f, g, y, k, hs, rel):
     assert abs(got - sym) <= rel * abs(sym)
 
 
+def test_an_exact_matrix_sweep_returns_its_last_value_as_the_scalar_route_does():
+    # the renormalized entry does not depend on hbar, so both routes call the
+    # sweep "exact" and return its last value, not a Richardson recombination
+    f = al.element(2, {(0, 1): "1 - 1/2*y1*y2 + y1^2"})
+    g = al.element(2, {(0, 0): ("3/2*y2 + 2/3*y1*y2 + y1^2", "-2/3*y2")})
+    y, k, hs = (F(1, 8), F(1, 4)), (0, 1), [F(1, 8), F(1, 16), F(1, 32)]
+    orb = gr.orbit(CP2, hs[-1], y)
+    Fop, Gop = mr.represent(CP2, orb, f), mr.represent(CP2, orb, g)
+    last = ((complex(Fop.product_mode(Gop, k)[0]) - complex(Gop.product_mode(Fop, k)[0]))
+            / (1j * float(hs[-1])))
+    assert mr.bracket_via_matrices(CP2, f, g, y, k, hs) == last
+    lim = al.numeric_bracket_limit(CP2, f, g, y, k, hs)
+    assert lim.order == "exact" and lim.estimate == last
+
+
 def test_bracket_via_matrices_names_a_missing_arrow_in_p_over_q():
     # the sphere's vertex y = 0 admits no arrow of mode 1
     f = al.element(1, {0: "1"})

@@ -10,6 +10,9 @@ import pytest
 
 import fraction_oracle as oracle
 from failing_polytopes import FAILING
+from torikit import algebra as al
+from torikit import classical as cl
+from torikit import delzant as dz
 from torikit import groupoid as gr
 from torikit import intlat
 from torikit import polytope as pt
@@ -313,6 +316,19 @@ def test_scaled_slacks_dimension_error():
         pt.scaled_slacks(pt.square(), (F(1, 2),))
     with pytest.raises(DimensionError):
         pt.in_delta_k(pt.square(), (F(1, 2), F(1, 2)), (1,))
+
+
+def test_a_point_outside_is_refused_with_one_message():
+    cp2 = pt.projective_space(2)
+    y = (F(3, 4), F(1, 2))
+    calls = [lambda: pt.inside_slacks(cp2, y), lambda: cp2.active_set(y),
+             lambda: cl.synthesize(cp2, al.element(2, {(0, 0): "1"}), y, [0.0, 0.0]),
+             lambda: dz.sigma_squared(dz.build_system(cp2), y)]
+    for call in calls:
+        with pytest.raises(DomainError, match=r"^point \(3/4, 1/2\) lies outside the polytope$"):
+            call()
+    inside = (F(1, 4), F(3, 4))     # on the facet y1 + y2 = 1
+    assert pt.inside_slacks(cp2, inside) == pt.scaled_slacks(cp2, inside)
 
 
 def test_vertices_computed_once_per_polytope(monkeypatch):
