@@ -160,16 +160,11 @@ def element(n: int, modes) -> AlgebraElement:
 
     Coefficients may be expression strings, Expr trees, (re, im) pairs,
     ints or Fractions, or ComplexExpr; a float or bool is FormatError.  Mode
-    keys are integer tuples (ints allowed when n = 1).
+    keys are integer tuples (ints allowed when n = 1), n entries long
+    (`int_mode`).
     """
-    packed = []
-    for k, value in modes.items():
-        if isinstance(k, int):
-            k = (k,)
-        k = tuple(int(c) for c in k)
-        if len(k) != n:
-            raise FormatError(f"mode {k} has length {len(k)}, expected {n}")
-        packed.append((k, _coerce_coefficient(value, n)))
+    packed = [(int_mode((k,) if isinstance(k, int) else k, n),
+               _coerce_coefficient(value, n)) for k, value in modes.items()]
     return AlgebraElement(n, tuple(sorted(packed)))
 
 

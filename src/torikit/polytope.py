@@ -1,25 +1,26 @@
 """Rational polytopes from facet data: membership, faces, isotropy.
 
 A polytope is given by primitive integer facet normals X_j and rational
-offsets lambda_j as {y | <y, X_j> >= lambda_j for all j}.  All predicates
-here are exact and share one kernel, `scaled_slacks`: it scales the facet
-slacks <y, X_j> - lambda_j of a point (and hbar) by one positive common
-denominator, so that they become Python ints.  The scaling keeps every sign,
-so facet activity and strict slackness are integer comparisons with 0, never
-float or per-facet Fraction arithmetic.  The arrow rule `arrow_valid` reads
-that kernel, and Delta(k) is the set of base points of its hbar = 0 arrows,
-which are loops (`in_delta_k`).  `inside_slacks` takes the slacks of a
-point that must lie in the polytope and refuses one outside it, and
-`int_mode` coerces a mode and refuses one of the wrong length.
+offsets lambda_j as {y | <y, X_j> >= lambda_j for all j}.  One exact
+kernel, `integer_slacks`, computes every facet slack <y, X_j> - lambda_j,
+scaled by a positive denominator d of y so that it is a Python int.  Its
+three callers are `scaled_slacks`, which every membership predicate reads,
+the screening's vertex table and `suite.random_interior_point`.  Scaling
+by d > 0 keeps every sign, so facet activity and strict slackness are
+integer comparisons with 0, never float or per-facet Fraction arithmetic.
+The arrow rule `arrow_valid` reads those slacks, and Delta(k) is the set of
+base points of its hbar = 0 arrows, which are loops (`in_delta_k`).
+`inside_slacks` takes the slacks of a point that must lie in the polytope
+and refuses one outside it, and `int_mode` coerces a mode and refuses one
+of the wrong length.
 
 Screening runs in Python ints too, on `intlat`'s integer forms.  The
 offsets are integer numerators a_j over one denominator L, and each n-subset
 of facets is one `intlat.solve_integer`, which gives its determinant and its
-vertex as integer numerators, from which the vertex's integer slacks
-follow.  A polytope whose edges all end at vertices is bounded by that
-table alone; the others search for a recession ray among
-`intlat.integer_kernel_vector`s.  Fractions are
-built only for the vertices, face samples and reports that are returned.
+vertex as integer numerators, whose slacks the kernel computes.  A polytope
+whose edges all end at vertices is bounded by that table alone; the others
+search for a recession ray among `intlat.integer_kernel_vector`s.  Fractions
+are built only for the vertices, face samples and reports that are returned.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ import collections
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -37,7 +39,7 @@ from .errors import DimensionError, DomainError, FormatError
 __all__ = [
     "DelzantPolytope", "Face", "DelzantReport",
     "ratpoint", "format_point", "json_int", "int_mode", "scaled_slacks",
-    "inside_slacks", "mode_pairings",
+    "integer_slacks", "inside_slacks", "mode_pairings",
     "arrow_valid", "in_delta_k", "in_u_k", "isotropy_lattice",
     "check_delzant", "require_delzant", "enumerate_faces", "vertices",
     "bounding_box", "face_box",
@@ -145,11 +147,11 @@ class DelzantPolytope:
             if sol is None:
                 continue
             det, x = sol
-            scale = abs(det)
-            s = [_pair_int(x, X) - aj * scale for X, aj in zip(self.normals, a)]
+            den = L * abs(det)
+            s = integer_slacks(self, x, den)
             if min(s) >= 0:
                 active = tuple(j for j, sj in enumerate(s) if sj == 0)
-                solved.append((x, L * scale, active, det))
+                solved.append((x, den, active, det))
         D = math.lcm(*(den for _, den, _, _ in solved))
         found = {}
         for x, den, active, det in solved:
@@ -199,7 +201,7 @@ def scaled_slacks(P: DelzantPolytope, y, hbar=0):
     """Facet slacks of y as exact integers over one common denominator.
 
     Returns (s, d, h): d > 0 is the lcm of the denominators of y, hbar and
-    the offsets, s[j] = d * (<y, X_j> - lambda_j) and h = d * hbar, all
+    the offsets, s = `integer_slacks` of y over d and h = d * hbar, all
     Python ints.  Scaling by d > 0 keeps every sign, so the slack of
     y + hbar*k at facet j has the sign of s[j] + h * <k, X_j>.
     """
@@ -208,12 +210,18 @@ def scaled_slacks(P: DelzantPolytope, y, hbar=0):
         raise DimensionError(f"point has {len(y)} coordinates, expected {P.n}")
     if type(hbar) is not Fraction:
         hbar = Fraction(hbar)
-    L, a = P.integer_offsets
-    d = math.lcm(hbar.denominator, L, *(c.denominator for c in y))
-    yd = [c.numerator * (d // c.denominator) for c in y]
-    scale = d // L
-    s = tuple(_pair_int(yd, x) - aj * scale for x, aj in zip(P.normals, a))
+    d = math.lcm(hbar.denominator, P.integer_offsets[0], *(c.denominator for c in y))
+    s = integer_slacks(P, [c.numerator * (d // c.denominator) for c in y], d)
     return s, d, hbar.numerator * (d // hbar.denominator)
+
+
+def integer_slacks(P: DelzantPolytope, numerators, d: int) -> list[int]:
+    """d * (<y, X_j> - lambda_j) for every facet j, as Python ints, for the
+    point y = numerators / d, where d is a positive multiple of the offsets'
+    denominator L (`integer_offsets`): <numerators, X_j> - a_j * (d / L)."""
+    L, a = P.integer_offsets
+    scale = d // L
+    return [_pair_int(numerators, x) - aj * scale for x, aj in zip(P.normals, a)]
 
 
 def inside_slacks(P: DelzantPolytope, y):
@@ -269,7 +277,7 @@ def in_u_k(P: DelzantPolytope, y, k) -> bool:
 
 
 def _pair_int(k, x) -> int:
-    return sum(a * b for a, b in zip(k, x))
+    return sum(map(operator.mul, k, x))
 
 
 def isotropy_lattice(P: DelzantPolytope, y) -> list[tuple[int, ...]]:
@@ -344,7 +352,7 @@ def _recession_ray(P: DelzantPolytope):
     for subset in itertools.combinations(range(P.n_facets), P.n - 1):
         v, _ = intlat.integer_kernel_vector([P.normals[j] for j in subset], P.n)
         for w in (v, tuple(-c for c in v)):
-            if all(_pair_int(w, x) >= 0 for x in P.normals):
+            if all(p >= 0 for p in mode_pairings(P, w)):
                 return w
     return None
 

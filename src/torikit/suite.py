@@ -23,7 +23,8 @@ from . import groupoid as gr
 from . import intlat
 from . import matrixrep as mr
 from .errors import DomainError
-from .polytope import DelzantPolytope, bounding_box, in_delta_k, in_u_k
+from .polytope import (DelzantPolytope, bounding_box, in_delta_k, in_u_k,
+                       integer_slacks)
 
 __all__ = ["BatteryResult", "SuiteReport", "run_suite",
            "random_interior_point", "random_element", "random_arrow"]
@@ -96,22 +97,19 @@ def random_interior_point(P: DelzantPolytope, rng: random.Random,
                           margin=Fraction(1, 8), denom: int = 64):
     """Rejection-sample a dyadic rational point with all slacks > margin.
 
-    A candidate a/denom (a integer) is tested with integer slacks over
-    d = lcm(denom, margin and offset denominators):
-    (d/denom) <a, X_j> > d*(lambda_j + margin) for every facet j.
+    A candidate a/denom (a integer) is the point (scale * a) / d over
+    d = lcm(denom, margin and offset denominators), scale = d / denom; it
+    is accepted when its least `polytope.integer_slacks` exceeds d * margin.
     """
     lo, hi = bounding_box(P)
     margin = Fraction(margin)
-    L, offsets = P.integer_offsets
-    d = math.lcm(denom, margin.denominator, L)
+    d = math.lcm(denom, margin.denominator, P.integer_offsets[0])
     scale = d // denom
     tail = margin.numerator * (d // margin.denominator)
-    bounds = [a * (d // L) + tail for a in offsets]
     ranges = [(int(lo[i] * denom), int(hi[i] * denom)) for i in range(P.n)]
     for _ in range(10_000):
         a = [rng.randint(a0, a1) for a0, a1 in ranges]
-        if all(scale * sum(ai * xi for ai, xi in zip(a, x)) > b
-               for x, b in zip(P.normals, bounds)):
+        if min(integer_slacks(P, [scale * ai for ai in a], d)) > tail:
             return tuple(Fraction(ai, denom) for ai in a)
     raise DomainError("could not sample an interior point (margin too big?)")
 
@@ -193,31 +191,25 @@ def battery_associativity(P, rng, cases, tol) -> BatteryResult:
         h = random_element(P, rng, allow_h=True)
         arrow = random_arrow(P, rng, max_mode=2)
 
-        def value(a, b, c):
-            # associate left then right via an explicit middle expansion
+        def expand(modes, first, second):
+            # sum over middle modes l of first(l) * second(mid, k - l), mid
+            # = y + hbar*l; (y, k) and (y, l) valid make (mid, k - l) valid
             total = 0j
-            for l, _ in a.modes:
-                m = tuple(x - y for x, y in zip(arrow.k, l))
-                mid = gr.translate(arrow.y, arrow.hbar, l)
-                if not gr.is_member(P, gr.GroupoidPoint(arrow.hbar, arrow.y, l)):
-                    continue
-                total += (al.extension_value(a, arrow.hbar, arrow.y, l)
-                          * al.convolve(P, b, c, arrow.hbar, mid, m))
+            for l in modes:
+                if gr.is_member(P, gr.GroupoidPoint(arrow.hbar, arrow.y, l)):
+                    mid = gr.translate(arrow.y, arrow.hbar, l)
+                    m = tuple(x - y for x, y in zip(arrow.k, l))
+                    total += first(l) * second(mid, m)
             return total
 
-        # left association: (f.g).h
-        left = 0j
         fg_modes = {tuple(x + y for x, y in zip(l, m))
                     for l, _ in f.modes for m, _ in g.modes}
-        for lm in fg_modes:
-            m = tuple(x - y for x, y in zip(arrow.k, lm))
-            mid = gr.translate(arrow.y, arrow.hbar, lm)
-            # (y, k) and (y, lm) valid make the head arrow (mid, m) valid
-            if not gr.is_member(P, gr.GroupoidPoint(arrow.hbar, arrow.y, lm)):
-                continue
-            left += (al.convolve(P, f, g, arrow.hbar, arrow.y, lm)
-                     * al.extension_value(h, arrow.hbar, mid, m))
-        right = value(f, g, h)
+        left = expand(fg_modes,     # (f.g).h
+                      lambda l: al.convolve(P, f, g, arrow.hbar, arrow.y, l),
+                      lambda mid, m: al.extension_value(h, arrow.hbar, mid, m))
+        right = expand([l for l, _ in f.modes],     # f.(g.h)
+                       lambda l: al.extension_value(f, arrow.hbar, arrow.y, l),
+                       lambda mid, m: al.convolve(P, g, h, arrow.hbar, mid, m))
         scale = max(abs(left), abs(right), 1.0)
         result.check(abs(left - right) / scale, tol, {
             "arrow": (arrow.hbar, arrow.y, arrow.k), "f": f, "g": g, "h": h})

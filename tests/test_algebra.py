@@ -388,7 +388,7 @@ def test_observable_json_without_a_mode_is_refused():
 
 
 def test_element_refuses_a_mode_of_the_wrong_length_and_a_float():
-    with pytest.raises(FormatError, match=r"^mode \(1, 2\) has length 2, expected 1$"):
+    with pytest.raises(DimensionError, match=r"^mode has 2 entries, expected 1$"):
         al.element(1, {(1, 2): "1"})
     # a bare float and a float inside an (re, im) pair break one rule
     for value in (0.5, (0.5, "0")):

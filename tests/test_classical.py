@@ -1,5 +1,4 @@
 """Classical synthesis, Fourier analysis, action-angle bracket, pullback."""
-import cmath
 import math
 import random
 from fractions import Fraction

@@ -9,7 +9,7 @@ import pytest
 from torikit import delzant as dz
 from torikit import intlat
 from torikit import polytope as pt
-from torikit.errors import ConstructionError, DomainError, StratumError
+from torikit.errors import DomainError, StratumError
 
 F = Fraction
 

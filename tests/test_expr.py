@@ -2,7 +2,6 @@
 import hashlib
 import importlib.util
 import json
-import math
 import random
 import sys
 from dataclasses import FrozenInstanceError

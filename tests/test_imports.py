@@ -15,7 +15,10 @@ import pytest
 import torikit
 
 MODULES = sorted(Path(torikit.__file__).parent.glob("*.py"))
-TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+# the test files and the tools, held to the unused-import rule too
+SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("tools/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,7 +47,7 @@ def test_unused_imports_detector():
     assert unused_imports(source) == ["b", "d", "os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.stem)
 def test_module_reads_every_import(path):
     assert unused_imports(path.read_text()) == []
 

@@ -605,6 +605,24 @@ def test_ratpoint_and_scaled_slacks_pass_fractions_through():
         assert pt.scaled_slacks(P, y, hbar) == pt.scaled_slacks(P, ("1/3", "2/5"), F(1, 6))
 
 
+def test_integer_slacks_are_d_times_the_fraction_slacks():
+    # the one slack kernel, facet by facet, at random points over random
+    # multiples d of the offsets' denominator L, from d = L up to past 2^64
+    shipped = Path(pt.__file__).parent / "data"
+    rng = random.Random(31)
+    polytopes = [pt.load_polytope(path) for path in sorted(shipped.glob("*.json"))]
+    polytopes += [random_screening_polytope(rng) for _ in range(150)]
+    assert {P.integer_offsets[0] for P in polytopes} - {1}
+    for P in polytopes:
+        L = P.integer_offsets[0]
+        for _ in range(20):
+            d = L * rng.randint(1, 2 ** rng.choice((0, 3, 12, 66)))
+            numerators = [rng.randint(-3 * d, 3 * d) for _ in range(P.n)]
+            s = pt.integer_slacks(P, numerators, d)
+            assert all(type(v) is int for v in s)
+            assert s == [d * v for v in fraction_slacks(P, [F(c, d) for c in numerators])]
+
+
 def test_vertex_table_boundedness_agrees_with_the_ray_search():
     # `_edges_close` says bounded only when the ray search finds no ray, and
     # whenever every vertex is simple the two agree; a table with a vertex
