@@ -67,7 +67,8 @@ __all__ = [
     "convolve", "commutator", "renormalized_commutator", "involution",
     "MAX_PAIRS_PER_MODE", "bracket_element", "symbolic_bracket",
     "pointwise_product_at_zero", "BracketLimit", "EXACT_THRESHOLD",
-    "extrapolate", "numeric_bracket_limit", "check_margin",
+    "extrapolate", "numeric_bracket_limit", "check_margin", "hbar_sweep",
+    "not_finite", "common_n",
 ]
 
 
@@ -125,13 +126,19 @@ class AlgebraElement:
         return max((max(abs(c) for c in k) for k, _ in self.modes), default=0)
 
 
-def _combine(f, g, op):
+def common_n(f: AlgebraElement, g: AlgebraElement) -> int:
+    """The dimension n two elements share; DomainError when they differ."""
     if f.n != g.n:
         raise DomainError("elements live over different dimensions")
+    return f.n
+
+
+def _combine(f, g, op):
+    n = common_n(f, g)
     out = {k: c for k, c in f.modes}
     for k, c in g.modes:
         out[k] = op(out[k], c) if k in out else op(ex.ComplexExpr.zero(), c)
-    return AlgebraElement(f.n, tuple(sorted(out.items())))
+    return AlgebraElement(n, tuple(sorted(out.items())))
 
 
 def _coerce_part(value, n) -> ex.Expr:
@@ -221,11 +228,9 @@ def convolve(P: DelzantPolytope, f: AlgebraElement, g: AlgebraElement,
     slacks, taken once per call.  A sum that is not finite (finite factors
     whose product overflows) raises EvalDomainError (`not_finite`).
     """
-    if f.n != g.n:
-        raise DomainError("elements live over different dimensions")
     hbar = Fraction(hbar)
     y = ratpoint(y)
-    k = int_mode(k, f.n)
+    k = int_mode(k, common_n(f, g))
     s, _, h = scaled_slacks(P, y, hbar)
     total = 0j
     for l, cf in f.modes:
@@ -295,8 +300,7 @@ def _zero_fiber_walk(f: AlgebraElement, g: AlgebraElement, modes, term) -> dict:
     """{k: sum of term(f0, g0, l, f0_l, m, g0_m) over l + m = k in `modes`
     (None for all)} (module docstring); a term of None is left out.
     DomainError when more than MAX_PAIRS_PER_MODE terms land on one mode."""
-    if f.n != g.n:
-        raise DomainError("elements live over different dimensions")
+    common_n(f, g)
     f0, g0 = f.subs_h_zero(), g.subs_h_zero()
     acc: dict[tuple[int, ...], ex.ComplexExpr] = {}
     count: dict[tuple[int, ...], int] = {}

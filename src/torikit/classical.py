@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, common_n
 from .errors import DomainError, StratumError
 from .polytope import DelzantPolytope, arrow_valid, inside_slacks, mode_pairings, ratpoint
 
@@ -92,9 +92,7 @@ def poisson_bracket_aa_at(F: AlgebraElement, G: AlgebraElement, y):
     The restriction to h = 0, the coefficient values and the radial
     derivatives at y are taken once; only the phases depend on theta.
     """
-    if F.n != G.n:
-        raise DomainError("functions live over different dimensions")
-    n = F.n
+    n = common_n(F, G)
     yf = [float(c) for c in y]
 
     def derivatives(fun):

@@ -14,16 +14,19 @@ violation, a failed suite, or a bracket limit whose whole-sweep Richardson
 estimate, which the CSV does not print, is off by more than --tol from
 either oracle: each error is compared on its own, so a NaN fails; the CSV's
 err_sym/err_cls columns are each row's own extrapolant error); 2 bad input
-(an --out file that cannot be written, a JSON file nested too deeply to
-read, an expression nested or deep past the parser's bounds or an integer
-literal too long for Python) or a computation that cannot be carried out (a
-domain error, the orbit cap, a classical oracle grid or a symbolic bracket
-mode sum past its cap, a singular evaluation or one whose value is not
-finite, or a product or renormalized commutator that is not finite although
-its factors are); 3 margin violation.  Each command runs with numpy's
-overflow and invalid-value warnings silenced: a value that is not finite is
-refused where it is evaluated, so the warning would only repeat the error.
-`quantize bracket-limit`'s action-angle oracle is
+or a computation that cannot be carried out; 3 margin violation.  The CLI
+only parses options and files: each rule on their values (hbar, the orbit
+cap, a point's length and place, a mode) has one owner in the library
+(`polytope`'s docstring lists them), whose one line is printed after
+"input error: " for a FormatError, ParseError or DimensionError and after
+"error: " for a DomainError, OrbitCapError or EvalDomainError; both exit 2.
+So do an --out file that cannot be written, a JSON file, expression or
+integer literal past its parser's bounds, the orbit cap, a classical oracle
+grid or bracket mode sum past its cap, and an evaluation, product or
+renormalized commutator that is singular or not finite.  Each command runs
+with numpy's overflow and invalid-value warnings silenced: a value that is
+not finite is refused where it is evaluated, so the warning would only
+repeat the error.  `quantize bracket-limit`'s action-angle oracle is
 `classical.poisson_bracket_aa_mode`.
 `quantize spectra` builds each orbit through --point, or by default through
 (|hbar|/2, ..., |hbar|/2); a default point outside the polytope exits 2 and
@@ -70,24 +73,15 @@ def _fraction(text: str) -> Fraction:
         raise FormatError(f"bad rational {text!r}: {exc}") from exc
 
 
-def _require_length(name: str, text: str, values: tuple, n: int) -> tuple:
-    if len(values) != n:
-        raise FormatError(f"{name} {text!r} has {len(values)} coordinates, "
-                          f"the polytope has dimension {n}")
-    return values
-
-
-def _point(text: str, n: int) -> tuple[Fraction, ...]:
-    return _require_length(
-        "point", text, tuple(_fraction(part) for part in text.split(",")), n)
+def _point(text: str) -> tuple[Fraction, ...]:
+    return tuple(_fraction(part) for part in text.split(","))
 
 
 def _mode(text: str, n: int) -> tuple[int, ...]:
     try:
-        k = tuple(int(part) for part in text.split(","))
+        return pt.int_mode(map(int, text.split(",")), n)
     except ValueError as exc:
         raise FormatError(f"bad mode {text!r}: {exc}") from exc
-    return _require_length("mode", text, k, n)
 
 
 def _check_tol(tol: float) -> None:
@@ -250,16 +244,12 @@ def cmd_groupoid_orbit(args) -> int:
     (`_orbit_blocks`), so a large orbit never holds its whole text, or a
     cell per point, at once.
     """
-    if args.cap < 1:
-        raise FormatError(f"--cap must be at least 1, got {args.cap}")
     P = pt.load_polytope(args.polytope)
     pt.require_delzant(P)
     if len(args.hbar) != 1:
         raise FormatError("groupoid orbit takes exactly one --hbar")
     hbar = _fraction(args.hbar[0])
-    if hbar == 0:
-        raise FormatError("--hbar must be nonzero")
-    orb = gr.orbit(P, hbar, _point(args.point, P.n), cap=args.cap)
+    orb = gr.orbit(P, hbar, _point(args.point), cap=args.cap)
     header = ("index",) + tuple(f"y{i + 1}" for i in range(P.n))
     title = _csv_document("orbit", header, (), preamble=[f"hbar={hbar}", f"size={len(orb)}"])
     _emit(args, chain(title, _orbit_blocks(orb)))
@@ -275,13 +265,11 @@ def cmd_quantize_bracket_limit(args) -> int:
     pt.require_delzant(P)
     f = al.load_observable(args.obs, P.n)
     g = al.load_observable(args.obs2, P.n)
-    y = _point(args.point, P.n)
+    y = _point(args.point)
     k = _mode(args.mode, P.n) if args.mode else tuple([0] * P.n)
     hbars = [_fraction(h) for h in (args.hbar or [])]
     if not hbars:
         hbars = [Fraction(1, 2) ** i for i in range(4, 11)]
-    if any(h == 0 for h in hbars):
-        raise FormatError("hbar list must not contain 0")
 
     limit = al.numeric_bracket_limit(P, f, g, y, k, hbars)
     sym = al.symbolic_bracket(f, g, y, k)
@@ -323,7 +311,7 @@ def cmd_quantize_spectra(args) -> int:
         hbar = _fraction(htext)
         if hbar == 0:
             raise FormatError("--hbar must be nonzero")
-        y0 = _point(args.point, P.n) if args.point else tuple([abs(hbar) / 2] * P.n)
+        y0 = _point(args.point) if args.point else tuple([abs(hbar) / 2] * P.n)
         if not (args.point or P.contains(y0)):
             raise DomainError(
                 f"default base point {pt.format_point(y0)} = (|hbar|/2, ...) "

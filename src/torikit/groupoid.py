@@ -45,7 +45,7 @@ import numpy as np
 
 from . import intlat
 from .errors import ComposabilityError, DomainError, OrbitCapError
-from .polytope import (DelzantPolytope, arrow_valid, face_box, format_point, in_delta_k,
+from .polytope import (DelzantPolytope, arrow_valid, face_box, in_delta_k, inside_slacks,
                        int_mode, isotropy_lattice, mode_pairings, ratpoint,
                        scaled_slacks)
 
@@ -66,8 +66,9 @@ class GroupoidPoint:
 
 
 def arrow(hbar, y, k) -> GroupoidPoint:
-    """Coercing constructor: rationals for hbar/y, ints for k."""
-    return GroupoidPoint(Fraction(hbar), ratpoint(y), tuple(int(c) for c in k))
+    """Coercing constructor: rationals for hbar/y, ints for k (`int_mode`)."""
+    y = ratpoint(y)
+    return GroupoidPoint(Fraction(hbar), y, int_mode(k, len(y)))
 
 
 def translate(y, hbar, k):
@@ -267,17 +268,18 @@ def face_bounds(P: DelzantPolytope, y0, hbar):
     """y0's open face as int64 lower bounds (M, low) on q = k @ M, and the
     tuple of y0's active facets.
 
-    With s0, h the scaled slacks of `scaled_slacks` (Python ints) and q the
+    With s0, h the scaled slacks of `inside_slacks` (Python ints) and q the
     pairing of k with the column sign(hbar) * X_j, the slack of y0 + hbar*k
     at facet j has the sign of s0[j] + |h| * q.  A facet y0 leaves slack
     gives that column with bound (-s0[j]) // |h| + 1, an active one it and
     its negative with bound 0 (q = 0).  Bounds are clamped at -2^62, which
-    changes no test on the pairings below 2^62 that `orbit` allows; hbar != 0.
+    changes no test on the pairings below 2^62 that `orbit` allows.  The
+    divisor |h| makes this the owner of hbar != 0: hbar = 0 is DomainError
+    here, for `orbit` and `matrixrep.convolve_orbit` alike.
     """
-    s0, _, h = scaled_slacks(P, y0, hbar)
-    if min(s0) < 0:
-        raise DomainError(
-            f"base point {format_point(ratpoint(y0))} lies outside the polytope")
+    s0, _, h = inside_slacks(P, y0, hbar)
+    if h == 0:
+        raise DomainError("orbits are defined for hbar != 0")
     sign, bounds = (1 if h > 0 else -1), []
     for X, s in zip(P.normals, s0):
         X = [sign * x for x in X]
@@ -320,12 +322,11 @@ def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
     The first block holds min(`_CHUNK`, cap + 1) prefixes and each later
     one `_CHUNK` (the last, what is left).  Every orbit holds its base
     point, so a cap below 1 is refused with DomainError before any work.
+    A point outside the polytope and hbar = 0 are refused by `face_bounds`.
     """
     if cap < 1:
         raise DomainError(f"orbit cap must be at least 1, got {cap}")
     hbar = Fraction(hbar)
-    if hbar == 0:
-        raise DomainError("orbits are defined for hbar != 0")
     if not P.compact:
         raise DomainError("orbit enumeration requires a compact polytope")
     y0 = ratpoint(y0)

@@ -179,8 +179,7 @@ def convolve_orbit(P: DelzantPolytope, f: al.AlgebraElement, g: al.AlgebraElemen
     orbit point, as `represent` does; so does a mode whose product is not
     finite, naming its first such point, as `algebra.convolve` does.
     """
-    if f.n != g.n:
-        raise DomainError("elements live over different dimensions")
+    al.common_n(f, g)
     M, low, _ = face_bounds(P, orb.y0, orb.hbar)
     q = orb.steps @ M
     extent = (orb.box[1] - orb.box[0]).tolist()

@@ -10,9 +10,17 @@ by d > 0 keeps every sign, so facet activity and strict slackness are
 integer comparisons with 0, never float or per-facet Fraction arithmetic.
 The arrow rule `arrow_valid` reads those slacks, and Delta(k) is the set of
 base points of its hbar = 0 arrows, which are loops (`in_delta_k`).
-`inside_slacks` takes the slacks of a point that must lie in the polytope
-and refuses one outside it, and `int_mode` coerces a mode and refuses one
-of the wrong length.
+
+Each input rule has one owner and one message; every caller leaves it there:
+
+    n >= 1, one offset per n-entry normal   `DelzantPolytope.__post_init__`
+    a point has n coordinates               `scaled_slacks`
+    a point lies in the polytope            `inside_slacks`
+    a mode is n integers                    `int_mode`
+    an orbit's hbar is not 0                `groupoid.face_bounds`
+    an orbit's cap is at least 1            `groupoid.orbit`
+    a sweep's hbars are > 0 and decreasing  `algebra.hbar_sweep`
+    two elements share one n                `algebra.common_n`
 
 Screening runs in Python ints too, on `intlat`'s integer forms.  The
 offsets are integer numerators a_j over one denominator L, and each n-subset
@@ -224,20 +232,24 @@ def integer_slacks(P: DelzantPolytope, numerators, d: int) -> list[int]:
     return [_pair_int(numerators, x) - aj * scale for x, aj in zip(P.normals, a)]
 
 
-def inside_slacks(P: DelzantPolytope, y):
-    """`scaled_slacks(P, y)` of a point of the polytope; DomainError
+def inside_slacks(P: DelzantPolytope, y, hbar=0):
+    """`scaled_slacks(P, y, hbar)` of a point of the polytope; DomainError
     ("point (...) lies outside the polytope") when a slack is negative."""
     y = ratpoint(y)
-    slacks = scaled_slacks(P, y)
+    slacks = scaled_slacks(P, y, hbar)
     if any(sj < 0 for sj in slacks[0]):
         raise DomainError(f"point {format_point(y)} lies outside the polytope")
     return slacks
 
 
 def int_mode(k, n: int) -> tuple[int, ...]:
-    """A mode k as a tuple of ints; DimensionError ("mode has L entries,
-    expected n") unless it has n entries."""
-    k = tuple(int(c) for c in k)
+    """A mode k as a tuple of ints, in one pass; FormatError ("bad mode ...")
+    for an entry that is not an integer, which int() would truncate, and
+    DimensionError ("mode has L entries, expected n") unless it has n."""
+    try:
+        k = tuple(map(operator.index, k))
+    except TypeError as exc:
+        raise FormatError(f"bad mode {k!r}: {exc}") from None
     if len(k) != n:
         raise DimensionError(f"mode has {len(k)} entries, expected {n}")
     return k
@@ -479,8 +491,6 @@ def interval() -> DelzantPolytope:
 
 def projective_space(n: int) -> DelzantPolytope:
     """Standard simplex {y_i >= 0, sum y_i <= 1} in dimension n."""
-    if n < 1:
-        raise DimensionError("dimension must be >= 1")
     normals = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
     normals.append(tuple([-1] * n))
     offsets = [Fraction(0)] * n + [Fraction(-1)]
@@ -489,8 +499,6 @@ def projective_space(n: int) -> DelzantPolytope:
 
 def orthant(n: int) -> DelzantPolytope:
     """Nonnegative orthant (noncompact; orbit features disabled)."""
-    if n < 1:
-        raise DimensionError("dimension must be >= 1")
     normals = tuple(tuple(1 if i == j else 0 for i in range(n)) for j in range(n))
     return DelzantPolytope(n, normals, tuple([Fraction(0)] * n), compact=False)
 

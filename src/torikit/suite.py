@@ -22,7 +22,7 @@ from . import expr as ex
 from . import groupoid as gr
 from . import intlat
 from . import matrixrep as mr
-from .errors import DomainError
+from .errors import DomainError, MarginError
 from .polytope import (DelzantPolytope, bounding_box, in_delta_k, in_u_k,
                        integer_slacks)
 
@@ -322,7 +322,7 @@ def battery_bracket(P, rng, cases, tol) -> BatteryResult:
             hs = [Fraction(1, 2) ** i for i in range(5, 9)]
             try:
                 lim = al.numeric_bracket_limit(P, f, g, yq, kq, hs)
-            except al.MarginError:
+            except MarginError:
                 continue
             sym = al.symbolic_bracket(f, g, yq, kq)
             scale = max(abs(sym), 1.0)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from torikit import algebra as al
+from torikit import classical as cl
 from torikit import expr as ex
 from torikit import groupoid as gr
 from torikit import matrixrep as mr
@@ -394,6 +395,26 @@ def test_element_refuses_a_mode_of_the_wrong_length_and_a_float():
     for value in (0.5, (0.5, "0")):
         with pytest.raises(FormatError, match="^coefficients must be exact .*got float$"):
             al.element(1, {(1,): value})
+
+
+def test_element_refuses_a_mode_entry_that_is_not_an_integer():
+    # int() truncated the key (1.5,) to mode (1,)
+    with pytest.raises(FormatError, match=r"^bad mode \(1\.5,\): "):
+        al.element(1, {(1.5,): "1"})
+
+
+def test_every_product_refuses_elements_over_different_dimensions():
+    f, g = al.element(1, {0: "1"}), al.element(2, {(0, 0): "1"})
+    orb = gr.orbit(P, F(1, 4), (F(1, 8),))
+    calls = [lambda: f + g, lambda: f - g,
+             lambda: al.convolve(P, f, g, F(1, 4), (F(1, 8),), (0,)),
+             lambda: al.bracket_element(f, g),
+             lambda: al.pointwise_product_at_zero(f, g),
+             lambda: mr.convolve_orbit(P, f, g, orb),
+             lambda: cl.poisson_bracket_aa_at(f, g, (F(1, 2),))]
+    for call in calls:
+        with pytest.raises(DomainError, match="^elements live over different dimensions$"):
+            call()
 
 
 def test_exact_numeric_coefficients_stay_accepted():

@@ -98,7 +98,7 @@ def test_groupoid_orbit_cap_below_1_exits_2(tmp_path, capsys, cap):
                     "--point", "1/8,1/8", f"--cap={cap}"], tmp_path)
     assert rc == 2
     assert text is None
-    assert capsys.readouterr().err == f"input error: --cap must be at least 1, got {cap}\n"
+    assert capsys.readouterr().err == f"error: orbit cap must be at least 1, got {cap}\n"
 
 
 def test_groupoid_orbit_box_past_int64_exits_2(tmp_path, capsys):
@@ -179,7 +179,7 @@ def test_groupoid_orbit_outside_point_prints_p_over_q(tmp_path, capsys):
     rc, text = run(["groupoid", "orbit", str(DATA / "sphere.json"), "--hbar=1/4",
                     "--point=3/2"], tmp_path)
     assert (rc, text) == (2, None)
-    assert capsys.readouterr().err == "error: base point (3/2) lies outside the polytope\n"
+    assert capsys.readouterr().err == "error: point (3/2) lies outside the polytope\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -270,7 +270,7 @@ def test_orbit_csv_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, 
     assert title.endswith(f"size={len(rows)}") and len(rows) > 7
     assert [row.split(",", 1)[0] for row in rows] == [str(i) for i in range(len(rows))]
     P = pt.load_polytope(DATA / f"{name}.json")
-    blocks = list(cli._orbit_blocks(gr.orbit(P, Fraction(hbar), cli._point(point, P.n))))
+    blocks = list(cli._orbit_blocks(gr.orbit(P, Fraction(hbar), cli._point(point))))
     assert len(blocks) == -(-len(rows) // block)
     assert "".join(blocks) == "".join(f"{row}\n" for row in rows)
 
@@ -751,20 +751,59 @@ SPHERE_X3 = [str(DATA / "sphere.json"), "--obs", str(DATA / "obs" / "x3.json")]
 
 @pytest.mark.parametrize("argv, err", [
     (["groupoid", "orbit", str(DATA / "sphere.json"), "--hbar", "1/0", "--point", "1/2"],
-     "bad rational '1/0': Fraction(1, 0)"),
+     "input error: bad rational '1/0': Fraction(1, 0)"),
     (["quantize", "bracket-limit", *SPHERE_PAIR, "--mode", "x"],
-     "bad mode 'x': invalid literal for int() with base 10: 'x'"),
-    (["polytope", "make", "product"], "product needs --of FILE FILE"),
+     "input error: bad mode 'x': invalid literal for int() with base 10: 'x'"),
+    (["polytope", "make", "product"], "input error: product needs --of FILE FILE"),
     (["quantize", "bracket-limit", *SPHERE_PAIR, "--hbar", "0"],
-     "hbar list must not contain 0"),
-    (["quantize", "spectra", *SPHERE_X3], "--hbar is required"),
-    (["quantize", "spectra", *SPHERE_X3, "--hbar", "0"], "--hbar must be nonzero"),
+     "error: hbar list must be positive (nonzero) values"),
+    (["quantize", "spectra", *SPHERE_X3], "input error: --hbar is required"),
+    (["quantize", "spectra", *SPHERE_X3, "--hbar", "0"], "input error: --hbar must be nonzero"),
 ], ids=["bad-rational", "bad-mode", "product-without-of", "bracket-limit-hbar-zero",
         "spectra-without-hbar", "spectra-hbar-zero"])
 def test_input_error_exits_2_with_one_line(tmp_path, capsys, argv, err):
     rc, text = run(argv, tmp_path)
     assert (rc, text) == (2, None)
-    assert capsys.readouterr().err == f"input error: {err}\n"
+    assert capsys.readouterr().err == f"{err}\n"
+
+
+CP2 = str(DATA / "cp2.json")
+ORTHANT2 = str(DATA / "orthant2.json")
+CP2_PAIR = ["--obs", str(GOLDEN / "obs_cp2_f.json"), "--obs2", str(GOLDEN / "obs_cp2_g.json")]
+
+
+# each value rule the CLI leaves to its owner in the library: the owner's line
+@pytest.mark.parametrize("argv, err", [
+    (["groupoid", "orbit", CP2, "--hbar", "1/4", "--point", "1/8,1/8", "--cap", "0"],
+     "error: orbit cap must be at least 1, got 0"),
+    (["groupoid", "orbit", CP2, "--hbar", "0", "--point", "1/8,1/8"],
+     "error: orbits are defined for hbar != 0"),
+    (["quantize", "bracket-limit", *SPHERE_PAIR, "--hbar", "0"],
+     "error: hbar list must be positive (nonzero) values"),
+    (["quantize", "bracket-limit", *SPHERE_PAIR, "--hbar", "-1/16"],
+     "error: hbar list must be positive (nonzero) values"),
+    (["groupoid", "orbit", CP2, "--hbar", "1/4", "--point", "1/8"],
+     "input error: point has 1 coordinates, expected 2"),
+    (["quantize", "bracket-limit", *SPHERE_PAIR, "--point", "1/2,1/2"],
+     "input error: point has 2 coordinates, expected 1"),
+    (["quantize", "spectra", *SPHERE_X3, "--hbar", "1/8", "--point", "1/2,1/2"],
+     "input error: point has 2 coordinates, expected 1"),
+    (["quantize", "bracket-limit", *SPHERE_PAIR, "--mode", "1,0"],
+     "input error: mode has 2 entries, expected 1"),
+    (["groupoid", "orbit", CP2, "--hbar", "1/4", "--point", "1,1"],
+     "error: point (1, 1) lies outside the polytope"),
+    (["groupoid", "orbit", ORTHANT2, "--hbar", "1/4", "--point", "1/2"],
+     "error: orbit enumeration requires a compact polytope"),
+    (["quantize", "bracket-limit", ORTHANT2, *CP2_PAIR, "--point", "1/2"],
+     "input error: point has 1 coordinates, expected 2"),
+], ids=["orbit-cap-0", "orbit-hbar-0", "bracket-limit-hbar-0", "bracket-limit-hbar-negative",
+        "orbit-point-length", "bracket-limit-point-length", "spectra-point-length",
+        "mode-length", "point-outside", "orthant-orbit-point-length",
+        "orthant-bracket-limit-point-length"])
+def test_value_rules_exit_2_with_the_owners_line(tmp_path, capsys, argv, err):
+    rc, text = run(argv, tmp_path)
+    assert (rc, text) == (2, None)      # no --out file is created
+    assert capsys.readouterr() == ("", f"{err}\n")
 
 
 def test_any_other_library_error_exits_1(tmp_path, capsys, monkeypatch):

@@ -11,7 +11,8 @@ import pytest
 
 from torikit import groupoid as gr
 from torikit import polytope as pt
-from torikit.errors import ComposabilityError, DimensionError, DomainError, OrbitCapError
+from torikit.errors import (ComposabilityError, DimensionError, DomainError, FormatError,
+                            OrbitCapError)
 
 F = Fraction
 
@@ -270,6 +271,28 @@ def test_orbit_requires_compact_and_nonzero_hbar():
         gr.orbit(pt.orthant(2), F(1, 4), (F(1), F(1)))
     with pytest.raises(DomainError):
         gr.orbit(pt.interval(), 0, (F(1, 2),))
+
+
+def test_face_bounds_refuses_hbar_zero():
+    # face_bounds divides by |hbar|; at hbar = 0 it raised ZeroDivisionError
+    with pytest.raises(DomainError, match=r"^orbits are defined for hbar != 0$"):
+        gr.face_bounds(pt.square(), (F(1, 4), F(1, 4)), 0)
+
+
+def test_a_mode_entry_that_is_not_an_integer_is_refused():
+    # int() truncated these: 0.7 read as mode 0, 0.9 as k = (0,)
+    orb = gr.orbit(pt.interval(), F(1, 4), (F(1, 8),))
+    for k in [(0.7,), (F(1, 2),), np.array([0.7]), ("1",)]:
+        with pytest.raises(FormatError, match="^bad mode "):
+            orb.targets(k)
+    with pytest.raises(FormatError, match=r"^bad mode \(0\.9,\): "):
+        gr.arrow(F(1, 4), (F(1, 2),), (0.9,))
+    with pytest.raises(DimensionError, match="^mode has 2 entries, expected 1$"):
+        gr.arrow(F(1, 4), (F(1, 2),), (1, 0))
+    # Python and numpy integers pass
+    got = orb.targets((1,))
+    assert got is orb.targets((np.int64(1),)) is orb.targets(np.array([1], dtype=np.int32))
+    assert gr.arrow(F(1, 4), (F(1, 2),), (np.int64(-1),)).k == (-1,)
 
 
 def test_orbit_cap():
@@ -574,7 +597,7 @@ def test_face_bounds_match_fraction_slacks_randomized():
             on_face = P.contains(head) and P.active_set(head) == active
             assert bool(((np.array(k, dtype=np.int64) @ M) >= low).all()) == on_face
     with pytest.raises(DomainError,
-                       match=r"^base point \(-1/4611686018427387904, 1/2\) lies outside"):
+                       match=r"^point \(-1/4611686018427387904, 1/2\) lies outside"):
         gr.face_bounds(pt.square(), (F(-1, 2 ** 62), F(1, 2)), F(1, 4))
 
 

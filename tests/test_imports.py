@@ -1,8 +1,9 @@
 """Source hygiene: every name a torikit module imports is read there or
 re-exported through its __all__, no module reads another module's private
-(underscore) name, no module imports a package that is not declared (only
-the standard library, numpy and torikit), every name in an __all__ exists,
-and every function the benchmark tracer patches exists."""
+(underscore) name or a public one that module's __all__ leaves out, no
+module imports a package that is not declared (only the standard library,
+numpy and torikit), every name in an __all__ exists, and every function the
+benchmark tracer patches exists."""
 import ast
 import importlib
 import importlib.util
@@ -21,6 +22,15 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("tools/*.py"))
 
 
+def all_names(tree: ast.Module):
+    """The names in a module's __all__, or None when it has none."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return None
+
+
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     imported = set()
@@ -31,10 +41,7 @@ def unused_imports(source: str) -> list[str]:
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
+    used.update(all_names(tree) or ())
     return sorted(imported - used)
 
 
@@ -52,9 +59,10 @@ def test_module_reads_every_import(path):
     assert unused_imports(path.read_text()) == []
 
 
-def private_reads(source: str) -> list[str]:
-    """Underscore names a module takes from a sibling module: `m._x` through
-    `from . import m [as alias]`, and `from .m import _x`."""
+def sibling_reads(source: str) -> list[tuple[str, str]]:
+    """(module, name) for every name a module takes from a sibling module:
+    `m.x` through `from . import m [as alias]` (dunders aside), and
+    `from .m import x`."""
     tree = ast.parse(source)
     siblings, found = {}, []
     for node in ast.walk(tree):
@@ -62,14 +70,18 @@ def private_reads(source: str) -> list[str]:
             for a in node.names:
                 if node.module is None:
                     siblings[a.asname or a.name] = a.name
-                elif a.name.startswith("_"):
-                    found.append(f"{node.module}.{a.name}")
+                else:
+                    found.append((node.module, a.name))
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in siblings and node.attr.startswith("_")
-                and not node.attr.endswith("__")):
-            found.append(f"{siblings[node.value.id]}.{node.attr}")
-    return sorted(found)
+                and node.value.id in siblings and not node.attr.endswith("__")):
+            found.append((siblings[node.value.id], node.attr))
+    return found
+
+
+def private_reads(source: str) -> list[str]:
+    """Underscore names a module takes from a sibling module."""
+    return sorted(f"{m}.{x}" for m, x in sibling_reads(source) if x.startswith("_"))
 
 
 def test_private_reads_detector():
@@ -82,6 +94,29 @@ def test_private_reads_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_module_reads_no_private_sibling_name(path):
     assert private_reads(path.read_text()) == []
+
+
+EXPORTS = {path.stem: all_names(ast.parse(path.read_text())) for path in MODULES}
+
+
+def unexported_reads(source: str, exports=EXPORTS) -> list[str]:
+    """Names a module takes from a sibling module whose __all__ leaves them
+    out; a sibling with no __all__ exports every name."""
+    return sorted(f"{m}.{x}" for m, x in sibling_reads(source)
+                  if exports.get(m) is not None and x not in exports[m])
+
+
+def test_unexported_reads_detector():
+    exports = {"algebra": {"convolve"}, "expr": {"Y"}, "errors": None}
+    source = ("from . import intlat, algebra as al\nfrom .expr import Y, Z\n"
+              "from .errors import DomainError\nimport numpy as np\n"
+              "x = intlat.solve(al.convolve, al.__all__, al.sweep, np.linalg, Y, Z)\n")
+    assert unexported_reads(source, exports) == ["algebra.sweep", "expr.Z"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_reads_only_exported_sibling_names(path):
+    assert unexported_reads(path.read_text()) == []
 
 
 # pyproject's one dependency, and the package itself

@@ -514,6 +514,14 @@ def test_represent_and_convolve_orbit_name_the_same_singular_point():
             call()
 
 
+def test_convolve_orbit_refuses_a_hand_built_orbit_at_hbar_zero():
+    # the orbit's face bounds divide by |hbar|; this raised ZeroDivisionError
+    orb = gr.Orbit(Fraction(0), (Fraction(1, 2),), np.zeros((1, 1), dtype=np.int64))
+    f = al.element(1, {0: "1"})
+    with pytest.raises(DomainError, match=r"^orbits are defined for hbar != 0$"):
+        mr.convolve_orbit(pt.interval(), f, f, orb)
+
+
 def test_convolve_orbit_product_past_float_range_names_the_point():
     # each factor is finite, 10^200 * 10^200 is not; the scalar product
     # fails at the same point with the same text

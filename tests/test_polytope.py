@@ -226,6 +226,13 @@ def test_polytope_constructor_refuses_bad_shapes(n, normals, offsets, message):
         pt.DelzantPolytope(n, normals, offsets)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("build", [pt.projective_space, pt.orthant])
+def test_builders_leave_the_dimension_to_the_constructor(build, n):
+    with pytest.raises(DimensionError, match="^dimension must be >= 1$"):
+        build(n)
+
+
 def test_require_delzant_raises_on_bad_input():
     bad = pt.DelzantPolytope(2, ((1, 0), (0, 1), (-1, -2)), (F(0), F(0), F(-1)))
     with pytest.raises(DomainError):
