@@ -59,7 +59,7 @@ from . import expr as ex
 from .errors import DomainError, EvalDomainError, FormatError, MarginError
 from .groupoid import arrow, is_member, translate
 from .polytope import (DelzantPolytope, arrow_valid, format_point, int_mode, json_int,
-                       mode_pairings, ratpoint, read_json, scaled_slacks)
+                       mode_pairings, rational, ratpoint, read_json, scaled_slacks)
 
 __all__ = [
     "AlgebraElement", "element", "observable_from_dict", "observable_to_dict",
@@ -207,12 +207,13 @@ def load_observable(path, n: int) -> AlgebraElement:
 
 def extension_value(f: AlgebraElement, hbar, y, k) -> complex:
     """Value of the smooth extension at (hbar, y, k), ignoring membership."""
+    hbar, y = rational(hbar), ratpoint(y, f.n)
     return f.coefficient(k).evaluate(hbar, y)
 
 
 def groupoid_value(P: DelzantPolytope, f: AlgebraElement, hbar, y, k) -> complex:
     """Extension value masked by arrow membership (0 off the arrow space)."""
-    g = arrow(hbar, y, k)
+    g = arrow(hbar, ratpoint(y, P.n), k)
     if not is_member(P, g):
         return 0j
     return extension_value(f, g.hbar, g.y, g.k)
@@ -228,7 +229,7 @@ def convolve(P: DelzantPolytope, f: AlgebraElement, g: AlgebraElement,
     slacks, taken once per call.  A sum that is not finite (finite factors
     whose product overflows) raises EvalDomainError (`not_finite`).
     """
-    hbar = Fraction(hbar)
+    hbar = rational(hbar)
     y = ratpoint(y)
     k = int_mode(k, common_n(f, g))
     s, _, h = scaled_slacks(P, y, hbar)
@@ -265,7 +266,7 @@ def commutator(P, f, g, hbar, y, k) -> complex:
 def renormalized_commutator(P, f, g, hbar, y, k) -> complex:
     """(f.g - g.f)/(i*hbar) at (hbar, y, k); hbar must be nonzero.  A value
     that is not finite raises EvalDomainError, as in `convolve`."""
-    hbar = Fraction(hbar)
+    hbar = rational(hbar)
     if hbar == 0:
         raise DomainError(
             "renormalized commutator needs hbar != 0; use symbolic_bracket "
@@ -378,7 +379,7 @@ def check_margin(P: DelzantPolytope, f, g, y, hbar_max) -> None:
     one binary search per facet on the prefix maxima of g's negated steps.
     """
     y = ratpoint(y)
-    hbar_max = Fraction(hbar_max)
+    hbar_max = rational(hbar_max)
     s, _, h = scaled_slacks(P, y, hbar_max)
     if min(s) <= 0:
         raise MarginError(f"sample point {format_point(y)} is not interior")
@@ -442,7 +443,7 @@ def neville_to_zero(hbar_list, values) -> complex:
 def hbar_sweep(hbar_list) -> list[Fraction]:
     """The hbar values of a sweep as Fractions; DomainError unless they are
     nonempty, positive and strictly decreasing."""
-    hs = [Fraction(h) for h in hbar_list]
+    hs = [rational(h) for h in hbar_list]
     if not hs or any(h <= 0 for h in hs):
         raise DomainError("hbar list must be positive (nonzero) values")
     if any(b >= a for a, b in zip(hs, hs[1:])):

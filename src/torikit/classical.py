@@ -10,6 +10,7 @@ a coefficient that `algebra.bracket_element` already differentiated is not
 differentiated again.
 `angle_spectrum` is the one uniform-grid FFT over the torus, and
 `poisson_bracket_aa_mode` reads one mode of the bracket from it.
+Inputs go through their owners in `polytope` (`ratpoint`, `int_mode`, `angles`).
 """
 from __future__ import annotations
 
@@ -19,7 +20,8 @@ import numpy as np
 
 from .algebra import AlgebraElement, common_n
 from .errors import DomainError, StratumError
-from .polytope import DelzantPolytope, arrow_valid, inside_slacks, mode_pairings, ratpoint
+from .polytope import (DelzantPolytope, angles, arrow_valid, inside_slacks, int_mode,
+                       mode_pairings, ratpoint)
 
 __all__ = [
     "synthesize", "ANGLE_GRID_CAP", "angle_spectrum", "poisson_bracket_aa",
@@ -41,9 +43,7 @@ def synthesize(P: DelzantPolytope, f: AlgebraElement, y, theta) -> complex:
     """
     y = ratpoint(y)
     s = inside_slacks(P, y)[0]
-    theta = [float(t) for t in theta]
-    if len(theta) != f.n:
-        raise DomainError(f"theta needs length {f.n}")
+    theta = angles(theta, f.n)
     total = 0j
     for k, c in f.subs_h_zero().modes:
         value = c.evaluate(0.0, y)
@@ -93,7 +93,7 @@ def poisson_bracket_aa_at(F: AlgebraElement, G: AlgebraElement, y):
     derivatives at y are taken once; only the phases depend on theta.
     """
     n = common_n(F, G)
-    yf = [float(c) for c in y]
+    yf = [float(c) for c in ratpoint(y, n)]
 
     def derivatives(fun):
         out = []
@@ -118,7 +118,7 @@ def poisson_bracket_aa_at(F: AlgebraElement, G: AlgebraElement, y):
     f_terms, g_terms = derivatives(F), derivatives(G)
 
     def bracket(theta) -> complex:
-        theta = [float(t) for t in theta]
+        theta = angles(theta, n)
         dFy, dFth = parts(f_terms, theta)
         dGy, dGth = parts(g_terms, theta)
         return sum(dFy[i] * dGth[i] - dFth[i] * dGy[i] for i in range(n))
@@ -127,7 +127,7 @@ def poisson_bracket_aa_at(F: AlgebraElement, G: AlgebraElement, y):
 
 
 def poisson_bracket_aa_mode(f: AlgebraElement, g: AlgebraElement, y, k) -> complex:
-    """Mode k (an int tuple) of the action-angle bracket of f and g at y,
+    """Mode k (n integers) of the action-angle bracket of f and g at y,
     read from its `angle_spectrum`.
 
     The grid samples G = 2*(max_mode(f) + max_mode(g)) + 3 angles per axis,
@@ -136,6 +136,7 @@ def poisson_bracket_aa_mode(f: AlgebraElement, g: AlgebraElement, y, k) -> compl
     value is exactly 0.  The spectrum is taken either way, so a grid past
     ANGLE_GRID_CAP is refused for every k.
     """
+    k = int_mode(k, common_n(f, g))
     grid = 2 * (f.max_mode() + g.max_mode()) + 3
     spec = angle_spectrum(poisson_bracket_aa_at(f, g, y), f.n, grid)
     if all(abs(ki) <= grid // 2 for ki in k):

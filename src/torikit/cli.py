@@ -15,11 +15,12 @@ estimate, which the CSV does not print, is off by more than --tol from
 either oracle: each error is compared on its own, so a NaN fails; the CSV's
 err_sym/err_cls columns are each row's own extrapolant error); 2 bad input
 or a computation that cannot be carried out; 3 margin violation.  The CLI
-only parses options and files: each rule on their values (hbar, the orbit
-cap, a point's length and place, a mode) has one owner in the library
-(`polytope`'s docstring lists them), whose one line is printed after
-"input error: " for a FormatError, ParseError or DimensionError and after
-"error: " for a DomainError, OrbitCapError or EvalDomainError; both exit 2.
+only parses options and files: each rule on their values (a rational, hbar,
+the orbit cap, the suite's case count, a point's length and place, a mode)
+has one owner in the library (`polytope`'s docstring lists them), whose
+one line is printed after "input error: " for a FormatError, ParseError or
+DimensionError and after "error: " for a DomainError, OrbitCapError or
+EvalDomainError; both exit 2.
 So do an --out file that cannot be written, a JSON file, expression or
 integer literal past its parser's bounds, the orbit cap, a classical oracle
 grid or bracket mode sum past its cap, and an evaluation, product or
@@ -66,15 +67,8 @@ _BUILDERS = {
 }
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad rational {text!r}: {exc}") from exc
-
-
 def _point(text: str) -> tuple[Fraction, ...]:
-    return tuple(_fraction(part) for part in text.split(","))
+    return pt.ratpoint(text.split(","))
 
 
 def _mode(text: str, n: int) -> tuple[int, ...]:
@@ -248,7 +242,7 @@ def cmd_groupoid_orbit(args) -> int:
     pt.require_delzant(P)
     if len(args.hbar) != 1:
         raise FormatError("groupoid orbit takes exactly one --hbar")
-    hbar = _fraction(args.hbar[0])
+    hbar = pt.rational(args.hbar[0])
     orb = gr.orbit(P, hbar, _point(args.point), cap=args.cap)
     header = ("index",) + tuple(f"y{i + 1}" for i in range(P.n))
     title = _csv_document("orbit", header, (), preamble=[f"hbar={hbar}", f"size={len(orb)}"])
@@ -267,9 +261,7 @@ def cmd_quantize_bracket_limit(args) -> int:
     g = al.load_observable(args.obs2, P.n)
     y = _point(args.point)
     k = _mode(args.mode, P.n) if args.mode else tuple([0] * P.n)
-    hbars = [_fraction(h) for h in (args.hbar or [])]
-    if not hbars:
-        hbars = [Fraction(1, 2) ** i for i in range(4, 11)]
+    hbars = args.hbar or [Fraction(1, 2) ** i for i in range(4, 11)]
 
     limit = al.numeric_bracket_limit(P, f, g, y, k, hbars)
     sym = al.symbolic_bracket(f, g, y, k)
@@ -304,11 +296,8 @@ def cmd_quantize_spectra(args) -> int:
     P = pt.load_polytope(args.polytope)
     pt.require_delzant(P)
     f = al.load_observable(args.obs, P.n)
-    if not args.hbar:
-        raise FormatError("--hbar is required")
     rows = []
-    for htext in args.hbar:
-        hbar = _fraction(htext)
+    for hbar in map(pt.rational, args.hbar):
         if hbar == 0:
             raise FormatError("--hbar must be nonzero")
         y0 = _point(args.point) if args.point else tuple([abs(hbar) / 2] * P.n)
@@ -330,8 +319,6 @@ def cmd_quantize_spectra(args) -> int:
 # verify
 
 def cmd_verify_suite(args) -> int:
-    if args.cases < 1:
-        raise FormatError(f"--cases must be at least 1, got {args.cases}")
     _check_tol(args.tol)
     P = pt.load_polytope(args.polytope)
     pt.require_delzant(P)
@@ -416,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = q_sub.add_parser("spectra", help="eigenvalues of a quantized observable")
     p.add_argument("polytope")
     p.add_argument("--obs", required=True)
-    p.add_argument("--hbar", action="append", metavar="P/Q")
+    p.add_argument("--hbar", action="append", required=True, metavar="P/Q")
     p.add_argument("--point", help="base point of every orbit (default: "
                    "(|hbar|/2, ..., |hbar|/2) for each --hbar)")
     p.add_argument("--out")

@@ -6,6 +6,7 @@ kernel basis B (A B = 0) and an integer splitting S (A S = I).  Ambient
 moment maps, the radial section sigma, and the character functions on
 representatives are all evaluated on points of C^{n0}; identities that can
 be stated on squared moduli are checked in exact rational arithmetic.
+The torus actions read their angles through `polytope.angles`.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import intlat
-from .errors import ConstructionError, DomainError, StratumError
-from .polytope import DelzantPolytope, inside_slacks, mode_pairings, require_delzant
+from .errors import ConstructionError, StratumError
+from .polytope import DelzantPolytope, angles, inside_slacks, mode_pairings, require_delzant
 
 __all__ = [
     "DelzantSystem", "build_system",
@@ -146,20 +147,14 @@ def k_sigma_ambient(sys: DelzantSystem, z, k) -> complex:
 # torus actions on representatives
 
 def act_subtorus(sys: DelzantSystem, t, z) -> np.ndarray:
-    """Action of the reduction torus: phases exp(i (B t)_j)."""
-    t = np.asarray([float(v) for v in t], dtype=float)
-    if t.shape != (sys.d,):
-        raise DomainError(f"subtorus parameter needs length {sys.d}")
-    phases = np.exp(1j * (sys.B.astype(float) @ t))
+    """Action of the reduction torus: phases exp(i (B t)_j), t in T^d."""
+    phases = np.exp(1j * (sys.B.astype(float) @ angles(t, sys.d)))
     return _as_vector(z) * phases
 
 
 def act_torus(sys: DelzantSystem, theta, z) -> np.ndarray:
     """Action of the quotient torus through the splitting: exp(i (S theta)_j)."""
-    theta = np.asarray([float(v) for v in theta], dtype=float)
-    if theta.shape != (sys.n,):
-        raise DomainError(f"torus parameter needs length {sys.n}")
-    phases = np.exp(1j * (sys.splitting.astype(float) @ theta))
+    phases = np.exp(1j * (sys.splitting.astype(float) @ angles(theta, sys.n)))
     return _as_vector(z) * phases
 
 

@@ -46,7 +46,7 @@ import numpy as np
 from . import intlat
 from .errors import ComposabilityError, DomainError, OrbitCapError
 from .polytope import (DelzantPolytope, arrow_valid, face_box, in_delta_k, inside_slacks,
-                       int_mode, isotropy_lattice, mode_pairings, ratpoint,
+                       int_mode, isotropy_lattice, mode_pairings, rational, ratpoint,
                        scaled_slacks)
 
 __all__ = [
@@ -66,9 +66,9 @@ class GroupoidPoint:
 
 
 def arrow(hbar, y, k) -> GroupoidPoint:
-    """Coercing constructor: rationals for hbar/y, ints for k (`int_mode`)."""
+    """Coercing constructor: rationals for hbar/y (`rational`), ints for k (`int_mode`)."""
     y = ratpoint(y)
-    return GroupoidPoint(Fraction(hbar), y, int_mode(k, len(y)))
+    return GroupoidPoint(rational(hbar), y, int_mode(k, len(y)))
 
 
 def translate(y, hbar, k):
@@ -326,7 +326,7 @@ def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
     """
     if cap < 1:
         raise DomainError(f"orbit cap must be at least 1, got {cap}")
-    hbar = Fraction(hbar)
+    hbar = rational(hbar)
     if not P.compact:
         raise DomainError("orbit enumeration requires a compact polytope")
     y0 = ratpoint(y0)

@@ -71,7 +71,7 @@ from . import algebra as al
 from . import expr as ex
 from .errors import DomainError, EvalDomainError
 from .groupoid import Orbit, face_bounds, orbit, translate
-from .polytope import DelzantPolytope, format_point, int_mode, ratpoint
+from .polytope import DelzantPolytope, format_point, int_mode, rational, ratpoint
 
 __all__ = [
     "OrbitOperator", "DENSE_CAP_BYTES", "represent", "convolve_orbit",
@@ -393,7 +393,7 @@ def casimir_defect(P: DelzantPolytope, hbar) -> float:
     the facets where the raising coefficient loses smoothness.  Each of the
     three products is read at mode 0 only (`OrbitOperator.product_mode`).
     """
-    hbar = Fraction(hbar)
+    hbar = rational(hbar)
     if not _is_unit_interval(P):
         raise DomainError("the quadratic-invariant check is defined on the "
                           "unit interval")

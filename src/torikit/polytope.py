@@ -14,13 +14,18 @@ base points of its hbar = 0 arrows, which are loops (`in_delta_k`).
 Each input rule has one owner and one message; every caller leaves it there:
 
     n >= 1, one offset per n-entry normal   `DelzantPolytope.__post_init__`
-    a point has n coordinates               `scaled_slacks`
+    an exact rational (hbar, a coordinate)  `rational`
+    a point has n coordinates               `ratpoint`, read by `scaled_slacks`,
+                                            `algebra.extension_value` and
+                                            `classical.poisson_bracket_aa_at`
     a point lies in the polytope            `inside_slacks`
     a mode is n integers                    `int_mode`
+    an angle vector has its torus's length  `angles`
     an orbit's hbar is not 0                `groupoid.face_bounds`
     an orbit's cap is at least 1            `groupoid.orbit`
     a sweep's hbars are > 0 and decreasing  `algebra.hbar_sweep`
     two elements share one n                `algebra.common_n`
+    a suite runs at least one case          `suite.run_suite`
 
 Screening runs in Python ints too, on `intlat`'s integer forms.  The
 offsets are integer numerators a_j over one denominator L, and each n-subset
@@ -46,8 +51,8 @@ from .errors import DimensionError, DomainError, FormatError
 
 __all__ = [
     "DelzantPolytope", "Face", "DelzantReport",
-    "ratpoint", "format_point", "json_int", "int_mode", "scaled_slacks",
-    "integer_slacks", "inside_slacks", "mode_pairings",
+    "rational", "ratpoint", "angles", "format_point", "json_int", "int_mode",
+    "scaled_slacks", "integer_slacks", "inside_slacks", "mode_pairings",
     "arrow_valid", "in_delta_k", "in_u_k", "isotropy_lattice",
     "check_delzant", "require_delzant", "enumerate_faces", "vertices",
     "bounding_box", "face_box",
@@ -56,10 +61,32 @@ __all__ = [
 ]
 
 
-def ratpoint(coords) -> tuple[Fraction, ...]:
-    """Coerce a sequence (ints, Fractions, 'p/q' strings) to an exact point;
-    Fractions pass through."""
-    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
+def rational(value) -> Fraction:
+    """An exact rational: a Fraction as it is, anything else through
+    Fraction(value); FormatError ("bad rational ...") when that fails."""
+    try:
+        return value if type(value) is Fraction else Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
+        raise FormatError(f"bad rational {value!r}: {exc}") from None
+
+
+def ratpoint(coords, n: int | None = None) -> tuple[Fraction, ...]:
+    """A sequence of `rational`s as an exact point, read in one pass (an
+    iterator too), Fractions passed through; given n, DimensionError
+    ("point has L coordinates, expected n") unless it has n."""
+    y = tuple(map(rational, coords))
+    if n is not None and len(y) != n:
+        raise DimensionError(f"point has {len(y)} coordinates, expected {n}")
+    return y
+
+
+def angles(theta, n: int) -> list[float]:
+    """An angle vector of T^n as n floats; DimensionError ("angle vector has
+    L components, expected n") unless it has n."""
+    theta = [float(t) for t in theta]
+    if len(theta) != n:
+        raise DimensionError(f"angle vector has {len(theta)} components, expected {n}")
+    return theta
 
 
 def format_point(y) -> str:
@@ -213,11 +240,9 @@ def scaled_slacks(P: DelzantPolytope, y, hbar=0):
     Python ints.  Scaling by d > 0 keeps every sign, so the slack of
     y + hbar*k at facet j has the sign of s[j] + h * <k, X_j>.
     """
-    y = ratpoint(y)
-    if len(y) != P.n:
-        raise DimensionError(f"point has {len(y)} coordinates, expected {P.n}")
+    y = ratpoint(y, P.n)
     if type(hbar) is not Fraction:
-        hbar = Fraction(hbar)
+        hbar = rational(hbar)
     d = math.lcm(hbar.denominator, P.integer_offsets[0], *(c.denominator for c in y))
     s = integer_slacks(P, [c.numerator * (d // c.denominator) for c in y], d)
     return s, d, hbar.numerator * (d // hbar.denominator)

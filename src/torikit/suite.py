@@ -419,8 +419,10 @@ def _realify(f: al.AlgebraElement) -> al.AlgebraElement:
 
 def run_suite(P: DelzantPolytope, seed: int, tol: float = 1e-10,
               cases: int = 40) -> SuiteReport:
-    """Run all batteries with one seeded generator; deterministic.  The
-    samplers need a bounded interior: a noncompact polytope raises DomainError."""
+    """Run all batteries with one seeded generator; deterministic.  DomainError
+    for cases < 1 (a vacuous pass) or a noncompact polytope, before any work."""
+    if cases < 1:
+        raise DomainError(f"suite cases must be at least 1, got {cases}")
     if not P.compact:
         raise DomainError("the verification suite requires a compact polytope")
     rng = random.Random(seed)

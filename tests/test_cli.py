@@ -619,17 +619,24 @@ def test_polytope_strata_golden(tmp_path):
         assert text == (GOLDEN / f"strata_{name}.csv").read_text()
 
 
-@pytest.mark.parametrize("argv", [
-    ["polytope", "make", "cpn", "--n", "0"],
-    ["polytope", "make", "orthant", "--n", "-1"],
-    ["verify", "suite", str(DATA / "sphere.json"), "--cases", "-3"],
-    ["verify", "suite", str(DATA / "sphere.json"), "--cases", "0"],
-], ids=["cpn-0", "orthant-minus-1", "cases-minus-3", "cases-0"])
-def test_bad_count_exits_2(tmp_path, capsys, argv):
+# each count's owner in the library: the constructor and `run_suite`
+@pytest.mark.parametrize("argv, err", [
+    (["polytope", "make", "cpn", "--n", "0"], "input error: dimension must be >= 1"),
+    (["polytope", "make", "orthant", "--n", "-1"], "input error: dimension must be >= 1"),
+    (["verify", "suite", str(DATA / "sphere.json"), "--cases", "-3"],
+     "error: suite cases must be at least 1, got -3"),
+    (["verify", "suite", str(DATA / "sphere.json"), "--cases", "0"],
+     "error: suite cases must be at least 1, got 0"),
+    # `run_suite` owns the count, so a polytope that cannot be read is named first
+    (["verify", "suite", str(DATA / "missing.json"), "--cases", "0"],
+     f"input error: cannot read polytope file {DATA / 'missing.json'}: [Errno 2] "
+     f"No such file or directory: '{DATA / 'missing.json'}'"),
+], ids=["cpn-0", "orthant-minus-1", "cases-minus-3", "cases-0", "cases-0-missing-polytope"])
+def test_bad_count_exits_2(tmp_path, capsys, argv, err):
     rc, text = run(argv, tmp_path)
     assert rc == 2
     assert text is None
-    assert "input error" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"{err}\n"
 
 
 TOL_COMMANDS = {
@@ -757,14 +764,27 @@ SPHERE_X3 = [str(DATA / "sphere.json"), "--obs", str(DATA / "obs" / "x3.json")]
     (["polytope", "make", "product"], "input error: product needs --of FILE FILE"),
     (["quantize", "bracket-limit", *SPHERE_PAIR, "--hbar", "0"],
      "error: hbar list must be positive (nonzero) values"),
-    (["quantize", "spectra", *SPHERE_X3], "input error: --hbar is required"),
     (["quantize", "spectra", *SPHERE_X3, "--hbar", "0"], "input error: --hbar must be nonzero"),
 ], ids=["bad-rational", "bad-mode", "product-without-of", "bracket-limit-hbar-zero",
-        "spectra-without-hbar", "spectra-hbar-zero"])
+        "spectra-hbar-zero"])
 def test_input_error_exits_2_with_one_line(tmp_path, capsys, argv, err):
     rc, text = run(argv, tmp_path)
     assert (rc, text) == (2, None)
     assert capsys.readouterr().err == f"{err}\n"
+
+
+@pytest.mark.parametrize("command", [["groupoid", "orbit", str(DATA / "sphere.json"),
+                                      "--point", "1/2"],
+                                     ["quantize", "spectra", *SPHERE_X3]],
+                         ids=["orbit", "spectra"])
+def test_a_missing_hbar_is_argparses_usage_error(tmp_path, capsys, command):
+    # --hbar is required by the parser itself: exit 2 before any work
+    with pytest.raises(SystemExit) as exc:
+        run(command, tmp_path)
+    assert exc.value.code == 2
+    assert not (tmp_path / "out.csv").exists()
+    err = capsys.readouterr().err
+    assert err.endswith("error: the following arguments are required: --hbar\n")
 
 
 CP2 = str(DATA / "cp2.json")

@@ -2,8 +2,9 @@
 re-exported through its __all__, no module reads another module's private
 (underscore) name or a public one that module's __all__ leaves out, no
 module imports a package that is not declared (only the standard library,
-numpy and torikit), every name in an __all__ exists, and every function the
-benchmark tracer patches exists."""
+numpy and torikit), every name in an __all__ exists, every function the
+benchmark tracer patches exists, and each input rule's text is written once,
+by its owner (the table in the `polytope` docstring)."""
 import ast
 import importlib
 import importlib.util
@@ -201,3 +202,53 @@ def test_tracer_reads_orbit_sizes(monkeypatch):
     assert metrics["matrixrep.represent.calls"] == metrics["matrixrep.spectrum.calls"] == 1
     assert metrics["groupoid.orbit.points"] == len(orb)
     assert metrics["matrixrep.represent.dim_sum"] == len(orb)
+
+
+def string_literals(source: str) -> list[str]:
+    """Every string constant of a module, the parts of f-strings included
+    and docstrings left out."""
+    tree = ast.parse(source)
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and ast.get_docstring(node, clean=False) is not None}
+    return [node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in docs]
+
+
+def test_string_literals_detector():
+    source = ('"""doc: bad rational"""\n'
+              'def f(n):\n    """bad rational"""\n'
+              '    raise ValueError(f"bad rational {n}: no" + "x")\n')
+    assert sorted(string_literals(source)) == [": no", "bad rational ", "x"]
+
+
+# one phrase of each owner's text, and the rule it states
+OWNER_TEXTS = ["bad rational", "coordinates, expected", "entries, expected",
+               "components, expected", "suite cases must be at least"]
+LITERALS = [text for path in MODULES for text in string_literals(path.read_text())]
+
+
+@pytest.mark.parametrize("phrase", OWNER_TEXTS)
+def test_each_rule_text_is_written_once(phrase):
+    assert sum(phrase in text for text in LITERALS) == 1
+
+
+def hbar_coercions(source: str) -> list[str]:
+    """The calls Fraction(hbar), Fraction(h) and Fraction(hbar_max)."""
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Fraction"
+            and len(node.args) == 1 and getattr(node.args[0], "id", None) in
+            {"hbar", "h", "hbar_max"}]
+
+
+def test_hbar_coercions_detector():
+    source = "a = [Fraction(h), Fraction(hbar, 2), Fraction(1, h), Fraction(hbar_max)]\n"
+    assert hbar_coercions(source) == ["Fraction(h)", "Fraction(hbar_max)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "polytope"],
+                         ids=lambda p: p.stem)
+def test_hbar_is_coerced_only_by_its_owner(path):
+    # `polytope.rational` reads every hbar
+    assert hbar_coercions(path.read_text()) == []
