@@ -6,7 +6,8 @@ kernel basis B (A B = 0) and an integer splitting S (A S = I).  Ambient
 moment maps, the radial section sigma, and the character functions on
 representatives are all evaluated on points of C^{n0}; identities that can
 be stated on squared moduli are checked in exact rational arithmetic.
-The torus actions read their angles through `polytope.angles`.
+The torus actions read their angles through `polytope.angles`, and every
+ambient vector z is read through `_as_vector`, the owner of its length.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import intlat
-from .errors import ConstructionError, StratumError
+from .errors import ConstructionError, DimensionError, StratumError
 from .polytope import DelzantPolytope, angles, inside_slacks, mode_pairings, require_delzant
 
 __all__ = [
@@ -27,8 +28,13 @@ __all__ = [
 ]
 
 
-def _as_vector(z) -> np.ndarray:
-    return np.asarray(z, dtype=complex)
+def _as_vector(z, n0: int) -> np.ndarray:
+    """An ambient vector of C^{n0} as a complex array; DimensionError
+    ("ambient vector has shape S, expected (n0,)") unless it is n0 entries."""
+    z = np.asarray(z, dtype=complex)
+    if z.shape != (n0,):
+        raise DimensionError(f"ambient vector has shape {z.shape}, expected ({n0},)")
+    return z
 
 
 @dataclass(frozen=True)
@@ -79,7 +85,7 @@ def build_system(P: DelzantPolytope) -> DelzantSystem:
 
 def J0(sys: DelzantSystem, z) -> np.ndarray:
     """Ambient moment map lambda + (1/2)(|z_1|^2, ..., |z_{n0}|^2)."""
-    z = _as_vector(z)
+    z = _as_vector(z, sys.n0)
     lam = np.array([float(c) for c in sys.P.offsets])
     return lam + 0.5 * np.abs(z) ** 2
 
@@ -129,7 +135,7 @@ def k_sigma_ambient(sys: DelzantSystem, z, k) -> complex:
     Unit modulus; raises StratumError when some z_j = 0 carries a nonzero
     exponent (the point lies outside the stratum where the mode lives).
     """
-    z = _as_vector(z)
+    z = _as_vector(z, sys.n0)
     l = ambient_weights(sys, k)
     out = 1 + 0j
     for j, lj in enumerate(l):
@@ -149,13 +155,13 @@ def k_sigma_ambient(sys: DelzantSystem, z, k) -> complex:
 def act_subtorus(sys: DelzantSystem, t, z) -> np.ndarray:
     """Action of the reduction torus: phases exp(i (B t)_j), t in T^d."""
     phases = np.exp(1j * (sys.B.astype(float) @ angles(t, sys.d)))
-    return _as_vector(z) * phases
+    return _as_vector(z, sys.n0) * phases
 
 
 def act_torus(sys: DelzantSystem, theta, z) -> np.ndarray:
     """Action of the quotient torus through the splitting: exp(i (S theta)_j)."""
     phases = np.exp(1j * (sys.splitting.astype(float) @ angles(theta, sys.n)))
-    return _as_vector(z) * phases
+    return _as_vector(z, sys.n0) * phases
 
 
 def rho(sys: DelzantSystem, y, theta) -> np.ndarray:
@@ -165,4 +171,5 @@ def rho(sys: DelzantSystem, y, theta) -> np.ndarray:
 
 def reduced_level_defect(sys: DelzantSystem, z) -> float:
     """Numeric |J_d(z)| (0 on the reduced level set)."""
-    return float(np.max(np.abs(Jd(sys, z)))) if sys.d else 0.0
+    jd = Jd(sys, z)
+    return float(np.max(np.abs(jd))) if sys.d else 0.0

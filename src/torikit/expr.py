@@ -25,17 +25,26 @@ tree, and the module functions (`d_dh`, `d_dy`, `shift_y`, `subs_h`,
 `evaluate`) call the root node's method.  Complex values never appear here;
 the algebra layer pairs two real expressions per mode coefficient.
 
+`derive` and `subs` build through light smart constructors (`_add` ...
+`_neg`) that fold constants and drop zeros and ones.  Each constructor reads
+each operand's constant value once, by one exact type test (`_const`), and
+then applies its rules in a fixed order.  `shift_y` takes its nodes
+y_i + h*k_i from a small bounded cache.
+
 A constant converts its rational value to float on its first evaluation and
 keeps the float in a slot that equality, hashing and printing ignore.  It
 does not convert at construction, so a literal past float range still parses;
 its evaluation raises each time, since a failed conversion is not kept.
-`evaluate` converts rational inputs once per call, floats and arrays pass
-through, and `ComplexExpr.evaluate` converts once for both parts.  A scalar
-evaluation comes back finite or raises EvalDomainError; an array comes back
-as it is, for the caller's own finiteness test.
+`evaluate` converts rational inputs once per call, as float() does, behind
+exact type tests (`type(v) is Fraction`); floats and arrays pass through.
+`ComplexExpr.evaluate` converts once and evaluates both parts on the
+converted values.  A scalar evaluation comes back finite or raises
+EvalDomainError; an array comes back as it is, for the caller's own
+finiteness test.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import FrozenInstanceError, dataclass, field
@@ -541,65 +550,70 @@ def _pieces(e):
 # light smart constructors (keep derivative trees from exploding; no deeper
 # simplification is attempted, equality is tested by evaluation elsewhere)
 
-def _is(e, v) -> bool:
-    """e is the constant v: the one test the constructors make."""
-    return type(e) is Const and e.value == v
+def _const(e):
+    """e's rational value if e is a constant, else None: the one test the
+    constructors make of each operand."""
+    return e.value if type(e) is Const else None
 
 
 def _add(a, b):
-    if _is(a, 0):
+    x, y = _const(a), _const(b)
+    if x == 0:
         return b
-    if _is(b, 0):
+    if y == 0:
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
-    if isinstance(b, Neg):
+    if x is not None and y is not None:
+        return Const(x + y)
+    if type(b) is Neg:
         return Sub(a, b.a)
     return Add(a, b)
 
 
 def _sub(a, b):
-    if _is(b, 0):
+    x, y = _const(a), _const(b)
+    if y == 0:
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
-    if _is(a, 0):
+    if x is not None and y is not None:
+        return Const(x - y)
+    if x == 0:
         return _neg(b)
     return Sub(a, b)
 
 
 def _mul(a, b):
-    if _is(a, 0) or _is(b, 0):
+    x, y = _const(a), _const(b)
+    if x == 0 or y == 0:
         return _ZERO
-    if _is(a, 1):
+    if x == 1:
         return b
-    if _is(b, 1):
+    if y == 1:
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
-    if _is(a, -1):
+    if x is not None and y is not None:
+        return Const(x * y)
+    if x == -1:
         return _neg(b)
-    if _is(b, -1):
+    if y == -1:
         return _neg(a)
-    if isinstance(b, Const) and not isinstance(a, Const):
-        a, b = b, a
+    if y is not None:
+        return Mul(b, a)
     return Mul(a, b)
 
 
 def _div(a, b):
-    if _is(a, 0) and not _is(b, 0):
+    x, y = _const(a), _const(b)
+    if x == 0 and y != 0:
         return _ZERO
-    if _is(b, 1):
+    if y == 1:
         return a
-    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0:
-        return Const(a.value / b.value)
+    if x is not None and y is not None and y != 0:
+        return Const(x / y)
     return Div(a, b)
 
 
 def _neg(a):
-    if isinstance(a, Const):
+    if type(a) is Const:
         return Const(-a.value)
-    if isinstance(a, Neg):
+    if type(a) is Neg:
         return a.a
     return Neg(a)
 
@@ -631,8 +645,15 @@ def shift_y(e: Expr, k) -> Expr:
     for i, ki in enumerate(k, start=1):
         ki = int(ki)
         if ki != 0:
-            y_nodes[i] = _add(Y(i), _mul(Const(ki), H()))
+            y_nodes[i] = _shifted(i, ki)
     return e.subs(None, y_nodes)
+
+
+@functools.lru_cache(maxsize=256)
+def _shifted(i, ki):
+    """The node y_i + h*k_i.  Nodes are immutable, so trees share it; the
+    cache holds the few (i, k_i) that modes use, and no more than 256."""
+    return _add(Y(i), _mul(Const(ki), H()))
 
 
 def subs_h(e: Expr, value) -> Expr:
@@ -641,11 +662,12 @@ def subs_h(e: Expr, value) -> Expr:
 
 
 def _floats(h, y):
-    """h and the list of y with each Fraction converted to float; floats
-    and arrays pass through."""
-    if isinstance(h, Fraction):
-        h = float(h)
-    return h, [float(v) if isinstance(v, Fraction) else v for v in y]
+    """h and the list of y with each Fraction converted to float, as
+    float() converts it (numerator / denominator); floats and arrays pass
+    through."""
+    if type(h) is Fraction:
+        h = h.numerator / h.denominator
+    return h, [v.numerator / v.denominator if type(v) is Fraction else v for v in y]
 
 
 def evaluate(e: Expr, h, y):
@@ -660,12 +682,16 @@ def evaluate(e: Expr, h, y):
     numpy may warn of an overflow on the way; a caller that refuses the
     value silences the warning (`np.errstate`).
     """
-    h, y = _floats(h, y)
+    return _evaluate(e, *_floats(h, y))
+
+
+def _evaluate(e, h, y):
+    """`evaluate` at inputs that `_floats` has converted."""
     try:
         out = e.eval(h, y)
     except OverflowError as exc:
         raise EvalDomainError("evaluation overflows", e) from exc
-    if isinstance(out, np.ndarray):
+    if type(out) is np.ndarray:
         return out
     out = float(out)
     if not math.isfinite(out):
@@ -723,10 +749,8 @@ class ComplexExpr:
         return ComplexExpr(d_dy(self.re, i), d_dy(self.im, i))
 
     def is_zero_tree(self):
-        return _is(self.re, 0) and _is(self.im, 0)
+        return _const(self.re) == 0 and _const(self.im) == 0
 
     def evaluate(self, h, y):
         h, y = _floats(h, y)
-        re = evaluate(self.re, h, y)
-        im = evaluate(self.im, h, y)
-        return re + 1j * im
+        return _evaluate(self.re, h, y) + 1j * _evaluate(self.im, h, y)

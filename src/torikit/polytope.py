@@ -20,7 +20,8 @@ Each input rule has one owner and one message; every caller leaves it there:
                                             `classical.poisson_bracket_aa_at`
     a point lies in the polytope            `inside_slacks`
     a mode is n integers                    `int_mode`
-    an angle vector has its torus's length  `angles`
+    an angle vector is its torus's n floats `angles`
+    an ambient vector z has n0 entries      `delzant._as_vector`
     an orbit's hbar is not 0                `groupoid.face_bounds`
     an orbit's cap is at least 1            `groupoid.orbit`
     a sweep's hbars are > 0 and decreasing  `algebra.hbar_sweep`
@@ -81,12 +82,20 @@ def ratpoint(coords, n: int | None = None) -> tuple[Fraction, ...]:
 
 
 def angles(theta, n: int) -> list[float]:
-    """An angle vector of T^n as n floats; DimensionError ("angle vector has
-    L components, expected n") unless it has n."""
-    theta = [float(t) for t in theta]
+    """An angle vector of T^n as n floats; FormatError ("bad angle ...") for
+    an entry that float() refuses, DimensionError ("angle vector has L
+    components, expected n") unless it has n."""
+    theta = list(map(_angle, theta))
     if len(theta) != n:
         raise DimensionError(f"angle vector has {len(theta)} components, expected {n}")
     return theta
+
+
+def _angle(t) -> float:
+    try:
+        return float(t)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise FormatError(f"bad angle {t!r}: {exc}") from None
 
 
 def format_point(y) -> str:

@@ -225,7 +225,8 @@ def test_string_literals_detector():
 
 # one phrase of each owner's text, and the rule it states
 OWNER_TEXTS = ["bad rational", "coordinates, expected", "entries, expected",
-               "components, expected", "suite cases must be at least"]
+               "components, expected", "suite cases must be at least", "bad angle",
+               "ambient vector has shape"]
 LITERALS = [text for path in MODULES for text in string_literals(path.read_text())]
 
 

@@ -5,6 +5,7 @@ the input, or a message that blames another argument."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from torikit import algebra as al
@@ -22,35 +23,38 @@ f = al.element(2, {(1, 0): "y1", (0, 1): ("y2", "1"), (0, 0): "y1*y2"})
 g = al.element(2, {(-1, 0): "y2", (0, -1): "1 + y1", (1, 1): "y1"})
 # an interior point that stays interior at every step of a sweep at 1/16
 VALID = {"y": (F(1, 4), F(3, 8)), "k": (1, 0), "hbar": F(1, 16), "theta": (0.3, -1.1)}
-Z = dz.sigma(SYS, VALID["y"])
+VALID["z"] = dz.sigma(SYS, VALID["y"])
 
 # each entry point: a call on the inputs by name, and the inputs it reads
 ENTRY_POINTS = {
-    "extension_value": (lambda y, k, hbar, theta: al.extension_value(f, hbar, y, k),
+    "extension_value": (lambda y, k, hbar, theta, z: al.extension_value(f, hbar, y, k),
                         "y k hbar"),
-    "symbolic_bracket": (lambda y, k, hbar, theta: al.symbolic_bracket(f, g, y, k), "y k"),
-    "poisson_bracket_aa": (lambda y, k, hbar, theta: cl.poisson_bracket_aa(f, g, y, theta),
+    "symbolic_bracket": (lambda y, k, hbar, theta, z: al.symbolic_bracket(f, g, y, k), "y k"),
+    "poisson_bracket_aa": (lambda y, k, hbar, theta, z: cl.poisson_bracket_aa(f, g, y, theta),
                            "y theta"),
     "poisson_bracket_aa_mode": (
-        lambda y, k, hbar, theta: cl.poisson_bracket_aa_mode(f, g, y, k), "y k"),
-    "synthesize": (lambda y, k, hbar, theta: cl.synthesize(P, f, y, theta), "y theta"),
-    "convolve": (lambda y, k, hbar, theta: al.convolve(P, f, g, hbar, y, k), "y k hbar"),
-    "groupoid_value": (lambda y, k, hbar, theta: al.groupoid_value(P, f, hbar, y, k),
+        lambda y, k, hbar, theta, z: cl.poisson_bracket_aa_mode(f, g, y, k), "y k"),
+    "synthesize": (lambda y, k, hbar, theta, z: cl.synthesize(P, f, y, theta), "y theta"),
+    "convolve": (lambda y, k, hbar, theta, z: al.convolve(P, f, g, hbar, y, k), "y k hbar"),
+    "groupoid_value": (lambda y, k, hbar, theta, z: al.groupoid_value(P, f, hbar, y, k),
                        "y k hbar"),
     "numeric_bracket_limit": (
-        lambda y, k, hbar, theta: al.numeric_bracket_limit(P, f, g, y, k, [hbar]),
+        lambda y, k, hbar, theta, z: al.numeric_bracket_limit(P, f, g, y, k, [hbar]),
         "y k hbar"),
     "bracket_via_matrices": (
-        lambda y, k, hbar, theta: mr.bracket_via_matrices(P, f, g, y, k, [hbar]),
+        lambda y, k, hbar, theta, z: mr.bracket_via_matrices(P, f, g, y, k, [hbar]),
         "y k hbar"),
-    "orbit": (lambda y, k, hbar, theta: gr.orbit(P, hbar, y), "y hbar"),
+    "orbit": (lambda y, k, hbar, theta, z: gr.orbit(P, hbar, y), "y hbar"),
     # an arrow's n is its point's length, so only a coordinate can be bad
-    "arrow": (lambda y, k, hbar, theta: gr.arrow(hbar, y, k), "coordinate k hbar"),
-    "sigma": (lambda y, k, hbar, theta: dz.sigma(SYS, y), "y"),
-    "k_sigma_ambient": (lambda y, k, hbar, theta: dz.k_sigma_ambient(SYS, Z, k), "k"),
-    "act_torus": (lambda y, k, hbar, theta: dz.act_torus(SYS, theta, Z), "theta"),
+    "arrow": (lambda y, k, hbar, theta, z: gr.arrow(hbar, y, k), "coordinate k hbar"),
+    "sigma": (lambda y, k, hbar, theta, z: dz.sigma(SYS, y), "y"),
+    "k_sigma_ambient": (lambda y, k, hbar, theta, z: dz.k_sigma_ambient(SYS, z, k), "k z"),
+    "act_torus": (lambda y, k, hbar, theta, z: dz.act_torus(SYS, theta, z), "theta z"),
     # the square's reduction torus has dimension 4 - 2 = 2 too
-    "act_subtorus": (lambda y, k, hbar, theta: dz.act_subtorus(SYS, theta, Z), "theta"),
+    "act_subtorus": (lambda y, k, hbar, theta, z: dz.act_subtorus(SYS, theta, z), "theta z"),
+    "J0": (lambda y, k, hbar, theta, z: dz.J0(SYS, z), "z"),
+    "Jd": (lambda y, k, hbar, theta, z: dz.Jd(SYS, z), "z"),
+    "reduced_level_defect": (lambda y, k, hbar, theta, z: dz.reduced_level_defect(SYS, z), "z"),
 }
 
 BAD_RATIONAL = FormatError, "bad rational '1/0': Fraction(1, 0)"
@@ -74,10 +78,21 @@ BAD_INPUTS = {
                     "angle vector has 1 components, expected 2"),
     "long-theta": ("theta", "theta", (0.3, -1.1, 0.5), DimensionError,
                    "angle vector has 3 components, expected 2"),
+    "angle-x": ("theta", "theta", ("x", -1.1), FormatError,
+                "bad angle 'x': could not convert string to float: 'x'"),
+    "angle-none": ("theta", "theta", (0.3, None), FormatError,
+                   "bad angle None: float() argument must be a string or a real number, "
+                   "not 'NoneType'"),
     "hbar-1/0": ("hbar", "hbar", "1/0", *BAD_RATIONAL),
+    # the square's ambient space is C^4
+    "short-z": ("z", "z", (1, 1), DimensionError, "ambient vector has shape (2,), expected (4,)"),
+    "long-z": ("z", "z", (1, 1, 1, 1, 1), DimensionError,
+               "ambient vector has shape (5,), expected (4,)"),
+    "matrix-z": ("z", "z", ((1, 1), (1, 1)), DimensionError,
+                 "ambient vector has shape (2, 2), expected (4,)"),
 }
 
-# each entry point crossed with every malformed input it reads: 100 pairs
+# each entry point crossed with every malformed input it reads: 126 pairs
 SWEEP = [(entry, bad) for entry, (_, reads) in ENTRY_POINTS.items()
          for bad, (_, rules, *_) in BAD_INPUTS.items()
          if set(rules.split()) & set(reads.split())]
@@ -126,3 +141,18 @@ def test_rational_and_ratpoint_pass_a_fraction_through():
     assert pt.rational(h) is h
     assert pt.ratpoint((h, "1/2", 0.5, 2)) == (h, F(1, 2), F(1, 2), F(2))
     assert pt.ratpoint((h,))[0] is h
+
+
+def test_valid_angles_keep_their_float_bits():
+    theta = (0.1, F(1, 3), 2, "0.5", np.float64(math.pi), -0.0)
+    got = pt.angles(theta, len(theta))
+    assert [a.hex() for a in got] == [float(t).hex() for t in theta]
+    assert all(type(a) is float for a in got)
+
+
+def test_orthant_level_defect_reads_its_vector():
+    # d = 0: the defect is 0 on every vector of C^2, and no other vector
+    sys = dz.build_system(pt.orthant(2))
+    assert dz.reduced_level_defect(sys, [1, 1j]) == 0.0
+    with pytest.raises(DimensionError, match=r"ambient vector has shape \(1,\), expected \(2,\)"):
+        dz.reduced_level_defect(sys, [1])
