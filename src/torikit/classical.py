@@ -93,14 +93,14 @@ def poisson_bracket_aa_at(F: AlgebraElement, G: AlgebraElement, y):
     derivatives at y are taken once; only the phases depend on theta.
     """
     n = common_n(F, G)
-    yf = [float(c) for c in ratpoint(y, n)]
+    y = ratpoint(y, n)
 
     def derivatives(fun):
         out = []
         fun0 = fun.subs_h_zero()
         for k, c in fun0.modes:
-            value = c.evaluate(0.0, yf)
-            dy = [fun0.derivative(k, i).evaluate(0.0, yf) for i in range(1, n + 1)]
+            value = c.evaluate(0.0, y)
+            dy = [fun0.derivative(k, i).evaluate(0.0, y) for i in range(1, n + 1)]
             dth = [1j * k[i] * value for i in range(n)]
             out.append((k, dy, dth))
         return out

@@ -664,10 +664,13 @@ def subs_h(e: Expr, value) -> Expr:
 def _floats(h, y):
     """h and the list of y with each Fraction converted to float, as
     float() converts it (numerator / denominator); floats and arrays pass
-    through."""
-    if type(h) is Fraction:
-        h = h.numerator / h.denominator
-    return h, [v.numerator / v.denominator if type(v) is Fraction else v for v in y]
+    through.  A Fraction past float range raises EvalDomainError."""
+    try:
+        if type(h) is Fraction:
+            h = h.numerator / h.denominator
+        return h, [v.numerator / v.denominator if type(v) is Fraction else v for v in y]
+    except OverflowError:
+        raise EvalDomainError("an input lies past float range") from None
 
 
 def evaluate(e: Expr, h, y):
@@ -677,8 +680,10 @@ def evaluate(e: Expr, h, y):
     are converted to float.  Deterministic; raises EvalDomainError carrying
     the offending subexpression at singular points, and carrying `e` when a
     scalar result is not finite or a constant lies past float range
-    (scalars and arrays alike).  So a scalar comes back finite; an array
-    comes back as it is, inf and nan included, for the caller's own test.
+    (scalars and arrays alike); a rational input past float range raises it
+    without a subexpression (`_floats`).  So a scalar comes back finite; an
+    array comes back as it is, inf and nan included, for the caller's own
+    test.
     numpy may warn of an overflow on the way; a caller that refuses the
     value silences the warning (`np.errstate`).
     """

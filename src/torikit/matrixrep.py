@@ -40,18 +40,20 @@ singular or not finite, and a product that is not finite fails as in
 `spectrum` takes the first path that applies; the chain and acyclic tests
 read one arrow graph (`_arrows`: the nonzero off-diagonal entries as arrows
 i -> t_k(i)).  A Hermitian operator whose arrows carry real values and join
-neighbouring indices only is real symmetric tridiagonal: the modes
-{0, +-e_n} act along chains in the last axis, which orbit order lists as
-contiguous index ranges, and each chain is solved alone by real `eigvalsh`;
-any other Hermitian operator goes to dense `eigvalsh`.  A non-Hermitian
-operator whose arrows form an acyclic graph (permutation-similar to a
-triangular matrix) has its diagonal as spectrum; any other goes to dense
-`eigvals`.  The chains give the dense bits: on a real tridiagonal matrix
-zhetrd and dsytrd find every Householder tau = 0, so both solvers hand the
-same (d, e) to dsterf, which works block by block.  Hermitian operators stay
-dense when a coupling is complex, when it joins indices further apart (cp2
-modes (1,0) and (1,-1), or a base point inside a chain, as orbit order lists
-it first), or when a chain's largest |entry| is nonzero and outside LAPACK's
+neighbouring rows in line order (`_line_order`) is real symmetric
+tridiagonal in that order, and each chain is solved alone by real
+`eigvalsh`; any other Hermitian operator goes to dense `eigvalsh`.  Line
+order lists each line of l in a row when the arrows lie in one pair of
+modes +-l, so cp2 modes (1,0) and (1,-1) and a base point inside a chain
+(orbit order lists y0 first) give chains too; for other operators it is
+orbit order.  A non-Hermitian operator whose arrows form an acyclic graph
+(permutation-similar to a triangular matrix) has its diagonal as spectrum;
+any other goes to dense `eigvals`.  The chains give the bits of dense
+`eigvalsh` on the matrix in line order: on a real tridiagonal matrix zhetrd
+and dsytrd find every Householder tau = 0, so both solvers hand the same
+(d, e) to dsterf, which works block by block.  Hermitian operators stay
+dense when a coupling is complex, when it joins rows further apart in line
+order, or when a chain's largest |entry| is nonzero and outside LAPACK's
 no-rescale window [2^-485, 2^485].  The dense D x D matrix,
 `OrbitOperator.dense`, and the chain path for its longest chain refuse any
 matrix larger than DENSE_CAP_BYTES before allocating it.
@@ -79,7 +81,10 @@ __all__ = [
     "bracket_via_matrices",
 ]
 
-DENSE_CAP_BYTES = 2 ** 31   # 2 GiB of complex entries: D = 11,585 is the largest
+# 2 GiB of complex entries: D = 11,585 is the largest.  The cap bounds the
+# matrix, not the peak: dense `eigvalsh` works on a copy, and a process's
+# peak RSS rose by 2.0 times the matrix (cp2, D = 1,770 to 4,950, OpenBLAS)
+DENSE_CAP_BYTES = 2 ** 31
 
 
 def _require_dense_cap(dim: int) -> None:
@@ -257,11 +262,12 @@ def spectrum(op: OrbitOperator) -> np.ndarray:
 
     "Hermitian" means every entry is within atol = 1e-12 * max(|entry|, 1)
     of the conjugate of its transposed entry.  A Hermitian operator is
-    solved chain by chain when it is real tridiagonal (`_chain_spectrum`),
-    else by the symmetric eigensolver on the dense matrix.  A non-Hermitian
-    operator whose nonzero off-diagonal arrows form an acyclic graph has its
-    diagonal as spectrum (the isolation LAPACK's balancing performs); the
-    others go to the general eigensolver on the dense matrix.
+    solved chain by chain when it is real tridiagonal in line order
+    (`_chain_spectrum`), else by the symmetric eigensolver on the dense
+    matrix.  A non-Hermitian operator whose nonzero off-diagonal arrows form
+    an acyclic graph has its diagonal as spectrum (the isolation LAPACK's
+    balancing performs); the others go to the general eigensolver on the
+    dense matrix.
     """
     atol = 1e-12 * max(max((float(np.abs(v).max()) for v, _ in op.modes.values()),
                            default=0.0), 1.0)
@@ -279,28 +285,38 @@ _NO_RESCALE = (2.0 ** -485, 2.0 ** 485)
 
 def _chain_spectrum(op: OrbitOperator) -> np.ndarray | None:
     """The eigenvalues of a Hermitian operator whose nonzero off-diagonal
-    entries are real and sit at |targets[i] - i| = 1, one chain at a time,
-    unsorted; None for any other operator.
+    entries are real and join neighbouring rows in line order
+    (`_line_order`), one chain at a time, unsorted; None for any other
+    operator.
 
-    dense `eigvalsh` reads the diagonal d and the lower couplings
+    Permuted into line order the matrix is real tridiagonal, and dense
+    `eigvalsh` on it reads the diagonal d and the lower couplings
     e[i] = M[i+1, i] (UPLO='L').  On a real tridiagonal matrix zhetrd and
-    dsytrd find every Householder tau = 0, so zheevd on the whole matrix and
-    dsyevd on a chain hand the same (d, e) to dsterf, which splits at each
-    zero of e and solves and scales block by block.  Cut at the exact zeros
-    of e, the chains therefore give the dense eigenvalues bit for bit,
-    provided neither solver rescales: every chain's largest |entry| must be
-    zero or inside _NO_RESCALE.  An operator with no nonzero off-diagonal
-    entry is diagonal, and its spectrum is its diagonal at any scale.  The
-    longest chain is held to the dense cap, and each chain is solved alone,
-    so no allocation exceeds the longest chain's.
+    dsytrd find every Householder tau = 0, so zheevd on the whole permuted
+    matrix and dsyevd on a chain hand the same (d, e) to dsterf, which
+    splits at each zero of e and solves and scales block by block.  Cut at
+    the exact zeros of e, the chains therefore give the eigenvalues of the
+    permuted matrix bit for bit, provided neither solver rescales: every
+    chain's largest |entry| must be zero or inside _NO_RESCALE.  Where line
+    order is orbit order, those are the dense eigenvalues of the operator
+    itself.  An operator with no nonzero off-diagonal entry is diagonal, and
+    its spectrum is its diagonal at any scale.  The longest chain is held to
+    the dense cap, and each chain is solved alone, so no allocation exceeds
+    the longest chain's.
     """
     tails, heads, values = _arrows(op)
-    if np.any(values.imag != 0) or np.any(np.abs(heads - tails) != 1):
+    if np.any(values.imag != 0):
+        return None
+    order = _line_order(op)
+    position = np.empty_like(order)
+    position[order] = np.arange(op.dim)
+    tails, heads = position[tails], position[heads]
+    if np.any(np.abs(heads - tails) != 1):
         return None
     lower = heads < tails
-    # e[i] = M[i+1, i], summed mode by mode as dense() accumulates it
+    # e[i] = M[i+1, i] in line order, summed mode by mode as dense() accumulates it
     e = np.bincount(heads[lower], weights=values[lower].real, minlength=op.dim - 1)
-    d = op.diagonal().real
+    d = op.diagonal().real[order]
     bounds = np.concatenate(([0], np.flatnonzero(e == 0) + 1, [op.dim]))
     starts, lengths = bounds[:-1], np.diff(bounds)
     if len(tails):
@@ -316,6 +332,34 @@ def _chain_spectrum(op: OrbitOperator) -> np.ndarray | None:
     for s, n in zip(starts[long].tolist(), lengths[long].tolist()):
         vals.append(np.linalg.eigvalsh(np.diag(d[s:s + n]) + np.diag(e[s:s + n - 1], -1)))
     return np.concatenate(vals)
+
+
+def _line_order(op: OrbitOperator) -> np.ndarray:
+    """The rows in line order, when the nonzero off-diagonal entries lie in
+    one pair of modes +-l: each line of the lex-positive l from its first
+    point, walked along l's targets, and the lines by the orbit index of
+    their first point.  The identity for any other operator."""
+    pair = {k for k, (values, _) in op.modes.items() if any(k) and values.any()}
+    pair |= {tuple(-c for c in k) for k in pair}
+    l = max(pair, default=None)
+    if len(pair) != 2 or l not in op.modes:
+        return np.arange(op.dim)
+    targets = op.modes[l][1]
+    rows = np.flatnonzero(targets >= 0)
+    # pointer doubling on the predecessors: `first` ends at each row's first
+    # point and `rank` at its distance from it, after at most bit_length(D)
+    # rounds on lines of at most D points
+    first = np.arange(op.dim)
+    first[targets[rows]] = rows
+    rank = np.zeros(op.dim, dtype=np.int64)
+    rank[targets[rows]] = 1
+    for _ in range(op.dim.bit_length()):
+        up = first[first]
+        if np.array_equal(up, first):
+            break
+        rank += rank[first]
+        first = up
+    return np.lexsort((rank, first))
 
 
 def _is_hermitian(op: OrbitOperator, atol: float) -> bool:

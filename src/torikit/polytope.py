@@ -27,6 +27,7 @@ Each input rule has one owner and one message; every caller leaves it there:
     a sweep's hbars are > 0 and decreasing  `algebra.hbar_sweep`
     two elements share one n                `algebra.common_n`
     a suite runs at least one case          `suite.run_suite`
+    an evaluated input is in float range    `expr._floats`
 
 Screening runs in Python ints too, on `intlat`'s integer forms.  The
 offsets are integer numerators a_j over one denominator L, and each n-subset

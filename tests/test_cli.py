@@ -704,6 +704,18 @@ def test_evaluation_overflow_exits_2(tmp_path, capsys):
         "overflows in subexpression 'y1^200'\n")
 
 
+def test_bracket_limit_point_past_float_range_exits_2(tmp_path, capsys):
+    # the interval [0, 10^401] holds the point 10^400, which no float does
+    interval = tmp_path / "interval_10_401.json"
+    interval.write_text(json.dumps({"n": 1, "facets": [
+        {"normal": [1], "offset": "0"}, {"normal": [-1], "offset": str(-10 ** 401)}]}))
+    xplus = str(DATA / "obs" / "xplus.json")
+    rc, text = run(["quantize", "bracket-limit", str(interval), "--obs", xplus,
+                    "--obs2", xplus, "--point", str(10 ** 400)], tmp_path)
+    assert (rc, text) == (2, None)
+    assert capsys.readouterr().err == "error: an input lies past float range\n"
+
+
 def exp_overflow_observables(tmp_path):
     # exp(1000*y1) overflows from y1 ~ 0.7098
     f = tmp_path / "exp.json"

@@ -14,7 +14,7 @@ from torikit import delzant as dz
 from torikit import groupoid as gr
 from torikit import matrixrep as mr
 from torikit import polytope as pt
-from torikit.errors import DimensionError, FormatError
+from torikit.errors import DimensionError, EvalDomainError, FormatError
 
 F = Fraction
 P = pt.square()
@@ -156,3 +156,29 @@ def test_orthant_level_defect_reads_its_vector():
     assert dz.reduced_level_defect(sys, [1, 1j]) == 0.0
     with pytest.raises(DimensionError, match=r"ambient vector has shape \(1,\), expected \(2,\)"):
         dz.reduced_level_defect(sys, [1])
+
+
+# the interval [0, 10^401]: its point 10^400 is inside, and past float range
+BIG = pt.polytope_from_dict({"n": 1, "facets": [
+    {"normal": [1], "offset": "0"}, {"normal": [-1], "offset": str(-10 ** 401)}]})
+f1, g1 = al.element(1, {1: "y1", 0: "1"}), al.element(1, {-1: "y1"})
+H = F(1, 16)
+# each entry point that evaluates a coefficient at its point y
+EVALUATE_AT_Y = {
+    "extension_value": lambda y: al.extension_value(f1, H, y, (1,)),
+    "symbolic_bracket": lambda y: al.symbolic_bracket(f1, g1, y, (0,)),
+    "poisson_bracket_aa": lambda y: cl.poisson_bracket_aa(f1, g1, y, (0.3,)),
+    "poisson_bracket_aa_mode": lambda y: cl.poisson_bracket_aa_mode(f1, g1, y, (0,)),
+    "synthesize": lambda y: cl.synthesize(BIG, f1, y, (0.3,)),
+    "convolve": lambda y: al.convolve(BIG, f1, g1, H, y, (0,)),
+    "groupoid_value": lambda y: al.groupoid_value(BIG, f1, H, y, (1,)),
+    "numeric_bracket_limit": lambda y: al.numeric_bracket_limit(BIG, f1, g1, y, (0,), [H]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(EVALUATE_AT_Y))
+def test_a_point_past_float_range_gets_the_conversion_owners_error(entry):
+    with pytest.raises(EvalDomainError) as exc:
+        EVALUATE_AT_Y[entry]((F(10 ** 400),))
+    assert type(exc.value) is EvalDomainError
+    assert str(exc.value) == "an input lies past float range"

@@ -1,11 +1,13 @@
 """Orbit matrix models."""
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from torikit import algebra as al
+from torikit import cli
 from torikit import expr as ex
 from torikit import groupoid as gr
 from torikit import matrixrep as mr
@@ -17,6 +19,8 @@ F = Fraction
 SPHERE = pt.interval()
 SQUARE = pt.square()
 CP2 = pt.projective_space(2)
+DATA = Path(pt.__file__).parent / "data"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 # ---------------------------------------------------------------------------
@@ -271,17 +275,12 @@ def test_chain_path_keeps_bits_when_one_chain_is_far_smaller(monkeypatch):
     assert calls == [op.dim]
 
 
-@pytest.mark.parametrize("case", ["complex", "cp2-1,0", "cp2-1,-1",
-                                  "scaled-2^500", "scaled-2^-500"])
+@pytest.mark.parametrize("case", ["complex", "scaled-2^500", "scaled-2^-500"])
 def test_hermitian_operators_off_the_chain_path_stay_dense(case, monkeypatch):
     rng = random.Random(17)
     if case == "complex":
         P, hbar, y0 = SPHERE, F(1, 2), (F(1, 4),)
         modes = {0: "2", 1: ("0", "1"), -1: ("0", "-1")}
-    elif case.startswith("cp2"):
-        P, hbar, y0 = CP2, F(1, 15), (F(1, 30), F(1, 30))
-        l = (1, 0) if case == "cp2-1,0" else (1, -1)
-        modes = chain_modes(P, rng, hbar, y0, l)
     else:
         P, hbar, y0 = SQUARE, F(1, 12), (F(1, 24), F(1, 24))
         modes = chain_modes(P, rng, hbar, y0, (0, 1), scale=case[len("scaled-"):])
@@ -292,6 +291,85 @@ def test_hermitian_operators_off_the_chain_path_stay_dense(case, monkeypatch):
     assert np.isrealobj(got)
     assert got.tobytes() == dense_spectrum(M).tobytes()
     assert calls == [len(orb)]
+
+
+def line_order(orb, l):
+    """The rows in line order, from the steps alone: each point keyed by the
+    orbit index of the first point of its line along l, then by its
+    distance from that point."""
+    steps = step_tuples(orb)
+    index = {s: i for i, s in enumerate(steps)}
+
+    def key(s):
+        back = 0
+        while (prev := tuple(a - c for a, c in zip(s, l))) in index:
+            s, back = prev, back + 1
+        return index[s], back
+    return sorted(range(len(steps)), key=lambda i: key(steps[i]))
+
+
+def refuse_dense(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense matrix built")
+
+    monkeypatch.setattr(mr.OrbitOperator, "dense", refuse)
+
+
+@pytest.mark.parametrize("l", [(1, 0), (1, -1)], ids=["cp2-1,0", "cp2-1,-1"])
+def test_chains_across_orbit_order_give_the_line_ordered_dense_bits(l, monkeypatch):
+    hbar, y0 = F(1, 15), (F(1, 30), F(1, 30))
+    modes = chain_modes(CP2, random.Random(17), hbar, y0, l)
+    op, orb = operator(CP2, hbar, y0, modes)
+    M = dense_represent(CP2, orb, al.element(2, modes))
+    # orbit order lists the lines along l with gaps: no chain there
+    assert np.any(np.triu(M, 2) != 0)
+    order = line_order(orb, l)
+    refuse_dense(monkeypatch)
+    got = mr.spectrum(op)
+    assert got.tobytes() == dense_spectrum(M[np.ix_(order, order)]).tobytes()
+    # and the orbit-order dense spectrum within 16 ulps of the largest entry
+    # (6.7 and 6.1 measured)
+    eps = np.finfo(float).eps
+    assert np.abs(got - dense_spectrum(M)).max() <= 16 * eps * np.abs(M).max()
+
+
+SCHWINGER = al.load_observable(GOLDEN / "obs_cp2_schwinger_e02.json", 2)
+
+
+@pytest.mark.parametrize("N", [40, 100])
+def test_schwinger_spectrum_takes_the_chain_path_above_the_dense_cap(N, monkeypatch):
+    # E_02 + E_02* on the orbit through (h/2, h/2), 1/h = N + 3/2: the
+    # points (i, j) with i + j <= N, and N + 1 chains along y1 of at most
+    # N + 1 points; the spectrum is h(a - b) for a + b <= N (Sym^N)
+    hbar = F(2, 2 * N + 3)
+    orb = gr.orbit(CP2, hbar, (hbar / 2, hbar / 2))
+    assert len(orb) == (N + 1) * (N + 2) // 2
+    op = mr.represent(CP2, orb, SCHWINGER)
+    refuse_dense(monkeypatch)
+    monkeypatch.setattr(mr, "DENSE_CAP_BYTES", 16 * (N + 1) ** 2)
+    assert 16 * len(orb) ** 2 > mr.DENSE_CAP_BYTES
+    exact = np.sort([float(hbar) * (a - b) for a in range(N + 1) for b in range(N + 1 - a)])
+    np.testing.assert_allclose(mr.spectrum(op), exact, rtol=0, atol=1e-13)
+
+
+def test_spectra_point_inside_a_chain_gives_the_line_ordered_dense_bits(
+        tmp_path, monkeypatch):
+    # y0 = (1/4, 1/4) sits inside its chain along y2, and orbit order
+    # lists it first
+    obs = GOLDEN / "obs_cp2_herm.json"
+    hbar, y0 = F(1, 20), (F(1, 4), F(1, 4))
+    f = al.load_observable(obs, 2)
+    orb = gr.orbit(CP2, hbar, y0)
+    order = line_order(orb, (0, 1))
+    assert order[0] != 0
+    want = dense_spectrum(dense_represent(CP2, orb, f)[np.ix_(order, order)])
+    refuse_dense(monkeypatch)
+    out = tmp_path / "spectra.csv"
+    assert cli.main(["quantize", "spectra", str(DATA / "cp2.json"),
+                     "--obs", str(obs), "--hbar", "1/20", "--point", "1/4,1/4",
+                     "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert np.array([float(row[3]) for row in rows]).tobytes() == want.tobytes()
 
 
 def test_chain_path_refuses_its_longest_chain_over_the_cap(monkeypatch):
