@@ -68,7 +68,7 @@ __all__ = [
     "MAX_PAIRS_PER_MODE", "bracket_element", "symbolic_bracket",
     "pointwise_product_at_zero", "BracketLimit", "EXACT_THRESHOLD",
     "extrapolate", "numeric_bracket_limit", "check_margin", "hbar_sweep",
-    "not_finite", "common_n",
+    "not_finite", "renormalize", "common_n",
 ]
 
 
@@ -264,17 +264,21 @@ def commutator(P, f, g, hbar, y, k) -> complex:
 
 
 def renormalized_commutator(P, f, g, hbar, y, k) -> complex:
-    """(f.g - g.f)/(i*hbar) at (hbar, y, k); hbar must be nonzero.  A value
-    that is not finite raises EvalDomainError, as in `convolve`."""
+    """(f.g - g.f)/(i*hbar) at (hbar, y, k), hbar != 0 (`renormalize`)."""
     hbar = rational(hbar)
     if hbar == 0:
         raise DomainError(
             "renormalized commutator needs hbar != 0; use symbolic_bracket "
             "for the limit value")
-    value = commutator(P, f, g, hbar, y, k) / (1j * float(hbar))
-    if not cmath.isfinite(value):
-        raise not_finite("renormalized commutator", int_mode(k, f.n), ratpoint(y), hbar)
-    return value
+    return renormalize(commutator(P, f, g, hbar, y, k), hbar, int_mode(k, f.n), ratpoint(y))
+
+
+def renormalize(comm: complex, hbar: Fraction, k, y) -> complex:
+    """comm / (i*hbar) on both bracket routes; `not_finite` if not finite or float(hbar) = 0."""
+    h, _ = ex.floats(hbar, ())
+    if h and cmath.isfinite(value := comm / (1j * h)):
+        return value
+    raise not_finite("renormalized commutator", k, y, hbar)
 
 
 def involution(f: AlgebraElement) -> AlgebraElement:
@@ -441,13 +445,14 @@ def neville_to_zero(hbar_list, values) -> complex:
 
 
 def hbar_sweep(hbar_list) -> list[Fraction]:
-    """The hbar values of a sweep as Fractions; DomainError unless they are
-    nonempty, positive and strictly decreasing."""
+    """A sweep's hbars as Fractions; DomainError unless they are nonempty,
+    > 0, and > 0 and strictly decreasing as floats (no Richardson step divides by 0)."""
     hs = [rational(h) for h in hbar_list]
     if not hs or any(h <= 0 for h in hs):
         raise DomainError("hbar list must be positive (nonzero) values")
-    if any(b >= a for a, b in zip(hs, hs[1:])):
-        raise DomainError("hbar list must be strictly decreasing")
+    _, fs = ex.floats(0, hs)
+    if fs[-1] == 0 or any(b >= a for a, b in zip(fs, fs[1:])):
+        raise DomainError("hbar list must be strictly decreasing and positive as floats")
     return hs
 
 

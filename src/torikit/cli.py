@@ -15,10 +15,10 @@ estimate, which the CSV does not print, is off by more than --tol from
 either oracle: each error is compared on its own, so a NaN fails; the CSV's
 err_sym/err_cls columns are each row's own extrapolant error); 2 bad input
 or a computation that cannot be carried out; 3 margin violation.  The CLI
-only parses options and files: each rule on their values (a rational, hbar,
-the orbit cap, the suite's case count, a point's length and place, a mode)
-has one owner in the library (`polytope`'s docstring lists them), whose
-one line is printed after "input error: " for a FormatError, ParseError or
+only parses options and files: each rule on their values (hbar, a sweep's
+hbars as floats, a point, a mode, an exact value's float range ...) has one
+owner in the library (`polytope`'s docstring lists them), whose one line is
+printed after "input error: " for a FormatError, ParseError or
 DimensionError and after "error: " for a DomainError, OrbitCapError or
 EvalDomainError; both exit 2.
 So do an --out file that cannot be written, a JSON file, expression or
@@ -298,8 +298,6 @@ def cmd_quantize_spectra(args) -> int:
     f = al.load_observable(args.obs, P.n)
     rows = []
     for hbar in map(pt.rational, args.hbar):
-        if hbar == 0:
-            raise FormatError("--hbar must be nonzero")
         y0 = _point(args.point) if args.point else tuple([abs(hbar) / 2] * P.n)
         if not (args.point or P.contains(y0)):
             raise DomainError(

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import expr as ex
 from . import intlat
 from .errors import ConstructionError, DimensionError, StratumError
 from .polytope import DelzantPolytope, angles, inside_slacks, mode_pairings, require_delzant
@@ -86,8 +87,8 @@ def build_system(P: DelzantPolytope) -> DelzantSystem:
 def J0(sys: DelzantSystem, z) -> np.ndarray:
     """Ambient moment map lambda + (1/2)(|z_1|^2, ..., |z_{n0}|^2)."""
     z = _as_vector(z, sys.n0)
-    lam = np.array([float(c) for c in sys.P.offsets])
-    return lam + 0.5 * np.abs(z) ** 2
+    _, lam = ex.floats(0, sys.P.offsets)
+    return np.array(lam) + 0.5 * np.abs(z) ** 2
 
 
 def Jd(sys: DelzantSystem, z) -> np.ndarray:
@@ -119,8 +120,8 @@ def sigma_squared(sys: DelzantSystem, y) -> tuple[Fraction, ...]:
 
 def sigma(sys: DelzantSystem, y) -> np.ndarray:
     """Radial representative of y: z_j = sqrt(2(<y, X_j> - lambda_j)) >= 0."""
-    z = np.sqrt(np.array([float(v) for v in sigma_squared(sys, y)]))
-    return z.astype(complex)
+    _, z2 = ex.floats(0, sigma_squared(sys, y))
+    return np.sqrt(np.array(z2)).astype(complex)
 
 
 def ambient_weights(sys: DelzantSystem, k) -> tuple[int, ...]:

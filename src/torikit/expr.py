@@ -35,8 +35,8 @@ A constant converts its rational value to float on its first evaluation and
 keeps the float in a slot that equality, hashing and printing ignore.  It
 does not convert at construction, so a literal past float range still parses;
 its evaluation raises each time, since a failed conversion is not kept.
-`evaluate` converts rational inputs once per call, as float() does, behind
-exact type tests (`type(v) is Fraction`); floats and arrays pass through.
+`evaluate` converts rational inputs once per call by `floats`, the one
+conversion of exact scalars (float()'s bits), behind exact type tests.
 `ComplexExpr.evaluate` converts once and evaluates both parts on the
 converted values.  A scalar evaluation comes back finite or raises
 EvalDomainError; an array comes back as it is, for the caller's own
@@ -57,7 +57,7 @@ from .errors import EvalDomainError, ParseError
 __all__ = [
     "Expr", "Const", "H", "Y", "Add", "Sub", "Mul", "Div", "Neg", "Pow", "Fun",
     "MAX_NESTING", "MAX_DEPTH", "parse", "d_dh", "d_dy", "evaluate",
-    "shift_y", "subs_h", "ComplexExpr",
+    "shift_y", "subs_h", "floats", "past_float_range", "ComplexExpr",
 ]
 
 # the functions of the language and the ufunc that evaluates each
@@ -661,37 +661,40 @@ def subs_h(e: Expr, value) -> Expr:
     return e.subs(Const(value), {})
 
 
-def _floats(h, y):
-    """h and the list of y with each Fraction converted to float, as
-    float() converts it (numerator / denominator); floats and arrays pass
-    through.  A Fraction past float range raises EvalDomainError."""
+def floats(h, y):
+    """h and the list of y, each Fraction as float() converts it (numerator /
+    denominator), floats and arrays as they are; past float range `past_float_range`."""
     try:
         if type(h) is Fraction:
             h = h.numerator / h.denominator
         return h, [v.numerator / v.denominator if type(v) is Fraction else v for v in y]
     except OverflowError:
-        raise EvalDomainError("an input lies past float range") from None
+        raise past_float_range() from None
+
+
+def past_float_range() -> EvalDomainError:
+    """The error of `floats` and `groupoid.Orbit.coordinates` past float range."""
+    return EvalDomainError("an input lies past float range")
 
 
 def evaluate(e: Expr, h, y):
     """IEEE-double evaluation at h and the coordinate vector y.
 
     Accepts scalars or numpy arrays (broadcast elementwise); rational inputs
-    are converted to float.  Deterministic; raises EvalDomainError carrying
-    the offending subexpression at singular points, and carrying `e` when a
-    scalar result is not finite or a constant lies past float range
-    (scalars and arrays alike); a rational input past float range raises it
-    without a subexpression (`_floats`).  So a scalar comes back finite; an
-    array comes back as it is, inf and nan included, for the caller's own
-    test.
-    numpy may warn of an overflow on the way; a caller that refuses the
-    value silences the warning (`np.errstate`).
+    are converted by `floats`, whose EvalDomainError has no subexpression.
+    Deterministic; raises EvalDomainError carrying the offending
+    subexpression at singular points, and carrying `e` when a scalar result
+    is not finite or a constant lies past float range (scalars and arrays
+    alike).  So a scalar comes back finite; an array comes back as it is,
+    inf and nan included, for the caller's own test.  numpy may warn of an
+    overflow on the way; a caller that refuses the value silences the
+    warning (`np.errstate`).
     """
-    return _evaluate(e, *_floats(h, y))
+    return _evaluate(e, *floats(h, y))
 
 
 def _evaluate(e, h, y):
-    """`evaluate` at inputs that `_floats` has converted."""
+    """`evaluate` at inputs that `floats` has converted."""
     try:
         out = e.eval(h, y)
     except OverflowError as exc:
@@ -757,5 +760,5 @@ class ComplexExpr:
         return _const(self.re) == 0 and _const(self.im) == 0
 
     def evaluate(self, h, y):
-        h, y = _floats(h, y)
+        h, y = floats(h, y)
         return _evaluate(self.re, h, y) + 1j * _evaluate(self.im, h, y)

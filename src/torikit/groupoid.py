@@ -26,13 +26,6 @@ its numerators, the steps' box and sorted keys, the float coordinates of
 every point (`Orbit.points`) and, per mode k, the lookup `Orbit.targets(k)`.
 The arrays it hands out are read-only, and each memo lives and dies with
 its orbit.
-
-With d the common denominator of y0 and hbar every coordinate is an integer
-numerator over d (`Orbit.numerators`).  `Orbit.coordinates` gives the float
-coordinates of y0 + hbar*k for an array of steps k, each the correctly
-rounded value `float(Fraction)` gives, by one division: of int64 arrays
-when d and the numerators lie below 2^53 (exact in float64), else of object
-arrays of Python ints, whose true division also rounds correctly.
 """
 from __future__ import annotations
 
@@ -45,14 +38,15 @@ import numpy as np
 
 from . import intlat
 from .errors import ComposabilityError, DomainError, OrbitCapError
-from .polytope import (DelzantPolytope, arrow_valid, face_box, in_delta_k, inside_slacks,
-                       int_mode, isotropy_lattice, mode_pairings, rational, ratpoint,
-                       scaled_slacks)
+from .expr import past_float_range
+from .polytope import (DelzantPolytope, arrow_valid, face_box, format_point, in_delta_k,
+                       inside_slacks, int_mode, isotropy_lattice, mode_pairings, rational,
+                       ratpoint, scaled_slacks)
 
 __all__ = [
     "GroupoidPoint", "Orbit", "arrow", "translate",
     "is_member", "is_member_isotropy",
-    "source", "range_", "compose", "invert", "face_bounds", "orbit",
+    "source", "range_", "compose", "invert", "not_in_groupoid", "face_bounds", "orbit",
 ]
 
 
@@ -95,9 +89,15 @@ def is_member_isotropy(P: DelzantPolytope, g: GroupoidPoint) -> bool:
                                   isotropy_lattice(P, end))
 
 
+def not_in_groupoid(hbar, y, k) -> DomainError:
+    """The error, in p/q form, for an arrow (hbar, y, k) outside the groupoid."""
+    return DomainError(
+        f"arrow (hbar={hbar}, y={format_point(y)}, k={k}) is not in the groupoid")
+
+
 def _require_member(P, g):
     if not is_member(P, g):
-        raise DomainError(f"arrow {g} is not in the groupoid")
+        raise not_in_groupoid(g.hbar, g.y, g.k)
 
 
 def source(P: DelzantPolytope, g: GroupoidPoint):
@@ -196,13 +196,20 @@ class Orbit:
 
     def coordinates(self, steps) -> np.ndarray:
         """Float coordinates of y0 + hbar*steps for a (rows, n) int64 step
-        array, each the correctly rounded `float(Fraction)`."""
+        array, the one conversion of orbit coordinates.  Each is the correctly
+        rounded `float(Fraction)`, by one division of the `numerators` over d:
+        of int64 arrays when d and they lie below 2^53 (exact in float64), else
+        of object arrays of Python ints, whose true division also rounds
+        correctly; past float range `expr.past_float_range`."""
         d, num0, step = self.numerators
         reach = max(abs(int(steps.min())), abs(int(steps.max()))) if steps.size else 0
         exact = d < 2 ** 53 and max(map(abs, num0)) + abs(step) * reach < 2 ** 53
         dtype = np.int64 if exact else object
         num = np.array(num0, dtype=dtype) + step * steps.astype(dtype, copy=False)
-        return (num / d).astype(float, copy=False)
+        try:
+            return (num / d).astype(float, copy=False)
+        except OverflowError:
+            raise past_float_range() from None
 
     @cached_property
     def box(self) -> tuple[np.ndarray, np.ndarray]:
@@ -348,8 +355,8 @@ def orbit(P: DelzantPolytope, hbar, y0, cap: int = 1_000_000) -> Orbit:
     if (math.prod(shape) >= 2 ** 62 or max(
             sum(abs(x) * r for x, r in zip(X, reach)) for X in P.normals) >= 2 ** 62):
         raise DomainError(
-            f"candidate box of the orbit at hbar = {hbar} is too large for "
-            "int64 (hbar too small?)")
+            f"candidate box of the orbit at hbar = {hbar}, of shape {tuple(shape)}, "
+            "is too large for int64")
 
     # the bounds leave each prefix k[:-1] one interval of k[-1]
     corner = [[a] for a, _ in box[:-1]] + [[0]]

@@ -72,7 +72,7 @@ import numpy as np
 from . import algebra as al
 from . import expr as ex
 from .errors import DomainError, EvalDomainError
-from .groupoid import Orbit, face_bounds, orbit, translate
+from .groupoid import Orbit, face_bounds, not_in_groupoid, orbit, translate
 from .polytope import DelzantPolytope, format_point, int_mode, rational, ratpoint
 
 __all__ = [
@@ -229,11 +229,10 @@ def _evaluate_rows(coeff: ex.ComplexExpr, k, orb: Orbit, rows, shift=None):
     """The (re, im) float arrays of the mode-k coefficient at the orbit
     points of `rows`, or at their heads steps[rows] + shift; where it is
     singular or not finite, EvalDomainError names the first such point."""
-    hbar = float(orb.hbar)
     heads = None if shift is None else orb.steps[rows] + shift
     ys = orb.points[rows] if heads is None else orb.coordinates(heads)
     # contiguous columns: numpy may take another (SIMD) loop on strided ones
-    cols = [np.ascontiguousarray(ys[:, i]) for i in range(ys.shape[1])]
+    hbar, cols = ex.floats(orb.hbar, [np.ascontiguousarray(c) for c in ys.T])
     with np.errstate(all="ignore"):
         try:
             re = ex.evaluate(coeff.re, hbar, cols)
@@ -248,7 +247,7 @@ def _evaluate_rows(coeff: ex.ComplexExpr, k, orb: Orbit, rows, shift=None):
         for step in (orb.steps[rows] if heads is None else heads).tolist():
             p = translate(orb.y0, orb.hbar, step)
             try:
-                coeff.evaluate(hbar, [float(c) for c in p])
+                coeff.evaluate(hbar, p)
             except EvalDomainError as exc:
                 raise EvalDomainError(
                     f"coefficient of mode {k} at orbit point {format_point(p)}: "
@@ -455,6 +454,7 @@ def casimir_defect(P: DelzantPolytope, hbar) -> float:
 # ---------------------------------------------------------------------------
 # matrix route to the bracket limit (independent oracle)
 
+@np.errstate(over="ignore", invalid="ignore")   # values not finite are refused
 def bracket_via_matrices(P: DelzantPolytope, f: al.AlgebraElement,
                          g: al.AlgebraElement, y, k, hbar_list) -> complex:
     """Limit of the renormalized matrix commutator entry at (y, y + hbar*k).
@@ -475,10 +475,9 @@ def bracket_via_matrices(P: DelzantPolytope, f: al.AlgebraElement,
         orb = orbit(P, h, y)
         row = 0                     # an orbit lists its base point first
         if orb.target_index(row, k) is None:
-            raise DomainError(
-                f"arrow (hbar={h}, y={format_point(y)}, k={k}) is not in the groupoid")
+            raise not_in_groupoid(h, y, k)
         F, G = represent(P, orb, f), represent(P, orb, g)
         # Python complex arithmetic: numpy's division may round otherwise
         comm = complex(F.product_mode(G, k)[row]) - complex(G.product_mode(F, k)[row])
-        values.append(comm / (1j * float(h)))
+        values.append(al.renormalize(comm, h, k, y))
     return al.extrapolate(hs, values).estimate

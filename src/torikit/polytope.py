@@ -11,7 +11,7 @@ integer comparisons with 0, never float or per-facet Fraction arithmetic.
 The arrow rule `arrow_valid` reads those slacks, and Delta(k) is the set of
 base points of its hbar = 0 arrows, which are loops (`in_delta_k`).
 
-Each input rule has one owner and one message; every caller leaves it there:
+Each rule and conversion has one owner and one message; callers leave it there:
 
     n >= 1, one offset per n-entry normal   `DelzantPolytope.__post_init__`
     an exact rational (hbar, a coordinate)  `rational`
@@ -25,9 +25,11 @@ Each input rule has one owner and one message; every caller leaves it there:
     an orbit's hbar is not 0                `groupoid.face_bounds`
     an orbit's cap is at least 1            `groupoid.orbit`
     a sweep's hbars are > 0 and decreasing  `algebra.hbar_sweep`
+    ... and > 0 and decreasing as floats    `algebra.hbar_sweep`
     two elements share one n                `algebra.common_n`
     a suite runs at least one case          `suite.run_suite`
-    an evaluated input is in float range    `expr._floats`
+    an exact value converts to a float      `expr.floats`, `groupoid.Orbit.coordinates`
+    a commutator is divided by i*hbar       `algebra.renormalize`
 
 Screening runs in Python ints too, on `intlat`'s integer forms.  The
 offsets are integer numerators a_j over one denominator L, and each n-subset

@@ -274,7 +274,7 @@ def battery_bracket(P, rng, cases, tol) -> BatteryResult:
         f = random_element(P, rng, polynomial_only=True)
         g = random_element(P, rng, polynomial_only=True)
         h = random_element(P, rng, polynomial_only=True)
-        y = [float(c) for c in random_interior_point(P, rng)]
+        y = random_interior_point(P, rng)
         k = tuple(rng.randint(-2, 2) for _ in range(n))
 
         # each distinct bracket once, only at the modes the checks read: k,

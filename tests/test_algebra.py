@@ -121,6 +121,35 @@ def test_renormalized_commutator_rejects_zero():
         al.renormalized_commutator(P, f, g, 0, (F(1, 2),), (0,))
 
 
+def test_renormalized_commutator_at_an_hbar_whose_float_is_0_is_not_finite():
+    # 1/10^400 is not 0, but its float is: the division by i*hbar
+    # (`renormalize`) refuses it instead of raising ZeroDivisionError
+    f, g = canonical_pair()
+    h = F(1, 10 ** 400)
+    with pytest.raises(EvalDomainError) as exc:
+        al.renormalized_commutator(P, f, g, h, (F(1, 2),), (0,))
+    assert str(exc.value) == (
+        f"renormalized commutator at mode (0,) is not finite at (1/2), hbar = {h}")
+
+
+# positive sweeps that do not decrease, the last three only as floats
+FLOAT_FLAT_SWEEPS = [[F(1, 8), F(1, 4)], [F(1, 10 ** 400)], [F(1, 1000), F(1, 10 ** 400)],
+                     [F(1, 10 ** 20), F(1, 10 ** 20 + 1)]]
+
+
+@pytest.mark.parametrize("hs", FLOAT_FLAT_SWEEPS,
+                         ids=["increasing", "zero", "last-zero", "equal"])
+def test_both_routes_refuse_a_sweep_that_does_not_decrease_as_floats(hs):
+    # the Richardson step divides by the floats' difference (it raised
+    # ZeroDivisionError on the equal pair)
+    f, g = canonical_pair()
+    for route in (al.numeric_bracket_limit, mr.bracket_via_matrices):
+        with pytest.raises(DomainError) as exc:
+            route(P, f, g, (F(1, 2),), (0,), hs)
+        assert str(exc.value) == (
+            "hbar list must be strictly decreasing and positive as floats")
+
+
 def test_commutator_same_element_vanishes():
     f = al.element(1, {0: "y1", 1: "sin(y1)"})
     assert al.commutator(P, f, f, F(1, 8), (F(1, 2),), (0,)) == 0.0

@@ -716,6 +716,20 @@ def test_bracket_limit_point_past_float_range_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: an input lies past float range\n"
 
 
+def test_spectra_orbit_past_float_range_exits_2(tmp_path, capsys):
+    # the orbit of [10^400, 10^400 + 1] through its midpoint at hbar = 1/4
+    # has 3 points, none of them a float: the orbit array's conversion owner
+    # refuses them (it raised OverflowError, exit 1, a traceback)
+    interval = tmp_path / "interval_far.json"
+    interval.write_text(json.dumps({"n": 1, "facets": [
+        {"normal": [1], "offset": str(10 ** 400)},
+        {"normal": [-1], "offset": str(-10 ** 400 - 1)}]}))
+    rc, text = run(["quantize", "spectra", str(interval), *SPHERE_X3[1:], "--hbar", "1/4",
+                    "--point", f"{2 * 10 ** 400 + 1}/2"], tmp_path)
+    assert (rc, text) == (2, None)
+    assert capsys.readouterr().err == "error: an input lies past float range\n"
+
+
 def exp_overflow_observables(tmp_path):
     # exp(1000*y1) overflows from y1 ~ 0.7098
     f = tmp_path / "exp.json"
@@ -776,9 +790,7 @@ SPHERE_X3 = [str(DATA / "sphere.json"), "--obs", str(DATA / "obs" / "x3.json")]
     (["polytope", "make", "product"], "input error: product needs --of FILE FILE"),
     (["quantize", "bracket-limit", *SPHERE_PAIR, "--hbar", "0"],
      "error: hbar list must be positive (nonzero) values"),
-    (["quantize", "spectra", *SPHERE_X3, "--hbar", "0"], "input error: --hbar must be nonzero"),
-], ids=["bad-rational", "bad-mode", "product-without-of", "bracket-limit-hbar-zero",
-        "spectra-hbar-zero"])
+], ids=["bad-rational", "bad-mode", "product-without-of", "bracket-limit-hbar-zero"])
 def test_input_error_exits_2_with_one_line(tmp_path, capsys, argv, err):
     rc, text = run(argv, tmp_path)
     assert (rc, text) == (2, None)
@@ -810,10 +822,19 @@ CP2_PAIR = ["--obs", str(GOLDEN / "obs_cp2_f.json"), "--obs2", str(GOLDEN / "obs
      "error: orbit cap must be at least 1, got 0"),
     (["groupoid", "orbit", CP2, "--hbar", "0", "--point", "1/8,1/8"],
      "error: orbits are defined for hbar != 0"),
+    # the default point (0) lies in [0, 1], so the orbit's owner refuses hbar
+    (["quantize", "spectra", *SPHERE_X3, "--hbar", "0"],
+     "error: orbits are defined for hbar != 0"),
     (["quantize", "bracket-limit", *SPHERE_PAIR, "--hbar", "0"],
      "error: hbar list must be positive (nonzero) values"),
     (["quantize", "bracket-limit", *SPHERE_PAIR, "--hbar", "-1/16"],
      "error: hbar list must be positive (nonzero) values"),
+    # positive, but 0 as floats: the limit's division by i*hbar raised
+    # ZeroDivisionError (exit 1, a traceback)
+    (["quantize", "bracket-limit", *SPHERE_PAIR, "--hbar", f"1/{10 ** 400}"],
+     "error: hbar list must be strictly decreasing and positive as floats"),
+    (["quantize", "bracket-limit", *SPHERE_PAIR, "--hbar", "1/1000", "--hbar", f"1/{10 ** 400}"],
+     "error: hbar list must be strictly decreasing and positive as floats"),
     (["groupoid", "orbit", CP2, "--hbar", "1/4", "--point", "1/8"],
      "input error: point has 1 coordinates, expected 2"),
     (["quantize", "bracket-limit", *SPHERE_PAIR, "--point", "1/2,1/2"],
@@ -828,7 +849,9 @@ CP2_PAIR = ["--obs", str(GOLDEN / "obs_cp2_f.json"), "--obs2", str(GOLDEN / "obs
      "error: orbit enumeration requires a compact polytope"),
     (["quantize", "bracket-limit", ORTHANT2, *CP2_PAIR, "--point", "1/2"],
      "input error: point has 1 coordinates, expected 2"),
-], ids=["orbit-cap-0", "orbit-hbar-0", "bracket-limit-hbar-0", "bracket-limit-hbar-negative",
+], ids=["orbit-cap-0", "orbit-hbar-0", "spectra-hbar-0", "bracket-limit-hbar-0",
+        "bracket-limit-hbar-negative", "bracket-limit-hbar-float-0",
+        "bracket-limit-hbar-last-float-0",
         "orbit-point-length", "bracket-limit-point-length", "spectra-point-length",
         "mode-length", "point-outside", "orthant-orbit-point-length",
         "orthant-bracket-limit-point-length"])

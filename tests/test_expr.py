@@ -637,36 +637,105 @@ ROOT = Path(__file__).parents[1]
 
 
 def observable_trees(workdir):
-    """One line per coefficient part of every shipped, golden and benchmark
-    (matrix_model, seed 1) observable: the file, the mode and the printed
-    tree, which parse(e.text()) == e makes a stand-in for the tree."""
+    """{file: its lines} for every shipped, golden and benchmark (matrix_model,
+    seed 1) observable with a mode: one line per coefficient part, the file
+    name, the mode and the printed tree, which parse(e.text()) == e makes a
+    stand-in for the tree.  Files are keyed by their path in the repository,
+    benchmark ones by matrix_model/NAME."""
     spec = importlib.util.spec_from_file_location(
         "torikit_bench_inputs", ROOT / "perfbench" / "inputs.py")
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
     inputs.generate("matrix_model", 1, str(workdir), str(ROOT / "src" / "torikit" / "data"))
-    paths = (sorted((ROOT / "src" / "torikit" / "data" / "obs").glob("*.json"))
-             + sorted((ROOT / "tests" / "golden").glob("obs_*.json"))
-             + sorted(workdir.glob("*.json")))
-    lines = []
-    for path in paths:
+    paths = [(path.relative_to(ROOT).as_posix(), path) for path in
+             sorted((ROOT / "src" / "torikit" / "data" / "obs").glob("*.json"))
+             + sorted((ROOT / "tests" / "golden").glob("obs_*.json"))]
+    paths += [(f"matrix_model/{path.name}", path) for path in sorted(workdir.glob("*.json"))]
+    trees = {}
+    for key, path in paths:
         doc = json.loads(path.read_text())
         for item in doc.get("modes", []) if isinstance(doc, dict) else []:
             for part in ("re", "im"):
                 tree = ex.parse(item.get(part, "0"), 3).text()
-                lines.append(f"{path.name} {item['k']} {part} {tree}")
-    return lines
+                trees.setdefault(key, []).append(f"{path.name} {item['k']} {part} {tree}")
+    return trees
 
 
-# measured on the parser before it bounded nesting and depth, the four
-# lines of obs_cp2_schwinger_e02.json included
-LINES = 208
-DIGEST = "7401588bdbc0e8025e93e40714a35f8752ea1b4f84d53e28784d9d5f55098276"
+# per file, the head of the sha256 of its lines, measured on the parser
+# before it bounded nesting and depth: a new observable needs only a row
+DIGESTS = {
+    "src/torikit/data/obs/mode_minus.json": "48a419e6cdd639d8",
+    "src/torikit/data/obs/mode_plus.json": "c5642c5f51d3a41d",
+    "src/torikit/data/obs/sin_pair_a.json": "4a87dc9e351c6406",
+    "src/torikit/data/obs/sin_pair_b.json": "8bf224a88e73003a",
+    "src/torikit/data/obs/x3.json": "a653ffc6a4fc57e4",
+    "src/torikit/data/obs/xplus.json": "84d393d8891919fc",
+    "tests/golden/obs_cp2_f.json": "7ccc5e52c5f1e1a4",
+    "tests/golden/obs_cp2_g.json": "0aa7452f0975bc30",
+    "tests/golden/obs_cp2_herm.json": "dba242eb6e4ab846",
+    "tests/golden/obs_cp2_nonherm.json": "41d266a51b65d14a",
+    "tests/golden/obs_cp2_schwinger_e02.json": "bb0202b2ddc5d3cd",
+    "tests/golden/obs_sphere_herm.json": "3b6b79e375286d7b",
+    "matrix_model/bl0f.json": "a83009a51f99f504",
+    "matrix_model/bl0g.json": "778bb78cbed08726",
+    "matrix_model/bl10f.json": "78ce6457087d4a0b",
+    "matrix_model/bl10g.json": "98c9c12ec1f8ad65",
+    "matrix_model/bl11f.json": "773de918ffa5b82f",
+    "matrix_model/bl11g.json": "55119b6e03ac948c",
+    "matrix_model/bl12f.json": "40dfe4d5a126ad4b",
+    "matrix_model/bl12g.json": "769e2ff80ce9c1a7",
+    "matrix_model/bl13f.json": "840942f2bd636662",
+    "matrix_model/bl13g.json": "17cee0239340a60b",
+    "matrix_model/bl14f.json": "ef1e1cb53ccd49cf",
+    "matrix_model/bl14g.json": "b3aa48c4ff6cee66",
+    "matrix_model/bl1f.json": "a1a07288f00f6516",
+    "matrix_model/bl1g.json": "8414bce77d149cd0",
+    "matrix_model/bl2f.json": "10384555d5446f3b",
+    "matrix_model/bl2g.json": "5a5ae4f9199b8ad3",
+    "matrix_model/bl3f.json": "4112a3707eff5ee2",
+    "matrix_model/bl3g.json": "2cf606fc89c94e62",
+    "matrix_model/bl4f.json": "3ada5704e5e7f427",
+    "matrix_model/bl4g.json": "e9b386d0738c1ae9",
+    "matrix_model/bl5f.json": "647ecc48b5a4e8c7",
+    "matrix_model/bl5g.json": "060be812cab9710f",
+    "matrix_model/bl6f.json": "761bdd08ca158307",
+    "matrix_model/bl6g.json": "b548e206de622e96",
+    "matrix_model/bl7f.json": "4c499b414ec54fcf",
+    "matrix_model/bl7g.json": "b2a7a23a19d05527",
+    "matrix_model/bl8f.json": "d6ba0a4d16ecd455",
+    "matrix_model/bl8g.json": "e8b1327bfd27287c",
+    "matrix_model/bl9f.json": "4ad44ab5a7cade91",
+    "matrix_model/bl9g.json": "44a85bf7465527d3",
+    "matrix_model/bvm0f.json": "455d64d539e7b079",
+    "matrix_model/bvm0g.json": "be3f3855c1f10cd3",
+    "matrix_model/bvm1f.json": "d8db8cf13c2decb5",
+    "matrix_model/bvm1g.json": "d34f2c88408220f1",
+    "matrix_model/cp2_gen4.json": "d321f67416f5c152",
+    "matrix_model/cp2_gen5.json": "529a1a4b725810ca",
+    "matrix_model/cp2_gen6.json": "39a0c3656535a9c8",
+    "matrix_model/cp2_gen7.json": "1f5d47e25ada8225",
+    "matrix_model/cp2_gen8.json": "6afe0ca2f627bd25",
+    "matrix_model/cp2_gen9.json": "aebe41b0ac49ebd0",
+    "matrix_model/cp2_herm0.json": "4d557be3b35f0436",
+    "matrix_model/cp2_herm1.json": "10da90bc4cae5303",
+    "matrix_model/cp2_herm2.json": "21fddcebcf858b77",
+    "matrix_model/cp2_herm3.json": "aefb84e06f57010c",
+    "matrix_model/sphere_gen0.json": "fb727fd0b08ec0d8",
+    "matrix_model/sphere_gen1.json": "581bee42f339bfd4",
+    "matrix_model/sphere_gen2.json": "2809a5c009697adf",
+    "matrix_model/sphere_gen3.json": "4cb61a6611b416db",
+    "matrix_model/sphere_herm0.json": "43ce6ae5b928e5c5",
+    "matrix_model/sphere_herm1.json": "a3b197370e4f4855",
+    "matrix_model/sphere_herm2.json": "4b271f01c168c70f",
+    "matrix_model/sphere_herm3.json": "a5e7de1719d9b2bc",
+    "matrix_model/sphere_herm4.json": "40432ee641f2d0ec",
+    "matrix_model/x3.json": "a653ffc6a4fc57e4",
+}
 
 
 def test_every_shipped_golden_and_benchmark_observable_parses_as_before(
         tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    lines = observable_trees(tmp_path)
-    assert len(lines) == LINES
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DIGEST
+    digests = {key: hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+               for key, lines in observable_trees(tmp_path).items()}
+    assert digests == DIGESTS

@@ -261,20 +261,20 @@ def test_an_input_past_float_range_is_an_eval_domain_error():
 @pytest.mark.parametrize("value", [F(1, 3), BIG, F(-(2 ** 80) - 1, 7), TINY,
                                    F(10 ** 300 + 1, 10 ** 290)])
 def test_a_fraction_converts_as_float_does(value):
-    h, y = ex._floats(value, [value, 2, 0.5])
+    h, y = ex.floats(value, [value, 2, 0.5])
     assert h.hex() == float(value).hex() and y[0].hex() == float(value).hex()
     assert y[1:] == [2, 0.5] and type(y[1]) is int
 
 
 def test_complex_evaluate_converts_its_inputs_once(monkeypatch):
     calls = []
-    floats = ex._floats
+    floats = ex.floats
 
     def counted(h, y):
         calls.append((h, tuple(y)))
         return floats(h, y)
 
-    monkeypatch.setattr(ex, "_floats", counted)
+    monkeypatch.setattr(ex, "floats", counted)
     c = ex.ComplexExpr(ex.parse("h*y1 + y2", 2), ex.parse("y1 - h", 2))
     got = c.evaluate(F(1, 7), (F(1, 3), F(2, 5)))
     assert calls == [(F(1, 7), (F(1, 3), F(2, 5)))]

@@ -11,8 +11,8 @@ import pytest
 
 from torikit import groupoid as gr
 from torikit import polytope as pt
-from torikit.errors import (ComposabilityError, DimensionError, DomainError, FormatError,
-                            OrbitCapError)
+from torikit.errors import (ComposabilityError, DimensionError, DomainError,
+                            EvalDomainError, FormatError, OrbitCapError)
 
 F = Fraction
 
@@ -87,6 +87,23 @@ def test_source_invalid_raises():
     P = pt.interval()
     with pytest.raises(DomainError):
         gr.source(P, gr.arrow(F(1, 4), (0,), (1,)))
+
+
+# the vertex 0 of [0, 1] admits no arrow of mode 1; every operation on an
+# arrow names the one it refuses as p/q (`not_in_groupoid`)
+OUTSIDE = gr.arrow(F(1, 4), (0,), (1,))
+INSIDE = gr.arrow(F(1, 4), (F(1, 8),), (1,))
+
+
+@pytest.mark.parametrize("call", [
+    lambda P: gr.source(P, OUTSIDE), lambda P: gr.range_(P, OUTSIDE),
+    lambda P: gr.invert(P, OUTSIDE), lambda P: gr.compose(P, INSIDE, OUTSIDE),
+    lambda P: gr.compose(P, OUTSIDE, INSIDE),
+], ids=["source", "range", "invert", "compose-second", "compose-first"])
+def test_an_arrow_outside_the_groupoid_is_named_as_p_over_q(call):
+    with pytest.raises(DomainError) as exc:
+        call(pt.interval())
+    assert str(exc.value) == "arrow (hbar=1/4, y=(0), k=(1,)) is not in the groupoid"
 
 
 def test_compose_example():
@@ -543,6 +560,28 @@ def test_orbit_int64_guard_on_pairings(monkeypatch):
     # from the midpoint of [0, 1] at 2^-60 every pairing stays below 2^62
     with pytest.raises(OrbitCapError):
         gr.orbit(pt.interval(), F(1, 2 ** 60), (F(1, 2),), cap=10)
+
+
+def test_orbit_int64_guard_names_the_box_not_hbar():
+    # on [0, 10^401] from 10^400 at hbar = 1/16 the polytope's extent, not
+    # hbar, makes the box: 16 * 10^401 + 1 candidate steps
+    P = pt.DelzantPolytope(1, ((1,), (-1,)), (F(0), F(-10 ** 401)))
+    with pytest.raises(DomainError) as exc:
+        gr.orbit(P, F(1, 16), (F(10 ** 400),))
+    assert str(exc.value) == ("candidate box of the orbit at hbar = 1/16, of shape "
+                              f"({16 * 10 ** 401 + 1},), is too large for int64")
+
+
+def test_orbit_coordinates_past_float_range_get_the_conversion_owners_error():
+    # [10^400, 10^400 + 1] holds an orbit of 3 points, none of them a float
+    P = pt.DelzantPolytope(1, ((1,), (-1,)), (F(10 ** 400), F(-10 ** 400 - 1)))
+    orb = gr.orbit(P, F(1, 4), (F(10 ** 400) + F(1, 2),))
+    assert len(orb) == 3
+    for call in (lambda: orb.points, lambda: orb.coordinates(orb.steps[:1])):
+        with pytest.raises(EvalDomainError) as exc:
+            call()
+        assert type(exc.value) is EvalDomainError
+        assert str(exc.value) == "an input lies past float range"
 
 
 def test_orbit_int64_guard_reads_the_face_vertex_box(monkeypatch):

@@ -226,7 +226,8 @@ def test_string_literals_detector():
 # one phrase of each owner's text, and the rule it states
 OWNER_TEXTS = ["bad rational", "coordinates, expected", "entries, expected",
                "components, expected", "suite cases must be at least", "bad angle",
-               "ambient vector has shape"]
+               "ambient vector has shape", "past float range", "is not in the groupoid",
+               "decreasing and positive as floats"]
 LITERALS = [text for path in MODULES for text in string_literals(path.read_text())]
 
 
@@ -253,3 +254,31 @@ def test_hbar_coercions_detector():
 def test_hbar_is_coerced_only_by_its_owner(path):
     # `polytope.rational` reads every hbar
     assert hbar_coercions(path.read_text()) == []
+
+
+def float_calls(source: str) -> list[str]:
+    """The argument of every float() call."""
+    return [ast.unparse(node.args[0]) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float"
+            and node.args]
+
+
+@pytest.mark.parametrize("stem", ["matrixrep", "suite", "delzant"])
+def test_exact_values_reach_float_through_their_owners(stem):
+    # float() there reads numpy results only; an exact value goes to
+    # `expr.floats` or `groupoid.Orbit.coordinates`
+    source = (Path(torikit.__file__).parent / f"{stem}.py").read_text()
+    assert [a for a in float_calls(source) if not a.startswith("np.")] == []
+
+
+def i_hbar_divisions(source: str) -> list[str]:
+    """The divisions x / (1j * h) of a module."""
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Mult)
+            and getattr(node.right.left, "value", None) == 1j]
+
+
+def test_one_function_divides_by_i_hbar():
+    found = [(path.stem, d) for path in MODULES for d in i_hbar_divisions(path.read_text())]
+    assert found == [("algebra", "comm / (1j * h)")]

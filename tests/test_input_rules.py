@@ -161,6 +161,10 @@ def test_orthant_level_defect_reads_its_vector():
 # the interval [0, 10^401]: its point 10^400 is inside, and past float range
 BIG = pt.polytope_from_dict({"n": 1, "facets": [
     {"normal": [1], "offset": "0"}, {"normal": [-1], "offset": str(-10 ** 401)}]})
+# [10^400 - 1, 10^400 + 1]: its orbits are small, and their points past float range
+FAR = pt.polytope_from_dict({"n": 1, "facets": [
+    {"normal": [1], "offset": str(10 ** 400 - 1)},
+    {"normal": [-1], "offset": str(-10 ** 400 - 1)}]})
 f1, g1 = al.element(1, {1: "y1", 0: "1"}), al.element(1, {-1: "y1"})
 H = F(1, 16)
 # each entry point that evaluates a coefficient at its point y
@@ -173,6 +177,12 @@ EVALUATE_AT_Y = {
     "convolve": lambda y: al.convolve(BIG, f1, g1, H, y, (0,)),
     "groupoid_value": lambda y: al.groupoid_value(BIG, f1, H, y, (1,)),
     "numeric_bracket_limit": lambda y: al.numeric_bracket_limit(BIG, f1, g1, y, (0,), [H]),
+    "sigma": lambda y: dz.sigma(dz.build_system(BIG), y),
+    # the orbit arrays' owner, `Orbit.coordinates`, and what reads it
+    "orbit_points": lambda y: gr.orbit(FAR, H, y).points,
+    "represent": lambda y: mr.represent(FAR, gr.orbit(FAR, H, y), f1),
+    "convolve_orbit": lambda y: mr.convolve_orbit(FAR, f1, g1, gr.orbit(FAR, H, y)),
+    "bracket_via_matrices": lambda y: mr.bracket_via_matrices(FAR, f1, g1, y, (0,), [H]),
 }
 
 
@@ -181,4 +191,10 @@ def test_a_point_past_float_range_gets_the_conversion_owners_error(entry):
     with pytest.raises(EvalDomainError) as exc:
         EVALUATE_AT_Y[entry]((F(10 ** 400),))
     assert type(exc.value) is EvalDomainError
+    assert str(exc.value) == "an input lies past float range"
+
+
+def test_offsets_past_float_range_get_the_conversion_owners_error():
+    with pytest.raises(EvalDomainError) as exc:
+        dz.J0(dz.build_system(FAR), [0, 0])
     assert str(exc.value) == "an input lies past float range"

@@ -492,11 +492,26 @@ def test_an_exact_matrix_sweep_returns_its_last_value_as_the_scalar_route_does()
 
 
 def test_bracket_via_matrices_names_a_missing_arrow_in_p_over_q():
-    # the sphere's vertex y = 0 admits no arrow of mode 1
+    # the sphere's vertex y = 0 admits no arrow of mode 1: the text of
+    # `groupoid.not_in_groupoid`, as `groupoid.source` gives it
     f = al.element(1, {0: "1"})
-    with pytest.raises(DomainError,
-                       match=r"^arrow \(hbar=1/4, y=\(0\), k=\(1,\)\) is not in"):
+    with pytest.raises(DomainError) as exc:
         mr.bracket_via_matrices(SPHERE, f, f, (F(0),), (1,), [F(1, 4), F(1, 8)])
+    assert str(exc.value) == "arrow (hbar=1/4, y=(0), k=(1,)) is not in the groupoid"
+
+
+def test_both_bracket_routes_refuse_a_product_past_float_range():
+    # each coefficient is a finite 10^200, their product at mode 0 is not:
+    # the matrix route returned nan+nanj with a RuntimeWarning, which the
+    # suite's filterwarnings = error turns into a failure
+    f, g = al.element(1, {1: 10 ** 200}), al.element(1, {-1: 10 ** 200})
+    args = ((F(1, 2),), (0,), [F(1, 4), F(1, 8)])
+    with pytest.raises(EvalDomainError) as exc:
+        mr.bracket_via_matrices(SPHERE, f, g, *args)
+    assert str(exc.value) == (
+        "renormalized commutator at mode (0,) is not finite at (1/2), hbar = 1/4")
+    with pytest.raises(EvalDomainError, match="^product at mode"):
+        al.numeric_bracket_limit(SPHERE, f, g, *args)
 
 
 def test_operator_algebra_never_writes_into_the_orbit_memos():
